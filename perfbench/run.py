@@ -31,7 +31,7 @@ ROOT = os.path.dirname(HERE)
 SOURCE = os.path.join(ROOT, "src")
 DEFAULT_SEED = 1
 DEFAULT_REFERENCES = os.path.join(HERE, "references.json")
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 
 #: Gated metrics, printed on every workload with ``--trace 0``.
 END_TO_END = (
@@ -126,11 +126,10 @@ def _parse(argv):
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--references", default=DEFAULT_REFERENCES,
-                        help="committed reference results (JSON)")
     parser.add_argument("--record-references", action="store_true",
                         help="write this run's results as the references "
-                             "of its workload instead of checking them")
+                             "of its workload instead of checking them (only "
+                             "at the seed the references were recorded at)")
     parser.add_argument("--setup-only", action="store_true",
                         help=argparse.SUPPRESS)
     return parser.parse_args(argv)
@@ -164,7 +163,6 @@ def _setup(args, scratch):
 
     workload = workloads.WORKLOADS[args.workload]
     runner = workloads.Runner(workload, args.seed, scratch)
-    workloads.calibrate()
     inputs = runner.inputs
     name = next(iter(inputs.documents))
     request = inputs.request(inputs.documents[name], 0, iterations=50)
@@ -214,7 +212,8 @@ def _load_references(path):
 
 def _check_references(runner, references, args):
     """Pinned instance hashes always; per-request ``(best_cost,
-    evaluations)`` at the default seed."""
+    evaluations)`` at the reference seed, where every observed request
+    must have a reference."""
     for name, digest in runner.inputs.hashes.items():
         expected = references["scenario_hashes"].get(name)
         if expected != digest:
@@ -225,13 +224,15 @@ def _check_references(runner, references, args):
     for index, (got, want) in enumerate(zip(runner.observed, expected)):
         if got != want:
             runner.fail(f"result {index}: {got} != reference {want}")
+    if len(runner.observed) > len(expected):
+        runner.fail(f"{len(runner.observed)} results but only "
+                    f"{len(expected)} references for {args.workload}")
 
 
 def _record_references(runner, references, args):
     references["scenario_hashes"].update(runner.inputs.hashes)
-    references["seed"] = args.seed
     references["results"][args.workload] = runner.observed
-    with open(args.references, "w", encoding="utf-8") as handle:
+    with open(DEFAULT_REFERENCES, "w", encoding="utf-8") as handle:
         json.dump(references, handle, indent=1, sort_keys=True)
         handle.write("\n")
 
@@ -343,7 +344,15 @@ def run_workload(args):
             return 0
         import workloads
 
-        references = _load_references(args.references)
+        # The yardstick's heap is benchmark code: built after set-up has
+        # been timed, so that ``setup_s`` measures the program only.
+        workloads.calibrate()
+        references = _load_references(DEFAULT_REFERENCES)
+        if args.record_references and args.seed != references["seed"]:
+            sys.stderr.write(
+                f"--record-references needs --seed {references['seed']}, "
+                f"the seed of every committed reference\n")
+            return 2
         rounds = workloads.round_count(runner.workload, args.seconds)
         print(f"workload {args.workload} seed {args.seed} "
               f"rounds {rounds} trace {args.trace}")
@@ -442,8 +451,7 @@ def run_all(args, names):
     for name in names:
         command = [sys.executable, os.path.abspath(__file__),
                    "--workload", name, "--seed", str(args.seed),
-                   "--seconds", str(args.seconds), "--trace", str(args.trace),
-                   "--references", args.references]
+                   "--seconds", str(args.seconds), "--trace", str(args.trace)]
         if args.record_references:
             command.append("--record-references")
         child = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)

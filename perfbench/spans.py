@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import importlib
 import json
 import os
 import time
@@ -128,7 +129,10 @@ class Tracer:
 
     def patch(self, owner: Any, attr: str, name: str, **options) -> None:
         """Wrap ``owner.attr``; a target the program no longer has is
-        listed in :attr:`missing` and its layer reads 0."""
+        listed in :attr:`missing` and its layer reads 0 (``owner`` is
+        ``None`` when :meth:`lookup` has listed it already)."""
+        if owner is None:
+            return
         namespace = owner.__dict__ if isinstance(owner, type) else vars(owner)
         if attr not in namespace:
             self.missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
@@ -136,6 +140,21 @@ class Tracer:
         original = namespace[attr]
         setattr(owner, attr, self.wrapped(original, name, **options))
         self._patches.append((owner, attr, original))
+
+    def lookup(self, module: str, name: Optional[str] = None) -> Any:
+        """The program's module ``module``, or its attribute ``name``;
+        ``None``, listed in :attr:`missing`, when the program no longer
+        has it."""
+        try:
+            found = importlib.import_module(module)
+        except ImportError:
+            self.missing.append(module)
+            return None
+        if name is not None:
+            found = getattr(found, name, None)
+            if found is None:
+                self.missing.append(f"{module}.{name}")
+        return found
 
     def uninstall(self) -> None:
         for owner, attr, original in reversed(self._patches):
@@ -145,66 +164,68 @@ class Tracer:
     # -- the layer table -----------------------------------------------
     def install(self) -> None:
         """Wrap the public entry points of every layer the benchmark
-        attributes time to (imports are local: the tracer is loaded
-        before the program's path is known)."""
-        import repro.api.facade as facade
-        import repro.api.resolve as resolve
-        import repro.mapping.engine as engine
-        import repro.sa.moves as moves
-        import repro.service.store as store
-        from repro.api.specs import ExplorationRequest
-        from repro.errors import InfeasibleMoveError
-        from repro.sa.annealer import SimulatedAnnealing
-        from repro.sa.explorer import DesignSpaceExplorer
-        from repro.sa.population import PopulationAnnealer
-        from repro.service.service import ExplorationService
+        attributes time to.  Every owner is looked up by name (the
+        tracer is loaded before the program's path is known), so a
+        layer a change deletes is listed as not traced instead of
+        failing the run."""
+        lookup = self.lookup
+        facade = lookup("repro.api.facade")
+        engine = lookup("repro.mapping.engine")
+        store = lookup("repro.service.store")
+        result_store = lookup("repro.service.store", "ResultStore")
+        infeasible = lookup("repro.errors", "InfeasibleMoveError")
+        move_errors = (infeasible,) if infeasible is not None else ()
+        cross = lookup("repro.mapping.engine", "CrossChainEvaluator")
+        service = lookup("repro.service.service", "ExplorationService")
 
         self.patch(facade, "explore", "api.facade.explore")
-        self.patch(facade.ExplorationResponse, "to_json",
-                   "api.facade.to_json", on_result=self._envelope_bytes)
+        self.patch(lookup("repro.api.facade", "ExplorationResponse"),
+                   "to_json", "api.facade.to_json",
+                   on_result=self._envelope_bytes)
         self.patch(facade, "resolve_request", "api.resolve.resolve_request")
         self.patch(facade, "run_search_jobs",
                    "search.runner.run_search_jobs")
-        self.patch(resolve, "resolve_application",
+        self.patch(lookup("repro.api.resolve"), "resolve_application",
                    "api.resolve.resolve_application")
-        self.patch(ExplorationRequest, "content_hash",
-                   "api.specs.content_hash")
+        self.patch(lookup("repro.api.specs", "ExplorationRequest"),
+                   "content_hash", "api.specs.content_hash")
         self.patch(store, "instance_info_for",
                    "service.store.instance_info_for")
         for method in ("create_record", "load_record", "write_record",
                        "put_response", "response_text"):
-            self.patch(store.ResultStore, method, f"service.store.{method}",
+            self.patch(result_store, method, f"service.store.{method}",
                        on_result=self._created_bytes
                        if method == "create_record" else None)
-        self.patch(store.ResultStore, "_atomic_write",
+        self.patch(result_store, "_atomic_write",
                    "service.store.atomic_write", on_result=self._written_bytes)
         self.patch(os, "fsync", "service.store.fsync")
-        self.patch(ExplorationService, "submit", "service.service.submit",
+        self.patch(service, "submit", "service.service.submit",
                    on_result=self._submit_status)
-        self.patch(ExplorationService, "result", "service.service.result")
-        self.patch(DesignSpaceExplorer, "search", "sa.explorer.search")
-        self.patch(SimulatedAnnealing, "search", "sa.annealer.search")
-        self.patch(PopulationAnnealer, "search", "sa.population.search")
-        self.patch(moves.MoveGenerator, "propose", "sa.moves.propose",
-                   errors=(InfeasibleMoveError,))
-        for cls in _subclasses(moves.Move):
+        self.patch(service, "result", "service.service.result")
+        self.patch(lookup("repro.sa.explorer", "DesignSpaceExplorer"),
+                   "search", "sa.explorer.search")
+        self.patch(lookup("repro.sa.annealer", "SimulatedAnnealing"),
+                   "search", "sa.annealer.search")
+        self.patch(lookup("repro.sa.population", "PopulationAnnealer"),
+                   "search", "sa.population.search")
+        self.patch(lookup("repro.sa.moves", "MoveGenerator"), "propose",
+                   "sa.moves.propose", errors=move_errors)
+        for cls in _subclasses(lookup("repro.sa.moves", "Move")):
             for method in ("apply", "undo"):
                 if method in cls.__dict__:
                     self.patch(cls, method, f"sa.moves.{method}",
-                               errors=(InfeasibleMoveError,))
+                               errors=move_errors)
         self.patch(engine, "compile_instance",
                    "mapping.compiled.compile_instance")
-        for cls in _subclasses(engine.EvaluationEngine):
+        for cls in _subclasses(lookup("repro.mapping.engine", "EvaluationEngine")):
             if "evaluate" in cls.__dict__ and not getattr(
                 cls.__dict__["evaluate"], "__isabstractmethod__", False
             ):
                 self.patch(cls, "evaluate", "mapping.engine.evaluate",
                            on_call=self._remember_engine)
-        self.patch(engine.CrossChainEvaluator, "propose_moves",
-                   "mapping.engine.propose_moves",
+        self.patch(cross, "propose_moves", "mapping.engine.propose_moves",
                    on_call=self._remember_cross)
-        self.patch(engine.CrossChainEvaluator, "resolve",
-                   "mapping.engine.resolve")
+        self.patch(cross, "resolve", "mapping.engine.resolve")
 
     # -- hooks ---------------------------------------------------------
     def _envelope_bytes(self, index: int, text: str, args) -> None:
@@ -236,7 +257,8 @@ class Tracer:
     def _remember_cross(self, args) -> None:
         cross = args[0]
         self._engines[id(cross)] = cross
-        self._cross_members.update(id(member) for member in cross.engines)
+        self._cross_members.update(
+            id(member) for member in getattr(cross, "engines", ()))
 
     def harvest_engines(self) -> None:
         """Add the public ``telemetry_counters()`` of every engine seen
@@ -245,7 +267,8 @@ class Tracer:
         for key, engine in self._engines.items():
             if key in self._cross_members:
                 continue
-            for name, value in engine.telemetry_counters().items():
+            counters = getattr(engine, "telemetry_counters", dict)()
+            for name, value in counters.items():
                 self.engine_counters[name] = (
                     self.engine_counters.get(name, 0) + value
                 )
@@ -397,7 +420,9 @@ class _Span:
         return False
 
 
-def _subclasses(cls: type) -> List[type]:
+def _subclasses(cls: Optional[type]) -> List[type]:
+    if cls is None:
+        return []
     out = [cls]
     for sub in cls.__subclasses__():
         out.extend(_subclasses(sub))

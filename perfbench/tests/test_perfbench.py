@@ -108,41 +108,71 @@ def test_benchmark_json_names_the_printed_metrics():
     )
 
 
-def _references_copy(tmp_path):
+@pytest.fixture
+def references(monkeypatch, tmp_path):
+    """A scratch copy of the committed references, used by the run."""
     path = tmp_path / "references.json"
     shutil.copy(run.DEFAULT_REFERENCES, path)
+    monkeypatch.setattr(run, "DEFAULT_REFERENCES", str(path))
     return path
 
 
-def test_corrupted_scenario_hash_fails_the_run(tiny, capsys, tmp_path):
-    path = _references_copy(tmp_path)
-    references = json.loads(path.read_text())
-    references["scenario_hashes"]["motion/2000"] = "0" * 64
-    path.write_text(json.dumps(references))
+def test_corrupted_scenario_hash_fails_the_run(tiny, capsys, references):
+    data = json.loads(references.read_text())
+    data["scenario_hashes"]["motion/2000"] = "0" * 64
+    references.write_text(json.dumps(data))
     code, _, result = _run(
         capsys, "--workload", "explore-motion", "--seed", "5",
-        "--references", str(path),
     )
     assert code != 0
     assert not result["correct"] and result["failed"] >= 1
 
 
-def test_results_repeat_and_a_corrupted_reference_fails(tiny, capsys, tmp_path):
-    path = _references_copy(tmp_path)
-    seed = str(json.loads(path.read_text())["seed"])
-    common = ("--workload", "explore-tempering", "--seed", seed,
-              "--references", str(path))
+def test_results_repeat_and_a_corrupted_reference_fails(tiny, capsys, references):
+    seed = str(json.loads(references.read_text())["seed"])
+    common = ("--workload", "explore-tempering", "--seed", seed)
     code, _, _ = _run(capsys, *common, "--record-references")
     assert code == 0
     code, _, result = _run(capsys, *common)
     assert code == 0 and result["correct"]  # same seed, same results
 
-    references = json.loads(path.read_text())
-    references["results"]["explore-tempering"][0][2] += 1e-9
-    path.write_text(json.dumps(references))
+    data = json.loads(references.read_text())
+    data["results"]["explore-tempering"][0][2] += 1e-9
+    references.write_text(json.dumps(data))
     code, _, result = _run(capsys, *common)
     assert code != 0
     assert result["failed"] == 1
+
+
+def test_missing_references_fail_at_the_reference_seed(tiny, capsys, references):
+    data = json.loads(references.read_text())
+    del data["results"]["explore-tempering"]
+    references.write_text(json.dumps(data))
+    code, _, result = _run(
+        capsys, "--workload", "explore-tempering", "--seed", str(data["seed"]),
+    )
+    assert code != 0
+    assert result["failed"] == 1
+
+
+def test_recording_at_another_seed_is_refused(tiny, capsys, references):
+    before = references.read_text()
+    seed = json.loads(before)["seed"] + 1
+    code = run.main(["--workload", "explore-tempering", "--seed", str(seed),
+                     "--seconds", "0", "--record-references"])
+    assert code != 0
+    assert references.read_text() == before
+
+
+def test_tracer_lists_a_deleted_layer_as_not_traced(monkeypatch):
+    import repro.mapping.engine as engine
+    from spans import Tracer
+
+    monkeypatch.delattr(engine, "CrossChainEvaluator")
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert "repro.mapping.engine.CrossChainEvaluator" in tracer.missing
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
