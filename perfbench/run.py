@@ -18,6 +18,7 @@ import time
 PROCESS_START = time.perf_counter()
 
 import argparse  # noqa: E402
+import atexit  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
@@ -133,6 +134,23 @@ def _parse(argv):
     parser.add_argument("--setup-only", action="store_true",
                         help=argparse.SUPPRESS)
     return parser.parse_args(argv)
+
+
+def _stop_resource_tracker():
+    """Stop multiprocessing's resource-tracker process and wait for it.
+
+    ``run_workers`` spawns its pool, and spawning starts a tracker
+    process that would otherwise outlive the benchmark by a moment.
+    Registered with ``atexit`` before ``multiprocessing`` is imported,
+    so it runs after multiprocessing's own exit handler, whose
+    finalizers still talk to the tracker.  Only the process that
+    started the tracker knows its pid; spawned workers skip this."""
+    module = sys.modules.get("multiprocessing.resource_tracker")
+    if module is not None and module._resource_tracker._pid is not None:
+        module._resource_tracker._stop()
+
+
+atexit.register(_stop_resource_tracker)
 
 
 def _import_program():

@@ -175,6 +175,32 @@ def test_tracer_lists_a_deleted_layer_as_not_traced(monkeypatch):
     assert "repro.mapping.engine.CrossChainEvaluator" in tracer.missing
 
 
+_DRAIN_AND_EXIT = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import run
+from multiprocessing import resource_tracker
+from repro.service.jobs import run_workers
+from repro.service.service import ExplorationService
+ExplorationService({store!r})
+run_workers({store!r}, workers=2)
+print(resource_tracker._resource_tracker._pid)
+"""
+
+
+def test_no_process_outlives_a_spawned_drain(tmp_path):
+    script = _DRAIN_AND_EXIT.format(
+        src=os.path.join(ROOT, "src"), bench=BENCH, store=str(tmp_path / "s"),
+    )
+    child = subprocess.run([sys.executable, "-c", script],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+    tracker = int(child.stdout.split()[-1])
+    with pytest.raises(ProcessLookupError):
+        os.kill(tracker, 0)
+
+
 def test_refuses_to_run_without_the_program(tmp_path):
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
     shutil.copytree(BENCH, tmp_path / "perfbench",
