@@ -44,12 +44,11 @@ def _evals_per_sec(instance, engine, n_evals, seed=7):
 
 
 def _parity_makespans(instance, steps, seed=7):
-    """Replay one move stream through all three engines; returns the
-    number of bit-identical makespan comparisons performed."""
+    """Replay one move stream through both engines; returns the number
+    of bit-identical makespan comparisons performed."""
     app, arch = instance.application, instance.architecture
     full = Evaluator(app, arch, engine="full")
     inc = Evaluator(app, arch, engine="incremental")
-    arr = Evaluator(app, arch, engine="array")
     rng = random.Random(seed)
     solution = random_initial_solution(app, arch, rng, hw_fraction=0.5)
     generator = MoveGenerator(app)
@@ -62,7 +61,6 @@ def _parity_makespans(instance, steps, seed=7):
             continue
         reference = full.evaluate(solution)
         assert reference == inc.evaluate(solution)
-        assert reference == arr.evaluate(solution)
         n += 1
         if rng.random() < 0.5:
             move.undo(solution)
@@ -75,11 +73,10 @@ def test_engine_throughput():
     print("engine throughput (evaluations/sec, move-evaluate-undo loop, "
           f"median of {REPS})")
     header = (f"{'instance':<20} {'full':>9} {'incremental':>12} "
-              f"{'array':>9} {'inc/full':>9} {'arr/inc':>8}")
+              f"{'inc/full':>9}")
     print(header)
     print("-" * len(header))
     inc_speedups = {}
-    arr_speedups = {}
     for name in SCENARIOS:
         instance = get_scenario(name).build()
         full = statistics.median(
@@ -89,28 +86,14 @@ def test_engine_throughput():
             _evals_per_sec(instance, "incremental", N_EVALS)
             for _ in range(REPS)
         )
-        arr = statistics.median(
-            _evals_per_sec(instance, "array", N_EVALS) for _ in range(REPS)
-        )
         inc_speedups[name] = inc / full
-        arr_speedups[name] = arr / full
-        print(f"{name:<20} {full:>9.0f} {inc:>12.0f} {arr:>9.0f} "
-              f"{inc / full:>8.2f}x {arr / inc:>7.2f}x")
-    # Both delta engines must win decisively over the rebuild reference
-    # everywhere.  The array engine's persistent order/DP pays off most
-    # on the larger instances (it leads the incremental engine from
-    # ~120 tasks up and ties below); the array-vs-incremental column is
-    # reported but only gated against the full reference, because the
-    # small-instance ordering of the two fast engines is within noise.
-    # Timing assertions are skipped on noisy runners via
+        print(f"{name:<20} {full:>9.0f} {inc:>12.0f} {inc / full:>8.2f}x")
+    # The delta engine must win decisively over the rebuild reference
+    # everywhere.  Timing assertions are skipped on noisy runners via
     # REPRO_BENCH_ENGINE_ASSERT=0.
     if ASSERT_SPEEDUP:
         for name, factor in inc_speedups.items():
             assert factor > 1.5, f"{name}: only {factor:.2f}x over full"
-        for name, factor in arr_speedups.items():
-            assert factor > 1.5, (
-                f"{name}: array only {factor:.2f}x over full"
-            )
 
 
 def test_engine_parity_is_bit_identical():

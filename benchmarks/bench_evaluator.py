@@ -1,38 +1,12 @@
-"""A2 — incremental max-plus closure vs full longest-path recompute.
+"""Solution-evaluation throughput on the motion benchmark.
 
-Thin shim over the ``kernel/*`` cases (:mod:`repro.bench.suites`): the
-paper's section 4.4 motivates a Woodbury-type incremental update for
-the longest path; this quantifies per-edge-insertion cost of the O(n²)
-incremental closure against a full O(V+E) topological recompute, plus
-the throughput of the full solution-evaluation pipeline on the motion
+Thin shim over the ``kernel/solution_evaluation`` case
+(:mod:`repro.bench.suites`): the throughput of the full
+solution-evaluation pipeline (paper section 4.4) on the motion
 benchmark.
 """
 
 from benchmarks.conftest import run_case_via
-
-
-def test_incremental_closure_insertions(benchmark):
-    metrics = run_case_via(benchmark, "kernel/closure_incremental")
-    assert metrics["longest_path"] > 0
-
-
-def test_full_recompute_per_insertion(benchmark):
-    metrics = run_case_via(benchmark, "kernel/closure_full_recompute")
-    assert metrics["longest_path"] > 0
-
-
-def test_equivalence_of_both_paths():
-    """Both kernels agree on the final longest path (exactly)."""
-    from benchmarks.conftest import bench_context
-    from repro.bench import get_case
-
-    context = bench_context()
-    incremental = get_case("kernel/closure_incremental")
-    full = get_case("kernel/closure_full_recompute")
-    a = incremental.run(context, incremental.prepare(context))
-    b = full.run(context, full.prepare(context))
-    assert a["longest_path"] == b["longest_path"]
-    assert a["edges"] == b["edges"]
 
 
 def test_solution_evaluation_throughput(benchmark):

@@ -51,7 +51,7 @@ from repro.errors import (
     TelemetryError,
     ServiceError,
 )
-from repro.graph import Dag, PathCountClosure, MaxPlusClosure
+from repro.graph import Dag, PathCountClosure
 from repro.model import (
     Application,
     GeneratorConfig,
@@ -74,7 +74,6 @@ from repro.arch import (
 )
 from repro.mapping import (
     ENGINES,
-    ArrayEngine,
     Evaluation,
     EvaluationEngine,
     Evaluator,
@@ -136,7 +135,7 @@ __all__ = [
     "InfeasibleMoveError", "ConfigurationError", "TelemetryError",
     "ServiceError",
     # graph
-    "Dag", "PathCountClosure", "MaxPlusClosure",
+    "Dag", "PathCountClosure",
     # model
     "Application", "Implementation", "Task",
     "SdfActor", "SdfChannel", "SdfGraph",
@@ -149,7 +148,7 @@ __all__ = [
     "Evaluation", "Evaluator", "MakespanCost", "Schedule", "Solution",
     "SystemCost", "extract_schedule", "random_initial_solution",
     "render_gantt", "ExecutionSimulator", "SimulationResult", "simulate",
-    "ENGINES", "ArrayEngine", "EvaluationEngine", "FullRebuildEngine",
+    "ENGINES", "EvaluationEngine", "FullRebuildEngine",
     "IncrementalEngine", "make_engine",
     # annealing
     "AnnealerConfig", "DesignSpaceExplorer", "ExplorationResult",

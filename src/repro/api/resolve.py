@@ -254,12 +254,9 @@ def resolve_strategy(
             options["warmup_iterations"] = default_warmup(budget.iterations)
         if budget.stall_limit is not None:
             options["stall_limit"] = budget.stall_limit
-    # Key-minimal engine folding: a bare kind string unless tuning
-    # options are present (keeps historical checkpoint fingerprints).
-    if engine.options:
-        options["engine"] = {"kind": engine.kind, **dict(engine.options)}
-    else:
-        options["engine"] = engine.kind
+    # Engine options select nothing (see EngineSpec), so only the kind
+    # is folded: a bare string, as in historical checkpoint fingerprints.
+    options["engine"] = engine.kind
     cost_function = build_cost_function(strategy.cost)
     if cost_function is not None:
         options["cost_function"] = cost_function

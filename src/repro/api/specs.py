@@ -392,20 +392,16 @@ class BudgetSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class EngineSpec(_SpecBase):
-    """Evaluation engine: ``"incremental"`` (delta-patching fast path,
-    default), ``"array"`` (compiled NumPy struct-of-arrays engine with
-    persistent longest-path DP and batched move evaluation) or
-    ``"full"`` (reference rebuild) — bit-identical results either way
-    (engine parity is enforced by the test suite).
+    """Evaluation engine: ``"incremental"`` (delta-sync with a
+    persistent longest-path DP, default) or ``"full"`` (reference
+    rebuild) — bit-identical results either way (engine parity is
+    enforced by the test suite).  ``"array"`` names the same engine as
+    ``"incremental"`` and is kept so persisted specs stay valid.
 
-    ``options`` holds engine tuning knobs (speed only, never behavior).
-    Two are accepted, both for the ``array`` engine:
-    ``kernel_batch_min_work`` — the minimum ``batch_size * num_nodes``
-    at which batched move evaluation takes the fused NumPy kernel path
-    instead of the scalar loop — and ``dispatch`` —
-    ``"auto"`` (default; pick per call site from the compiled graph's
-    level statistics), ``"kernel"`` (force the fused lane kernels) or
-    ``"scalar"`` (force the persistent scalar DP).
+    ``options`` is accepted for ``"array"`` only, again for persisted
+    specs: ``kernel_batch_min_work`` (an integer >= 0) and ``dispatch``
+    (``"auto"``, ``"kernel"`` or ``"scalar"``) are validated but select
+    nothing — no engine option changes how a request runs.
     """
 
     kind: str = "incremental"
@@ -438,13 +434,12 @@ class EngineSpec(_SpecBase):
                     f"integer >= 0, got {threshold!r}"
                 )
         if "dispatch" in options:
-            from repro.mapping.engine import ArrayEngine
-
+            modes = ["auto", "kernel", "scalar"]
             mode = options["dispatch"]
-            if mode not in ArrayEngine.DISPATCH_MODES:
+            if mode not in modes:
                 raise ConfigurationError(
-                    "engine option 'dispatch' must be one of "
-                    f"{list(ArrayEngine.DISPATCH_MODES)}, got {mode!r}"
+                    f"engine option 'dispatch' must be one of {modes}, "
+                    f"got {mode!r}"
                 )
 
 

@@ -32,13 +32,12 @@ from typing import (
 from repro.bench.corpus import CORPUS, Scenario, get_scenario, scenario_hash
 from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.io import ProblemInstance
-from repro.mapping.compiled import compile_instance
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import random_initial_solution
 from repro.sa.moves import MoveGenerator
 
 #: The evaluation engines every throughput scenario is measured under.
-ENGINES = ("full", "incremental", "array")
+ENGINES = ("full", "incremental")
 
 
 # ----------------------------------------------------------------------
@@ -405,22 +404,9 @@ def move_eval_loop(
         "final_makespan_ms": makespan,
         "engine": engine,
     }
-    compiled = getattr(evaluator.engine, "compiled", None)
-    if compiled is None:
-        compiled = compile_instance(application, architecture.bus)
-    # Static graph shape from the compile pass: the depth-aware
-    # dispatcher keys off these (deep/narrow graphs ride the scalar
-    # persistent path, shallow/wide ones the fused kernels), so the
-    # report records them next to every throughput number.
-    out["depth"] = compiled.depth
-    out["mean_level_width"] = compiled.mean_level_width
-    resolved = getattr(evaluator.engine, "resolved_dispatch", None)
-    if resolved is not None:
-        # Where the auto dispatcher would route this graph's batches
-        # (kernel vs scalar), plus the engine's internal telemetry
-        # counters — memo/cycle-witness hit rates next to every
-        # throughput number make dispatch regressions attributable.
-        out["dispatch_route"] = resolved()
+    # The engine's internal telemetry counters — memo/cycle-witness hit
+    # rates next to every throughput number make regressions
+    # attributable.
     for name, value in sorted(evaluator.telemetry_counters().items()):
         out[f"counter_{name}"] = value
     if time_evals_only:

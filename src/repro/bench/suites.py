@@ -65,11 +65,6 @@ from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import FIG3_SIZES, format_fig3_table
 from repro.experiments.pareto import format_pareto_table, run_pareto_front
 from repro.experiments.quality import format_quality_table, run_quality_knob
-from repro.graph.dag import Dag
-from repro.graph.generators import layered
-from repro.graph.longest_path import longest_path_length
-from repro.graph.maxplus import MaxPlusClosure
-from repro.mapping.compiled import compile_instance
 from repro.mapping.cost import SystemCost
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import random_initial_solution
@@ -188,10 +183,10 @@ _register_search_cases()
 
 
 # ----------------------------------------------------------------------
-# population tempering: cross-chain batched annealing
+# population tempering: K chains over one compile pass
 # ----------------------------------------------------------------------
 def _population_run(application, architecture, chains, rounds, seed,
-                    engine="array", swap_interval=10):
+                    engine="incremental", swap_interval=10):
     from repro.sa.population import PopulationAnnealer
 
     annealer = PopulationAnnealer(
@@ -221,9 +216,6 @@ def _register_tempering_cases() -> None:
                 context.seed,
             )
             steps = result.iterations_run * _chains
-            compiled = compile_instance(
-                state.application, state.architecture.bus
-            )
             return {
                 "chains": _chains,
                 "rounds": result.iterations_run,
@@ -232,8 +224,6 @@ def _register_tempering_cases() -> None:
                 "swap_attempts": result.extras["swap_attempts"],
                 "swap_accepts": result.extras["swap_accepts"],
                 "evaluations": result.evaluations,
-                "depth": compiled.depth,
-                "mean_level_width": compiled.mean_level_width,
             }
 
         bench_case(
@@ -256,19 +246,15 @@ _register_tempering_cases()
 def _population_vs_sequential(
     context: BenchContext, state: Any
 ) -> Dict[str, Any]:
-    """K=8 cross-batched chains vs 8 sequential scalar SA chains.
+    """K=8 population chains vs 8 sequential SA chains.
 
     Records the aggregate chain-steps/sec of the population annealer's
     persistent per-chain delta path (apply → delta-sync → read the
     makespan, commit-on-accept) against both sequential baselines (full
     rebuild and incremental delta repair) at an identical per-chain
-    round budget.  The depth-aware dispatcher routes these deep/narrow
-    graphs (tgff/120: mean level width ~10.7 over 29 static levels)
-    onto the scalar persistent path — the fused K-lane kernels, which
-    pay their dispatch cost once per topological level, only win on
-    shallow/wide graphs (see README, Performance notes).  Each path
-    reports the best of two identically-seeded timed runs, damping
-    scheduler noise symmetrically.
+    round budget.  Each path reports the best of two
+    identically-seeded timed runs, damping scheduler noise
+    symmetrically.
     """
     chains = 8
     rounds = max(10, context.iterations // chains)
@@ -305,7 +291,6 @@ def _population_vs_sequential(
             )
         sequential_sps[engine] = best_sps
 
-    compiled = compile_instance(application, architecture.bus)
     return {
         "chains": chains,
         "rounds": result.iterations_run,
@@ -319,13 +304,11 @@ def _population_vs_sequential(
             population_sps / sequential_sps["incremental"]
         ),
         "best_cost": best_cost,
-        "depth": compiled.depth,
-        "mean_level_width": compiled.mean_level_width,
         "report": (
-            f"cross-chain batched annealing, K={chains}, "
+            f"population annealing, K={chains}, "
             f"{rounds} rounds (tgff/120)\n"
             f"{'path':<24} {'chain-steps/s':>14}\n"
-            f"{'population (array)':<24} {population_sps:>14.1f}\n"
+            f"{'population':<24} {population_sps:>14.1f}\n"
             f"{'8x sequential full':<24} "
             f"{sequential_sps['full']:>14.1f}\n"
             f"{'8x sequential incr.':<24} "
@@ -516,7 +499,7 @@ def _service_warm_start(context: BenchContext, state: Any) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# pure-analysis and kernel cases (quick + full)
+# pure-analysis and micro cases (quick + full)
 # ----------------------------------------------------------------------
 @bench_case(
     name="analysis/combinatorics",
@@ -537,46 +520,6 @@ def _combinatorics(context: BenchContext, state: Any) -> Dict[str, Any]:
         "chain_2_1": chain_interleavings([2, 1]),
         "report": "Solution-space size (paper section 5)\n"
         + report.format_table(),
-    }
-
-
-def closure_edge_stream(num_layers: int = 8, width: int = 5, seed: int = 3):
-    """Shared input of the closure kernels (also used by the shim)."""
-    dag = layered(num_layers, width, edge_probability=0.4, seed=seed)
-    rng = random.Random(seed)
-    edges = [(a, b, rng.uniform(0.5, 3.0)) for a, b, _ in dag.edges()]
-    return list(dag.nodes()), edges
-
-
-@bench_case(name="kernel/closure_incremental", suites=("quick", "full"))
-def _closure_incremental(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """A2 — O(n^2) incremental max-plus closure, per-edge insertion."""
-    nodes, edges = closure_edge_stream()
-    closure = MaxPlusClosure(nodes)
-    for a, b, w in edges:
-        closure.add_edge(a, b, w)
-    return {
-        "longest_path": closure.longest_path_length(),
-        "edges": len(edges),
-        "evaluations": len(edges),
-    }
-
-
-@bench_case(name="kernel/closure_full_recompute", suites=("quick", "full"))
-def _closure_full(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """A2 baseline — full O(V+E) longest-path DP after every insertion."""
-    nodes, edges = closure_edge_stream()
-    dag = Dag()
-    for node in nodes:
-        dag.add_node(node)
-    length = 0.0
-    for a, b, w in edges:
-        dag.add_edge(a, b, w)
-        length = longest_path_length(dag)
-    return {
-        "longest_path": length,
-        "edges": len(edges),
-        "evaluations": len(edges),
     }
 
 

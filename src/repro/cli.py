@@ -114,16 +114,6 @@ def _budget_spec(args: argparse.Namespace) -> BudgetSpec:
     )
 
 
-def _engine_spec(args: argparse.Namespace) -> EngineSpec:
-    """``--engine`` plus the optional ``--dispatch`` tuning knob, folded
-    into the spec-layer options (key-minimal: absent unless given)."""
-    options = {}
-    dispatch = getattr(args, "dispatch", None)
-    if dispatch is not None:
-        options["dispatch"] = dispatch
-    return EngineSpec(args.engine, options)
-
-
 def _explore_request(args: argparse.Namespace) -> ExplorationRequest:
     keep_trace = bool(args.plot or args.trace_csv)
     kind = getattr(args, "strategy", "sa")
@@ -139,7 +129,7 @@ def _explore_request(args: argparse.Namespace) -> ExplorationRequest:
         architecture=_architecture_spec(args.architecture, args.clbs),
         strategy=StrategySpec(kind, options),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -150,7 +140,7 @@ def _sweep_request(args: argparse.Namespace) -> ExplorationRequest:
         application=_application_spec(args.application),
         strategy=StrategySpec("sa", {"keep_trace": False}),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
         runs=args.runs,
         sizes=tuple(int(s) for s in args.sizes.split(",")),
@@ -163,7 +153,7 @@ def _portfolio_request(args: argparse.Namespace) -> ExplorationRequest:
         application=_application_spec(args.application),
         architecture=_architecture_spec(args.architecture, args.clbs),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -467,7 +457,7 @@ def _serve_request(args: argparse.Namespace) -> ExplorationRequest:
         architecture=_architecture_spec(args.architecture, args.clbs),
         strategy=StrategySpec("sa", {"keep_trace": False}),
         budget=_budget_spec(args),
-        engine=_engine_spec(args),
+        engine=EngineSpec(args.engine),
         seed=args.seed,
     )
 
@@ -693,17 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "without improving the best cost")
         p.add_argument("--engine", default="incremental",
                        choices=["full", "incremental", "array"],
-                       help="evaluation engine (array = compiled NumPy "
-                            "struct-of-arrays engine, incremental = "
-                            "delta-patching fast path, full = reference "
-                            "rebuild; makespans are bit-identical)")
-        p.add_argument("--dispatch", default=None,
-                       choices=["auto", "kernel", "scalar"],
-                       help="array-engine batch dispatch: auto picks "
-                            "from the compiled graph's level stats, "
-                            "kernel forces the fused NumPy lanes, "
-                            "scalar forces the persistent delta path "
-                            "(results are bit-identical)")
+                       help="evaluation engine (incremental = "
+                            "delta-sync fast path with a persistent "
+                            "longest-path DP, array = the same engine, "
+                            "full = reference rebuild; makespans are "
+                            "bit-identical)")
         p.add_argument("--json", action="store_true",
                        help="print the machine-readable response envelope")
 
@@ -739,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sa", "tempering"],
                    help="searcher: sa = single-chain annealer, tempering "
                         "= population annealing with replica exchange "
-                        "(K chains batch-evaluated per round)")
+                        "(K chains, one move each per round)")
     p.add_argument("--chains", type=int, default=8,
                    help="chain count for --strategy tempering")
     p.add_argument("--plot", action="store_true", help="ASCII Fig.2-style trace plot")

@@ -1,4 +1,4 @@
-"""Graph substrate: DAGs, incremental closures and longest-path algebra.
+"""Graph substrate: DAGs, closures, reachability and longest paths.
 
 This subpackage is self-contained (no dependency on the application or
 architecture models) and provides:
@@ -8,19 +8,19 @@ architecture models) and provides:
   graphs.
 * :class:`~repro.graph.closure.PathCountClosure` — an incrementally
   maintained path-count matrix giving O(1) reachability/cycle queries
-  (the "transitive closure matrix" of the paper's section 4.3).
+  (the "transitive closure matrix" of the paper's section 4.3); the
+  test oracle for the reachability index.
+* :class:`~repro.graph.reachability.ReachabilityIndex` — static
+  ancestor/descendant bitsets answering the move generator's
+  precedence queries.
 * :mod:`~repro.graph.longest_path` — topological longest-path dynamic
   programming (the paper's makespan evaluation, section 4.4).
-* :class:`~repro.graph.maxplus.MaxPlusClosure` — a max-plus all-pairs
-  longest-distance matrix with Woodbury-style incremental edge updates
-  (the paper's incremental evaluation, section 4.4).
 * :mod:`~repro.graph.generators` — random DAG generators used by tests
   and benchmarks.
 """
 
 from repro.graph.dag import Dag, NodeInterner
 from repro.graph.closure import PathCountClosure
-from repro.graph.maxplus import MaxPlusClosure, NEG_INF
 from repro.graph.longest_path import (
     topological_order,
     longest_path_length,
@@ -35,8 +35,6 @@ __all__ = [
     "Dag",
     "NodeInterner",
     "PathCountClosure",
-    "MaxPlusClosure",
-    "NEG_INF",
     "topological_order",
     "longest_path_length",
     "earliest_start_times",

@@ -23,10 +23,11 @@ class Dag:
     """Mutable directed graph with acyclicity checking utilities.
 
     The structure itself does not forbid cycles on every mutation (the
-    annealer uses a :class:`~repro.graph.closure.PathCountClosure` for
-    O(1) cycle rejection before mutating); :meth:`add_edge` only raises
-    for self-loops, and :meth:`check_acyclic` / :meth:`topological_order`
-    detect cycles globally.
+    move generator rejects precedence-violating moves before mutating,
+    through the static
+    :class:`~repro.graph.reachability.ReachabilityIndex`); :meth:`add_edge`
+    only raises for self-loops, and :meth:`check_acyclic` /
+    :meth:`topological_order` detect cycles globally.
     """
 
     __slots__ = ("_succ", "_pred", "_node_attrs", "_edge_attrs")
@@ -210,7 +211,7 @@ class Dag:
         self.topological_order()
 
     def has_path(self, src: Node, dst: Node) -> bool:
-        """DFS reachability (used by tests; hot paths use closures)."""
+        """DFS reachability (used by tests; hot paths use reachability bitsets)."""
         if src not in self._succ or dst not in self._succ:
             return False
         stack = [src]

@@ -13,7 +13,6 @@ from repro.mapping.search_graph import SearchGraph, SearchGraphBuilder, COMM_NOD
 from repro.mapping.compiled import CompiledInstance, compile_instance
 from repro.mapping.engine import (
     ENGINES,
-    ArrayEngine,
     EvaluationEngine,
     FullRebuildEngine,
     IncrementalEngine,
@@ -37,7 +36,6 @@ __all__ = [
     "SearchGraphBuilder",
     "COMM_NODE",
     "ENGINES",
-    "ArrayEngine",
     "CompiledInstance",
     "compile_instance",
     "EvaluationEngine",

@@ -1,34 +1,26 @@
 """One-time compilation of a problem instance into dense arrays.
 
-Every evaluation engine that wants to score thousands of candidate
-solutions per second needs the same solution-independent tables: task
-indices interned to dense ids, per-task software/hardware durations,
-the dependency list with precomputed bus transfer times, the permanent
-``src -> comm -> dst`` wiring of the static dependency layer, and the
-precedence adjacency over dense ids.  This module is the single place
-where a :class:`~repro.model.application.Application` (plus the bus it
-communicates over) is flattened into that struct-of-arrays form —
-:class:`~repro.mapping.engine.IncrementalEngine` consumes the plain
-Python lists for its scalar delta-patching loops, and
-:class:`~repro.mapping.engine.ArrayEngine` additionally uses the NumPy
-views for its vectorized kernels (:mod:`repro.graph.kernels`).
+The evaluation engine that scores thousands of candidate solutions per
+second needs solution-independent tables: task indices interned to
+dense ids, per-task software/hardware durations, the dependency list
+with precomputed bus transfer times, the permanent ``src -> comm ->
+dst`` wiring of the static dependency layer, and the precedence
+adjacency over dense ids.  This module is the single place where a
+:class:`~repro.model.application.Application` (plus the bus it
+communicates over) is flattened into that struct-of-arrays form of
+plain Python lists, which :class:`~repro.mapping.engine.IncrementalEngine`
+consumes in its delta-patching and DP loops.
 
 The compile pass runs **once per search** (and again only if a caller
 swaps the bus object); everything in it is solution-independent.  The
-dense-id layout is load-bearing and shared by all engines:
+dense-id layout is load-bearing:
 
 * ids ``[0, ntasks)`` are the application tasks in
   ``application.task_indices()`` order;
 * ids ``[ntasks, ntasks + ndeps)`` are the communication nodes, one per
   dependency in ``application.dependencies()`` order;
 * ids beyond that are virtual nodes (per-DRLC configuration nodes)
-  interned on demand by the engines.
-
-NumPy is a declared dependency of the package (the ``array`` engine and
-the batched kernels need it), but it is imported lazily through
-:func:`repro.graph.kernels.require_numpy`: the scalar engines never
-touch the array views, so they neither pay the import nor break should
-an environment be missing it.
+  interned on demand by the engine.
 """
 
 from __future__ import annotations
@@ -36,9 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.arch.processor import Processor
 from repro.graph.dag import NodeInterner
-from repro.graph.kernels import require_numpy
 from repro.graph.reachability import ReachabilityIndex
 from repro.mapping.search_graph import COMM_NODE
 from repro.model.application import Application
@@ -46,13 +36,7 @@ from repro.model.application import Application
 
 @dataclass
 class CompiledInstance:
-    """The dense, solution-independent tables of one problem instance.
-
-    Plain-list fields mirror exactly what the incremental engine's
-    skeleton used to build inline; the ``*_np`` properties expose the
-    same data as NumPy arrays (built lazily, cached) for the vectorized
-    kernels.
-    """
+    """The dense, solution-independent tables of one problem instance."""
 
     application: Application
     bus: Any
@@ -86,16 +70,9 @@ class CompiledInstance:
     succ_static: List[List[int]]
     indeg_static: List[int]
 
-    #: Graph-shape statistics of the static ``src -> comm -> dst`` DAG:
-    #: number of topological levels (Kahn frontier waves) and the mean
-    #: nodes-per-level.  Solution-independent lower bound on the depth
-    #: of any annealed serialization — deep/narrow instances cannot
-    #: amortize per-level NumPy dispatch, which is what the
-    #: depth-aware engine dispatcher keys on.
-    depth: int = 1
-    mean_level_width: float = 1.0
-
-    _np_cache: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: Lazily built tables shared by every :meth:`fork` sibling (the
+    #: precedence reachability index).
+    _shared: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     def fork(self) -> "CompiledInstance":
@@ -105,11 +82,11 @@ class CompiledInstance:
         virtual configuration nodes (:meth:`IncrementalEngine._grow_nodes`):
         the interner and the ``pred_comms``/``succ_static``/
         ``indeg_static`` per-node arrays.  A fork deep-copies those four
-        and aliases everything else — including the lazy ``*_np`` cache,
-        whose arrays only ever cover the immutable task/dependency
-        region — so K engines can drive K independent solutions over
-        one compile pass without re-running it or corrupting each
-        other's virtual-node regions."""
+        and aliases everything else — including the lazily built
+        tables, which only ever cover the immutable task region — so K
+        engines can drive K independent solutions over one compile pass
+        without re-running it or corrupting each other's virtual-node
+        regions."""
         return CompiledInstance(
             application=self.application,
             bus=self.bus,
@@ -131,9 +108,7 @@ class CompiledInstance:
             pred_comms=[list(row) for row in self.pred_comms],
             succ_static=[list(row) for row in self.succ_static],
             indeg_static=list(self.indeg_static),
-            depth=self.depth,
-            mean_level_width=self.mean_level_width,
-            _np_cache=self._np_cache,
+            _shared=self._shared,
         )
 
     # ------------------------------------------------------------------
@@ -146,110 +121,6 @@ class CompiledInstance:
         return len(self.dep_srct)
 
     # ------------------------------------------------------------------
-    # NumPy views (lazy, cached)
-    # ------------------------------------------------------------------
-    def _cached(self, key: str, build) -> Any:
-        value = self._np_cache.get(key)
-        if value is None:
-            value = build()
-            self._np_cache[key] = value
-        return value
-
-    @property
-    def dep_src_np(self):
-        np = require_numpy()
-        return self._cached(
-            "dep_src", lambda: np.asarray(self.dep_src, dtype=np.int32)
-        )
-
-    @property
-    def dep_dst_np(self):
-        np = require_numpy()
-        return self._cached(
-            "dep_dst", lambda: np.asarray(self.dep_dst, dtype=np.int32)
-        )
-
-    @property
-    def dep_comm_np(self):
-        np = require_numpy()
-        return self._cached(
-            "dep_comm", lambda: np.asarray(self.dep_comm, dtype=np.int32)
-        )
-
-    @property
-    def dep_transfer_np(self):
-        np = require_numpy()
-        return self._cached(
-            "dep_transfer",
-            lambda: np.asarray(self.dep_transfer, dtype=np.float64),
-        )
-
-    @property
-    def static_edge_src_np(self):
-        """Sources of the static layer's edges: ``[src -> comm] +
-        [comm -> dst]`` in dependency order (``2 * ndeps`` edges).  The
-        first ``ndeps`` edges carry the per-solution pass-through weight
-        (``comm_w``); the second half always weighs 0."""
-        np = require_numpy()
-        return self._cached(
-            "static_src",
-            lambda: np.concatenate(
-                [self.dep_src_np, self.dep_comm_np]
-            ).astype(np.int64),
-        )
-
-    @property
-    def static_edge_dst_np(self):
-        np = require_numpy()
-        return self._cached(
-            "static_dst",
-            lambda: np.concatenate(
-                [self.dep_comm_np, self.dep_dst_np]
-            ).astype(np.int64),
-        )
-
-    @property
-    def sw_ms_np(self):
-        np = require_numpy()
-        return self._cached(
-            "sw_ms", lambda: np.asarray(self.sw_ms, dtype=np.float64)
-        )
-
-    @property
-    def impl_ms_matrix(self):
-        """``(ntasks, max_impls)`` hardware execution times, padded with
-        ``+inf`` (software-only tasks are all-inf rows)."""
-        np = require_numpy()
-
-        def build():
-            width = max(
-                (len(row) for row in self.impl_ms if row is not None),
-                default=0,
-            )
-            matrix = np.full((self.ntasks, max(width, 1)), np.inf)
-            for i, row in enumerate(self.impl_ms):
-                if row is not None:
-                    matrix[i, : len(row)] = row
-            return matrix
-
-        return self._cached("impl_ms_matrix", build)
-
-    @property
-    def impl_clbs_matrix(self):
-        """``(ntasks, max_impls)`` implementation areas, padded with 0."""
-        np = require_numpy()
-
-        def build():
-            width = self.impl_ms_matrix.shape[1]
-            matrix = np.zeros((self.ntasks, width), dtype=np.int32)
-            for i, row in enumerate(self.impl_clbs):
-                if row is not None:
-                    matrix[i, : len(row)] = row
-            return matrix
-
-        return self._cached("impl_clbs_matrix", build)
-
-    # ------------------------------------------------------------------
     # precedence reachability (lazy, cached; shared by forks)
     # ------------------------------------------------------------------
     @property
@@ -257,14 +128,15 @@ class CompiledInstance:
         """Ancestor/descendant bitsets over the dense task ids.
 
         Built once per compile pass from the immutable ``succ_ids``
-        adjacency and cached in ``_np_cache``, so :meth:`fork` siblings
-        share one index (the task-level precedence graph never changes
-        during a search).
+        adjacency and cached in the tables :meth:`fork` siblings share,
+        so they share one index (the task-level precedence graph never
+        changes during a search).
         """
-        return self._cached(
-            "reachability",
-            lambda: ReachabilityIndex.from_successors(self.succ_ids),
-        )
+        index = self._shared.get("reachability")
+        if index is None:
+            index = ReachabilityIndex.from_successors(self.succ_ids)
+            self._shared["reachability"] = index
+        return index
 
     def precedes(self, src_task: int, dst_task: int) -> bool:
         """Transitive precedence between two *application task indices*
@@ -272,21 +144,6 @@ class CompiledInstance:
         return self.reachability.has_path(
             self.tid[src_task], self.tid[dst_task]
         )
-
-    def processor_ms_matrix(self, architecture):
-        """``(num_processors, ntasks)`` software durations on each of
-        the architecture's processors (``sw_ms / speed_factor`` — the
-        exact float division the scalar sync performs).  Not cached: the
-        processor set can change under architecture-exploration moves.
-        """
-        np = require_numpy()
-        processors = [
-            r for r in architecture.resources() if type(r) is Processor
-        ]
-        matrix = np.empty((len(processors), self.ntasks))
-        for row, proc in enumerate(processors):
-            np.divide(self.sw_ms_np, proc.speed_factor, out=matrix[row])
-        return matrix
 
 
 def compile_instance(application: Application, bus) -> CompiledInstance:
@@ -345,26 +202,6 @@ def compile_instance(application: Application, bus) -> CompiledInstance:
         indeg_static[c] += 1
         indeg_static[d] += 1
 
-    # Level structure of the static DAG: one Kahn BFS over the permanent
-    # wiring.  The application layer guarantees acyclicity, so every node
-    # is consumed and ``depth`` counts the frontier waves exactly.
-    indeg = list(indeg_static)
-    frontier = [v for v in range(n) if indeg[v] == 0]
-    depth = 0
-    visited = 0
-    while frontier:
-        depth += 1
-        visited += len(frontier)
-        nxt: List[int] = []
-        for v in frontier:
-            for w in succ_static[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    nxt.append(w)
-        frontier = nxt
-    assert visited == n, "static dependency layer must be acyclic"
-    depth = max(depth, 1)
-
     return CompiledInstance(
         application=application,
         bus=bus,
@@ -386,6 +223,4 @@ def compile_instance(application: Application, bus) -> CompiledInstance:
         pred_comms=pred_comms,
         succ_static=succ_static,
         indeg_static=indeg_static,
-        depth=depth,
-        mean_level_width=n / depth,
     )

@@ -3,48 +3,33 @@
 Scoring a candidate solution — longest path of the realized search graph
 (paper section 4.4) — is the single operation every optimizer in this
 library performs thousands of times per run.  This module puts that
-operation behind one interface with three implementations:
+operation behind one interface with two implementations:
 
 * :class:`FullRebuildEngine` — the reference semantics, extracted from
   the original ``Evaluator``/``SearchGraphBuilder`` pipeline: rebuild
   the whole :class:`~repro.graph.dag.Dag` from scratch for every
   candidate and run the dict-based longest-path DP.
-* :class:`IncrementalEngine` — an array-backed fast path.  All search
-  graph nodes (tasks, communication nodes, virtual configuration nodes)
-  are interned to dense integer ids once per problem instance
-  (:class:`~repro.graph.dag.NodeInterner`); the solution-independent
-  precedence skeleton (dependency endpoints, transfer times, potential
-  communication nodes, CLB tables) is cached; and after each move only
-  the solution-dependent parts are delta-patched — task durations, the
-  crossing state of each dependency, and the sequentialization edges of
-  the (typically one or two) resources a move actually touched.  The
-  ASAP/longest-path DP then runs over flat lists (a layout-specialized
-  variant of :func:`~repro.graph.longest_path.earliest_starts_indexed`)
-  instead of dict-of-dicts keyed by hashable tuples, and the
-  topological order is cached and invalidated only on structural
-  change.
-* :class:`ArrayEngine` — the compiled struct-of-arrays engine.  The
-  problem instance is flattened once per search by the
-  :mod:`repro.mapping.compiled` pass; the incremental engine's
-  delta-sync keeps the dense mirror current, and on top of it the base
-  longest-path DP becomes *persistent*: instead of recomputing all
-  ``V + E`` candidates per candidate solution, only the dirty cone
-  reachable from what a move actually changed is re-relaxed (and the
-  Kahn re-sort — the incremental engine's single largest cost on big
-  instances — disappears from the steady state entirely).  The engine
-  also implements :meth:`EvaluationEngine.evaluate_batch` natively:
-  K candidate moves are captured as dense lanes and scored by the
-  NumPy frontier kernels of :mod:`repro.graph.kernels` in two fused
-  calls.
+* :class:`IncrementalEngine` — the fast path.  The problem instance is
+  flattened once per search by the :mod:`repro.mapping.compiled` pass
+  (every search-graph node interned to a dense integer id, the
+  solution-independent precedence skeleton precomputed); after each
+  move only the solution-dependent parts are delta-patched — task
+  durations, the crossing state of each dependency, and the
+  sequentialization edges of the (typically one or two) resources a
+  move actually touched.  On top of that delta-sync the longest-path DP
+  is *persistent*: one topological order is repaired in place instead
+  of re-sorted, and only the order suffix a move could have affected is
+  re-relaxed.
 
-All engines produce **bit-identical** makespans: they evaluate the same
+Both engines produce **bit-identical** makespans: they evaluate the same
 graph with the same float operations over the same candidate sets, and
 serialize shared-bus transactions with the same deterministic ASAP sort.
 ``tests/mapping/test_engine_parity.py`` replays hundreds of random move
-sequences pairwise across all three engines to enforce this.
+sequences across both engines to enforce this.
 
-Select an engine through ``Evaluator(..., engine="array")``, the
-``DesignSpaceExplorer(engine=...)`` knob, or the CLI ``--engine`` flag;
+Select an engine through ``Evaluator(..., engine="incremental")``, the
+``DesignSpaceExplorer(engine=...)`` knob, or the CLI ``--engine`` flag
+(``"array"`` is accepted as another name for ``"incremental"``);
 ``benchmarks/bench_engine.py`` measures the throughput gap.
 """
 
@@ -55,6 +40,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arch.architecture import Architecture
 from repro.arch.asic import Asic
@@ -68,7 +55,7 @@ from repro.errors import (
     MappingError,
 )
 from repro.graph.longest_path import kahn_order_indices
-from repro.mapping.compiled import compile_instance, require_numpy
+from repro.mapping.compiled import compile_instance
 from repro.mapping.search_graph import SearchGraph, SearchGraphBuilder
 from repro.mapping.solution import Solution
 from repro.model.application import Application
@@ -76,8 +63,10 @@ from repro.model.application import Application
 #: Cost of infeasible (cyclic) realizations.
 INFEASIBLE_MS = math.inf
 
-#: Names accepted by :func:`make_engine` / ``Evaluator(engine=...)``.
+#: Names accepted by :func:`make_engine` / ``Evaluator(engine=...)``;
+#: ``"array"`` builds the same engine as ``"incremental"``.
 ENGINES = ("full", "incremental", "array")
+
 
 def _kind_is_hw(kind: Tuple) -> bool:
     """Does a classified resource host *hardware* tasks (the ones
@@ -166,45 +155,6 @@ class EvaluationEngine(ABC):
         """Score ``solution``; cyclic realizations yield an infeasible
         evaluation (``makespan = inf``) unless ``strict`` re-raises."""
 
-    def evaluate_batch(
-        self,
-        solution: Solution,
-        moves: Sequence,
-        cost_function=None,
-    ) -> List[Optional[Tuple[Evaluation, Optional[float]]]]:
-        """Score K candidate moves against ``solution`` in one call.
-
-        Each move is applied, scored, and undone; ``solution`` is left
-        exactly as it came in.  The k-th result is ``None`` when the
-        move's application raised :class:`InfeasibleMoveError`, else an
-        ``(evaluation, cost)`` pair — ``cost`` is
-        ``cost_function(candidate_solution, evaluation)`` computed while
-        the move is applied (``None`` when no cost function is given).
-
-        This reference implementation is a plain loop; engines with a
-        vectorized path (:class:`ArrayEngine`) override it.  Results are
-        bit-identical across engines and across batch compositions: each
-        candidate is scored independently against the same base state.
-        """
-        results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
-        for move in moves:
-            try:
-                move.apply(solution)
-            except InfeasibleMoveError:
-                results.append(None)
-                continue
-            try:
-                evaluation = self.evaluate(solution)
-                cost = (
-                    cost_function(solution, evaluation)
-                    if cost_function is not None
-                    else None
-                )
-                results.append((evaluation, cost))
-            finally:
-                move.undo(solution)
-        return results
-
     # ------------------------------------------------------------------
     # transactional single-move evaluation (the population hot path)
     # ------------------------------------------------------------------
@@ -216,8 +166,7 @@ class EvaluationEngine(ABC):
     ) -> Optional[Tuple[Evaluation, Optional[float]]]:
         """Apply ``move``, score the candidate, and leave it **applied**.
 
-        The persistent-delta counterpart of one ``evaluate_batch`` slot:
-        the move is applied, the engine delta-syncs to the candidate and
+        The move is applied, the engine delta-syncs to the candidate and
         scores it, and control returns with the move still in force.
         The caller must finish the transaction with exactly one of
         :meth:`accept_move` (keep the candidate — the engine state is
@@ -228,10 +177,9 @@ class EvaluationEngine(ABC):
         Returns ``None`` when the move's application raises
         :class:`InfeasibleMoveError` — the move was never applied and
         there is no transaction to resolve.  ``cost`` is computed while
-        the move is applied, exactly like the reference batch loop.
-        Results are bit-identical to ``evaluate_batch([move])`` followed
-        by a re-apply: moves replay their cached decisions, and every
-        engine's evaluation is a pure function of the candidate state.
+        the move is applied.  Results are bit-identical to the
+        sequential apply/evaluate/undo loop: every engine's evaluation is
+        a pure function of the candidate state.
         """
         try:
             move.apply(solution)
@@ -327,7 +275,7 @@ class FullRebuildEngine(EvaluationEngine):
 
 
 class IncrementalEngine(EvaluationEngine):
-    """Array-backed engine with cached skeleton and delta-patching.
+    """Delta-sync engine with a persistent longest-path DP.
 
     The engine mirrors the last-seen solution state (per-task assignment
     and implementation choice, per-resource orders) and on each call
@@ -350,25 +298,46 @@ class IncrementalEngine(EvaluationEngine):
       the layer's structure, indegrees and reachability never change;
     * a **sequentialization layer** holding per-resource ``Esw``/``Ehw``
       edges, recomputed only for resources whose order actually changed
-      (a move touches at most two) and rebuilt into reused buffers only
-      when some resource's edge *pairs* changed — weight-only changes
-      (e.g. an implementation swap retuning reconfiguration delays) are
-      written in place.
+      (a move touches at most two) and patched pair-trimmed — only the
+      differing middle of a resource's chain is unlinked and relinked,
+      and weight-only changes (e.g. an implementation swap retuning
+      reconfiguration delays) keep the structure.
 
-    The topological order, the cycle verdict and the serialized bus
-    order are cached on top and invalidated only when the
-    sequentialization layer's structure changes (the static layer cannot
-    invalidate them).  Per-RC reconfiguration statistics for the Fig. 3
-    decomposition are cached alongside.
+    On top of the layers sit three persistent structures:
 
-    ``Processor``/``ReconfigurableCircuit``/``Asic`` contributions are
-    generated natively over the interned arrays; unknown
-    :class:`Resource` subclasses fall back to calling the resource's own
-    ``sequentialization_edges``/``virtual_nodes`` on every evaluation
-    (conservative but correct).
+    * **One topological order.**  A structural change that contradicts
+      it is *repaired* in place (Pearce/Kelly-style region reordering
+      per contradicting edge, verified in O(E) after multi-edge
+      repairs); Kahn's sort runs only when a repair detects a potential
+      cycle or too many edges contradict at once.  Every order the
+      engine evaluates with is a verified topological order, so cyclic
+      realizations are detected exactly like the reference engine.  A
+      concrete witness cycle short-cuts repeated Kahn failures while all
+      its edges stay live.
+    * **The base DP values.**  The unserialized ASAP start/finish values
+      survive across evaluations; the setters' exact structural deltas
+      plus a NumPy shadow diff of the duration/weight arrays locate the
+      earliest order position a move could have affected, and the DP
+      re-runs only from there.  Recomputed nodes take the max over the
+      identical candidate set the full DP would, so makespans stay
+      bit-identical.
+    * **The serialized bus overlay**, computed by increase-only
+      propagation of the bus-chain constraints on separate buffers, so
+      the persistent base values stay untouched.
+
+    Per-RC reconfiguration statistics for the Fig. 3 decomposition are
+    cached alongside.  ``Processor``/``ReconfigurableCircuit``/``Asic``
+    contributions are generated natively over the interned arrays;
+    unknown :class:`Resource` subclasses fall back to calling the
+    resource's own ``sequentialization_edges``/``virtual_nodes`` on
+    every evaluation (conservative but correct).
     """
 
     name = "incremental"
+
+    #: Contradicting-edge count above which repairing the order is
+    #: assumed costlier than one Kahn rebuild.
+    MAX_REPAIR_EDGES = 24
 
     def __init__(
         self,
@@ -477,8 +446,6 @@ class IncrementalEngine(EvaluationEngine):
 
         # Dynamic (solution-dependent) state, reset to "never seen".
         self._dur: List[float] = [0.0] * n
-        self._starts_buf: List[float] = [0.0] * n
-        self._finish_buf: List[float] = [0.0] * n
         self._res_kind: Dict[str, Tuple] = {}
         self._invalidate()
 
@@ -519,22 +486,45 @@ class IncrementalEngine(EvaluationEngine):
             self._proc_prev[v] = -1
             self._proc_next[v] = -1
         self._proc_members: Dict[str, List[int]] = {}
-        # Cached base topological orders as ``[order, position, valid]``
-        # entries.  An entry stays valid until an *added* edge
-        # contradicts its positions (checked in O(1) per added edge);
-        # removals never invalidate.  The serialized order is derived
-        # from the base order by splicing the active comm nodes into
-        # chain order (Kahn is only the fallback), and is valid exactly
-        # while its source base order and the chain permutation hold.
+        # The persistent base topological order, held as at most one
+        # ``[order, position, valid]`` entry.  It stays valid until an
+        # *added* edge contradicts its positions (checked in O(1) per
+        # added edge); removals never invalidate it.
         self._orders0: List[List] = []
         self._cycle0: Optional[CycleError] = None
-        self._order1: Optional[List[int]] = None
-        self._order1_src: Optional[List[int]] = None
-        self._pos1: List[int] = [0] * n
         self._dirty: List[bool] = [False] * n
         self._chain_perm: Optional[List[int]] = None
         self._chain_pred: List[int] = [-1] * n
         self._chain_next: List[int] = [-1] * n
+        #: Base (unserialized) DP values, persistent across evaluations.
+        self._starts0: List[float] = [0.0] * n
+        self._finish0: List[float] = [0.0] * n
+        #: Serialized overlay buffers (base values + bus chain).
+        self._starts1: List[float] = [0.0] * n
+        self._finish1: List[float] = [0.0] * n
+        #: Positions of the current persistent order (aliases the live
+        #: entry's position array once one exists).
+        self._pos0: List[int] = [0] * n
+        #: Whether the persistent base DP values are trustworthy.
+        self._values_valid = False
+        #: Node ids whose inputs changed since the last evaluation
+        #: (structural deltas from the setters, duration/weight changes
+        #: by shadow diff).
+        self._dirty_seeds: set = set()
+        #: Added edges that contradict the persistent order (repaired
+        #: or folded into the next rebuild).
+        self._pending_edges: List[Tuple[int, int]] = []
+        #: One concrete cycle (edge list) from the last Kahn failure;
+        #: while all its edges stay live the graph is provably still
+        #: cyclic and no re-sort is needed.
+        self._cycle_witness: Optional[List[Tuple[int, int]]] = None
+        self._dur_shadow = np.zeros(n)
+        self._cw_shadow = np.zeros(self._ndeps)
+        # Telemetry counters for the order machinery (plain ints, reset
+        # together with the order state they describe).
+        self.stat_cycle_witness_hits = 0
+        self.stat_order_repairs = 0
+        self.stat_order_rebuilds = 0
 
     def _classify_resources(self, arch: Architecture) -> None:
         """(Re)build the resource kind table.  Entries are kept for
@@ -575,6 +565,9 @@ class IncrementalEngine(EvaluationEngine):
             rc_rebuilds=self.stat_rc_rebuilds,
             ctx_hits=self.stat_ctx_hits,
             ctx_misses=self.stat_ctx_misses,
+            cycle_witness_hits=self.stat_cycle_witness_hits,
+            order_repairs=self.stat_order_repairs,
+            order_rebuilds=self.stat_order_rebuilds,
         )
         return out
 
@@ -898,23 +891,18 @@ class IncrementalEngine(EvaluationEngine):
         self._virtual_ids[name] = new_ids
         return triples
 
-    def _set_proc_chain(
-        self, name: str, members: List[int]
-    ) -> Tuple[Sequence[Tuple[int, int]], Sequence[Tuple[int, int]]]:
+    def _set_proc_chain(self, name: str, members: List[int]) -> None:
         """Replace a processor's total-order chain (``Esw``) in place —
         safe when this is the only resource refreshed in the sync.
 
         The replacement is pair-trimmed: a reorder perturbs a contiguous
         region of the chain, so the common prefix and suffix of the
-        ``(prev, next)`` pair lists stay linked untouched (and cached
-        topological orders survive unless a *truly added* pair
-        contradicts them).  Returns ``(removed_pairs, added_pairs)`` so
-        subclasses can seed their dirty propagation from the exact
-        structural delta."""
+        ``(prev, next)`` pair lists stay linked untouched, and only the
+        truly removed and added pairs reach :meth:`_note_structural`."""
         old = self._proc_members.get(name) or []
         if old == members:
             self._proc_members[name] = members
-            return (), ()
+            return
         pairs_old = list(zip(old, old[1:]))
         pairs_new = list(zip(members, members[1:]))
         n_old, n_new = len(pairs_old), len(pairs_new)
@@ -941,18 +929,13 @@ class IncrementalEngine(EvaluationEngine):
             # A removal may have broken the cycle behind a cached
             # verdict; retry Kahn on the next evaluation.
             self._cycle0 = None
-        if added:
-            orders0 = self._orders0
-            self._order1 = None
-            for a, b in added:
-                proc_next[a] = b
-                proc_prev[b] = a
-                indeg[b] += 1
-                for entry in orders0:
-                    if entry[2] and entry[1][a] >= entry[1][b]:
-                        entry[2] = False
+        for a, b in added:
+            proc_next[a] = b
+            proc_prev[b] = a
+            indeg[b] += 1
         self._proc_members[name] = members
-        return removed, added
+        if removed or added:
+            self._note_structural(removed, added)
 
     def _unlink_proc_chain(self, name: str) -> None:
         old = self._proc_members.get(name)
@@ -972,26 +955,22 @@ class IncrementalEngine(EvaluationEngine):
         # retry Kahn on the next evaluation.
         self._cycle0 = None
         self._proc_members[name] = []
+        self._note_structural(list(zip(old, old[1:])), ())
 
     def _link_proc_chain(self, name: str, members: List[int]) -> None:
-        """Store a processor chain's prev/next pointers, keep indegrees
-        in step, and invalidate cached orders that an added pair
-        contradicts.  Pure integer stores — no list surgery."""
+        """Store a processor chain's prev/next pointers and keep
+        indegrees in step.  Pure integer stores — no list surgery."""
         if members:
             proc_prev = self._proc_prev
             proc_next = self._proc_next
             indeg = self._indeg_total
-            orders0 = self._orders0
-            self._order1 = None
             prev = members[0]
             for v in members[1:]:
                 proc_next[prev] = v
                 proc_prev[v] = prev
                 indeg[v] += 1
-                for entry in orders0:
-                    if entry[2] and entry[1][prev] >= entry[1][v]:
-                        entry[2] = False
                 prev = v
+            self._note_structural((), list(zip(members, members[1:])))
         self._proc_members[name] = members
 
     def _unlink_res_edges(self, name: str) -> None:
@@ -1014,6 +993,7 @@ class IncrementalEngine(EvaluationEngine):
             indeg[b] -= 1
         self._cycle0 = None
         self._res_edges[name] = []
+        self._note_structural(old, ())
 
     def _link_res_edges(
         self, name: str, triples: List[Tuple[int, int, float]]
@@ -1024,33 +1004,26 @@ class IncrementalEngine(EvaluationEngine):
             pred_seq = self._pred_seq
             succ_seq = self._succ_seq
             indeg = self._indeg_total
-            orders0 = self._orders0
-            self._order1 = None
             for a, b, w in triples:
                 succ_seq[a].append(b)
                 pred_seq[b].append((a, w))
                 indeg[b] += 1
-                for entry in orders0:
-                    if entry[2] and entry[1][a] >= entry[1][b]:
-                        entry[2] = False
+            self._note_structural((), triples)
         self._res_edges[name] = triples
 
     def _set_res_edges(
         self, name: str, triples: List[Tuple[int, int, float]]
-    ) -> Tuple[Sequence[Tuple], Sequence[Tuple]]:
+    ) -> None:
         """Replace a resource's sequentialization edges in the live seq
         layer, in place — safe when this is the only resource refreshed
         in the sync.  Old edges are unlinked, new ones linked, indegrees
-        kept in step.  Cached topological orders survive unless an added
-        edge contradicts them (position check); removals never
-        invalidate.  Seq edge pairs are unique within one resource — it
-        only ever chains its own tasks and its own config node — so
-        unlinking by (src, dst) is unambiguous.  Returns ``(removals,
-        additions)`` — the trimmed triple delta — for subclasses that
-        seed dirty propagation from it."""
+        kept in step, and the trimmed triple delta goes to
+        :meth:`_note_structural`.  Seq edge pairs are unique within one
+        resource — it only ever chains its own tasks and its own config
+        node — so unlinking by (src, dst) is unambiguous."""
         old = self._res_edges.get(name)
         if old == triples:
-            return (), ()
+            return
         # Unlink/link only the differing middle: a reorder or reassign
         # perturbs a contiguous region of a resource's chain, so the
         # common prefix and suffix (compared as (src, dst, weight)
@@ -1072,54 +1045,37 @@ class IncrementalEngine(EvaluationEngine):
         else:
             removals = ()
             additions = triples
-        structural = len(removals) != len(additions) or any(
-            r[0] != a[0] or r[1] != a[1] for r, a in zip(removals, additions)
-        )
         pred_seq = self._pred_seq
         succ_seq = self._succ_seq
         indeg = self._indeg_total
-        if removals:
-            for a, b, _w in removals:
-                succ_seq[a].remove(b)
-                plist = pred_seq[b]
-                for idx in range(len(plist)):
-                    if plist[idx][0] == a:
-                        del plist[idx]
-                        break
-                indeg[b] -= 1
-            if structural:
-                # A removal may have broken the cycle behind a cached
-                # verdict; retry Kahn on the next evaluation.
-                self._cycle0 = None
-        if structural:
-            orders0 = self._orders0
-            # The serialized order's task placement mirrors a specific
-            # base order; any structural seq change may reorder tasks.
-            self._order1 = None
-            for a, b, w in additions:
-                succ_seq[a].append(b)
-                pred_seq[b].append((a, w))
-                indeg[b] += 1
-                for entry in orders0:
-                    if entry[2] and entry[1][a] >= entry[1][b]:
-                        entry[2] = False
-        else:
-            # Weight-only change: same pairs back with new weights, no
-            # order or cycle cache is affected.
-            for a, b, w in additions:
-                succ_seq[a].append(b)
-                pred_seq[b].append((a, w))
-                indeg[b] += 1
+        for a, b, _w in removals:
+            succ_seq[a].remove(b)
+            plist = pred_seq[b]
+            for idx in range(len(plist)):
+                if plist[idx][0] == a:
+                    del plist[idx]
+                    break
+            indeg[b] -= 1
+        if removals and (len(removals) != len(additions) or any(
+            r[0] != a[0] or r[1] != a[1] for r, a in zip(removals, additions)
+        )):
+            # A structural removal may have broken the cycle behind a
+            # cached verdict; retry Kahn on the next evaluation.  (A
+            # weight-only change puts the same pairs back.)
+            self._cycle0 = None
+        for a, b, w in additions:
+            succ_seq[a].append(b)
+            pred_seq[b].append((a, w))
+            indeg[b] += 1
         self._res_edges[name] = triples
-        return removals, additions
+        if removals or additions:
+            self._note_structural(removals, additions)
 
     def _grow_nodes(self) -> None:
         n = len(self._interner)
         if len(self._dur) < n:
             while len(self._dur) < n:
                 self._dur.append(0.0)
-                self._starts_buf.append(0.0)
-                self._finish_buf.append(0.0)
                 self._pred_comms.append([])
                 self._succ_static.append([])
                 self._indeg_static.append(0)
@@ -1128,612 +1084,28 @@ class IncrementalEngine(EvaluationEngine):
                 self._indeg_total.append(0)
                 self._proc_prev.append(-1)
                 self._proc_next.append(-1)
-                self._pos1.append(0)
                 self._dirty.append(False)
                 self._chain_pred.append(-1)
                 self._chain_next.append(-1)
-            # Cached orders do not contain the new nodes yet.
-            self._orders0.clear()
-            self._order1 = None
-
-    # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def _compute(
-        self, solution: Solution
-    ) -> Tuple[float, bool, float, Optional[CycleError]]:
-        """Returns ``(makespan, feasible, comm_ms, cycle_error)``."""
-        self._sync(solution)
-        if self._active_dirty:
-            dep_mode = self._dep_mode
-            self._active_deps = [
-                j for j in range(self._ndeps) if dep_mode[j] == 1
-            ]
-            self._active_dirty = False
-        n = len(self._interner)
-        dur = self._dur
-        dep_comm = self._dep_comm
-
-        entry0: Optional[List] = None
-        for entry in self._orders0:
-            if entry[2]:
-                entry0 = entry
-                break
-        if entry0 is None and self._cycle0 is None:
-            try:
-                order = self._kahn_base(n)
-            except CycleError as exc:
-                self._cycle0 = exc
-            else:
-                pos = [0] * n
-                for idx, v in enumerate(order):
-                    pos[v] = idx
-                entry0 = [order, pos, True]
-                self._orders0.insert(0, entry0)
-                del self._orders0[2:]
-        if entry0 is None:
-            comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-            return INFEASIBLE_MS, False, comm_ms, self._cycle0
-        order0 = entry0[0]
-
-        finish = self._finish_buf
-        starts = self._dp(order0)
-        active = self._active_deps
-        if not active:
-            return max(finish), True, 0.0, None
-
-        # Serialize bus transactions: ASAP order in the unserialized
-        # graph, ties broken by (source task, destination task) — the
-        # exact deterministic policy of SearchGraphBuilder._serialize_bus.
-        srct = self._dep_srct
-        dstt = self._dep_dstt
-        ntasks = self._ntasks
-        keyed = sorted(
-            (starts[ntasks + j], srct[j], dstt[j], j) for j in active
-        )
-        perm = [key[3] for key in keyed]
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        if perm != self._chain_perm:
-            if self._chain_perm:
-                for j in self._chain_perm:
-                    comm = dep_comm[j]
-                    chain_pred[comm] = -1
-                    chain_next[comm] = -1
-            prev = dep_comm[perm[0]]
-            for j in perm[1:]:
-                comm = dep_comm[j]
-                chain_pred[comm] = prev
-                chain_next[prev] = comm
-                prev = comm
-            self._chain_perm = perm
-            self._order1 = None
-        order1 = self._order1
-        if order1 is None or self._order1_src is not order0:
-            pos1 = self._pos1
-            order1 = self._splice_order1(entry0, perm)
-            if order1 is not None:
-                pos1[:] = entry0[1]
-                slots = sorted(entry0[1][dep_comm[j]] for j in perm)
-                for slot, j in zip(slots, perm):
-                    pos1[dep_comm[j]] = slot
-            else:
-                indeg1 = list(self._indeg_total)
-                for j in perm[1:]:
-                    indeg1[dep_comm[j]] += 1
-                try:
-                    order1 = self._kahn_chained(n, indeg1, chain_next)
-                except CycleError as exc:
-                    # Cannot happen for positive transfer durations (see
-                    # SearchGraphBuilder._serialize_bus) but mirror the
-                    # full engine: a cyclic serialized realization is
-                    # infeasible.
-                    self._order1 = None
-                    comm_ms = sum(dur[dep_comm[j]] for j in perm)
-                    return INFEASIBLE_MS, False, comm_ms, exc
-                for idx, v in enumerate(order1):
-                    pos1[v] = idx
-            self._order1 = order1
-            self._order1_src = order0
-        # The chain only *adds* constraints on top of the base DP, so the
-        # serialized start times are an increase-only delta: seed with
-        # the comm nodes whose chain predecessor actually binds, then
-        # propagate in serialized-topological order.  When no chain edge
-        # binds, the base DP already is the serialized answer.
-        self._dp_chain_delta(perm)
-        comm_ms = sum(dur[dep_comm[j]] for j in perm)
-        return max(finish), True, comm_ms, None
-
-    def _dp(self, order: List[int]) -> List[float]:
-        """ASAP/longest-path DP over the *unserialized* graph,
-        specialized to the engine's id layout: comm nodes (ids
-        ``[ntasks, ntasks + ndeps)``) have exactly one predecessor;
-        tasks and config nodes take the max over comm finish times (the
-        ``comm -> dst`` edges all weigh 0), the processor-chain
-        predecessor, and seq-layer ``(src, weight)`` pairs.  Produces
-        floats bit-identical to the reference dict DP: every candidate
-        is ``(start[u] + dur[u]) + w`` in the same association order.
-        Fills ``self._starts_buf``/``self._finish_buf``."""
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        dur = self._dur
-        starts = self._starts_buf
-        finish = self._finish_buf
-        for v in order:
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0  # mirror the reference DP's 0.0 floor
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            starts[v] = best
-            finish[v] = best + dur[v]
-        return starts
-
-    def _dp_chain_delta(self, perm: List[int]) -> None:
-        """Upgrade the base DP in ``starts``/``finish`` to the serialized
-        DP by increase-only propagation.  Chain edges can only delay
-        starts, so nodes unaffected by a binding chain edge keep their
-        base values — which are exactly the serialized values (identical
-        candidate sets).  Processes the affected cone in serialized
-        topological order via a position-keyed heap."""
-        dep_comm = self._dep_comm
-        starts = self._starts_buf
-        finish = self._finish_buf
-        chain_pred = self._chain_pred
-        pos1 = self._pos1
-        dirty = self._dirty
-        heap: List[Tuple[int, int]] = []
-        push = heapq.heappush
-        prev = dep_comm[perm[0]]
-        for j in perm[1:]:
-            c = dep_comm[j]
-            if finish[prev] > starts[c] and not dirty[c]:
-                dirty[c] = True
-                push(heap, (pos1[c], c))
-            prev = c
-        if not heap:
-            return
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        chain_next = self._chain_next
-        dur = self._dur
-        pop = heapq.heappop
-        while heap:
-            _pos, v = pop(heap)
-            if not dirty[v]:
-                continue
-            dirty[v] = False
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0
-                u = chain_pred[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            if best != starts[v]:
-                starts[v] = best
-                finish[v] = best + dur[v]
-                for nxt in succ_static[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, (pos1[nxt], nxt))
-                for nxt in succ_seq[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, (pos1[nxt], nxt))
-                nxt = proc_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, (pos1[nxt], nxt))
-                nxt = chain_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, (pos1[nxt], nxt))
-
-    def _splice_order1(
-        self, entry0: List, perm: List[int]
-    ) -> Optional[List[int]]:
-        """Derive the serialized order from the base order by permuting
-        the active comm nodes — among the positions they already occupy
-        — into chain order.  All other nodes keep their relative base
-        order (valid for the base edges); the chain edges are satisfied
-        because ascending positions receive the chain sequence.  The
-        only conditions to verify are each comm's own task neighbors:
-        ``pos(src) < q < pos(dst)`` for its landing position ``q``.
-        Returns None when a comm lands outside its window (fall back to
-        Kahn)."""
-        order0, pos0, _valid = entry0
-        dep_comm = self._dep_comm
-        dep_src = self._dep_src
-        dep_dst = self._dep_dst
-        comms = [dep_comm[j] for j in perm]
-        slots = sorted(pos0[c] for c in comms)
-        for slot, j in zip(slots, perm):
-            if pos0[dep_src[j]] >= slot or pos0[dep_dst[j]] <= slot:
-                return None
-        order1 = list(order0)
-        for slot, c in zip(slots, comms):
-            order1[slot] = c
-        return order1
-
-    def _kahn_base(self, n: int) -> List[int]:
-        """FIFO Kahn over the static layer, the seq layer and the
-        processor chains; raises :class:`CycleError`."""
-        return kahn_order_indices(
-            n, self._indeg_total, self._succ_static,
-            self._interner.keys(), self._succ_seq, self._proc_next,
-        )
-
-    def _kahn_chained(
-        self, n: int, indeg: List[int], chain_next: List[int]
-    ) -> List[int]:
-        """Kahn over all edge layers plus the bus chain overlay."""
-        order = [v for v in range(n) if indeg[v] == 0]
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for nxt in succ_static[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            for nxt in succ_seq[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            nxt = proc_next[node]
-            if nxt >= 0:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            nxt = chain_next[node]
-            if nxt >= 0:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-        if len(order) != n:
-            keys = self._interner.keys()
-            raise CycleError(
-                "serialized realization contains a cycle",
-                cycle=[keys[v] for v in range(n) if indeg[v] > 0],
-            )
-        return order
-
-    def _guarded_compute(
-        self, solution: Solution
-    ) -> Tuple[float, bool, float, Optional[CycleError]]:
-        try:
-            return self._compute(solution)
-        except CycleError:
-            raise
-        except Exception:
-            # The mirror may be half-updated (e.g. an unassigned task
-            # surfaced mid-diff); drop it so the next call re-syncs from
-            # scratch instead of trusting stale state.
-            self._invalidate()
-            raise
-
-    # ------------------------------------------------------------------
-    def makespan_ms(self, solution: Solution) -> float:
-        self.evaluations += 1
-        makespan, _feasible, _comm, _exc = self._guarded_compute(solution)
-        return makespan
-
-    def evaluate(self, solution: Solution, strict: bool = False) -> Evaluation:
-        self.evaluations += 1
-        makespan, feasible, comm_ms, exc = self._guarded_compute(solution)
-        if not feasible and strict and exc is not None:
-            raise exc
-        # Fig. 3 decomposition from the cached per-RC statistics (the
-        # full engine recomputes these sums from the solution; the values
-        # are identical, accumulated in the same resource order).  RC
-        # subclasses on the generic path have no cached stats and are
-        # recomputed the full engine's way.
-        initial = 0.0
-        dynamic = 0.0
-        clbs = 0
-        num_contexts = 0
-        rc_stats = self._rc_stats
-        for name, rc in self._rc_list:
-            stats = rc_stats.get(name)
-            if stats is not None:
-                num_contexts += stats[0]
-                initial += stats[1]
-                dynamic += stats[2]
-                clbs += stats[3]
-            else:
-                initial += rc.initial_reconfiguration_ms(solution)
-                dynamic += rc.dynamic_reconfiguration_ms(solution)
-                contexts = solution.contexts(name)
-                num_contexts += len(contexts)
-                clbs += sum(
-                    solution.context_clbs(name, k)
-                    for k in range(len(contexts))
-                )
-        hw = self._hw_count
-        return Evaluation(
-            makespan_ms=makespan,
-            feasible=feasible,
-            num_contexts=num_contexts,
-            hw_tasks=hw,
-            sw_tasks=self._ntasks - hw,
-            initial_reconfig_ms=initial,
-            dynamic_reconfig_ms=dynamic,
-            comm_ms=comm_ms,
-            clbs_used=clbs,
-        )
-
-
-@dataclass
-class _Lane:
-    """One captured candidate realization, ready for the batch kernels:
-    dense per-node durations, per-dependency pass-through weights, the
-    sequentialization edge list, the active (serialized) dependency ids,
-    and the Fig. 3 statistics snapshot."""
-
-    dur: object
-    comm_w: object
-    seq_src: List[int]
-    seq_dst: List[int]
-    seq_w: List[float]
-    active: List[int]
-    num_contexts: int
-    hw: int
-    initial_ms: float
-    dynamic_ms: float
-    clbs: int
-
-
-class ArrayEngine(IncrementalEngine):
-    """Compiled struct-of-arrays engine with a persistent longest-path DP.
-
-    Shares the incremental engine's delta-sync (mirror diffing, static
-    dependency layer, per-resource sequentialization patching) and adds
-    three things on top:
-
-    * **Persistent topological order.**  The incremental engine re-runs
-      Kahn's sort whenever a structural change contradicts its cached
-      orders — which a reorder move essentially always does, making the
-      sort its single largest cost on 120+-task instances.  The array
-      engine instead *repairs* the one persistent order in place
-      (Pearce/Kelly-style region reordering per contradicting edge,
-      verified in O(E) after multi-edge repairs) and only falls back to
-      Kahn when a repair detects a potential cycle or too many edges
-      contradict at once.  Every order the engine ever evaluates with is
-      a verified topological order, so cyclic realizations are detected
-      exactly like the reference engine — no fixpoint iteration
-      anywhere.
-    * **Persistent base DP with suffix recomputation.**  The
-      unserialized ASAP start/finish values survive across evaluations;
-      the sync's exact structural deltas (returned by the pair-trimmed
-      chain/edge setters) plus a NumPy shadow diff of the
-      duration/weight arrays locate the earliest order position a move
-      could have affected, and the plain DP loop re-runs only from
-      there.  Values before that position are provably unchanged, and
-      recomputed nodes take the max over the identical candidate set
-      the full DP would — so makespans stay bit-identical.  The
-      serialized bus overlay runs on separate copy buffers, leaving the
-      persistent base values untouched.
-    * **Native batched evaluation.**  ``evaluate_batch`` captures K
-      candidate moves as dense lanes and scores them in two fused NumPy
-      frontier passes (:func:`repro.graph.kernels.batched_longest_path`):
-      base DP over all lanes at once, then the serialized overlay with
-      each lane's deterministic bus chain.
-    """
-
-    name = "array"
-
-    #: Contradicting-edge count above which repairing the order is
-    #: assumed costlier than one Kahn rebuild.
-    MAX_REPAIR_EDGES = 24
-
-    #: ``lanes * nodes`` below which ``evaluate_batch`` scores captured
-    #: candidates through the scalar persistent DP instead of the NumPy
-    #: frontier kernels.  The search graphs of this problem are *deep*
-    #: (sequentialization chains serialize most of the graph), so the
-    #: frontier-synchronous kernels pay their per-round dispatch
-    #: overhead over tiny frontiers; measured on the bundled corpus
-    #: (12-240 tasks, K up to 48) the scalar path wins throughout —
-    #: the kernels only amortize on batches of instances well beyond
-    #: the paper's scale.  Set to 0 to force the kernel path (the
-    #: parity tests do).  The class constant is the default; the
-    #: ``kernel_batch_min_work`` constructor knob (also settable via
-    #: ``EngineSpec`` options) overrides it per instance.
-    KERNEL_BATCH_MIN_WORK = 200_000
-
-    #: Dispatch modes accepted by the ``dispatch`` engine option:
-    #: ``"auto"`` picks per call site from the compiled graph shape,
-    #: ``"kernel"`` forces the fused NumPy lane path, ``"scalar"``
-    #: forces the persistent scalar DP.
-    DISPATCH_MODES = ("auto", "kernel", "scalar")
-
-    #: Mean static-level width (``CompiledInstance.mean_level_width``)
-    #: at or above which ``dispatch="auto"`` considers the graph
-    #: shallow/wide enough for the frontier-synchronous kernels to
-    #: amortize their per-level dispatch overhead.  The bundled corpus
-    #: is deep and narrow (static mean widths ~2-3, and annealed
-    #: serializations only get deeper), so ``"auto"`` resolves to the
-    #: scalar persistent path throughout the paper's scale; the kernels
-    #: only win on far wider batch-of-instances shapes.
-    KERNEL_MIN_MEAN_WIDTH = 64.0
-
-    def __init__(
-        self,
-        application: Application,
-        architecture: Architecture,
-        bus_policy: str = "ordered",
-        compiled=None,
-        kernel_batch_min_work: Optional[int] = None,
-        dispatch: str = "auto",
-    ) -> None:
-        if kernel_batch_min_work is not None and kernel_batch_min_work < 0:
-            raise ConfigurationError(
-                "kernel_batch_min_work must be >= 0, got "
-                f"{kernel_batch_min_work!r}"
-            )
-        if dispatch not in self.DISPATCH_MODES:
-            raise ConfigurationError(
-                f"dispatch must be one of {self.DISPATCH_MODES}, "
-                f"got {dispatch!r}"
-            )
-        self._kernel_batch_min_work = kernel_batch_min_work
-        self.dispatch = dispatch
-        super().__init__(application, architecture, bus_policy, compiled)
-
-    @property
-    def kernel_batch_min_work(self) -> int:
-        """The live ``lanes * nodes`` threshold below which
-        ``evaluate_batch`` routes through the scalar persistent DP
-        (instance override, else :data:`KERNEL_BATCH_MIN_WORK`)."""
-        override = self._kernel_batch_min_work
-        return self.KERNEL_BATCH_MIN_WORK if override is None else override
-
-    @kernel_batch_min_work.setter
-    def kernel_batch_min_work(self, value: Optional[int]) -> None:
-        self._kernel_batch_min_work = value
-
-    def resolved_dispatch(self) -> str:
-        """What ``dispatch="auto"`` resolves to for this instance:
-        ``"kernel"`` when the compiled graph is wide enough
-        (``mean_level_width >= KERNEL_MIN_MEAN_WIDTH``) for the fused
-        frontier kernels to amortize, else ``"scalar"``.  Forced modes
-        pass through unchanged.  This is the single depth-aware routing
-        rule — :class:`CrossChainEvaluator` and the bench harness both
-        consult it."""
-        if self.dispatch != "auto":
-            return self.dispatch
-        wide = self.compiled.mean_level_width >= self.KERNEL_MIN_MEAN_WIDTH
-        return "kernel" if wide else "scalar"
-
-    def telemetry_counters(self) -> Dict[str, int]:
-        out = super().telemetry_counters()
-        out.update(
-            cycle_witness_hits=self.stat_cycle_witness_hits,
-            order_repairs=self.stat_order_repairs,
-            order_rebuilds=self.stat_order_rebuilds,
-            kernel_batches=self.stat_kernel_batches,
-            kernel_lanes=self.stat_kernel_lanes,
-            scalar_batches=self.stat_scalar_batches,
-            scalar_lanes=self.stat_scalar_lanes,
-        )
-        return out
-
-    # ------------------------------------------------------------------
-    # state management
-    # ------------------------------------------------------------------
-    def _invalidate(self) -> None:
-        super()._invalidate()
-        # Called from the base constructor before __init__ finishes:
-        # (re)create all array-engine state here.
-        self._np = require_numpy()
-        np = self._np
-        n = len(self._interner)
-        #: Base (unserialized) DP values, persistent across evaluations.
-        self._starts0: List[float] = [0.0] * n
-        self._finish0: List[float] = [0.0] * n
-        #: Serialized overlay buffers (base values + bus chain).
-        self._starts1: List[float] = [0.0] * n
-        self._finish1: List[float] = [0.0] * n
-        #: Positions of the current persistent order (aliases the live
-        #: entry's position array once one exists).
-        self._pos0: List[int] = [0] * n
-        #: Whether the persistent base DP values are trustworthy.
-        self._values_valid = False
-        #: Node ids whose inputs changed since the last evaluation
-        #: (structural deltas here, duration/weight changes by shadow
-        #: diff).
-        self._dirty_seeds: set = set()
-        #: Added edges that contradict the persistent order (repaired
-        #: or folded into the next rebuild).
-        self._pending_edges: List[Tuple[int, int]] = []
-        #: One concrete cycle (edge list) from the last Kahn failure;
-        #: while all its edges stay live the graph is provably still
-        #: cyclic and no re-sort is needed.
-        self._cycle_witness: Optional[List[Tuple[int, int]]] = None
-        self._dur_shadow = np.zeros(n)
-        self._cw_shadow = np.zeros(self._ndeps)
-        #: True while lane captures have moved the mirror since the
-        #: last scalar evaluation (disables the stable-shortcut: the
-        #: mirror no longer matches the duration shadows).
-        self._mirror_moved = False
-        # Telemetry counters for the order/dispatch machinery (plain
-        # ints, reset together with the order state they describe).
-        self.stat_cycle_witness_hits = 0
-        self.stat_order_repairs = 0
-        self.stat_order_rebuilds = 0
-        self.stat_kernel_batches = 0
-        self.stat_kernel_lanes = 0
-        self.stat_scalar_batches = 0
-        self.stat_scalar_lanes = 0
-
-    def _grow_nodes(self) -> None:
-        n = len(self._interner)
-        if len(self._dur) < n:
-            super()._grow_nodes()  # clears _orders0
-            for buf in (self._starts0, self._finish0,
-                        self._starts1, self._finish1):
-                while len(buf) < n:
-                    buf.append(0.0)
-            while len(self._pos0) < n:
+                self._starts0.append(0.0)
+                self._finish0.append(0.0)
+                self._starts1.append(0.0)
+                self._finish1.append(0.0)
                 self._pos0.append(0)
             # The persistent order and values do not cover the new
             # nodes yet.
+            self._orders0.clear()
             self._pending_edges.clear()
             self._values_valid = False
 
     # ------------------------------------------------------------------
-    # structural dirt capture (the setters return exact deltas)
+    # structural dirt capture (the setters report exact deltas)
     # ------------------------------------------------------------------
     def _note_structural(self, removed, added) -> None:
+        """Record an exact structural delta of the sequentialization
+        layer (edges as ``(src, dst, ...)`` tuples): every edge head
+        seeds the suffix DP, and an added edge that contradicts the
+        persistent order invalidates it and is queued for repair."""
         seeds = self._dirty_seeds
         for pair in removed:
             seeds.add(pair[1])
@@ -1744,12 +1116,14 @@ class ArrayEngine(IncrementalEngine):
             for pair in added:
                 seeds.add(pair[1])
             return
-        pos0 = entries[0][1]
+        entry = entries[0]
+        pos0 = entry[1]
         pending = self._pending_edges
         for pair in added:
             a, b = pair[0], pair[1]
             seeds.add(b)
             if pos0[a] >= pos0[b]:
+                entry[2] = False
                 pending.append((a, b))
         if len(pending) > self.MAX_REPAIR_EDGES:
             # Too many contradictions: the stored order is beyond
@@ -1758,51 +1132,9 @@ class ArrayEngine(IncrementalEngine):
             entries.clear()
             pending.clear()
 
-    def _set_res_edges(self, name, triples):
-        removals, additions = super()._set_res_edges(name, triples)
-        if removals or additions:
-            self._note_structural(removals, additions)
-        return removals, additions
-
-    def _set_proc_chain(self, name, members):
-        removed, added = super()._set_proc_chain(name, members)
-        if removed or added:
-            self._note_structural(removed, added)
-        return removed, added
-
-    def _unlink_res_edges(self, name) -> None:
-        old = self._res_edges.get(name)
-        super()._unlink_res_edges(name)
-        if old:
-            self._note_structural(old, ())
-
-    def _link_res_edges(self, name, triples) -> None:
-        super()._link_res_edges(name, triples)
-        if triples:
-            self._note_structural((), triples)
-
-    def _unlink_proc_chain(self, name) -> None:
-        old = self._proc_members.get(name)
-        super()._unlink_proc_chain(name)
-        if old:
-            self._note_structural(list(zip(old, old[1:])), ())
-
-    def _link_proc_chain(self, name, members) -> None:
-        super()._link_proc_chain(name, members)
-        if members:
-            self._note_structural((), list(zip(members, members[1:])))
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _refresh_active(self) -> None:
-        if self._active_dirty:
-            dep_mode = self._dep_mode
-            self._active_deps = [
-                j for j in range(self._ndeps) if dep_mode[j] == 1
-            ]
-            self._active_dirty = False
-
     def _durations_stable(self, solution: Solution) -> bool:
         """Cheap pre-sync test (plain C dict comparisons) for whether
         the upcoming sync can change any node duration or pass-through
@@ -1833,7 +1165,6 @@ class ArrayEngine(IncrementalEngine):
         seeds = self._dirty_seeds
         if stable and self._values_valid:
             return seeds
-        np = self._np
         dur_np = np.array(self._dur)
         if self._values_valid and dur_np.shape == self._dur_shadow.shape:
             diff = np.nonzero(dur_np != self._dur_shadow)[0]
@@ -1859,12 +1190,15 @@ class ArrayEngine(IncrementalEngine):
     def _compute(
         self, solution: Solution
     ) -> Tuple[float, bool, float, Optional[CycleError]]:
-        stable = (
-            not self._mirror_moved and self._durations_stable(solution)
-        )
+        """Returns ``(makespan, feasible, comm_ms, cycle_error)``."""
+        stable = self._durations_stable(solution)
         self._sync(solution)
-        self._mirror_moved = False
-        self._refresh_active()
+        if self._active_dirty:
+            dep_mode = self._dep_mode
+            self._active_deps = [
+                j for j in range(self._ndeps) if dep_mode[j] == 1
+            ]
+            self._active_dirty = False
         n = len(self._interner)
         dur = self._dur
         dep_comm = self._dep_comm
@@ -1913,6 +1247,13 @@ class ArrayEngine(IncrementalEngine):
                     )
                     return INFEASIBLE_MS, False, comm_ms, exc
                 else:
+                    # A failed multi-edge repair may already have
+                    # reordered the stored order in place: drop it with
+                    # its pending edges, or an early fallback exit below
+                    # would leave it to be revalidated later as if it
+                    # were intact.
+                    entries.clear()
+                    pending.clear()
                     entry = None
             else:
                 entry = None
@@ -2250,11 +1591,16 @@ class ArrayEngine(IncrementalEngine):
             finish[v] = best + dur[v]
 
     def _chain_overlay(self, perm: List[int]) -> bool:
-        """Increase-only propagation of the bus-chain constraints over
-        the serialized buffers (seeded from binding chain edges exactly
-        like the incremental engine's ``_dp_chain_delta``).  Returns
-        False when the pop budget trips — then the caller re-validates
-        with the chained Kahn."""
+        """Upgrade the base values copied into the serialized buffers to
+        the serialized DP by increase-only propagation.  Chain edges can
+        only delay starts, so nodes outside the cone of a *binding*
+        chain edge keep their base values — exactly the serialized
+        values (identical candidate sets).  The cone is seeded from the
+        comm nodes whose chain predecessor binds and relaxed in
+        persistent-order position order, re-queuing a node whenever an
+        input grows.  Returns False when the pop budget trips (possible
+        only when the chain contradicts the order, e.g. a cycle) — then
+        the caller re-validates with the chained Kahn."""
         dep_comm = self._dep_comm
         starts = self._starts1
         finish = self._finish1
@@ -2393,37 +1739,82 @@ class ArrayEngine(IncrementalEngine):
             starts[v] = best
             finish[v] = best + dur[v]
 
-    # ------------------------------------------------------------------
-    # batched evaluation (the NumPy lanes)
-    # ------------------------------------------------------------------
-    def _capture_lane(self, solution: Solution) -> _Lane:
-        """Sync the mirror to ``solution`` and snapshot the dense state
-        of one candidate lane (no DP here — the kernels do that for the
-        whole batch at once)."""
+    def _kahn_base(self, n: int) -> List[int]:
+        """FIFO Kahn over the static layer, the seq layer and the
+        processor chains; raises :class:`CycleError`."""
+        return kahn_order_indices(
+            n, self._indeg_total, self._succ_static,
+            self._interner.keys(), self._succ_seq, self._proc_next,
+        )
+
+    def _kahn_chained(
+        self, n: int, indeg: List[int], chain_next: List[int]
+    ) -> List[int]:
+        """Kahn over all edge layers plus the bus chain overlay."""
+        order = [v for v in range(n) if indeg[v] == 0]
+        succ_static = self._succ_static
+        succ_seq = self._succ_seq
+        proc_next = self._proc_next
+        head = 0
+        while head < len(order):
+            node = order[head]
+            head += 1
+            for nxt in succ_static[node]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    order.append(nxt)
+            for nxt in succ_seq[node]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    order.append(nxt)
+            nxt = proc_next[node]
+            if nxt >= 0:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    order.append(nxt)
+            nxt = chain_next[node]
+            if nxt >= 0:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    order.append(nxt)
+        if len(order) != n:
+            keys = self._interner.keys()
+            raise CycleError(
+                "serialized realization contains a cycle",
+                cycle=[keys[v] for v in range(n) if indeg[v] > 0],
+            )
+        return order
+
+    def _guarded_compute(
+        self, solution: Solution
+    ) -> Tuple[float, bool, float, Optional[CycleError]]:
         try:
-            self._sync(solution)
+            return self._compute(solution)
+        except CycleError:
+            raise
         except Exception:
+            # The mirror may be half-updated (e.g. an unassigned task
+            # surfaced mid-diff); drop it so the next call re-syncs from
+            # scratch instead of trusting stale state.
             self._invalidate()
             raise
-        self._mirror_moved = True
-        self._refresh_active()
-        np = self._np
-        seq_src: List[int] = []
-        seq_dst: List[int] = []
-        seq_w: List[float] = []
-        for triples in self._res_edges.values():
-            for a, b, w in triples:
-                seq_src.append(a)
-                seq_dst.append(b)
-                seq_w.append(w)
-        for members in self._proc_members.values():
-            if len(members) > 1:
-                prev = members[0]
-                for v in members[1:]:
-                    seq_src.append(prev)
-                    seq_dst.append(v)
-                    seq_w.append(0.0)
-                    prev = v
+
+    # ------------------------------------------------------------------
+    def makespan_ms(self, solution: Solution) -> float:
+        self.evaluations += 1
+        makespan, _feasible, _comm, _exc = self._guarded_compute(solution)
+        return makespan
+
+    def evaluate(self, solution: Solution, strict: bool = False) -> Evaluation:
+        self.evaluations += 1
+        makespan, feasible, comm_ms, exc = self._guarded_compute(solution)
+        if not feasible and strict and exc is not None:
+            raise exc
+        # Fig. 3 decomposition from the cached per-RC statistics (the
+        # full engine recomputes these sums from the solution; the values
+        # are identical, accumulated in the same resource order).  RC
+        # subclasses on the generic path have no cached stats and are
+        # recomputed the full engine's way.
         initial = 0.0
         dynamic = 0.0
         clbs = 0
@@ -2445,207 +1836,22 @@ class ArrayEngine(IncrementalEngine):
                     solution.context_clbs(name, k)
                     for k in range(len(contexts))
                 )
-        return _Lane(
-            dur=np.array(self._dur),
-            comm_w=np.array(self._comm_w),
-            seq_src=seq_src,
-            seq_dst=seq_dst,
-            seq_w=seq_w,
-            active=list(self._active_deps),
+        hw = self._hw_count
+        return Evaluation(
+            makespan_ms=makespan,
+            feasible=feasible,
             num_contexts=num_contexts,
-            hw=self._hw_count,
-            initial_ms=initial,
-            dynamic_ms=dynamic,
-            clbs=clbs,
+            hw_tasks=hw,
+            sw_tasks=self._ntasks - hw,
+            initial_reconfig_ms=initial,
+            dynamic_reconfig_ms=dynamic,
+            comm_ms=comm_ms,
+            clbs_used=clbs,
         )
-
-    def evaluate_batch(
-        self,
-        solution: Solution,
-        moves: Sequence,
-        cost_function=None,
-    ) -> List[Optional[Tuple[Evaluation, Optional[float]]]]:
-        """Vectorized batch scoring: capture each candidate as a dense
-        lane, then run the two fused frontier kernels over the whole
-        batch.  Falls back to the reference per-move loop when the cost
-        function reads the candidate solution itself (only the
-        evaluation-pure costs, e.g. ``MakespanCost``, can be computed
-        after the candidates have been undone), or when the batch is
-        too small for the kernels to amortize their dispatch overhead
-        (see :data:`KERNEL_BATCH_MIN_WORK`; ``dispatch="kernel"``
-        bypasses the threshold, ``dispatch="scalar"`` always takes the
-        reference loop)."""
-        if cost_function is not None and not getattr(
-            cost_function, "solution_independent", False
-        ):
-            self.stat_scalar_batches += 1
-            self.stat_scalar_lanes += len(moves)
-            return super().evaluate_batch(solution, moves, cost_function)
-        if self.dispatch == "scalar":
-            self.stat_scalar_batches += 1
-            self.stat_scalar_lanes += len(moves)
-            return super().evaluate_batch(solution, moves, cost_function)
-        if self.dispatch != "kernel" and (
-            len(moves) * len(self._interner) < self.kernel_batch_min_work
-        ):
-            self.stat_scalar_batches += 1
-            self.stat_scalar_lanes += len(moves)
-            return super().evaluate_batch(solution, moves, cost_function)
-        self.stat_kernel_batches += 1
-        self.stat_kernel_lanes += len(moves)
-        lanes: List[Optional[_Lane]] = []
-        for move in moves:
-            try:
-                move.apply(solution)
-            except InfeasibleMoveError:
-                lanes.append(None)
-                continue
-            try:
-                lanes.append(self._capture_lane(solution))
-            finally:
-                move.undo(solution)
-        evaluations = iter(
-            self._evaluate_lanes([lane for lane in lanes if lane is not None])
-        )
-        results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
-        for lane in lanes:
-            if lane is None:
-                results.append(None)
-            else:
-                evaluation = next(evaluations)
-                cost = (
-                    cost_function(solution, evaluation)
-                    if cost_function is not None
-                    else None
-                )
-                results.append((evaluation, cost))
-        return results
-
-    def _evaluate_lanes(self, lanes: List[_Lane]) -> List[Evaluation]:
-        if not lanes:
-            return []
-        from repro.graph.kernels import batched_longest_path, lane_makespans
-
-        np = self._np
-        self.evaluations += len(lanes)
-        K = len(lanes)
-        n = max(lane.dur.shape[0] for lane in lanes)
-        ntasks = self._ntasks
-        ndeps = self._ndeps
-        compiled = self.compiled
-        static_src = compiled.static_edge_src_np
-        static_dst = compiled.static_edge_dst_np
-        durations = np.zeros(K * n)
-        static_w = np.zeros((K, 2 * ndeps))
-        offsets = np.arange(K, dtype=np.int64)[:, None] * n
-        e_src = [(static_src[None, :] + offsets).ravel()]
-        e_dst = [(static_dst[None, :] + offsets).ravel()]
-        for k, lane in enumerate(lanes):
-            durations[k * n : k * n + lane.dur.shape[0]] = lane.dur
-            static_w[k, :ndeps] = lane.comm_w
-            if lane.seq_src:
-                base = k * n
-                e_src.append(np.asarray(lane.seq_src, dtype=np.int64) + base)
-                e_dst.append(np.asarray(lane.seq_dst, dtype=np.int64) + base)
-        e_w = [static_w.ravel()]
-        e_w.extend(
-            np.asarray(lane.seq_w)
-            for lane in lanes
-            if lane.seq_src
-        )
-        edge_src = np.concatenate(e_src)
-        edge_dst = np.concatenate(e_dst)
-        edge_w = np.concatenate(e_w)
-        starts, finish, feasible = batched_longest_path(
-            K, n, edge_src, edge_dst, edge_w, durations
-        )
-
-        # Serialized overlay: each feasible lane's deterministic bus
-        # chain (ASAP order, (src task, dst task) tie-break) becomes a
-        # set of zero-weight chain edges for the second fused pass.
-        dep_comm = self._dep_comm
-        srct = self._dep_srct
-        dstt = self._dep_dstt
-        perms: List[Optional[List[int]]] = [None] * K
-        chain_src: List[int] = []
-        chain_dst: List[int] = []
-        for k, lane in enumerate(lanes):
-            if not feasible[k] or not lane.active:
-                continue
-            base = k * n
-            keyed = sorted(
-                (starts[base + ntasks + j], srct[j], dstt[j], j)
-                for j in lane.active
-            )
-            perm = [key[3] for key in keyed]
-            perms[k] = perm
-            prev = dep_comm[perm[0]]
-            for j in perm[1:]:
-                comm = dep_comm[j]
-                chain_src.append(base + prev)
-                chain_dst.append(base + comm)
-                prev = comm
-        if chain_src:
-            starts2, finish2, feasible2 = batched_longest_path(
-                K,
-                n,
-                np.concatenate(
-                    [edge_src, np.asarray(chain_src, dtype=np.int64)]
-                ),
-                np.concatenate(
-                    [edge_dst, np.asarray(chain_dst, dtype=np.int64)]
-                ),
-                np.concatenate([edge_w, np.zeros(len(chain_src))]),
-                durations,
-            )
-        else:
-            finish2, feasible2 = finish, feasible
-        spans_base = lane_makespans(finish, feasible, K, n)
-        spans_serialized = (
-            lane_makespans(finish2, feasible2, K, n)
-            if chain_src
-            else spans_base
-        )
-
-        results: List[Evaluation] = []
-        for k, lane in enumerate(lanes):
-            perm = perms[k]
-            if not feasible[k]:
-                makespan = INFEASIBLE_MS
-                feasible_k = False
-                comm_ms = float(
-                    sum(lane.dur[dep_comm[j]] for j in lane.active)
-                )
-            elif perm is None:
-                makespan = float(spans_base[k])
-                feasible_k = True
-                comm_ms = 0.0
-            elif not feasible2[k]:
-                makespan = INFEASIBLE_MS
-                feasible_k = False
-                comm_ms = float(sum(lane.dur[dep_comm[j]] for j in perm))
-            else:
-                makespan = float(spans_serialized[k])
-                feasible_k = True
-                comm_ms = float(sum(lane.dur[dep_comm[j]] for j in perm))
-            results.append(
-                Evaluation(
-                    makespan_ms=makespan,
-                    feasible=feasible_k,
-                    num_contexts=lane.num_contexts,
-                    hw_tasks=lane.hw,
-                    sw_tasks=ntasks - lane.hw,
-                    initial_reconfig_ms=lane.initial_ms,
-                    dynamic_reconfig_ms=lane.dynamic_ms,
-                    comm_ms=comm_ms,
-                    clbs_used=lane.clbs,
-                )
-            )
-        return results
 
 
 class CrossChainEvaluator:
-    """K per-chain engines over one compile pass, scored in one batch.
+    """K per-chain engines over one compile pass.
 
     The population annealer (:class:`repro.sa.population.PopulationAnnealer`)
     runs K independent chains, each with its own
@@ -2654,24 +1860,17 @@ class CrossChainEvaluator:
     incremental mirror (each sync would diff away the previous chain's
     whole assignment), so each chain gets a permanently-bound engine of
     its own and pays only its own chain's delta.  For the stateful
-    engines the compile pass is shared: chain 0 compiles, chains 1..K-1
+    engine the compile pass is shared: chain 0 compiles, chains 1..K-1
     receive :meth:`CompiledInstance.fork` views, so construction stays
     O(compile + K · mirror) instead of O(K · compile).
 
     ``propose_moves`` + ``resolve`` is the annealer hot path: each
-    chain's permanently-bound stateful engine scores its proposed move
-    through the persistent delta path (apply → delta-sync → read the
-    makespan) and leaves it applied; the annealer's accept keeps the
+    chain's permanently-bound engine scores its proposed move through
+    the persistent delta path (apply → delta-sync → read the makespan)
+    and leaves it applied; the annealer's accept keeps the
     already-synced engine state (commit-on-accept — no undo, no
     re-apply, no second delta-diff), a reject undoes the move and lets
     the engine's next delta-sync absorb the O(delta) reverse patch.
-    A depth-aware dispatcher picks that
-    path or the PR 6 fused-lane kernel path from the compiled graph
-    shape (``dispatch="auto"``, overridable per
-    :data:`ArrayEngine.DISPATCH_MODES`): the frontier-synchronous
-    kernels only amortize on shallow/wide graphs, and the paper's
-    instances anneal ~300 levels deep.  ``evaluate_moves`` remains the
-    pure (solutions-left-untouched) cross-chain kernel API.
     """
 
     def __init__(
@@ -2679,7 +1878,7 @@ class CrossChainEvaluator:
         application: Application,
         architecture: Architecture,
         chains: int,
-        engine: str = "array",
+        engine: str = "incremental",
         bus_policy: str = "ordered",
     ) -> None:
         if chains < 1:
@@ -2688,12 +1887,9 @@ class CrossChainEvaluator:
             )
         self.application = application
         self.architecture = architecture
-        self.kind = engine["kind"] if isinstance(engine, dict) else engine
         self.bus_policy = bus_policy
-        # Every chain's engine — forks included — goes through
-        # make_engine, so per-chain construction cannot bypass engine-
-        # option validation; chains 1..K-1 reuse chain 0's compile pass
-        # through CompiledInstance.fork.
+        # Chains 1..K-1 reuse chain 0's compile pass through
+        # CompiledInstance.fork.
         first = make_engine(engine, application, architecture, bus_policy)
         engines: List[EvaluationEngine] = [first]
         compiled = getattr(first, "compiled", None)
@@ -2708,19 +1904,6 @@ class CrossChainEvaluator:
                 )
             )
         self.engines = engines
-        #: Resolved cross-chain dispatch: ``"kernel"`` scores rounds
-        #: through the fused-lane path, ``"scalar"`` through the
-        #: per-chain persistent transactions.  ``"auto"`` consults the
-        #: compile pass's mean level width — deep/narrow instances
-        #: (the whole bundled corpus) ride the scalar persistent DP.
-        self.dispatch = self._resolve_dispatch(first)
-        self._pending_persistent = False
-
-    @staticmethod
-    def _resolve_dispatch(first: EvaluationEngine) -> str:
-        if not isinstance(first, ArrayEngine):
-            return "scalar"
-        return first.resolved_dispatch()
 
     # ------------------------------------------------------------------
     @property
@@ -2733,27 +1916,16 @@ class CrossChainEvaluator:
         return sum(engine.evaluations for engine in self.engines)
 
     def telemetry_counters(self) -> Dict[str, int]:
-        """Engine internals summed across all chains, plus the resolved
-        cross-chain dispatch route (0 = scalar, 1 = kernel)."""
+        """Engine internals summed across all chains."""
         out: Dict[str, int] = {}
         for engine in self.engines:
             for name, value in engine.telemetry_counters().items():
                 out[name] = out.get(name, 0) + value
-        out["dispatch_kernel"] = 1 if self.dispatch == "kernel" else 0
         return out
 
     def evaluate(self, chain: int, solution: Solution) -> Evaluation:
-        """Scalar evaluation of one chain's current state."""
+        """Evaluation of one chain's current state."""
         return self.engines[chain].evaluate(solution)
-
-    def _check_arity(self, solutions: Sequence, moves: Sequence) -> None:
-        if len(solutions) != len(self.engines) or len(moves) != len(
-            self.engines
-        ):
-            raise ConfigurationError(
-                f"expected {len(self.engines)} solutions and moves, got "
-                f"{len(solutions)} and {len(moves)}"
-            )
 
     # ------------------------------------------------------------------
     def propose_moves(
@@ -2765,26 +1937,19 @@ class CrossChainEvaluator:
         """Score chain k's proposed move against chain k's state, for
         all chains at once, as open transactions.
 
-        On the persistent path (``dispatch="scalar"``, or a cost
-        function that reads the candidate solution) every scored move
-        is left **applied** with its engine synced to the candidate;
-        the caller must then call :meth:`resolve` for each non-``None``
-        outcome.  On the kernel path the call is pure (it delegates to
-        :meth:`evaluate_moves`) and :meth:`resolve` re-applies accepted
-        moves.  ``moves[k]`` may be ``None`` (no proposal this round);
-        the k-th result is then ``None``, as it is when the move's
-        application raises :class:`InfeasibleMoveError` — neither opens
-        a transaction.  Outcomes are bit-identical between the two
-        paths for evaluation-pure cost functions (engine parity)."""
-        self._check_arity(solutions, moves)
-        kernel = self.dispatch == "kernel" and (
-            cost_function is None
-            or getattr(cost_function, "solution_independent", False)
-        )
-        if kernel:
-            self._pending_persistent = False
-            return self.evaluate_moves(solutions, moves, cost_function)
-        self._pending_persistent = True
+        Every scored move is left **applied** with its engine synced to
+        the candidate; the caller must then call :meth:`resolve` for
+        each non-``None`` outcome.  ``moves[k]`` may be ``None`` (no
+        proposal this round); the k-th result is then ``None``, as it is
+        when the move's application raises :class:`InfeasibleMoveError`
+        — neither opens a transaction."""
+        if len(solutions) != len(self.engines) or len(moves) != len(
+            self.engines
+        ):
+            raise ConfigurationError(
+                f"expected {len(self.engines)} solutions and moves, got "
+                f"{len(solutions)} and {len(moves)}"
+            )
         results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
         for engine, solution, move in zip(self.engines, solutions, moves):
             if move is None:
@@ -2799,128 +1964,32 @@ class CrossChainEvaluator:
         """Finish one chain's transaction from the last
         :meth:`propose_moves` round: commit-on-accept keeps the applied
         move and the engine's already-synced state; reject undoes the
-        move (the engine's next delta-sync absorbs the reverse patch).
-        On the kernel path (pure scoring) an accepted move is applied
-        here instead."""
-        if self._pending_persistent:
-            engine = self.engines[chain]
-            if accept:
-                engine.accept_move(solution, move)
-            else:
-                engine.reject_move(solution, move)
-        elif accept:
-            move.apply(solution)
-
-    # ------------------------------------------------------------------
-    def evaluate_moves(
-        self,
-        solutions: Sequence[Solution],
-        moves: Sequence,
-        cost_function=None,
-    ) -> List[Optional[Tuple[Evaluation, Optional[float]]]]:
-        """Score chain k's proposed move against chain k's state, for
-        all chains at once.  ``moves[k]`` may be ``None`` (no proposal
-        this round); the k-th result is then ``None``, as it is when the
-        move's application raises :class:`InfeasibleMoveError`.  Every
-        solution is left exactly as it came in — accepted moves replay
-        their cached decisions on re-apply."""
-        self._check_arity(solutions, moves)
-        batched = self.kind == "array" and (
-            cost_function is None
-            or getattr(cost_function, "solution_independent", False)
-        )
-        if not batched:
-            results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
-            for engine, solution, move in zip(self.engines, solutions, moves):
-                if move is None:
-                    results.append(None)
-                    continue
-                results.append(
-                    engine.evaluate_batch(solution, [move], cost_function)[0]
-                )
-            return results
-        lanes: List[Optional[_Lane]] = []
-        for engine, solution, move in zip(self.engines, solutions, moves):
-            if move is None:
-                lanes.append(None)
-                continue
-            try:
-                move.apply(solution)
-            except InfeasibleMoveError:
-                lanes.append(None)
-                continue
-            try:
-                lanes.append(engine._capture_lane(solution))
-            finally:
-                move.undo(solution)
-        # All forks share the dependency tables the lane scorer reads,
-        # so chain 0's engine can score every chain's lane in one fused
-        # kernel pass (lanes are padded to the widest interner).
-        evaluations = iter(
-            self.engines[0]._evaluate_lanes(
-                [lane for lane in lanes if lane is not None]
-            )
-        )
-        results = []
-        for solution, lane in zip(solutions, lanes):
-            if lane is None:
-                results.append(None)
-                continue
-            evaluation = next(evaluations)
-            cost = (
-                cost_function(solution, evaluation)
-                if cost_function is not None
-                else None
-            )
-            results.append((evaluation, cost))
-        return results
-
-
-#: Engine options accepted in the ``{"kind": ..., **options}`` mapping
-#: form (all array-engine-only).
-ENGINE_OPTIONS = ("dispatch", "kernel_batch_min_work")
+        move (the engine's next delta-sync absorbs the reverse patch)."""
+        engine = self.engines[chain]
+        if accept:
+            engine.accept_move(solution, move)
+        else:
+            engine.reject_move(solution, move)
 
 
 def make_engine(
-    name,
+    name: str,
     application: Application,
     architecture: Architecture,
     bus_policy: str = "ordered",
     compiled=None,
 ) -> EvaluationEngine:
-    """Instantiate an evaluation engine by name (``"full"``,
-    ``"incremental"`` or ``"array"``); raises
-    :class:`ConfigurationError` otherwise.  ``name`` may also be a
-    mapping ``{"kind": <name>, **options}`` carrying the array engine's
-    ``kernel_batch_min_work`` threshold and/or ``dispatch`` mode.
-    ``compiled`` hands an existing :class:`CompiledInstance` (or fork)
-    to the stateful engines so K engines can share one compile pass;
-    the stateless reference engine ignores it."""
-    options: Dict[str, object] = {}
-    if isinstance(name, dict):
-        options = dict(name)
-        name = options.pop("kind", None)
-    unknown = set(options) - set(ENGINE_OPTIONS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown engine option(s) {sorted(unknown)}; "
-            f"accepted: {sorted(ENGINE_OPTIONS)}"
-        )
-    if options and name != "array":
-        raise ConfigurationError(
-            f"engine option(s) {sorted(options)} apply to the 'array' "
-            f"engine only, got engine {name!r}"
-        )
+    """Instantiate an evaluation engine by name: ``"full"``, or
+    ``"incremental"``/``"array"`` (two names of the same engine); raises
+    :class:`ConfigurationError` otherwise.  ``compiled`` hands an
+    existing :class:`CompiledInstance` (or fork) to the stateful engine
+    so K engines can share one compile pass; the stateless reference
+    engine ignores it."""
     if name == "full":
         return FullRebuildEngine(application, architecture, bus_policy)
-    if name == "incremental":
+    if name in ("incremental", "array"):
         return IncrementalEngine(
             application, architecture, bus_policy, compiled=compiled
-        )
-    if name == "array":
-        return ArrayEngine(
-            application, architecture, bus_policy, compiled=compiled,
-            **options,
         )
     raise ConfigurationError(
         f"engine must be one of {ENGINES}, got {name!r}"

@@ -8,9 +8,10 @@ time (initial + dynamic) + computation and communication time.
 Since the engine refactor this class is a thin facade over the pluggable
 evaluation engines of :mod:`repro.mapping.engine`: ``engine="full"``
 (default) rebuilds the search graph per candidate exactly as the
-original implementation did, ``engine="incremental"`` routes through the
-array-backed delta-patching fast path.  Both produce bit-identical
-makespans (enforced by ``tests/mapping/test_engine_parity.py``).
+original implementation did, ``engine="incremental"`` (or its alias
+``"array"``) routes through the delta-sync fast path with a persistent
+longest-path DP.  Both produce bit-identical makespans (enforced by
+``tests/mapping/test_engine_parity.py``).
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ class Evaluator:
     (the ablation in ``benchmarks/bench_ablation_bus.py``).
 
     ``engine`` selects the evaluation strategy: ``"full"`` (reference
-    semantics, rebuild per candidate), ``"incremental"`` (array-based
-    fast path), or an already-constructed
+    semantics, rebuild per candidate), ``"incremental"`` (fast path;
+    ``"array"`` is the same engine), or an already-constructed
     :class:`~repro.mapping.engine.EvaluationEngine` instance.
     """
 
@@ -94,12 +95,6 @@ class Evaluator:
         """Score ``solution``; cyclic realizations yield an infeasible
         evaluation (``makespan = inf``) unless ``strict`` re-raises."""
         return self.engine.evaluate(solution, strict=strict)
-
-    def evaluate_batch(self, solution: Solution, moves, cost_function=None):
-        """Score K candidate moves against ``solution`` in one call
-        (vectorized with the array engine); see
-        :meth:`repro.mapping.engine.EvaluationEngine.evaluate_batch`."""
-        return self.engine.evaluate_batch(solution, moves, cost_function)
 
     def makespan_ms(self, solution: Solution) -> float:
         """Shortcut: longest path only (hot path of the annealer)."""

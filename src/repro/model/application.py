@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CycleError, ModelError
-from repro.graph.closure import PathCountClosure
 from repro.graph.dag import Dag
 from repro.graph.reachability import ReachabilityIndex
 from repro.model.task import Implementation, Task
@@ -25,7 +24,6 @@ class Application:
         self.name = name
         self._dag = Dag()
         self._tasks: Dict[int, Task] = {}
-        self._closure: Optional[PathCountClosure] = None
         self._reachability: Optional[ReachabilityIndex] = None
 
     # ------------------------------------------------------------------
@@ -38,7 +36,6 @@ class Application:
             raise ModelError(f"duplicate task name {task.name!r}")
         self._tasks[task.index] = task
         self._dag.add_node(task.index)
-        self._closure = None
         self._reachability = None
         return task
 
@@ -49,7 +46,6 @@ class Application:
         if data_kbytes < 0:
             raise ModelError("data_kbytes must be >= 0")
         self._dag.add_edge(src, dst, weight=data_kbytes)
-        self._closure = None
         self._reachability = None
 
     # ------------------------------------------------------------------
@@ -109,23 +105,13 @@ class Application:
     # ------------------------------------------------------------------
     # derived data
     # ------------------------------------------------------------------
-    def closure(self) -> PathCountClosure:
-        """Static transitive closure of the precedence graph.
-
-        Cached; used by the annealer for O(1) precedence feasibility
-        lookups during move generation (paper section 4.3).
-        """
-        if self._closure is None:
-            self._closure = PathCountClosure.from_dag(self._dag)
-        return self._closure
-
     def reachability(self) -> ReachabilityIndex:
         """Static ancestor/descendant bitsets of the precedence graph.
 
-        Cached like :meth:`closure`; rebuilt after any task/dependency
-        addition.  This is the move generator's hot path: ``precedes``
-        answers through one shift-and-mask instead of the closure's
-        dict-and-list walk.
+        Cached; rebuilt after any task/dependency addition.  This is the
+        move generator's hot path (paper section 4.3's O(1) precedence
+        feasibility lookups): ``precedes`` answers through one
+        shift-and-mask per query.
         """
         if self._reachability is None:
             self._reachability = ReachabilityIndex.from_dag(self._dag)

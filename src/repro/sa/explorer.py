@@ -72,15 +72,10 @@ class DesignSpaceExplorer(SearchStrategy):
     bus_policy:
         ``"ordered"`` (transaction serialization, default) or ``"edge"``.
     engine:
-        Evaluation engine: ``"full"`` (reference rebuild-per-candidate),
-        ``"incremental"`` (delta-patching fast path) or ``"array"``
-        (compiled struct-of-arrays engine with a persistent longest-path
-        DP; fastest).  Same makespans bit-for-bit either way.  See
-        :mod:`repro.mapping.engine`.
-    batch_size:
-        Opt-in batched neighborhood evaluation (see
-        :class:`~repro.sa.annealer.AnnealerConfig`); ``None`` keeps the
-        historical sequential loop.
+        Evaluation engine: ``"full"`` (reference rebuild-per-candidate)
+        or ``"incremental"`` (delta-sync with a persistent longest-path
+        DP; ``"array"`` is an alias).  Same makespans bit-for-bit either
+        way.  See :mod:`repro.mapping.engine`.
     """
 
     name = "sa"
@@ -103,7 +98,6 @@ class DesignSpaceExplorer(SearchStrategy):
         stall_limit: Optional[int] = None,
         initial_hw_fraction: Optional[float] = None,
         engine: str = "full",
-        batch_size: Optional[int] = None,
     ) -> None:
         application.validate()
         architecture.validate()
@@ -127,7 +121,6 @@ class DesignSpaceExplorer(SearchStrategy):
             seed=seed,
             keep_trace=keep_trace,
             stall_limit=stall_limit,
-            batch_size=batch_size,
         )
         self.annealer = SimulatedAnnealing(
             evaluator=self.evaluator,

@@ -1,22 +1,16 @@
-"""Population annealing / parallel tempering over K cross-batched chains.
+"""Population annealing / parallel tempering over K chains.
 
 K independent annealing chains, each with its own current solution and
 its own permanently-bound evaluation engine, propose one move per round
 and score it through
-:meth:`repro.mapping.engine.CrossChainEvaluator.propose_moves`.  The
-measured finding of PRs 5/6 drives the hot path: the paper's task
-graphs anneal hundreds of topological levels deep, so per-chain
+:meth:`repro.mapping.engine.CrossChainEvaluator.propose_moves`: per-chain
 *persistent delta evaluation* (apply → delta-sync → read the makespan,
-commit-on-accept, lazy O(delta) re-diff on reject) outruns the fused
-K-lane NumPy kernels at paper scale.  A depth-aware dispatcher
-(``EngineSpec.options["dispatch"]``, default ``"auto"``) consults the
-compile pass's level statistics and only routes rounds through the
-fused :func:`repro.graph.kernels.batched_longest_path` pass when the
-graph is shallow/wide enough to amortize per-level kernel dispatch.
+commit-on-accept, lazy O(delta) re-diff on reject) over one shared
+compile pass.
 
-On top of the throughput win the population buys parallel tempering's
-quality gains: chains occupy the rungs of a temperature ladder
-(slot ``s`` anneals at ``schedule.temperature * ladder_ratio**s``), and
+The population buys parallel tempering's quality gains: chains occupy
+the rungs of a temperature ladder (slot ``s`` anneals at
+``schedule.temperature * ladder_ratio**s``), and
 on a deterministic schedule adjacent rungs attempt a replica-exchange
 swap with the standard acceptance probability
 ``min(1, exp((E_i - E_j) * (1/T_i - 1/T_j)))``.  A swap exchanges the
@@ -32,8 +26,8 @@ Determinism contract (pinned by ``tests/sa/test_population.py``):
 * Any fixed ``(seed, chains, ladder)`` is reproducible across runs,
   engines, ``PYTHONHASHSEED`` values and ``jobs=N`` worker fan-out:
   every random draw derives from the seed through per-chain
-  splitmix-keyed streams (:func:`repro.sa.annealer._stream_seed`), and
-  exchange rounds own private streams of the same family.
+  splitmix-keyed streams (:func:`_stream_seed`), and exchange rounds
+  own private streams of the same family.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.mapping.cost import CostFunction, MakespanCost
 from repro.mapping.engine import CrossChainEvaluator
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig, _stream_seed
+from repro.sa.annealer import AnnealerConfig
 from repro.sa.moves import MoveGenerator, MoveStats
 from repro.sa.schedules import make_schedule
 from repro.sa.trace import TraceRecord
@@ -60,8 +54,23 @@ from repro.search.strategy import (
 )
 
 
+def _stream_seed(base: int, index: int) -> int:
+    """SplitMix64-style mix of ``(base, index)`` into a 64-bit seed.
+
+    Keys the private RNG stream of chain ``index`` (or of exchange round
+    ``index``) off one seed-derived base.  The mix is pure integer
+    arithmetic: stable across processes, platforms and
+    ``PYTHONHASHSEED``.
+    """
+    mask = 0xFFFFFFFFFFFFFFFF
+    z = (base + 0x9E3779B97F4A7C15 * index) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
 class PopulationAnnealer(SearchStrategy):
-    """K cross-batched SA chains with optional replica exchange.
+    """K SA chains with optional replica exchange.
 
     Parameters mirror :class:`~repro.sa.explorer.DesignSpaceExplorer`
     where they mean the same thing; the population-specific knobs are:
@@ -83,9 +92,8 @@ class PopulationAnnealer(SearchStrategy):
         ``chains=1`` it *is* plain adaptive SA.
     engine:
         Per-chain evaluation engine kind (every chain gets its own
-        engine over one shared compile pass).  ``"array"`` routes each
-        round through the fused K-lane kernel pass; the scalar engines
-        fall back per chain, bit-identically.
+        engine over one shared compile pass; results are bit-identical
+        across kinds).
 
     Architecture-exploration moves (``p_zero`` / catalog) are not
     supported: the K chains share one ``Architecture`` object, which
@@ -112,7 +120,7 @@ class PopulationAnnealer(SearchStrategy):
         initial_hw_fraction: Optional[float] = None,
         swap_interval: Optional[int] = 25,
         ladder_ratio: float = 1.5,
-        engine="array",
+        engine: str = "incremental",
     ) -> None:
         application.validate()
         architecture.validate()

@@ -203,7 +203,7 @@ KNOWN_OPTIONS: Dict[str, frozenset] = {
         "iterations", "warmup_iterations", "schedule_name",
         "schedule_kwargs", "p_zero", "p_impl", "catalog", "bus_policy",
         "keep_trace", "stall_limit", "initial_hw_fraction", "engine",
-        "cost_function", "batch_size",
+        "cost_function",
     }),
     "hill_climber": frozenset({
         "iterations", "p_zero", "p_impl", "p_offload", "catalog",

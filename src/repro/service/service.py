@@ -9,8 +9,8 @@ addressed (request hash × resolved instance hash), and
   CPU spent;
 * a ``pending``/``running`` record is an **in-flight dedupe** — the
   submit attaches to the existing computation instead of starting a
-  second one (the O_EXCL record creation in the store makes this hold
-  even when two submits race);
+  second one (the exclusive ``os.link`` record creation in the store
+  makes this hold even when two submits race);
 * a ``failed`` record is **resubmitted** — back to ``pending`` and
   re-ticketed, keeping its attempt history;
 * no record means a **cache miss** — row + queue ticket are created

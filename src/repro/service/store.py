@@ -24,16 +24,17 @@ On-disk layout (JSON files + atomic rename, no external database)::
       claims/<key>.ticket   work owned by a worker (crash-safe: a stale
                             claim is renamed back into queue/)
 
-Every write is append-safe: new content goes to a temp file in the same
-directory and is atomically renamed over the target, so readers never
-observe a torn record and two racing writers resolve to one winner.
-Record *creation* uses ``O_CREAT | O_EXCL``, which is the store's one
-point of mutual exclusion — exactly one of N racing submitters creates
-the row, everyone else observes it (the dedupe guarantee of the
-service).  The record/probe-history idiom follows the persistent mirror
-records of Launchpad's ``distributionmirror.py`` (see SNIPPETS.md #3):
-each row keeps its full state-transition history next to the current
-freshness state.
+Every write is append-safe: new content goes to a uniquely named temp
+file in the same directory and is atomically renamed over the target,
+so readers never observe a torn record and two racing writers resolve
+to one winner.  Record *creation* publishes the complete row with
+``os.link``, which fails with ``EEXIST`` when the row exists: the
+store's one point of mutual exclusion — exactly one of N racing
+submitters creates the row, everyone else observes it (the dedupe
+guarantee of the service).  The record/probe-history idiom follows the
+persistent mirror records of Launchpad's ``distributionmirror.py`` (see
+SNIPPETS.md #3): each row keeps its full state-transition history next
+to the current freshness state.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import hashlib
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -267,12 +269,19 @@ class JobRecord:
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 class ResultStore:
     """Filesystem-backed content-addressed store (records + envelopes).
 
     All methods are safe to call from any number of processes sharing
     ``root``: reads parse whole files (atomic-rename writes mean no torn
-    state), record creation is ``O_EXCL``-exclusive, and queue/claim
+    state), record creation is ``os.link``-exclusive, and queue/claim
     ticket moves are single ``rename`` calls with exactly one winner.
     """
 
@@ -344,13 +353,30 @@ class ResultStore:
         return key, request_hash, info.instance_hash
 
     # -- atomic write --------------------------------------------------
+    @staticmethod
+    def _write_temp(path: str, text: str) -> str:
+        """Write ``text`` to a new, uniquely named temp file next to
+        ``path`` and fsync it; returns the temp path.  The name is unique
+        per call, so threads of one process never share a temp file, and
+        it does not end in ``.json``, so scans never list it as a row."""
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+        except BaseException:
+            _unlink_quietly(tmp)
+            raise
+        return tmp
+
     def _atomic_write(self, path: str, text: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        tmp = self._write_temp(path, text)
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            _unlink_quietly(tmp)
+            raise
 
     # -- records -------------------------------------------------------
     def create_record(
@@ -359,9 +385,13 @@ class ResultStore:
     ) -> Tuple[JobRecord, bool]:
         """Create the row for ``key`` if absent; ``(record, created)``.
 
-        ``O_CREAT | O_EXCL`` on the record file makes exactly one of N
-        racing creators win; losers re-read the winner's row.  The row
-        is born ``pending`` with its first probe-history entry.
+        The complete row is written to a temp file first and published
+        with ``os.link``, which is atomic and exclusive: exactly one of N
+        racing creators wins, and losers (``EEXIST``) re-read the
+        winner's row, which is complete the moment it exists.  A row
+        that already exists is read without writing anything (the
+        cache-hit path).  The row is born ``pending`` with its first
+        probe-history entry.
         """
         record = JobRecord(
             key=key,
@@ -372,17 +402,18 @@ class ResultStore:
         )
         record.transition("pending", now=record.created_ts)
         path = self.record_path(key)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return self.load_record(key), False
-        try:
-            text = json.dumps(record.to_dict(), indent=2)
-            os.write(fd, text.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        return record, True
+        if not os.path.exists(path):
+            tmp = self._write_temp(
+                path, json.dumps(record.to_dict(), indent=2)
+            )
+            try:
+                os.link(tmp, path)
+                return record, True
+            except FileExistsError:
+                pass
+            finally:
+                _unlink_quietly(tmp)
+        return self.load_record(key), False
 
     def load_record(self, key: str) -> JobRecord:
         path = self.record_path(key)
@@ -431,10 +462,7 @@ class ResultStore:
         if structure_hash is not None:
             paths.append(self.near_marker(structure_hash, key))
         for path in paths:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+            _unlink_quietly(path)
 
     # -- warm-start index ----------------------------------------------
     def put_instance(

@@ -83,6 +83,28 @@ class TestSingleEquivalence:
         assert from_file.best["solution"] == in_memory.best["solution"]
 
 
+class TestEngineOptionsAreInert:
+    def test_persisted_array_options_match_the_incremental_engine(self):
+        """``"array"`` with the engine options persisted specs may carry
+        runs exactly what the option-free ``"incremental"`` request runs."""
+        from repro.obs.telemetry import strip_times
+
+        def sections(engine):
+            response = explore(small_request(
+                strategy=StrategySpec(
+                    "tempering", {"chains": 3, "keep_trace": False}
+                ),
+                engine=engine,
+            ))
+            return strip_times({
+                "results": response.results, "best": response.best,
+            })
+
+        assert sections(EngineSpec(
+            "array", {"dispatch": "kernel", "kernel_batch_min_work": 0}
+        )) == sections(EngineSpec("incremental"))
+
+
 class TestBatchEquivalence:
     def test_matches_direct_runner_and_parallel(self):
         from repro.arch.architecture import epicure_architecture

@@ -174,6 +174,11 @@ class TestStrategySpec:
         with pytest.raises(ConfigurationError, match="catalog resource"):
             StrategySpec("sa", catalog=({"kind": "gpu"},)).validate()
 
+    def test_sa_batch_size_rejected_with_accepted_keys(self):
+        with pytest.raises(ConfigurationError, match="batch_size") as info:
+            StrategySpec("sa", {"batch_size": 4}).validate()
+        assert "'warmup_iterations'" in str(info.value)
+
 
 class TestKindValidation:
     def test_unknown_request_kind(self):

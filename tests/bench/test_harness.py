@@ -140,11 +140,11 @@ class TestRunSuite:
         suite_run = run_suite(
             "quick", context, pattern="throughput/tgff/12"
         )
-        assert len(suite_run.results) == 3  # full + incremental + array
+        assert len(suite_run.results) == 2  # full + incremental
         engines = {
             result.metrics["engine"] for result in suite_run.results
         }
-        assert engines == {"full", "incremental", "array"}
+        assert engines == {"full", "incremental"}
         descriptor = suite_run.scenarios["tgff/12"]
         assert descriptor["num_tasks"] == 12
         assert len(descriptor["hash"]) == 64

@@ -25,7 +25,7 @@ class TestCoverage:
             case for case in quick if case.name.startswith("throughput/")
         ]
         assert {case.name.rsplit("@", 1)[1] for case in throughput} == {
-            "full", "incremental", "array",
+            "full", "incremental",
         }
 
     def test_every_historical_script_has_a_case(self):
@@ -36,7 +36,6 @@ class TestCoverage:
             "experiment/arch_exploration", "experiment/comparison",
             "experiment/fig2_trace", "experiment/fig3_sweep",
             "experiment/pareto_front", "experiment/quality_knob",
-            "kernel/closure_incremental", "kernel/closure_full_recompute",
             "kernel/solution_evaluation", "runner/parallel_scaling",
         }
         assert expected <= set(CASE_REGISTRY)
@@ -66,11 +65,9 @@ class TestExecution:
     def test_engines_agree_on_final_makespan(self, tiny):
         full = run_case(get_case("throughput/fork_join/24@full"), tiny)
         inc = run_case(get_case("throughput/fork_join/24@incremental"), tiny)
-        arr = run_case(get_case("throughput/fork_join/24@array"), tiny)
         assert (
             full.metrics["final_makespan_ms"]
             == inc.metrics["final_makespan_ms"]
-            == arr.metrics["final_makespan_ms"]
         ), "engine parity must hold inside the bench loop"
 
     def test_rc_layout_micro_case(self, tiny):
@@ -83,11 +80,6 @@ class TestExecution:
         result = run_case(get_case("analysis/combinatorics"), tiny)
         assert result.metrics["total_orders"] == 348_840
         assert result.report is not None
-
-    def test_closure_kernels_agree(self, tiny):
-        a = run_case(get_case("kernel/closure_incremental"), tiny)
-        b = run_case(get_case("kernel/closure_full_recompute"), tiny)
-        assert a.metrics["longest_path"] == b.metrics["longest_path"]
 
     def test_reconfig_ablation_tiny(self, tiny):
         """The runner-ported ablation executes end-to-end (2 modes x 2

@@ -1,4 +1,4 @@
-"""The compile pass: dense tables, id layout, NumPy views."""
+"""The compile pass: dense tables and id layout."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.architecture import epicure_architecture
 from repro.mapping.compiled import CompiledInstance, compile_instance
-from repro.mapping.engine import ArrayEngine, IncrementalEngine
+from repro.mapping.engine import IncrementalEngine
 from repro.model.motion import motion_detection_application
 
 
@@ -53,46 +53,11 @@ class TestTables:
             assert compiled.indeg_static[i] == len(compiled.pred_comms[i])
 
 
-class TestNumpyViews:
-    def test_views_match_lists(self, compiled):
-        np = pytest.importorskip("numpy")
-        assert compiled.dep_src_np.tolist() == compiled.dep_src
-        assert compiled.dep_transfer_np.tolist() == compiled.dep_transfer
-        assert compiled.sw_ms_np.tolist() == compiled.sw_ms
-        # static edge arrays: [src -> comm] then [comm -> dst]
-        ndeps = compiled.ndeps
-        assert compiled.static_edge_src_np[:ndeps].tolist() == compiled.dep_src
-        assert (
-            compiled.static_edge_src_np[ndeps:].tolist() == compiled.dep_comm
-        )
-        assert compiled.static_edge_dst_np[:ndeps].tolist() == compiled.dep_comm
-        assert compiled.static_edge_dst_np[ndeps:].tolist() == compiled.dep_dst
-        assert compiled.static_edge_src_np is compiled.static_edge_src_np  # cached
-
-    def test_impl_matrix_padding(self, compiled):
-        np = pytest.importorskip("numpy")
-        matrix = compiled.impl_ms_matrix
-        for i, row in enumerate(compiled.impl_ms):
-            if row is None:
-                assert np.isinf(matrix[i]).all()
-            else:
-                assert matrix[i, : len(row)].tolist() == row
-                assert np.isinf(matrix[i, len(row):]).all()
-
-    def test_processor_matrix(self, compiled, small_arch):
-        matrix = compiled.processor_ms_matrix(small_arch)
-        assert matrix.shape == (1, compiled.ntasks)
-        for i in range(compiled.ntasks):
-            assert matrix[0, i] == compiled.sw_ms[i] / 1.0
-
-
 class TestEngineSharing:
     def test_engines_consume_the_compile_pass(self, small_app, small_arch):
         engine = IncrementalEngine(small_app, small_arch)
         assert isinstance(engine.compiled, CompiledInstance)
         assert engine._dep_transfer is engine.compiled.dep_transfer
-        array = ArrayEngine(small_app, small_arch)
-        assert array.compiled.ntasks == engine.compiled.ntasks
 
     def test_motion_compiles(self):
         app = motion_detection_application()
@@ -100,32 +65,3 @@ class TestEngineSharing:
         compiled = compile_instance(app, arch.bus)
         assert compiled.ntasks == len(app)
         assert compiled.ndeps == app.dag.num_edges()
-
-
-class TestGraphShape:
-    """Static level statistics from the compile pass (the depth-aware
-    dispatcher's inputs)."""
-
-    def test_small_app_levels(self, compiled, small_app):
-        # 0 -> (1, 2) -> 3 -> 4 -> 5 with a comm node on each of the 6
-        # dependencies: task and comm levels alternate along the spine,
-        # so the 12 nodes stack 9 levels deep.
-        n = len(small_app.task_indices()) + compiled.ndeps
-        assert compiled.depth == 9
-        assert compiled.mean_level_width == pytest.approx(n / 9)
-
-    def test_fork_preserves_shape(self, compiled):
-        fork = compiled.fork()
-        assert fork.depth == compiled.depth
-        assert fork.mean_level_width == compiled.mean_level_width
-
-    def test_motion_app_is_deep_and_narrow(self):
-        compiled = compile_instance(
-            motion_detection_application(),
-            epicure_architecture(n_clbs=2000).bus,
-        )
-        assert compiled.depth >= 2
-        assert compiled.mean_level_width >= 1.0
-        # The paper's applications are serialized pipelines: far below
-        # the dispatcher's kernel threshold.
-        assert compiled.mean_level_width < ArrayEngine.KERNEL_MIN_MEAN_WIDTH

@@ -1,9 +1,8 @@
-"""Cross-chain evaluator and engine-option plumbing.
+"""Cross-chain evaluator.
 
 Covers the pieces the population annealer stands on: compiled-instance
-forking, the ``kernel_batch_min_work`` engine option (constructor,
-spec-dict form, rejection cases, fork propagation) and the
-batched-vs-fallback parity of ``CrossChainEvaluator.evaluate_moves``.
+forking and the per-chain transactions of
+``CrossChainEvaluator.propose_moves`` + ``resolve``.
 """
 
 import copy
@@ -13,13 +12,9 @@ import pytest
 
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.mapping.compiled import compile_instance
-from repro.mapping.engine import (
-    ArrayEngine,
-    CrossChainEvaluator,
-    make_engine,
-)
+from repro.mapping.engine import CrossChainEvaluator, make_engine
 from repro.mapping.cost import MakespanCost
 from repro.mapping.solution import random_initial_solution
 from repro.sa.moves import MoveGenerator
@@ -36,7 +31,7 @@ class TestCompiledFork:
         assert fork.dep_src is compiled.dep_src
         assert fork.sw_ms is compiled.sw_ms
         assert fork.pred_ids is compiled.pred_ids
-        assert fork._np_cache is compiled._np_cache
+        assert fork._shared is compiled._shared
 
     def test_fork_isolates_virtual_node_growth(self, small_app, small_arch):
         compiled = compile_instance(small_app, _bus(small_arch))
@@ -46,57 +41,6 @@ class TestCompiledFork:
         fork.pred_comms.append([])
         assert len(fork.interner) == len(compiled.interner) + 1
         assert len(fork.pred_comms) == len(compiled.pred_comms) + 1
-
-
-class TestKernelBatchMinWorkOption:
-    def test_constructor_option_wins_over_class_default(
-        self, small_app, small_arch
-    ):
-        engine = ArrayEngine(
-            small_app, small_arch, kernel_batch_min_work=123
-        )
-        assert engine.kernel_batch_min_work == 123
-        assert ArrayEngine.KERNEL_BATCH_MIN_WORK != 123
-
-    def test_default_falls_back_to_class_attribute(
-        self, small_app, small_arch
-    ):
-        engine = ArrayEngine(small_app, small_arch)
-        assert (
-            engine.kernel_batch_min_work == ArrayEngine.KERNEL_BATCH_MIN_WORK
-        )
-
-    def test_spec_dict_builds_configured_engine(self, small_app, small_arch):
-        engine = make_engine(
-            {"kind": "array", "kernel_batch_min_work": 77},
-            small_app, small_arch,
-        )
-        assert isinstance(engine, ArrayEngine)
-        assert engine.kernel_batch_min_work == 77
-
-    def test_unknown_engine_option_rejected(self, small_app, small_arch):
-        with pytest.raises(ConfigurationError, match="turbo_mode"):
-            make_engine(
-                {"kind": "array", "turbo_mode": True}, small_app, small_arch
-            )
-
-    def test_option_on_scalar_engine_rejected(self, small_app, small_arch):
-        with pytest.raises(ConfigurationError, match="array"):
-            make_engine(
-                {"kind": "incremental", "kernel_batch_min_work": 5},
-                small_app, small_arch,
-            )
-
-    def test_forked_chain_engines_inherit_the_option(
-        self, small_app, small_arch
-    ):
-        evaluator = CrossChainEvaluator(
-            small_app, small_arch, 3,
-            engine={"kind": "array", "kernel_batch_min_work": 55},
-        )
-        assert [e.kernel_batch_min_work for e in evaluator.engines] == (
-            [55, 55, 55]
-        )
 
 
 class TestCrossChainEvaluator:
@@ -126,30 +70,17 @@ class TestCrossChainEvaluator:
             small_app, small_arch, "array"
         )
         with pytest.raises(ConfigurationError, match="expected 3"):
-            evaluator.evaluate_moves(solutions[:2], [None, None])
+            evaluator.propose_moves(solutions[:2], [None, None])
 
-    def test_batched_path_matches_scalar_fallback(
-        self, small_app, small_arch
-    ):
-        cost = MakespanCost()
-        batched_ev, batched_sols = self._population(
-            small_app, small_arch, "array"
-        )
-        scalar_ev, scalar_sols = self._population(
-            small_app, small_arch, "full"
-        )
-        for round_seed in range(5):
-            moves_a = self._moves(small_app, batched_sols, seed=round_seed)
-            moves_b = self._moves(small_app, scalar_sols, seed=round_seed)
-            got = batched_ev.evaluate_moves(batched_sols, moves_a, cost)
-            want = scalar_ev.evaluate_moves(scalar_sols, moves_b, cost)
-            assert [
-                None if r is None else r[1] for r in got
-            ] == [
-                None if r is None else r[1] for r in want
-            ]
+    def _reject_all(self, evaluator, solutions, moves):
+        results = evaluator.propose_moves(solutions, moves, MakespanCost())
+        for c, result in enumerate(results):
+            if result is not None:
+                evaluator.resolve(c, solutions[c], moves[c], False)
+        return results
 
     def test_solutions_left_untouched(self, small_app, small_arch):
+        """Rejecting every open transaction restores every chain."""
         evaluator, solutions = self._population(
             small_app, small_arch, "array"
         )
@@ -157,8 +88,7 @@ class TestCrossChainEvaluator:
             evaluator.evaluate(c, solutions[c]).makespan_ms
             for c in range(3)
         ]
-        moves = self._moves(small_app, solutions)
-        evaluator.evaluate_moves(solutions, moves, MakespanCost())
+        self._reject_all(evaluator, solutions, self._moves(small_app, solutions))
         after = [
             evaluator.evaluate(c, solutions[c]).makespan_ms
             for c in range(3)
@@ -169,7 +99,7 @@ class TestCrossChainEvaluator:
         evaluator, solutions = self._population(
             small_app, small_arch, "array"
         )
-        results = evaluator.evaluate_moves(
+        results = evaluator.propose_moves(
             solutions, [None] * 3, MakespanCost()
         )
         assert results == [None, None, None]
@@ -182,7 +112,7 @@ class TestCrossChainEvaluator:
         )
         before = evaluator.evaluations
         moves = self._moves(small_app, solutions)
-        results = evaluator.evaluate_moves(solutions, moves, MakespanCost())
+        results = self._reject_all(evaluator, solutions, moves)
         scored = sum(1 for r in results if r is not None)
         assert evaluator.evaluations == before + scored
 
@@ -191,54 +121,11 @@ class TestCrossChainEvaluator:
             CrossChainEvaluator(small_app, small_arch, 0)
 
 
-class TestDispatchResolution:
-    """The depth-aware dispatcher: explicit modes win, ``"auto"``
-    consults the compile pass's mean level width, non-array engines
-    always take the scalar path."""
-
-    def test_explicit_modes_win(self, small_app, small_arch):
-        for mode in ("kernel", "scalar"):
-            evaluator = CrossChainEvaluator(
-                small_app, small_arch, 2,
-                engine={"kind": "array", "dispatch": mode},
-            )
-            assert evaluator.dispatch == mode
-
-    def test_auto_routes_deep_graphs_to_scalar(self, small_app, small_arch):
-        # The diamond app is deep/narrow (mean level width well below
-        # the kernel threshold), so "auto" resolves to the persistent
-        # scalar path.
-        evaluator = CrossChainEvaluator(small_app, small_arch, 2)
-        compiled = evaluator.engines[0].compiled
-        assert compiled.mean_level_width < ArrayEngine.KERNEL_MIN_MEAN_WIDTH
-        assert evaluator.dispatch == "scalar"
-
-    def test_auto_routes_wide_graphs_to_kernel(
-        self, small_app, small_arch, monkeypatch
-    ):
-        monkeypatch.setattr(ArrayEngine, "KERNEL_MIN_MEAN_WIDTH", 0.0)
-        evaluator = CrossChainEvaluator(small_app, small_arch, 2)
-        assert evaluator.dispatch == "kernel"
-
-    def test_non_array_engines_are_scalar(self, small_app, small_arch):
-        for engine in ("full", "incremental"):
-            evaluator = CrossChainEvaluator(
-                small_app, small_arch, 2, engine=engine
-            )
-            assert evaluator.dispatch == "scalar"
-
-    def test_invalid_mode_rejected(self, small_app, small_arch):
-        with pytest.raises(ConfigurationError, match="dispatch"):
-            make_engine(
-                {"kind": "array", "dispatch": "warp"}, small_app, small_arch
-            )
-
-
 class TestPersistentTransactions:
     """The commit-on-accept path (``propose_moves`` + ``resolve``) is
-    bit-identical to the pure PR 6 flow (``evaluate_moves`` + undo +
-    re-apply on accept), across every engine, both resolve branches,
-    and every move kind (m1/m2/m_impl/m_offload plus the m3/m4
+    bit-identical to the classic apply → evaluate → undo loop (with a
+    re-apply on accept), across every engine name, both resolve
+    branches, and every move kind (m1/m2/m_impl/m_offload plus the m3/m4
     architecture moves)."""
 
     CHAINS = 3
@@ -281,7 +168,7 @@ class TestPersistentTransactions:
 
     def _run_walk(self, app, arch, engine, persistent, p_zero=0.0):
         """Drive ROUNDS rounds; ``persistent`` picks the transaction
-        path, else the pure scoring + re-apply reference.  The accept
+        path, else the apply/evaluate/undo + re-apply reference.  The accept
         rule is deterministic in (round, chain) so both walks take the
         same branches.  The architecture is copied per walk: the m3/m4
         moves mutate it (resource set, fresh-name counter), and the two
@@ -295,7 +182,10 @@ class TestPersistentTransactions:
             if persistent:
                 outcomes = evaluator.propose_moves(solutions, moves, cost)
             else:
-                outcomes = evaluator.evaluate_moves(solutions, moves, cost)
+                outcomes = [
+                    self._score_and_undo(evaluator, c, solutions[c], move, cost)
+                    for c, move in enumerate(moves)
+                ]
             for c in range(self.CHAINS):
                 if outcomes[c] is None:
                     continue
@@ -312,6 +202,19 @@ class TestPersistentTransactions:
             for c in range(self.CHAINS)
         ]
         return costs, finals
+
+    @staticmethod
+    def _score_and_undo(evaluator, chain, solution, move, cost):
+        if move is None:
+            return None
+        try:
+            move.apply(solution)
+        except InfeasibleMoveError:
+            return None
+        evaluation = evaluator.evaluate(chain, solution)
+        value = cost(solution, evaluation)
+        move.undo(solution)
+        return evaluation, value
 
     @pytest.mark.parametrize("engine", ["full", "incremental", "array"])
     def test_commit_path_matches_pure_replay(
@@ -411,35 +314,6 @@ class TestPersistentTransactions:
                 engine, small_app, small_arch
             ).evaluate(solutions[c]).makespan_ms
             assert evaluator.evaluate(c, solutions[c]).makespan_ms == fresh
-
-    def test_kernel_dispatch_reapplies_on_accept(
-        self, small_app, small_arch, monkeypatch
-    ):
-        # Forced kernel dispatch takes the pure evaluate_moves path;
-        # resolve must then apply accepted moves itself.
-        evaluator, solutions = self._population(
-            small_app, small_arch, {"kind": "array", "dispatch": "kernel"}
-        )
-        assert evaluator.dispatch == "kernel"
-        cost = MakespanCost()
-        moves = self._moves(small_app, solutions, seed=3)
-        before = [s.num_contexts() for s in solutions]
-        outcomes = evaluator.propose_moves(solutions, moves, cost)
-        assert not evaluator._pending_persistent
-        for c in range(self.CHAINS):
-            if outcomes[c] is None:
-                continue
-            evaluator.resolve(c, solutions[c], moves[c], True)
-        want = [
-            evaluator.evaluate(c, solutions[c]).makespan_ms
-            for c in range(self.CHAINS)
-        ]
-        fresh = [
-            make_engine("full", small_app, small_arch)
-            .evaluate(solutions[c]).makespan_ms
-            for c in range(self.CHAINS)
-        ]
-        assert want == fresh
 
     def test_propose_none_moves_open_no_transactions(
         self, small_app, small_arch

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -200,3 +202,72 @@ class TestResultStore:
         assert not store.has_record(key)
         assert not os.path.exists(store.queue_ticket(key))
         assert not os.path.exists(store.result_path(key))
+
+
+class TestCreateRecordRace:
+    RACES = 200
+    THREADS = 8
+
+    def test_racing_creators_see_only_complete_rows(self, store):
+        """Losers of a creation race re-read the winner's row, which must
+        be complete the moment it is visible: no racer may raise, and
+        each key has exactly one creator."""
+        errors = []
+        created = [[False] * self.THREADS for _ in range(self.RACES)]
+
+        def racer(barrier, race, index):
+            key = f"{race:064x}"
+            barrier.wait(timeout=30)
+            try:
+                record, won = store.create_record(
+                    key, "r" * 64, "i" * 64, {"race": race}
+                )
+                assert record.key == key
+                created[race][index] = won
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for race in range(self.RACES):
+                barrier = threading.Barrier(self.THREADS)
+                threads = [
+                    threading.Thread(target=racer, args=(barrier, race, i))
+                    for i in range(self.THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert all(sum(row) == 1 for row in created)
+        records_dir = os.path.dirname(store.record_path("0" * 64))
+        assert sorted(os.listdir(records_dir)) == sorted(
+            f"{race:064x}.json" for race in range(self.RACES)
+        )
+
+    def test_failed_publish_leaves_no_row_and_no_temp_file(
+        self, store, monkeypatch
+    ):
+        key = "4" * 64
+        real_link = os.link
+        calls = []
+
+        def failing_link(src, dst):
+            calls.append(dst)
+            if len(calls) == 1:
+                raise OSError("simulated crash before publish")
+            return real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", failing_link)
+        with pytest.raises(OSError, match="simulated crash"):
+            store.create_record(key, "r" * 64, "i" * 64, {})
+        records_dir = os.path.dirname(store.record_path(key))
+        assert os.listdir(records_dir) == []
+        record, created = store.create_record(key, "r" * 64, "i" * 64, {})
+        assert created and record.status == "pending"
+        assert os.listdir(records_dir) == [f"{key}.json"]

@@ -200,7 +200,7 @@ class TestBench:
         ]) == 0
         document = load_results(str(out_path))  # validates the schema
         assert document["suite"] == "quick"
-        assert len(document["cases"]) == 3  # full + incremental + array
+        assert len(document["cases"]) == 2  # full + incremental
         assert "tgff/12" in document["scenarios"]
         out = capsys.readouterr().out
         assert "results written to" in out

@@ -17,7 +17,7 @@ REPRO_SURFACE = sorted([
     "InfeasibleMoveError", "ConfigurationError", "TelemetryError",
     "ServiceError",
     # graph
-    "Dag", "PathCountClosure", "MaxPlusClosure",
+    "Dag", "PathCountClosure",
     # model
     "Application", "Implementation", "Task",
     "SdfActor", "SdfChannel", "SdfGraph",
@@ -30,7 +30,7 @@ REPRO_SURFACE = sorted([
     "Evaluation", "Evaluator", "MakespanCost", "Schedule", "Solution",
     "SystemCost", "extract_schedule", "random_initial_solution",
     "render_gantt", "ExecutionSimulator", "SimulationResult", "simulate",
-    "ENGINES", "ArrayEngine", "EvaluationEngine", "FullRebuildEngine",
+    "ENGINES", "EvaluationEngine", "FullRebuildEngine",
     "IncrementalEngine", "make_engine",
     # annealing
     "AnnealerConfig", "DesignSpaceExplorer", "ExplorationResult",
