@@ -404,9 +404,9 @@ def move_eval_loop(
         "final_makespan_ms": makespan,
         "engine": engine,
     }
-    # The engine's internal telemetry counters — memo/cycle-witness hit
-    # rates next to every throughput number make regressions
-    # attributable.
+    # The engine's internal telemetry counters — sync sizes, memo hits
+    # and order repairs next to every throughput number make
+    # regressions attributable.
     for name, value in sorted(evaluator.telemetry_counters().items()):
         out[f"counter_{name}"] = value
     if time_evals_only:

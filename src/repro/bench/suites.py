@@ -529,13 +529,11 @@ def _combinatorics(context: BenchContext, state: Any) -> Dict[str, Any]:
     scenarios=("motion/2000",),
 )
 def _rc_layout_realization(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """Targeted micro-bench for the per-move RC-layout realization path
-    (PR 1's residual constant factor): every iteration flips one
-    hardware task's implementation choice — re-stamping the DRLC and
-    forcing ``IncrementalEngine._refresh_rc`` — and re-evaluates.  The
-    layout *content* recurs after every full cycle through the variants,
-    so this measures exactly the stamp-miss/content-hit path the
-    content-keyed layout memo accelerates."""
+    """Targeted micro-bench for the per-move RC-layout realization path:
+    every iteration flips one hardware task's implementation choice —
+    re-stamping the DRLC and forcing ``IncrementalEngine._refresh_rc`` —
+    and re-evaluates, so it measures one RC refresh (layout realization
+    through the per-context memo, edge patch, suffix DP) per flip."""
     instance = get_scenario("motion/2000").build()
     application, architecture = instance.application, instance.architecture
     evaluator = Evaluator(application, architecture, engine="incremental")

@@ -25,9 +25,7 @@ from repro.graph.longest_path import (
     topological_order,
     longest_path_length,
     earliest_start_times,
-    earliest_starts_indexed,
     kahn_order_indices,
-    makespan_from_starts,
     critical_path,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "topological_order",
     "longest_path_length",
     "earliest_start_times",
-    "earliest_starts_indexed",
     "kahn_order_indices",
-    "makespan_from_starts",
     "critical_path",
 ]

@@ -41,8 +41,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.architecture import Architecture
 from repro.arch.asic import Asic
 from repro.arch.processor import Processor
@@ -73,6 +71,20 @@ def _kind_is_hw(kind: Tuple) -> bool:
     ``Solution.hardware_tasks`` counts)?"""
     tag = kind[0]
     return tag == "rc" or tag == "asic" or (tag == "?" and kind[2])
+
+
+def _trim(old: List, new: List) -> Tuple[List, List]:
+    """``(removed, added)``: the two lists without their common prefix
+    and suffix."""
+    n_old, n_new = len(old), len(new)
+    hi = min(n_old, n_new)
+    lo = 0
+    while lo < hi and old[lo] == new[lo]:
+        lo += 1
+    tail = 0
+    while tail < hi - lo and old[n_old - 1 - tail] == new[n_new - 1 - tail]:
+        tail += 1
+    return old[lo:n_old - tail], new[lo:n_new - tail]
 
 
 @dataclass(frozen=True)
@@ -299,9 +311,9 @@ class IncrementalEngine(EvaluationEngine):
     * a **sequentialization layer** holding per-resource ``Esw``/``Ehw``
       edges, recomputed only for resources whose order actually changed
       (a move touches at most two) and patched pair-trimmed — only the
-      differing middle of a resource's chain is unlinked and relinked,
-      and weight-only changes (e.g. an implementation swap retuning
-      reconfiguration delays) keep the structure.
+      differing middle of a resource's edge list is unlinked and
+      relinked, and weight-only changes (e.g. an implementation swap
+      retuning reconfiguration delays) keep the structure.
 
     On top of the layers sit three persistent structures:
 
@@ -311,19 +323,21 @@ class IncrementalEngine(EvaluationEngine):
       repairs); Kahn's sort runs only when a repair detects a potential
       cycle or too many edges contradict at once.  Every order the
       engine evaluates with is a verified topological order, so cyclic
-      realizations are detected exactly like the reference engine.  A
-      concrete witness cycle short-cuts repeated Kahn failures while all
-      its edges stay live.
+      realizations are detected exactly like the reference engine.
     * **The base DP values.**  The unserialized ASAP start/finish values
-      survive across evaluations; the setters' exact structural deltas
-      plus a NumPy shadow diff of the duration/weight arrays locate the
-      earliest order position a move could have affected, and the DP
-      re-runs only from there.  Recomputed nodes take the max over the
-      identical candidate set the full DP would, so makespans stay
-      bit-identical.
+      survive across evaluations.  Every node whose inputs change is
+      recorded where the change is written — structural deltas by
+      :meth:`_replace_edges`, duration and pass-through weight changes
+      by compare-and-seed writes — and the DP re-runs only from the
+      earliest order position among them.  Recomputed nodes take the
+      max over the identical candidate set the full DP would, so
+      makespans stay bit-identical.
     * **The serialized bus overlay**, computed by increase-only
       propagation of the bus-chain constraints on separate buffers, so
-      the persistent base values stay untouched.
+      the persistent base values stay untouched.  When the propagation
+      overruns its budget, the serialized graph is sorted by the same
+      Kahn as the base graph, with the bus chain as one more pointer
+      layer, and relaxed in full.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
     cached alongside.  ``Processor``/``ReconfigurableCircuit``/``Asic``
@@ -414,32 +428,22 @@ class IncrementalEngine(EvaluationEngine):
         self._proc_prev: List[int] = [-1] * n
         self._proc_next: List[int] = [-1] * n
 
-        # Memos that survive mirror resets: context boundaries depend
-        # only on the static precedence graph, and layout/order memos
-        # are keyed by globally-unique revision stamps.  The content
-        # memo backs the stamp memo: every *applied* move hands out a
-        # fresh stamp, but annealing walks revisit the same layout
-        # content constantly (apply/undo cycles, re-proposed moves), so
-        # a stamp miss usually resolves to a content hit instead of
-        # re-materializing the layout context by context — the
-        # constant-factor overhead PR 1 left on the table.
+        # Per-context realization memo, keyed by the context's members
+        # and their implementation choices.  It survives mirror resets:
+        # a context's boundary tasks depend only on the static
+        # precedence graph.  Single contexts recur far more often than
+        # whole layouts, so this is the granularity at which an RC memo
+        # hits in real annealing walks.
         self._ctx_memo: Dict[Tuple, Tuple[int, List[int], List[int]]] = {}
-        self._rc_memo: Dict[int, Tuple] = {}
-        self._rc_content_memo: Dict[Tuple, Tuple] = {}
-        self._proc_memo: Dict[int, List[int]] = {}
         self._config_ids: Dict[str, int] = {}
 
         # Internal counters sampled by the telemetry layer (plain ints,
         # incremented unconditionally: cheaper than any enabled-check
-        # and deterministic for fixed seeds).  Reset with the memos they
+        # and deterministic for fixed seeds).  Reset with the memo they
         # describe.
         self.stat_sync_calls = 0
         self.stat_sync_tasks = 0
         self.stat_sync_resources = 0
-        self.stat_proc_memo_hits = 0
-        self.stat_proc_memo_misses = 0
-        self.stat_rc_stamp_hits = 0
-        self.stat_rc_content_hits = 0
         self.stat_rc_rebuilds = 0
         self.stat_ctx_hits = 0
         self.stat_ctx_misses = 0
@@ -468,7 +472,10 @@ class IncrementalEngine(EvaluationEngine):
         self._m_res_names: List[str] = []
         self._m_rev: Dict[str, int] = {}
         self._rc_list: List[Tuple[str, ReconfigurableCircuit]] = []
-        self._res_edges: Dict[str, List[Tuple[int, int, float]]] = {}
+        # Each resource's live sequentialization edges: ``(prev, next)``
+        # chain pairs for processors, ``(src, dst, weight)`` triples for
+        # every other resource.
+        self._res_edges: Dict[str, List[Tuple]] = {}
         self._virtual_ids: Dict[str, List[int]] = {}
         self._rc_stats: Dict[str, Tuple[int, float, float, int]] = {}
         self._hw_count = 0
@@ -485,7 +492,6 @@ class IncrementalEngine(EvaluationEngine):
         for v in range(n):
             self._proc_prev[v] = -1
             self._proc_next[v] = -1
-        self._proc_members: Dict[str, List[int]] = {}
         # The persistent base topological order, held as at most one
         # ``[order, position, valid]`` entry.  It stays valid until an
         # *added* edge contradicts its positions (checked in O(1) per
@@ -507,22 +513,15 @@ class IncrementalEngine(EvaluationEngine):
         self._pos0: List[int] = [0] * n
         #: Whether the persistent base DP values are trustworthy.
         self._values_valid = False
-        #: Node ids whose inputs changed since the last evaluation
-        #: (structural deltas from the setters, duration/weight changes
-        #: by shadow diff).
+        #: Node ids whose inputs changed since the last DP run
+        #: (structural deltas from :meth:`_replace_edges`, duration and
+        #: pass-through weight changes from the compare-and-seed writes).
         self._dirty_seeds: set = set()
         #: Added edges that contradict the persistent order (repaired
         #: or folded into the next rebuild).
         self._pending_edges: List[Tuple[int, int]] = []
-        #: One concrete cycle (edge list) from the last Kahn failure;
-        #: while all its edges stay live the graph is provably still
-        #: cyclic and no re-sort is needed.
-        self._cycle_witness: Optional[List[Tuple[int, int]]] = None
-        self._dur_shadow = np.zeros(n)
-        self._cw_shadow = np.zeros(self._ndeps)
         # Telemetry counters for the order machinery (plain ints, reset
         # together with the order state they describe).
-        self.stat_cycle_witness_hits = 0
         self.stat_order_repairs = 0
         self.stat_order_rebuilds = 0
 
@@ -558,14 +557,9 @@ class IncrementalEngine(EvaluationEngine):
             sync_calls=self.stat_sync_calls,
             sync_tasks=self.stat_sync_tasks,
             sync_resources=self.stat_sync_resources,
-            proc_memo_hits=self.stat_proc_memo_hits,
-            proc_memo_misses=self.stat_proc_memo_misses,
-            rc_stamp_hits=self.stat_rc_stamp_hits,
-            rc_content_hits=self.stat_rc_content_hits,
             rc_rebuilds=self.stat_rc_rebuilds,
             ctx_hits=self.stat_ctx_hits,
             ctx_misses=self.stat_ctx_misses,
-            cycle_witness_hits=self.stat_cycle_witness_hits,
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
         )
@@ -583,20 +577,20 @@ class IncrementalEngine(EvaluationEngine):
             # object) but stay correct if a caller swaps it.
             self._build_skeleton(arch.bus)
 
+        res_kind = self._res_kind
         names = arch.resource_names()
         if names != self._m_res_names:
             self._classify_resources(arch)
-            for name in set(self._m_res_names) - set(names):
-                if name in self._proc_members:
-                    self._set_proc_chain(name, [])
-                    self._proc_members.pop(name, None)
-                else:
-                    self._set_res_edges(name, [])
+            gone = set(self._m_res_names) - set(names)
+            self._replace_edges(
+                [(name, res_kind[name][0] == "p", []) for name in gone]
+            )
+            for name in gone:
                 self._m_rev.pop(name, None)
                 self._res_edges.pop(name, None)
                 self._rc_stats.pop(name, None)
                 for node_id in self._virtual_ids.pop(name, ()):
-                    self._dur[node_id] = 0.0
+                    self._set_dur(node_id, 0.0)
             self._m_res_names = list(names)
             self._rc_list = [
                 (r.name, r)
@@ -609,7 +603,7 @@ class IncrementalEngine(EvaluationEngine):
         # skip the scan entirely for order-only moves (m1 reorders).
         res_of = solution._resource_of
         impl_of = solution._impl_choice
-        res_kind = self._res_kind
+        tid = self._tid
         if len(res_of) != self._ntasks:
             # Match the reference engine, which trips over the missing
             # assignment while realizing the graph; without this guard a
@@ -626,7 +620,6 @@ class IncrementalEngine(EvaluationEngine):
             m_impl_dict = self._m_impl_dict
             diff = {t for t, _ in res_of.items() ^ m_res_dict.items()}
             diff.update(t for t, _ in impl_of.items() ^ m_impl_dict.items())
-            tid = self._tid
             m_res = self._m_resource
             m_impl = self._m_impl
             changed: List[int] = []
@@ -657,17 +650,17 @@ class IncrementalEngine(EvaluationEngine):
                 changed.append(i)
             self.stat_sync_tasks += len(changed)
             if changed:
-                dur = self._dur
                 impl_ms = self._impl_ms
                 sw_ms = self._sw_ms
                 for i in changed:
                     kind = res_kind[m_res[i]]
                     if kind[0] == "p":
-                        dur[i] = sw_ms[i] / kind[2]
+                        value = sw_ms[i] / kind[2]
                     elif kind[0] == "?" or impl_ms[i] is None:
-                        dur[i] = kind[1].execution_time_ms(solution, self._tasks[i])
+                        value = kind[1].execution_time_ms(solution, self._tasks[i])
                     else:
-                        dur[i] = impl_ms[i][m_impl[i]]
+                        value = impl_ms[i][m_impl[i]]
+                    self._set_dur(i, value)
                 for i in changed:
                     for j in self._deps_of_task[i]:
                         self._refresh_dep(j)
@@ -677,7 +670,7 @@ class IncrementalEngine(EvaluationEngine):
         # a restored stamp (move undo) guarantees restored content.
         rev_of = solution._res_rev
         m_rev = self._m_rev
-        pending: List[Tuple[str, str, object]] = []
+        updates: List[Tuple[str, bool, List[Tuple]]] = []
         for name in names:
             rev = rev_of.get(name, 0)
             if m_rev.get(name) == rev:
@@ -685,55 +678,31 @@ class IncrementalEngine(EvaluationEngine):
             kind = res_kind[name]
             tag = kind[0]
             if tag == "p":
-                memo = self._proc_memo
-                members = memo.get(rev)
-                if members is None:
-                    self.stat_proc_memo_misses += 1
-                    tid = self._tid
-                    members = [tid[t] for t in solution._sw_orders[name]]
-                    if len(memo) > 16384:
-                        memo.clear()
-                    memo[rev] = members
-                else:
-                    self.stat_proc_memo_hits += 1
-                pending.append(("p", name, members))
+                ids = [tid[t] for t in solution._sw_orders[name]]
+                updates.append((name, True, list(zip(ids, ids[1:]))))
             elif tag == "rc":
                 triples = self._refresh_rc(
-                    name, kind[1], solution._contexts[name], rev, impl_of
+                    name, kind[1], solution._contexts[name], impl_of
                 )
-                pending.append(("e", name, triples))
+                updates.append((name, False, triples))
             elif tag != "asic":
                 # Unknown resource type: conservatively refresh on every
                 # call through the resource's own polymorphic methods
                 # (no revision skip — overridden methods may depend on
                 # state the stamps do not cover).
                 triples = self._refresh_generic(name, kind[1], solution)
-                pending.append(("e", name, triples))
+                updates.append((name, False, triples))
                 continue
             m_rev[name] = rev
-        self.stat_sync_resources += len(pending)
-        if len(pending) == 1:
-            # Common case (one or two moves touching one resource's
-            # order): apply in place with the delta fast paths.
-            tag, name, payload = pending[0]
-            if tag == "p":
-                self._set_proc_chain(name, payload)
-            else:
-                self._set_res_edges(name, payload)
-        elif pending:
-            # An edge pair can migrate between two resources refreshed
-            # in the same diff; unlink every stale chain/edge list first
-            # so no link is clobbered by a later unlink.
-            for tag, name, _payload in pending:
-                if tag == "p":
-                    self._unlink_proc_chain(name)
-                else:
-                    self._unlink_res_edges(name)
-            for tag, name, payload in pending:
-                if tag == "p":
-                    self._link_proc_chain(name, payload)
-                else:
-                    self._link_res_edges(name, payload)
+        self.stat_sync_resources += len(updates)
+        if updates:
+            self._replace_edges(updates)
+
+    def _set_dur(self, node: int, value: float) -> None:
+        """Write a node duration, seeding the suffix DP when it changes."""
+        if self._dur[node] != value:
+            self._dur[node] = value
+            self._dirty_seeds.add(node)
 
     def _refresh_dep(self, j: int) -> None:
         """Re-derive a dependency's realization from the mirrored
@@ -745,13 +714,14 @@ class IncrementalEngine(EvaluationEngine):
         transfer = self._dep_transfer[j]
         comm_id = self._dep_comm[j]
         if crossing and transfer > 0.0 and self._ordered:
-            mode = 1
-            self._comm_w[j] = 0.0
-            self._dur[comm_id] = transfer
+            mode, weight, duration = 1, 0.0, transfer
         else:
-            mode = 0
-            self._comm_w[j] = transfer if crossing else 0.0
-            self._dur[comm_id] = 0.0
+            mode, weight, duration = 0, (transfer if crossing else 0.0), 0.0
+        if self._comm_w[j] != weight or self._dur[comm_id] != duration:
+            # Both values feed only the comm node's start/finish.
+            self._comm_w[j] = weight
+            self._dur[comm_id] = duration
+            self._dirty_seeds.add(comm_id)
         if mode != self._dep_mode[j]:
             self._dep_mode[j] = mode
             self._active_dirty = True
@@ -761,113 +731,71 @@ class IncrementalEngine(EvaluationEngine):
         name: str,
         rc: ReconfigurableCircuit,
         contexts: List[List[int]],
-        rev: int,
         impl_of: Dict[int, int],
     ) -> List[Tuple[int, int, float]]:
         """Native regeneration of a DRLC's search-graph contribution:
         context sequentialization edges ``Ehw``, the virtual
         configuration node, and the cached reconfiguration statistics.
         Mirrors ``ReconfigurableCircuit.sequentialization_edges`` /
-        ``virtual_nodes`` exactly, over interned arrays.  Realized
-        layouts are memoized twice: by the resource's revision stamp —
-        a stamp is handed out once and restored only together with its
-        content, so it keys the layout exactly (and annealing, which
-        undoes every rejected move, revisits stamps constantly) — and
-        by the layout *content*, so a fresh stamp over recurring
-        content resolves without re-materializing anything."""
+        ``virtual_nodes`` exactly, over interned arrays.  The layout is
+        realized on every refresh; only the per-context boundary tasks
+        and CLB totals come from ``_ctx_memo``."""
+        self.stat_rc_rebuilds += 1
         if not contexts:
             for node_id in self._virtual_ids.pop(name, ()):
-                self._dur[node_id] = 0.0
+                self._set_dur(node_id, 0.0)
             self._rc_stats[name] = (0, 0.0, 0.0, 0)
             return []
-        tid = self._tid
-        m_impl = self._m_impl
-        layouts = self._rc_memo
-        entry = layouts.get(rev)
-        if entry is not None:
-            self.stat_rc_stamp_hits += 1
         config_id = self._config_ids.get(name)
         if config_id is None:
             config_id = self._interner.intern((CONFIG_NODE, name))
             self._config_ids[name] = config_id
             self._grow_nodes()
-        if entry is None:
-            shape = tuple(tuple(ctx) for ctx in contexts)
-            content_key = (
-                name,
-                shape,
-                tuple(impl_of.get(t, 0) for ctx in shape for t in ctx),
-            )
-            content_memo = self._rc_content_memo
-            entry = content_memo.get(content_key)
-            if entry is not None:
-                self.stat_rc_content_hits += 1
-                if len(layouts) > 16384:
-                    layouts.clear()
-                layouts[rev] = entry
-        if entry is None:
-            self.stat_rc_rebuilds += 1
-            impl_clbs = self._impl_clbs
-            ctx_clbs: List[int] = []
-            initials: List[List[int]] = []
-            terminals: List[List[int]] = []
-            memo = self._ctx_memo
-            if len(memo) > 16384:
-                memo.clear()
-            for ctx in contexts:
-                # One context realizes identically whenever its member
-                # tasks and their implementation choices recur — and
-                # individual contexts recur far more often than whole
-                # layouts, so this memo hits even though the annealing
-                # walk rarely revisits a complete layout.
-                key = (tuple(ctx), tuple(impl_of.get(t, 0) for t in ctx))
-                cached = memo.get(key)
-                if cached is None:
-                    self.stat_ctx_misses += 1
-                    members = [tid[t] for t in ctx]
-                    inside = set(members)
-                    pred_ids = self._pred_ids
-                    succ_ids = self._succ_ids
-                    cached = (
-                        sum(impl_clbs[i][m_impl[i]] for i in members),
-                        [i for i in members
-                         if not any(p in inside for p in pred_ids[i])],
-                        [i for i in members
-                         if not any(s in inside for s in succ_ids[i])],
-                    )
-                    memo[key] = cached
-                else:
-                    self.stat_ctx_hits += 1
-                ctx_clbs.append(cached[0])
-                initials.append(cached[1])
-                terminals.append(cached[2])
-            triples: List[Tuple[int, int, float]] = [
-                (config_id, i, 0.0) for i in initials[0]
-            ]
-            reconfig = rc.reconfiguration_time_ms
-            for k in range(len(contexts) - 1):
-                weight = reconfig(ctx_clbs[k + 1])
-                for t in terminals[k]:
-                    for i in initials[k + 1]:
-                        triples.append((t, i, weight))
-            initial_ms = reconfig(ctx_clbs[0])
-            stats = (
-                len(contexts),
-                initial_ms,
-                sum(reconfig(c) for c in ctx_clbs[1:]),
-                sum(ctx_clbs),
-            )
-            if len(layouts) > 16384:
-                layouts.clear()
-            entry = (triples, initial_ms, stats)
-            layouts[rev] = entry
-            if len(content_memo) > 16384:
-                content_memo.clear()
-            content_memo[content_key] = entry
-        triples, initial_ms, stats = entry
-        self._dur[config_id] = initial_ms
+        tid = self._tid
+        m_impl = self._m_impl
+        impl_clbs = self._impl_clbs
+        ctx_clbs: List[int] = []
+        initials: List[List[int]] = []
+        terminals: List[List[int]] = []
+        memo = self._ctx_memo
+        if len(memo) > 16384:
+            memo.clear()
+        for ctx in contexts:
+            key = (tuple(ctx), tuple(impl_of.get(t, 0) for t in ctx))
+            cached = memo.get(key)
+            if cached is None:
+                self.stat_ctx_misses += 1
+                members = [tid[t] for t in ctx]
+                inside = set(members)
+                pred_ids = self._pred_ids
+                succ_ids = self._succ_ids
+                cached = (
+                    sum(impl_clbs[i][m_impl[i]] for i in members),
+                    [i for i in members
+                     if not any(p in inside for p in pred_ids[i])],
+                    [i for i in members
+                     if not any(s in inside for s in succ_ids[i])],
+                )
+                memo[key] = cached
+            else:
+                self.stat_ctx_hits += 1
+            ctx_clbs.append(cached[0])
+            initials.append(cached[1])
+            terminals.append(cached[2])
+        triples: List[Tuple[int, int, float]] = [
+            (config_id, i, 0.0) for i in initials[0]
+        ]
+        reconfig = [rc.reconfiguration_time_ms(c) for c in ctx_clbs]
+        for k in range(len(contexts) - 1):
+            weight = reconfig[k + 1]
+            for t in terminals[k]:
+                for i in initials[k + 1]:
+                    triples.append((t, i, weight))
+        self._rc_stats[name] = (
+            len(contexts), reconfig[0], sum(reconfig[1:]), sum(ctx_clbs)
+        )
+        self._set_dur(config_id, reconfig[0])
         self._virtual_ids[name] = [config_id]
-        self._rc_stats[name] = stats
         return triples
 
     def _refresh_generic(
@@ -885,191 +813,79 @@ class IncrementalEngine(EvaluationEngine):
         new_ids = [intern(key) for key, _duration in entries]
         self._grow_nodes()
         for node_id in self._virtual_ids.get(name, ()):
-            self._dur[node_id] = 0.0
+            if node_id not in new_ids:
+                self._set_dur(node_id, 0.0)
         for (_key, duration), node_id in zip(entries, new_ids):
-            self._dur[node_id] = duration
+            self._set_dur(node_id, duration)
         self._virtual_ids[name] = new_ids
         return triples
 
-    def _set_proc_chain(self, name: str, members: List[int]) -> None:
-        """Replace a processor's total-order chain (``Esw``) in place —
-        safe when this is the only resource refreshed in the sync.
+    def _replace_edges(self, updates: List[Tuple[str, bool, List[Tuple]]]) -> None:
+        """Install the new sequentialization edges of every refreshed
+        resource.  ``updates`` holds ``(name, is_processor, edges)``:
+        processor chains as ``(prev, next)`` pairs in the pointer
+        arrays, every other resource as ``(src, dst, weight)`` triples
+        in the seq layer.
 
-        The replacement is pair-trimmed: a reorder perturbs a contiguous
-        region of the chain, so the common prefix and suffix of the
-        ``(prev, next)`` pair lists stay linked untouched, and only the
-        truly removed and added pairs reach :meth:`_note_structural`."""
-        old = self._proc_members.get(name) or []
-        if old == members:
-            self._proc_members[name] = members
+        Each list is pair-trimmed against the resource's previous one —
+        a move perturbs a contiguous region of a resource's edges, so
+        only the differing middle is unlinked and relinked.  Every
+        removal is applied before any addition: an edge can migrate
+        between two resources refreshed in the same diff, and a later
+        unlink must not clobber its new link.  Seq edge pairs are unique
+        within one resource (it only chains its own tasks and its own
+        config node), so unlinking by ``(src, dst)`` is unambiguous."""
+        res_edges = self._res_edges
+        chain_removed: List[Tuple] = []
+        chain_added: List[Tuple] = []
+        seq_removed: List[Tuple] = []
+        seq_added: List[Tuple] = []
+        for name, is_proc, edges in updates:
+            removed, added = _trim(res_edges.get(name, []), edges)
+            res_edges[name] = edges
+            if is_proc:
+                chain_removed += removed
+                chain_added += added
+            else:
+                seq_removed += removed
+                seq_added += added
+        removed = chain_removed + seq_removed
+        added = chain_added + seq_added
+        if not removed and not added:
             return
-        pairs_old = list(zip(old, old[1:]))
-        pairs_new = list(zip(members, members[1:]))
-        n_old, n_new = len(pairs_old), len(pairs_new)
-        lo = 0
-        hi = min(n_old, n_new)
-        while lo < hi and pairs_old[lo] == pairs_new[lo]:
-            lo += 1
-        tail = 0
-        while (
-            tail < hi - lo
-            and pairs_old[n_old - 1 - tail] == pairs_new[n_new - 1 - tail]
-        ):
-            tail += 1
-        removed = pairs_old[lo:n_old - tail]
-        added = pairs_new[lo:n_new - tail]
         proc_prev = self._proc_prev
         proc_next = self._proc_next
+        pred_seq = self._pred_seq
+        succ_seq = self._succ_seq
         indeg = self._indeg_total
-        if removed:
-            for a, b in removed:
-                proc_next[a] = -1
-                proc_prev[b] = -1
-                indeg[b] -= 1
-            # A removal may have broken the cycle behind a cached
-            # verdict; retry Kahn on the next evaluation.
-            self._cycle0 = None
-        for a, b in added:
+        for a, b in chain_removed:
+            proc_next[a] = -1
+            proc_prev[b] = -1
+            indeg[b] -= 1
+        for a, b, _w in seq_removed:
+            succ_seq[a].remove(b)
+            plist = pred_seq[b]
+            for idx in range(len(plist)):
+                if plist[idx][0] == a:
+                    del plist[idx]
+                    break
+            indeg[b] -= 1
+        for a, b in chain_added:
             proc_next[a] = b
             proc_prev[b] = a
             indeg[b] += 1
-        self._proc_members[name] = members
-        if removed or added:
-            self._note_structural(removed, added)
-
-    def _unlink_proc_chain(self, name: str) -> None:
-        old = self._proc_members.get(name)
-        if not old:
-            self._proc_members[name] = []
-            return
-        proc_prev = self._proc_prev
-        proc_next = self._proc_next
-        indeg = self._indeg_total
-        prev = old[0]
-        for v in old[1:]:
-            indeg[v] -= 1
-            proc_prev[v] = -1
-            proc_next[prev] = -1
-            prev = v
-        # A removal may have broken the cycle behind a cached verdict;
-        # retry Kahn on the next evaluation.
-        self._cycle0 = None
-        self._proc_members[name] = []
-        self._note_structural(list(zip(old, old[1:])), ())
-
-    def _link_proc_chain(self, name: str, members: List[int]) -> None:
-        """Store a processor chain's prev/next pointers and keep
-        indegrees in step.  Pure integer stores — no list surgery."""
-        if members:
-            proc_prev = self._proc_prev
-            proc_next = self._proc_next
-            indeg = self._indeg_total
-            prev = members[0]
-            for v in members[1:]:
-                proc_next[prev] = v
-                proc_prev[v] = prev
-                indeg[v] += 1
-                prev = v
-            self._note_structural((), list(zip(members, members[1:])))
-        self._proc_members[name] = members
-
-    def _unlink_res_edges(self, name: str) -> None:
-        """Remove a resource's sequentialization edges from the live seq
-        layer (phase 1 of a multi-resource refresh)."""
-        old = self._res_edges.get(name)
-        if not old:
-            self._res_edges[name] = []
-            return
-        pred_seq = self._pred_seq
-        succ_seq = self._succ_seq
-        indeg = self._indeg_total
-        for a, b, _w in old:
-            succ_seq[a].remove(b)
-            plist = pred_seq[b]
-            for idx in range(len(plist)):
-                if plist[idx][0] == a:
-                    del plist[idx]
-                    break
-            indeg[b] -= 1
-        self._cycle0 = None
-        self._res_edges[name] = []
-        self._note_structural(old, ())
-
-    def _link_res_edges(
-        self, name: str, triples: List[Tuple[int, int, float]]
-    ) -> None:
-        """Insert a resource's sequentialization edges (phase 2 of a
-        multi-resource refresh)."""
-        if triples:
-            pred_seq = self._pred_seq
-            succ_seq = self._succ_seq
-            indeg = self._indeg_total
-            for a, b, w in triples:
-                succ_seq[a].append(b)
-                pred_seq[b].append((a, w))
-                indeg[b] += 1
-            self._note_structural((), triples)
-        self._res_edges[name] = triples
-
-    def _set_res_edges(
-        self, name: str, triples: List[Tuple[int, int, float]]
-    ) -> None:
-        """Replace a resource's sequentialization edges in the live seq
-        layer, in place — safe when this is the only resource refreshed
-        in the sync.  Old edges are unlinked, new ones linked, indegrees
-        kept in step, and the trimmed triple delta goes to
-        :meth:`_note_structural`.  Seq edge pairs are unique within one
-        resource — it only ever chains its own tasks and its own config
-        node — so unlinking by (src, dst) is unambiguous."""
-        old = self._res_edges.get(name)
-        if old == triples:
-            return
-        # Unlink/link only the differing middle: a reorder or reassign
-        # perturbs a contiguous region of a resource's chain, so the
-        # common prefix and suffix (compared as (src, dst, weight)
-        # triples) can stay linked untouched.
-        lo = 0
-        if old:
-            n_old, n_new = len(old), len(triples)
-            hi = min(n_old, n_new)
-            while lo < hi and old[lo] == triples[lo]:
-                lo += 1
-            tail = 0
-            while (
-                tail < hi - lo
-                and old[n_old - 1 - tail] == triples[n_new - 1 - tail]
-            ):
-                tail += 1
-            removals = old[lo:n_old - tail]
-            additions = triples[lo:n_new - tail]
-        else:
-            removals = ()
-            additions = triples
-        pred_seq = self._pred_seq
-        succ_seq = self._succ_seq
-        indeg = self._indeg_total
-        for a, b, _w in removals:
-            succ_seq[a].remove(b)
-            plist = pred_seq[b]
-            for idx in range(len(plist)):
-                if plist[idx][0] == a:
-                    del plist[idx]
-                    break
-            indeg[b] -= 1
-        if removals and (len(removals) != len(additions) or any(
-            r[0] != a[0] or r[1] != a[1] for r, a in zip(removals, additions)
-        )):
-            # A structural removal may have broken the cycle behind a
-            # cached verdict; retry Kahn on the next evaluation.  (A
-            # weight-only change puts the same pairs back.)
-            self._cycle0 = None
-        for a, b, w in additions:
+        for a, b, w in seq_added:
             succ_seq[a].append(b)
             pred_seq[b].append((a, w))
             indeg[b] += 1
-        self._res_edges[name] = triples
-        if removals or additions:
-            self._note_structural(removals, additions)
+        if self._cycle0 is not None and removed:
+            # A removed (src, dst) pair may have broken the cycle behind
+            # the cached verdict; retry on the next evaluation.  (A
+            # weight-only change or a migrating edge puts the pair back.)
+            pairs = {(e[0], e[1]) for e in removed}
+            if pairs.difference((e[0], e[1]) for e in added):
+                self._cycle0 = None
+        self._note_structural(removed, added)
 
     def _grow_nodes(self) -> None:
         n = len(self._interner)
@@ -1099,7 +915,7 @@ class IncrementalEngine(EvaluationEngine):
             self._values_valid = False
 
     # ------------------------------------------------------------------
-    # structural dirt capture (the setters report exact deltas)
+    # structural dirt capture (_replace_edges reports exact deltas)
     # ------------------------------------------------------------------
     def _note_structural(self, removed, added) -> None:
         """Record an exact structural delta of the sequentialization
@@ -1135,63 +951,10 @@ class IncrementalEngine(EvaluationEngine):
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _durations_stable(self, solution: Solution) -> bool:
-        """Cheap pre-sync test (plain C dict comparisons) for whether
-        the upcoming sync can change any node duration or pass-through
-        weight.  Order-only moves (m1 reorders — the workhorse of the
-        annealing walk) re-stamp a processor without touching a single
-        duration, so the per-evaluation shadow diff can be skipped for
-        them entirely."""
-        if (
-            solution._resource_of != self._m_res_dict
-            or solution._impl_choice != self._m_impl_dict
-        ):
-            return False
-        rev_of = solution._res_rev
-        m_rev = self._m_rev
-        if rev_of == m_rev:
-            return True
-        res_kind = self._res_kind
-        for name, _rev in rev_of.items() ^ m_rev.items():
-            kind = res_kind.get(name)
-            if kind is None or kind[0] != "p":
-                return False
-        return True
-
-    def _collect_dirty(self, stable: bool) -> set:
-        """Fold the duration/weight shadow diffs into the structural
-        seed set and refresh the shadows.  ``stable`` short-circuits the
-        diff when the pre-sync check proved nothing can have changed."""
-        seeds = self._dirty_seeds
-        if stable and self._values_valid:
-            return seeds
-        dur_np = np.array(self._dur)
-        if self._values_valid and dur_np.shape == self._dur_shadow.shape:
-            diff = np.nonzero(dur_np != self._dur_shadow)[0]
-            if diff.size:
-                seeds.update(diff.tolist())
-            if not self._ordered:
-                # Pass-through weights are only ever non-zero under the
-                # "edge" bus policy; the default "ordered" policy keeps
-                # them at a constant 0.0.
-                cw = np.array(self._comm_w)
-                diffw = np.nonzero(cw != self._cw_shadow)[0]
-                if diffw.size:
-                    ntasks = self._ntasks
-                    seeds.update(ntasks + int(j) for j in diffw)
-                self._cw_shadow = cw
-        else:
-            self._values_valid = False
-            if not self._ordered:
-                self._cw_shadow = np.array(self._comm_w)
-        self._dur_shadow = dur_np
-        return seeds
-
     def _compute(
         self, solution: Solution
     ) -> Tuple[float, bool, float, Optional[CycleError]]:
         """Returns ``(makespan, feasible, comm_ms, cycle_error)``."""
-        stable = self._durations_stable(solution)
         self._sync(solution)
         if self._active_dirty:
             dep_mode = self._dep_mode
@@ -1202,12 +965,11 @@ class IncrementalEngine(EvaluationEngine):
         n = len(self._interner)
         dur = self._dur
         dep_comm = self._dep_comm
-        seeds = self._collect_dirty(stable)
+        seeds = self._dirty_seeds
 
-        # --- cached cycle verdict (no removals since it was reached) ---
+        # --- cached cycle verdict (no edge removed since it was reached)
         if self._cycle0 is not None:
-            comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-            return INFEASIBLE_MS, False, comm_ms, self._cycle0
+            return self._infeasible(self._cycle0)
 
         # --- persistent order: revalidate, repair, else rebuild --------
         entries = self._orders0
@@ -1238,14 +1000,11 @@ class IncrementalEngine(EvaluationEngine):
                     # verdict just like the reference engine's.
                     a, b = pending[0]
                     keys = self._interner.keys()
-                    self._cycle0 = exc = CycleError(
+                    self._cycle0 = CycleError(
                         "realization contains a cycle",
                         cycle=[keys[b], keys[a]],
                     )
-                    comm_ms = sum(
-                        dur[dep_comm[j]] for j in self._active_deps
-                    )
-                    return INFEASIBLE_MS, False, comm_ms, exc
+                    return self._infeasible(self._cycle0)
                 else:
                     # A failed multi-edge repair may already have
                     # reordered the stored order in place: drop it with
@@ -1258,33 +1017,15 @@ class IncrementalEngine(EvaluationEngine):
             else:
                 entry = None
         if entry is None or not entry[2]:
-            # Before paying for a full Kahn, check whether the last
-            # detected cycle is simply still there: every witness edge
-            # being live proves cyclicity exactly (churny walks bounce
-            # in and out of infeasible regions; removals elsewhere in
-            # the graph clear ``_cycle0`` without breaking the cycle).
-            witness = self._cycle_witness
-            if witness is not None:
-                if all(self._witness_edge_live(u, v) for u, v in witness):
-                    self.stat_cycle_witness_hits += 1
-                    keys = self._interner.keys()
-                    self._cycle0 = exc = CycleError(
-                        "realization contains a cycle",
-                        cycle=[keys[u] for u, _v in witness],
-                    )
-                    comm_ms = sum(
-                        dur[dep_comm[j]] for j in self._active_deps
-                    )
-                    return INFEASIBLE_MS, False, comm_ms, exc
-                self._cycle_witness = None
             self.stat_order_rebuilds += 1
             try:
-                order = self._kahn_base(n)
+                order = kahn_order_indices(
+                    n, self._indeg_total, self._succ_static,
+                    self._interner.keys(), self._succ_seq, self._proc_next,
+                )
             except CycleError as exc:
                 self._cycle0 = exc
-                self._cycle_witness = self._find_cycle()
-                comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-                return INFEASIBLE_MS, False, comm_ms, exc
+                return self._infeasible(exc)
             pos = [0] * n
             for idx, v in enumerate(order):
                 pos[v] = idx
@@ -1344,20 +1085,36 @@ class IncrementalEngine(EvaluationEngine):
         finish1 = self._finish1
         starts1[:] = starts0
         finish1[:] = finish0
+        comm_ms = sum(dur[dep_comm[j]] for j in perm)
         if not self._chain_overlay(perm):
             # Overlay propagation overran its budget: validate the
-            # serialized realization the reference way.
+            # serialized realization the reference way.  Processor
+            # chains link only task ids and the bus chain only comm ids,
+            # so one pointer array carries both chain layers.
+            lo, hi = ntasks, ntasks + self._ndeps
+            chains = list(self._proc_next)
+            chains[lo:hi] = chain_next[lo:hi]
             indeg1 = list(self._indeg_total)
             for j in perm[1:]:
                 indeg1[dep_comm[j]] += 1
             try:
-                order1 = self._kahn_chained(n, indeg1, chain_next)
+                order1 = kahn_order_indices(
+                    n, indeg1, self._succ_static, self._interner.keys(),
+                    self._succ_seq, chains,
+                )
             except CycleError as exc:
-                comm_ms = sum(dur[dep_comm[j]] for j in perm)
                 return INFEASIBLE_MS, False, comm_ms, exc
             self._dp_serialized(order1)
-        comm_ms = sum(dur[dep_comm[j]] for j in perm)
         return max(finish1), True, comm_ms, None
+
+    def _infeasible(
+        self, exc: CycleError
+    ) -> Tuple[float, bool, float, Optional[CycleError]]:
+        """``_compute``'s result for a cyclic unserialized realization."""
+        dur = self._dur
+        dep_comm = self._dep_comm
+        comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
+        return INFEASIBLE_MS, False, comm_ms, exc
 
     # ------------------------------------------------------------------
     # persistent order maintenance
@@ -1368,58 +1125,6 @@ class IncrementalEngine(EvaluationEngine):
         if self._proc_next[a] == b:
             return True
         return b in self._succ_seq[a]
-
-    def _witness_edge_live(self, u: int, v: int) -> bool:
-        """Liveness of a witness-cycle edge (may be a static-layer edge,
-        which never dies)."""
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        if lo <= v < hi and self._dep_src[v - lo] == u:
-            return True
-        if lo <= u < hi and self._dep_dst[u - lo] == v:
-            return True
-        return self._edge_live((u, v))
-
-    def _find_cycle(self) -> Optional[List[Tuple[int, int]]]:
-        """One concrete cycle of the live graph as an edge list (DFS
-        back-edge extraction); None when the graph is acyclic.  Runs
-        only on the Kahn-failure path."""
-        n = len(self._interner)
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        color = [0] * n  # 0 = white, 1 = on stack, 2 = done
-
-        def successors(x: int) -> List[int]:
-            out = list(succ_static[x])
-            out.extend(succ_seq[x])
-            nxt = proc_next[x]
-            if nxt >= 0:
-                out.append(nxt)
-            return out
-
-        for root in range(n):
-            if color[root]:
-                continue
-            path = [root]
-            stack = [iter(successors(root))]
-            color[root] = 1
-            while stack:
-                advanced = False
-                for y in stack[-1]:
-                    if color[y] == 0:
-                        color[y] = 1
-                        path.append(y)
-                        stack.append(iter(successors(y)))
-                        advanced = True
-                        break
-                    if color[y] == 1:
-                        cycle = path[path.index(y):] + [y]
-                        return list(zip(cycle, cycle[1:]))
-                if not advanced:
-                    color[path.pop()] = 2
-                    stack.pop()
-        return None
 
     def _repair(self, entry: List, pending: List[Tuple[int, int]]):
         """Repair the persistent order for the (live) contradicting
@@ -1738,52 +1443,6 @@ class IncrementalEngine(EvaluationEngine):
                         best = candidate
             starts[v] = best
             finish[v] = best + dur[v]
-
-    def _kahn_base(self, n: int) -> List[int]:
-        """FIFO Kahn over the static layer, the seq layer and the
-        processor chains; raises :class:`CycleError`."""
-        return kahn_order_indices(
-            n, self._indeg_total, self._succ_static,
-            self._interner.keys(), self._succ_seq, self._proc_next,
-        )
-
-    def _kahn_chained(
-        self, n: int, indeg: List[int], chain_next: List[int]
-    ) -> List[int]:
-        """Kahn over all edge layers plus the bus chain overlay."""
-        order = [v for v in range(n) if indeg[v] == 0]
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
-            for nxt in succ_static[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            for nxt in succ_seq[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            nxt = proc_next[node]
-            if nxt >= 0:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-            nxt = chain_next[node]
-            if nxt >= 0:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    order.append(nxt)
-        if len(order) != n:
-            keys = self._interner.keys()
-            raise CycleError(
-                "serialized realization contains a cycle",
-                cycle=[keys[v] for v in range(n) if indeg[v] > 0],
-            )
-        return order
 
     def _guarded_compute(
         self, solution: Solution

@@ -25,7 +25,7 @@ from repro.model.application import Application
 #: revision)`` pair always denotes the same mapping content — undoing a
 #: move restores the old stamp together with the old content, and the
 #: incremental evaluation engine exploits that to skip untouched
-#: resources and memoize realized layouts by stamp.
+#: resources.
 _REVISION = itertools.count(1)
 
 

@@ -17,8 +17,8 @@ ones for fixed seeds:
   each job through :func:`_isolate` so a shared ``Application`` or
   ``Architecture`` can never leak state between jobs, in either mode.
 * Jobs without an explicit seed get one derived from ``base_seed``
-  through ``numpy.random.SeedSequence`` spawning (with a pure-Python
-  fallback), so adding workers never re-deals the seeds.
+  through ``numpy.random.SeedSequence`` spawning, so adding workers
+  never re-deals the seeds.
 * Outcomes are returned in submission order regardless of completion
   order.
 
@@ -38,17 +38,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from numpy.random import SeedSequence
+
 from repro.arch.architecture import Architecture, epicure_architecture
 from repro.errors import ConfigurationError
 from repro.mapping.evaluator import Evaluation, Evaluator
 from repro.mapping.solution import Solution
 from repro.model.application import Application
 from repro.search.strategy import SearchBudget, SearchResult, SearchStrategy
-
-try:  # numpy is an optional dependency of the seed derivation only
-    from numpy.random import SeedSequence as _SeedSequence
-except ImportError:  # pragma: no cover - numpy is in the standard env
-    _SeedSequence = None
 
 
 # ----------------------------------------------------------------------
@@ -57,24 +54,13 @@ except ImportError:  # pragma: no cover - numpy is in the standard env
 def derive_seeds(base_seed: int, n: int) -> List[int]:
     """``n`` statistically independent 32-bit seeds from one base seed.
 
-    Uses ``numpy.random.SeedSequence.spawn`` (the recommended way to
-    key parallel streams); falls back to splitmix64-style mixing when
-    numpy is unavailable.  Deterministic in both cases.
+    Uses ``numpy.random.SeedSequence.spawn``, the recommended way to
+    key parallel streams; deterministic for a given ``base_seed``.
     """
     if n < 0:
         raise ConfigurationError("cannot derive a negative number of seeds")
-    if _SeedSequence is not None:
-        children = _SeedSequence(base_seed).spawn(n)
-        return [int(child.generate_state(1)[0]) for child in children]
-    seeds = []
-    state = (base_seed & 0xFFFFFFFFFFFFFFFF) or 0x9E3779B97F4A7C15
-    for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        seeds.append((z ^ (z >> 31)) & 0xFFFFFFFF)
-    return seeds
+    children = SeedSequence(base_seed).spawn(n)
+    return [int(child.generate_state(1)[0]) for child in children]
 
 
 # ----------------------------------------------------------------------

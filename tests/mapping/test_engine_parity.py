@@ -118,10 +118,9 @@ def _replay(
     return evaluated
 
 
-@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
-def test_engine_parity_on_random_move_sequences(engines):
-    """>= 500 random accepted/rejected moves across varied instances,
-    per engine pair."""
+def _replay_random_instances(engines):
+    """Replay one move sequence per varied random instance; returns the
+    number of evaluated states."""
     total = 0
     cases = [
         # (tasks, topology, seed, arch factory, p_zero, bus policy)
@@ -139,17 +138,47 @@ def test_engine_parity_on_random_move_sequences(engines):
         total += _replay(
             app, arch_factory, seed * 101, 80, p_zero, bus, engines
         )
-    assert total >= 480  # random-instance share of the >=500 target
+    return total
+
+
+def _replay_motion(engines):
+    return _replay(
+        motion_detection_application(), lambda: epicure_architecture(2000),
+        seed=99, steps=120, engines=engines,
+    )
+
+
+@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
+def test_engine_parity_on_random_move_sequences(engines):
+    """>= 500 random accepted/rejected moves across varied instances,
+    per engine pair."""
+    # random-instance share of the >=500 target
+    assert _replay_random_instances(engines) >= 480
 
 
 @pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
 def test_engine_parity_on_motion_benchmark(engines):
-    app = motion_detection_application()
-    total = _replay(
-        app, lambda: epicure_architecture(2000), seed=99, steps=120,
-        engines=engines,
-    )
-    assert total >= 100
+    assert _replay_motion(engines) >= 100
+
+
+def test_engine_parity_with_forced_serialized_fallback(monkeypatch):
+    """The serialized-bus fallback — one Kahn over every edge layer plus
+    the bus chain, then a full serialized DP — runs only when the chain
+    overlay overruns its budget, which no other replay triggers.  Force
+    it on every evaluation with active transfers and replay the random
+    and motion sequences against the reference."""
+    fallbacks = 0
+
+    def overrun(self, perm):
+        nonlocal fallbacks
+        fallbacks += 1
+        return False
+
+    monkeypatch.setattr(IncrementalEngine, "_chain_overlay", overrun)
+    engines = ("full", "incremental")
+    assert _replay_random_instances(engines) >= 480
+    assert _replay_motion(engines) >= 100
+    assert fallbacks > 100
 
 
 def test_failed_order_repair_leaves_no_stale_order():
@@ -186,6 +215,90 @@ def _dual_resource_arch() -> Architecture:
     )
     arch.validate()
     return arch
+
+
+def _move_adjacent_pair(solution):
+    """Move the first two tasks of ``cpu0``'s order to the front of
+    ``cpu1``'s, keeping their order, so the chain edge between them
+    migrates between the processors; returns the undo."""
+    a, b = solution.software_order("cpu0")[:2]
+    solution.assign_to_processor(a, "cpu1", 0)
+    solution.assign_to_processor(b, "cpu1", 1)
+
+    def undo():
+        solution.assign_to_processor(a, "cpu0", 0)
+        solution.assign_to_processor(b, "cpu0", 1)
+
+    return undo
+
+
+def _move_fitting_context(solution):
+    """Move the first ``fpga_a`` context that fits ``fpga_b`` into a new
+    context at the end of ``fpga_b``; returns the undo."""
+    fpga_b = solution.architecture.resource("fpga_b")
+    k, members = next(
+        (k, list(ctx))
+        for k, ctx in enumerate(solution.contexts("fpga_a"))
+        if fpga_b.fits(0, sum(solution.task_clbs(t) for t in ctx))
+    )
+    position = solution.spawn_context(members[0], "fpga_b")
+    for t in members[1:]:
+        solution.assign_to_context(t, "fpga_b", position)
+
+    def undo():
+        solution.spawn_context(members[0], "fpga_a", k)
+        for t in members[1:]:
+            solution.assign_to_context(t, "fpga_a", k)
+
+    return undo
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_engine_parity_on_multi_resource_diffs(seed):
+    """Edits that refresh several resources in one delta-sync: a chain
+    edge migrating between two processors, a context moving between two
+    DRLCs, and both at once — each checked applied and again after the
+    previous state is restored (which migrates the edges back)."""
+    app = random_application(
+        GeneratorConfig(num_tasks=26, topology="tgff"), seed=4
+    )
+    arch = _dual_resource_arch()
+    solution = random_initial_solution(
+        app, arch, random.Random(seed), hw_fraction=0.5
+    )
+    full = Evaluator(app, arch, engine="full")
+    incremental = Evaluator(app, arch, engine="incremental")
+
+    def layout():
+        return (
+            [list(solution.software_order(p)) for p in ("cpu0", "cpu1")],
+            [[list(c) for c in solution.contexts(r)]
+             for r in ("fpga_a", "fpga_b")],
+        )
+
+    _assert_same(
+        full.evaluate(solution), incremental.evaluate(solution), "initial"
+    )
+    for edits in (
+        (_move_adjacent_pair,),
+        (_move_fitting_context,),
+        (_move_adjacent_pair, _move_fitting_context),
+    ):
+        names = [edit.__name__ for edit in edits]
+        before = layout()
+        undos = [edit(solution) for edit in edits]
+        assert layout() != before
+        _assert_same(
+            full.evaluate(solution), incremental.evaluate(solution), names
+        )
+        for undo in reversed(undos):
+            undo()
+        assert layout() == before
+        _assert_same(
+            full.evaluate(solution),
+            incremental.evaluate(solution),
+            f"{names} restored",
+        )
 
 
 def _asic_arch() -> Architecture:

@@ -105,6 +105,12 @@ class TestSeeds:
         assert derive_seeds(42, 5) != derive_seeds(43, 5)
         assert len(set(derive_seeds(0, 100))) == 100
 
+    def test_derive_seeds_are_pinned(self):
+        """The derived seeds key every unseeded job's trajectory, so the
+        stream itself is pinned: any other derivation would silently
+        change every derived-seed result."""
+        assert derive_seeds(0, 3) == [3757552657, 673228719, 3241444873]
+
     def test_unseeded_jobs_get_position_stable_seeds(
         self, small_app, small_arch
     ):
