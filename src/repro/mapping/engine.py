@@ -17,9 +17,9 @@ operation behind one interface with two implementations:
   durations, the crossing state of each dependency, and the
   sequentialization edges of the (typically one or two) resources a
   move actually touched.  On top of that delta-sync the longest-path DP
-  is *persistent*: one topological order is repaired in place instead
-  of re-sorted, and only the order suffix a move could have affected is
-  re-relaxed.
+  is *persistent*: one topological order — of the bus-serialized graph
+  too — is repaired in place instead of re-sorted, and only the order
+  suffix a move could have affected is re-relaxed.
 
 Both engines produce **bit-identical** makespans: they evaluate the same
 graph with the same float operations over the same candidate sets, and
@@ -35,7 +35,6 @@ Select an engine through ``Evaluator(..., engine="incremental")``, the
 
 from __future__ import annotations
 
-import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -321,9 +320,14 @@ class IncrementalEngine(EvaluationEngine):
       it is *repaired* in place (Pearce/Kelly-style region reordering
       per contradicting edge, verified in O(E) after multi-edge
       repairs); Kahn's sort runs only when a repair detects a potential
-      cycle or too many edges contradict at once.  Every order the
-      engine evaluates with is a verified topological order, so cyclic
-      realizations are detected exactly like the reference engine.
+      cycle or too many edges contradict at once.  The base layers are
+      repaired first, ignoring the bus chain; then the bus chain — the
+      serialized transaction order, one more pointer layer — is
+      written, and its contradicting edges are unlinked and re-inserted
+      one at a time (or the base layers plus the chain are sorted at
+      once).  Every order the engine evaluates with is a verified
+      topological order, so cyclic realizations are detected exactly
+      like the reference engine.
     * **The base DP values.**  The unserialized ASAP start/finish values
       survive across evaluations.  Every node whose inputs change is
       recorded where the change is written — structural deltas by
@@ -332,12 +336,12 @@ class IncrementalEngine(EvaluationEngine):
       earliest order position among them.  Recomputed nodes take the
       max over the identical candidate set the full DP would, so
       makespans stay bit-identical.
-    * **The serialized bus overlay**, computed by increase-only
-      propagation of the bus-chain constraints on separate buffers, so
-      the persistent base values stay untouched.  When the propagation
-      overruns its budget, the serialized graph is sorted by the same
-      Kahn as the base graph, with the bus chain as one more pointer
-      layer, and relaxed in full.
+    * **The serialized DP values** (base layers plus the bus chain) on
+      separate buffers, persistent the same way: the same DP loop
+      re-runs them from the earliest position among the base seeds and
+      the comm nodes whose chain predecessor changed.  When no chain
+      edge binds in the base values, the serialized values *are* the
+      base values and are copied instead.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
     cached alongside.  ``Processor``/``ReconfigurableCircuit``/``Asic``
@@ -498,21 +502,28 @@ class IncrementalEngine(EvaluationEngine):
         # added edge); removals never invalidate it.
         self._orders0: List[List] = []
         self._cycle0: Optional[CycleError] = None
-        self._dirty: List[bool] = [False] * n
-        self._chain_perm: Optional[List[int]] = None
+        #: The bus chain: comm ids in transaction order, and the same
+        #: chain as pointer arrays (``-1`` off the chain).  The base
+        #: layers never read them; ``_no_chain`` stands in for them
+        #: wherever the base graph alone is walked.
+        self._chain_perm: List[int] = []
         self._chain_pred: List[int] = [-1] * n
         self._chain_next: List[int] = [-1] * n
+        self._no_chain: List[int] = [-1] * n
         #: Base (unserialized) DP values, persistent across evaluations.
         self._starts0: List[float] = [0.0] * n
         self._finish0: List[float] = [0.0] * n
-        #: Serialized overlay buffers (base values + bus chain).
+        #: Serialized DP values (base graph + bus chain), persistent
+        #: across evaluations as well.
         self._starts1: List[float] = [0.0] * n
         self._finish1: List[float] = [0.0] * n
-        #: Positions of the current persistent order (aliases the live
-        #: entry's position array once one exists).
-        self._pos0: List[int] = [0] * n
         #: Whether the persistent base DP values are trustworthy.
         self._values_valid = False
+        #: Whether the serialized values are current up to
+        #: ``_dirty_seeds`` and the next chain relink, with the
+        #: persistent order respecting the chain arrays; if not, the
+        #: next serialized pass checks every chain edge and runs in full.
+        self._ser_valid = False
         #: Node ids whose inputs changed since the last DP run
         #: (structural deltas from :meth:`_replace_edges`, duration and
         #: pass-through weight changes from the compare-and-seed writes).
@@ -524,6 +535,8 @@ class IncrementalEngine(EvaluationEngine):
         # together with the order state they describe).
         self.stat_order_repairs = 0
         self.stat_order_rebuilds = 0
+        self.stat_chain_repairs = 0
+        self.stat_chain_rebuilds = 0
 
     def _classify_resources(self, arch: Architecture) -> None:
         """(Re)build the resource kind table.  Entries are kept for
@@ -562,6 +575,8 @@ class IncrementalEngine(EvaluationEngine):
             ctx_misses=self.stat_ctx_misses,
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
+            chain_repairs=self.stat_chain_repairs,
+            chain_rebuilds=self.stat_chain_rebuilds,
         )
         return out
 
@@ -900,14 +915,13 @@ class IncrementalEngine(EvaluationEngine):
                 self._indeg_total.append(0)
                 self._proc_prev.append(-1)
                 self._proc_next.append(-1)
-                self._dirty.append(False)
                 self._chain_pred.append(-1)
                 self._chain_next.append(-1)
+                self._no_chain.append(-1)
                 self._starts0.append(0.0)
                 self._finish0.append(0.0)
                 self._starts1.append(0.0)
                 self._finish1.append(0.0)
-                self._pos0.append(0)
             # The persistent order and values do not cover the new
             # nodes yet.
             self._orders0.clear()
@@ -963,8 +977,6 @@ class IncrementalEngine(EvaluationEngine):
             ]
             self._active_dirty = False
         n = len(self._interner)
-        dur = self._dur
-        dep_comm = self._dep_comm
         seeds = self._dirty_seeds
 
         # --- cached cycle verdict (no edge removed since it was reached)
@@ -972,10 +984,14 @@ class IncrementalEngine(EvaluationEngine):
             return self._infeasible(self._cycle0)
 
         # --- persistent order: revalidate, repair, else rebuild --------
+        # Over the base layers only: the chain arrays still hold the
+        # previous evaluation's bus chain, and a stale chain edge can
+        # close a false cycle.
         entries = self._orders0
         entry = entries[0] if entries else None
         pending = self._pending_edges
         full_dp = not self._values_valid
+        moved = False
         if entry is not None and not entry[2]:
             if pending:
                 # Contradicting edges that were since removed (rejected
@@ -993,6 +1009,7 @@ class IncrementalEngine(EvaluationEngine):
                     self.stat_order_repairs += 1
                     entry[2] = True
                     pending.clear()
+                    moved = True
                 elif verdict == "cycle":
                     # Exact detection (single contradicting edge, PK
                     # invariant intact): the realization is cyclic —
@@ -1026,85 +1043,97 @@ class IncrementalEngine(EvaluationEngine):
             except CycleError as exc:
                 self._cycle0 = exc
                 return self._infeasible(exc)
-            pos = [0] * n
-            for idx, v in enumerate(order):
-                pos[v] = idx
-            entry = [order, pos, True]
-            entries.clear()
-            entries.append(entry)
-            pending.clear()
             # Note: a rebuilt *order* does not invalidate the persistent
             # *values* — they depend on the graph, not on the order —
-            # so the suffix DP below still applies.
-        order0 = entry[0]
-        self._pos0 = pos0 = entry[1]
+            # so the suffix DPs below still apply.
+            entry = self._adopt_order(order)
+            moved = True
+        order, pos = entry[0], entry[1]
 
         # --- persistent base DP: full or suffix ------------------------
+        starts0 = self._starts0
+        finish0 = self._finish0
         if full_dp:
-            self._dp_range(order0, 0)
+            self._dp_range(order, 0, self._no_chain, starts0, finish0)
             self._values_valid = True
         elif seeds:
-            self._dp_range(order0, min(pos0[v] for v in seeds))
-        seeds.clear()
+            self._dp_range(
+                order, min(pos[v] for v in seeds), self._no_chain,
+                starts0, finish0,
+            )
 
-        finish0 = self._finish0
         active = self._active_deps
         if not active:
+            seeds.clear()
+            self._ser_valid = False
             return max(finish0), True, 0.0, None
 
-        # Serialize bus transactions: ASAP order in the unserialized
-        # graph, ties broken by (source task, destination task) — the
-        # exact deterministic policy of SearchGraphBuilder._serialize_bus.
-        starts0 = self._starts0
+        # --- bus chain: ASAP order in the unserialized graph, ties
+        # broken by (source task, destination task) — the exact
+        # deterministic policy of SearchGraphBuilder._serialize_bus.
+        # Comm ids are ``ntasks + j``, so the chain holds them directly.
+        lo = self._ntasks
         srct = self._dep_srct
         dstt = self._dep_dstt
-        ntasks = self._ntasks
-        keyed = sorted(
-            (starts0[ntasks + j], srct[j], dstt[j], j) for j in active
-        )
-        perm = [key[3] for key in keyed]
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        if perm != self._chain_perm:
-            if self._chain_perm:
-                for j in self._chain_perm:
-                    comm = dep_comm[j]
-                    chain_pred[comm] = -1
-                    chain_next[comm] = -1
-            prev = dep_comm[perm[0]]
-            for j in perm[1:]:
-                comm = dep_comm[j]
-                chain_pred[comm] = prev
-                chain_next[prev] = comm
-                prev = comm
-            self._chain_perm = perm
-        # The serialized values are the base values plus increase-only
-        # chain constraints, materialized into separate buffers so the
-        # persistent base values stay untouched.
+        chain = [
+            lo + key[3]
+            for key in sorted(
+                (starts0[lo + j], srct[j], dstt[j], j) for j in active
+            )
+        ]
+        heads = self._relink_chain(chain) if chain != self._chain_perm else ()
+        dur = self._dur
+        comm_ms = sum(dur[c] for c in chain)
+
+        # --- keep the persistent order a topological order of the
+        # serialized graph too (base layers + bus chain) --------------
+        ser_full = full_dp or not self._ser_valid
+        if moved or heads or ser_full:
+            bad = [(a, b) for a, b in zip(chain, chain[1:]) if pos[a] > pos[b]]
+            if bad:
+                if len(bad) <= self.MAX_REPAIR_EDGES and self._repair_chain(
+                    order, pos, bad
+                ):
+                    self.stat_chain_repairs += 1
+                else:
+                    # Too many contradictions, or a chain edge closes a
+                    # cycle: sort base layers + bus chain at once.
+                    # Processor chains link only task ids and the bus
+                    # chain only comm ids, so one pointer array carries
+                    # both chain layers.
+                    self.stat_chain_rebuilds += 1
+                    hi = lo + self._ndeps
+                    chains = list(self._proc_next)
+                    chains[lo:hi] = self._chain_next[lo:hi]
+                    indeg = list(self._indeg_total)
+                    for c in chain[1:]:
+                        indeg[c] += 1
+                    try:
+                        order = kahn_order_indices(
+                            n, indeg, self._succ_static,
+                            self._interner.keys(), self._succ_seq, chains,
+                        )
+                    except CycleError as exc:
+                        seeds.clear()
+                        self._ser_valid = False
+                        return INFEASIBLE_MS, False, comm_ms, exc
+                    order, pos = self._adopt_order(order)[:2]
+
+        # --- persistent serialized DP ---------------------------------
         starts1 = self._starts1
         finish1 = self._finish1
-        starts1[:] = starts0
-        finish1[:] = finish0
-        comm_ms = sum(dur[dep_comm[j]] for j in perm)
-        if not self._chain_overlay(perm):
-            # Overlay propagation overran its budget: validate the
-            # serialized realization the reference way.  Processor
-            # chains link only task ids and the bus chain only comm ids,
-            # so one pointer array carries both chain layers.
-            lo, hi = ntasks, ntasks + self._ndeps
-            chains = list(self._proc_next)
-            chains[lo:hi] = chain_next[lo:hi]
-            indeg1 = list(self._indeg_total)
-            for j in perm[1:]:
-                indeg1[dep_comm[j]] += 1
-            try:
-                order1 = kahn_order_indices(
-                    n, indeg1, self._succ_static, self._interner.keys(),
-                    self._succ_seq, chains,
-                )
-            except CycleError as exc:
-                return INFEASIBLE_MS, False, comm_ms, exc
-            self._dp_serialized(order1)
+        if all(finish0[a] <= starts0[b] for a, b in zip(chain, chain[1:])):
+            # No chain edge binds: the serialized values are the base
+            # values bit for bit (no chain candidate wins a max).
+            starts1[:] = starts0
+            finish1[:] = finish0
+        elif ser_full:
+            self._dp_range(order, 0, self._chain_pred, starts1, finish1)
+        elif seeds or heads:
+            start = min(pos[v] for v in (*seeds, *heads))
+            self._dp_range(order, start, self._chain_pred, starts1, finish1)
+        seeds.clear()
+        self._ser_valid = True
         return max(finish1), True, comm_ms, None
 
     def _infeasible(
@@ -1119,6 +1148,45 @@ class IncrementalEngine(EvaluationEngine):
     # ------------------------------------------------------------------
     # persistent order maintenance
     # ------------------------------------------------------------------
+    def _adopt_order(self, order: List[int]) -> List:
+        """Install a freshly sorted order as the persistent order and
+        return its ``[order, position, valid]`` entry."""
+        pos = [0] * len(order)
+        for idx, v in enumerate(order):
+            pos[v] = idx
+        entry = [order, pos, True]
+        self._orders0[:] = [entry]
+        self._pending_edges.clear()
+        return entry
+
+    def _relink_chain(self, chain: List[int]) -> List[int]:
+        """Write a new bus chain into the chain pointer arrays and
+        return the comm ids whose chain predecessor changed (they seed
+        the serialized DP).  Transfers that went inactive are unlinked."""
+        chain_pred = self._chain_pred
+        chain_next = self._chain_next
+        dep_mode = self._dep_mode
+        lo = self._ntasks
+        heads: List[int] = []
+        for c in self._chain_perm:
+            if dep_mode[c - lo] != 1:
+                chain_next[c] = -1
+                if chain_pred[c] >= 0:
+                    chain_pred[c] = -1
+                    heads.append(c)
+        first = chain[0]
+        if chain_pred[first] >= 0:
+            chain_pred[first] = -1
+            heads.append(first)
+        for a, b in zip(chain, chain[1:]):
+            chain_next[a] = b
+            if chain_pred[b] != a:
+                chain_pred[b] = a
+                heads.append(b)
+        chain_next[chain[-1]] = -1
+        self._chain_perm = chain
+        return heads
+
     def _edge_live(self, edge: Tuple[int, int]) -> bool:
         """Is the once-added edge still present in the live layers?"""
         a, b = edge
@@ -1128,8 +1196,8 @@ class IncrementalEngine(EvaluationEngine):
 
     def _repair(self, entry: List, pending: List[Tuple[int, int]]):
         """Repair the persistent order for the (live) contradicting
-        added edges — Pearce/Kelly region reordering, one edge at a
-        time.
+        added base edges — Pearce/Kelly region reordering, one edge at a
+        time, over the base layers only.
 
         A single repaired edge is sound by the PK invariant (every other
         live edge is position-consistent when the repair runs); after
@@ -1142,11 +1210,12 @@ class IncrementalEngine(EvaluationEngine):
         contradicting edges, or failed verification).
         """
         order, pos, _valid = entry
+        no_chain = self._no_chain
         repaired = 0
         for a, b in pending:
             if pos[a] < pos[b]:
                 continue  # an earlier repair already satisfied it
-            if not self._pk_insert(order, pos, a, b):
+            if not self._pk_insert(order, pos, a, b, no_chain, no_chain):
                 if repaired == 0 and len(pending) == 1:
                     return "cycle"
                 return False
@@ -1155,14 +1224,49 @@ class IncrementalEngine(EvaluationEngine):
             return False
         return True
 
-    def _pk_insert(self, order: List[int], pos: List[int], a: int, b: int) -> bool:
+    def _repair_chain(
+        self, order: List[int], pos: List[int], bad: List[Tuple[int, int]]
+    ) -> bool:
+        """Repair the persistent order for the bus-chain edges that
+        contradict it.  They are unlinked first and re-inserted one at a
+        time, so every Pearce/Kelly insertion runs with every other
+        linked edge (base layers and chain) position-consistent: each
+        step is sound by the PK invariant and needs no O(E) check.
+        Returns False when an insertion finds a cycle; the edges are
+        relinked either way."""
+        chain_pred = self._chain_pred
+        chain_next = self._chain_next
+        for a, b in bad:
+            chain_next[a] = -1
+            chain_pred[b] = -1
+        ok = True
+        for a, b in bad:
+            if ok and pos[a] > pos[b]:
+                ok = self._pk_insert(order, pos, a, b, chain_next, chain_pred)
+            chain_next[a] = b
+            chain_pred[b] = a
+        return ok
+
+    def _pk_insert(
+        self,
+        order: List[int],
+        pos: List[int],
+        a: int,
+        b: int,
+        chain_next: List[int],
+        chain_pred: List[int],
+    ) -> bool:
         """Reorder the affected region for one edge ``a -> b`` with
         ``pos[a] >= pos[b]``: forward-reachable nodes of ``b`` and
         backward-reachable nodes of ``a`` (both within the region) are
         remapped onto their own position pool, backward block first.
-        Returns False when the region search sees a cycle."""
+        The bus chain is walked through ``chain_next``/``chain_pred``
+        (``_no_chain`` for the base graph alone).  Returns False when
+        the region search sees a cycle."""
         lower = pos[b]
         upper = pos[a]
+        lo = self._ntasks
+        hi = lo + self._ndeps
         succ_static = self._succ_static
         succ_seq = self._succ_seq
         proc_next = self._proc_next
@@ -1182,14 +1286,13 @@ class IncrementalEngine(EvaluationEngine):
                         return False
                     forward.add(y)
                     stack.append(y)
-            y = proc_next[x]
+            # Processor chains link task ids, the bus chain comm ids.
+            y = proc_next[x] if x < lo else chain_next[x]
             if y >= 0 and pos[y] <= upper and y not in forward:
                 if y == a:
                     return False
                 forward.add(y)
                 stack.append(y)
-        lo = self._ntasks
-        hi = lo + self._ndeps
         comm_src = self._dep_src
         pred_comms = self._pred_comms
         pred_seq = self._pred_seq
@@ -1200,8 +1303,15 @@ class IncrementalEngine(EvaluationEngine):
             x = stack.pop()
             if lo <= x < hi:
                 preds = (comm_src[x - lo],)
+                y = chain_pred[x]
             else:
                 preds = pred_comms[x]
+                y = proc_prev[x]
+            if y >= 0 and pos[y] >= lower and y not in backward:
+                if y == b:
+                    return False
+                backward.add(y)
+                stack.append(y)
             for y in preds:
                 if pos[y] >= lower and y not in backward:
                     if y == b:
@@ -1214,12 +1324,6 @@ class IncrementalEngine(EvaluationEngine):
                         return False
                     backward.add(y)
                     stack.append(y)
-            y = proc_prev[x]
-            if y >= 0 and pos[y] >= lower and y not in backward:
-                if y == b:
-                    return False
-                backward.add(y)
-                stack.append(y)
         # Merge: the affected nodes keep their position pool; the
         # backward block (everything that must precede ``a``, including
         # ``a``) goes first, the forward block second, each in its
@@ -1233,7 +1337,7 @@ class IncrementalEngine(EvaluationEngine):
         return True
 
     def _verify_order(self, pos: List[int]) -> bool:
-        """O(E) check that ``pos`` respects every live edge."""
+        """O(E) check that ``pos`` respects every live base edge."""
         succ_static = self._succ_static
         succ_seq = self._succ_seq
         proc_next = self._proc_next
@@ -1251,15 +1355,25 @@ class IncrementalEngine(EvaluationEngine):
         return True
 
     # ------------------------------------------------------------------
-    # persistent base DP
+    # persistent DP
     # ------------------------------------------------------------------
-    def _dp_range(self, order: List[int], start: int) -> None:
-        """The reference DP loop over ``order[start:]`` into the
-        persistent base buffers.  Values before ``start`` are reused:
-        a node's value only depends on its predecessors — all at
-        earlier positions in a valid order — so recomputing from the
-        earliest position whose node's inputs changed reproduces the
-        full DP bit-for-bit."""
+    def _dp_range(
+        self,
+        order: List[int],
+        start: int,
+        chain: List[int],
+        starts: List[float],
+        finish: List[float],
+    ) -> None:
+        """The reference DP loop over ``order[start:]``.  It serves two
+        buffer pairs: the base values (``_starts0``/``_finish0``, with
+        ``chain=_no_chain``) and the serialized values
+        (``_starts1``/``_finish1``, with ``chain=_chain_pred``, the bus
+        chain's predecessor of every comm node).  Values before
+        ``start`` are reused: a node's value only depends on its
+        predecessors — all at earlier positions in a valid order — so
+        recomputing from the earliest position whose node's inputs
+        changed reproduces the full DP bit-for-bit."""
         lo = self._ntasks
         hi = lo + self._ndeps
         comm_src = self._dep_src
@@ -1268,8 +1382,6 @@ class IncrementalEngine(EvaluationEngine):
         pred_seq = self._pred_seq
         proc_prev = self._proc_prev
         dur = self._dur
-        starts = self._starts0
-        finish = self._finish0
         for idx in range(start, len(order)):
             v = order[idx]
             if lo <= v < hi:
@@ -1277,151 +1389,7 @@ class IncrementalEngine(EvaluationEngine):
                 best = finish[comm_src[j]] + comm_w[j]
                 if best < 0.0:
                     best = 0.0  # mirror the reference DP's 0.0 floor
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            starts[v] = best
-            finish[v] = best + dur[v]
-
-    def _chain_overlay(self, perm: List[int]) -> bool:
-        """Upgrade the base values copied into the serialized buffers to
-        the serialized DP by increase-only propagation.  Chain edges can
-        only delay starts, so nodes outside the cone of a *binding*
-        chain edge keep their base values — exactly the serialized
-        values (identical candidate sets).  The cone is seeded from the
-        comm nodes whose chain predecessor binds and relaxed in
-        persistent-order position order, re-queuing a node whenever an
-        input grows.  Returns False when the pop budget trips (possible
-        only when the chain contradicts the order, e.g. a cycle) — then
-        the caller re-validates with the chained Kahn."""
-        dep_comm = self._dep_comm
-        starts = self._starts1
-        finish = self._finish1
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        pos0 = self._pos0
-        dirty = self._dirty
-        # The heap holds bare positions: ``pos0`` is a bijection, so an
-        # int compares exactly like the old ``(pos, node)`` tuple (ties
-        # are impossible) while skipping the tuple allocation and the
-        # lexicographic compare on every push/pop — the overlay is the
-        # hottest loop of the persistent path.
-        order0 = self._orders0[0][0]
-        heap: List[int] = []
-        push = heapq.heappush
-        prev = dep_comm[perm[0]]
-        for j in perm[1:]:
-            c = dep_comm[j]
-            if finish[prev] > starts[c] and not dirty[c]:
-                dirty[c] = True
-                heap.append(pos0[c])
-            prev = c
-        if not heap:
-            return True
-        heapq.heapify(heap)
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        dur = self._dur
-        pop = heapq.heappop
-        budget = 2 * len(self._interner) + 64
-        pops = 0
-        while heap:
-            pops += 1
-            if pops > budget:
-                while heap:
-                    dirty[order0[pop(heap)]] = False
-                return False
-            v = order0[pop(heap)]
-            if not dirty[v]:
-                continue
-            dirty[v] = False
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0
-                u = chain_pred[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            if best != starts[v]:
-                starts[v] = best
-                finish[v] = best + dur[v]
-                for nxt in succ_static[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, pos0[nxt])
-                for nxt in succ_seq[v]:
-                    if not dirty[nxt]:
-                        dirty[nxt] = True
-                        push(heap, pos0[nxt])
-                nxt = proc_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, pos0[nxt])
-                nxt = chain_next[v]
-                if nxt >= 0 and not dirty[nxt]:
-                    dirty[nxt] = True
-                    push(heap, pos0[nxt])
-        return True
-
-    def _dp_serialized(self, order: List[int]) -> None:
-        """Full serialized DP along ``order`` into the overlay buffers
-        (the rare path after an overlay-budget overrun)."""
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        chain_pred = self._chain_pred
-        dur = self._dur
-        starts = self._starts1
-        finish = self._finish1
-        for v in order:
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0
-                u = chain_pred[v]
+                u = chain[v]
                 if u >= 0:
                     candidate = finish[u]
                     if candidate > best:

@@ -160,11 +160,18 @@ class SearchGraphBuilder:
         """Impose a total order on the shared-medium transactions.
 
         Deterministic policy: sort communication nodes by their ASAP
-        ready time in the unserialized graph (ties: node id), then chain
-        them with zero-weight edges.  Because every transfer has a
-        strictly positive duration, a transfer reachable from another
-        always has a strictly later ready time, so the chain cannot
-        create a cycle when the underlying realization is acyclic.
+        ready time in the unserialized graph (ties: source task, then
+        destination task), then chain them with zero-weight edges.
+        Because every transfer has a strictly positive duration, a
+        transfer reachable from another always has a strictly later
+        ready time, so the chain cannot create a cycle when the
+        underlying realization is acyclic.  The argument needs every
+        edge weight and node duration to be non-negative, as the
+        ``Bus``, ``Task``/``Implementation`` and
+        ``ReconfigurableCircuit`` constructors validate.  A
+        :class:`~repro.arch.resource.Resource` subclass emitting
+        negative weights voids it; a cyclic chain is then reported by
+        :meth:`SearchGraph.makespan_ms` like any other cycle.
         """
         try:
             start = graph.start_times()

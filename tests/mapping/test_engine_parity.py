@@ -40,9 +40,11 @@ from repro.mapping.engine import (
     make_engine,
 )
 from repro.mapping.evaluator import Evaluator
-from repro.mapping.solution import random_initial_solution
+from repro.mapping.solution import Solution, random_initial_solution
+from repro.model.application import Application
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import motion_detection_application
+from repro.model.task import Task
 from repro.sa.moves import MoveGenerator
 
 #: Every unordered pair of engine names (the replay asserts pairwise
@@ -130,6 +132,7 @@ def _replay_random_instances(engines):
         (26, "tgff", 4, lambda: _dual_resource_arch(), 0.0, "ordered"),
         (14, "layered", 5, lambda: epicure_architecture(600), 0.12, "ordered"),
         (22, "tgff", 6, lambda: _asic_arch(), 0.0, "ordered"),
+        (20, "tgff", 7, lambda: _subclassed_arch(), 0.0, "ordered"),
     ]
     for num_tasks, topology, seed, arch_factory, p_zero, bus in cases:
         app = random_application(
@@ -162,23 +165,125 @@ def test_engine_parity_on_motion_benchmark(engines):
 
 
 def test_engine_parity_with_forced_serialized_fallback(monkeypatch):
-    """The serialized-bus fallback — one Kahn over every edge layer plus
-    the bus chain, then a full serialized DP — runs only when the chain
-    overlay overruns its budget, which no other replay triggers.  Force
-    it on every evaluation with active transfers and replay the random
-    and motion sequences against the reference."""
+    """The serialized fallback — one Kahn over the base layers plus the
+    bus chain, adopted as the persistent order — runs only when a chain
+    repair fails or too many chain edges contradict the order, which no
+    other replay triggers.  Make every chain repair report failure and
+    replay the random and motion sequences against the reference."""
     fallbacks = 0
 
-    def overrun(self, perm):
+    def fail(self, order, pos, bad):
         nonlocal fallbacks
         fallbacks += 1
         return False
 
-    monkeypatch.setattr(IncrementalEngine, "_chain_overlay", overrun)
+    monkeypatch.setattr(IncrementalEngine, "_repair_chain", fail)
     engines = ("full", "incremental")
     assert _replay_random_instances(engines) >= 480
     assert _replay_motion(engines) >= 100
     assert fallbacks > 100
+
+
+def _processors(count: int) -> Architecture:
+    arch = Architecture("procs", bus=Bus(rate_kbytes_per_ms=2.0))
+    for k in range(count):
+        arch.add_resource(Processor(f"cpu{k}"))
+    arch.validate()
+    return arch
+
+
+def _chain_walk(sw_times, deps, cpus, layout, edits):
+    """Evaluate a hand-placed software-only solution, then each edit in
+    turn, with the reference and the incremental engine.  Every
+    dependency carries 4 KB (a 2 ms transfer).  After every step the
+    engines must agree and no base + bus chain Kahn may have run: chain
+    repairs alone keep the persistent order serialized.  Returns the
+    reference graph's comm-node ``(start, finish)`` per step label and
+    the incremental engine's counters."""
+    app = Application("chain")
+    for i, ms in enumerate(sw_times):
+        app.add_task(Task(i, f"t{i}", "F", sw_time_ms=ms))
+    for src, dst in deps:
+        app.add_dependency(src, dst, data_kbytes=4.0)
+    app.validate()
+    arch = _processors(cpus)
+    solution = Solution(app, arch)
+    for cpu, tasks in layout.items():
+        for t in tasks:
+            solution.assign_to_processor(t, cpu)
+    full = Evaluator(app, arch, engine="full")
+    incremental = Evaluator(app, arch, engine="incremental")
+    spans = {}
+    for label, edit in [("initial", None)] + list(edits):
+        if edit is not None:
+            edit(solution)
+        _assert_same(
+            full.evaluate(solution), incremental.evaluate(solution), label
+        )
+        assert incremental.engine.telemetry_counters()["chain_rebuilds"] == 0
+        graph = full.engine.realize(solution)
+        starts = graph.start_times()
+        spans[label] = {
+            c[1:]: (starts[c], starts[c] + graph.duration(c))
+            for c in graph.comm_nodes
+        }
+    return spans, incremental.engine.telemetry_counters()
+
+
+def test_bus_chain_tie_break_against_the_persistent_order():
+    """Two transfers leave task 0 at the same time; the (src, dst)
+    tie-break puts 0->1 first, but dependency 0->2 was added first, so
+    the initial Kahn order places its comm node earlier.  A chain repair
+    resolves the contradiction."""
+    spans, counters = _chain_walk(
+        [2.0, 1.0, 1.0], [(0, 2), (0, 1)], 2,
+        {"cpu0": [0], "cpu1": [1, 2]},
+        [
+            ("swap", lambda s: s.assign_to_processor(2, "cpu1", 0)),
+            ("deactivate", lambda s: s.assign_to_processor(1, "cpu0")),
+            ("reactivate", lambda s: s.assign_to_processor(1, "cpu1", 0)),
+        ],
+    )
+    assert spans["initial"] == {(0, 1): (2.0, 4.0), (0, 2): (4.0, 6.0)}
+    assert counters["chain_repairs"] >= 1
+
+
+def test_bus_chain_behind_zero_duration_tasks():
+    """Zero-duration tasks 1 -> 0 (a zero-weight pass-through on one
+    processor) feed two transfers that tie at time 0.  The tie-break
+    chains 0->3 before 1->2 although task 1 precedes task 0."""
+    spans, counters = _chain_walk(
+        [0.0, 0.0, 1.0, 1.0], [(1, 0), (1, 2), (0, 3)], 2,
+        {"cpu0": [1, 0], "cpu1": [2, 3]},
+        [
+            ("swap", lambda s: s.assign_to_processor(3, "cpu1", 0)),
+            ("activate 1->0", lambda s: s.assign_to_processor(0, "cpu1", 0)),
+            ("restore", lambda s: s.assign_to_processor(0, "cpu0")),
+        ],
+    )
+    assert spans["initial"] == {(0, 3): (0.0, 2.0), (1, 2): (2.0, 4.0)}
+    assert spans["activate 1->0"] == {(1, 0): (0.0, 2.0), (1, 2): (2.0, 4.0)}
+    assert counters["chain_repairs"] >= 1
+
+
+def test_bus_chain_tight_edge_beside_a_binding_one():
+    """0->3 finishes exactly when 1->4 becomes ready (a tight chain
+    edge: the serialized values equal the unserialized ones).  Moving
+    task 5 off task 2's processor adds 2->5, ready 2**-40 ms before
+    1->4 finishes, so the chain edge into it binds by a hair; moving it
+    back restores the tight-only chain."""
+    spans, _counters = _chain_walk(
+        [1.0, 3.0, 5.0 - 2.0**-40, 1.0, 1.0, 1.0],
+        [(0, 3), (1, 4), (2, 5)], 4,
+        {"cpu0": [0], "cpu1": [1], "cpu2": [2, 5], "cpu3": [3, 4]},
+        [
+            ("bind", lambda s: s.assign_to_processor(5, "cpu3")),
+            ("unbind", lambda s: s.assign_to_processor(5, "cpu2")),
+        ],
+    )
+    tight = {(0, 3): (1.0, 3.0), (1, 4): (3.0, 5.0)}
+    assert spans["initial"] == spans["unbind"] == tight
+    assert spans["bind"] == {**tight, (2, 5): (5.0, 7.0)}
 
 
 def test_failed_order_repair_leaves_no_stale_order():
@@ -213,6 +318,24 @@ def _dual_resource_arch() -> Architecture:
             "fpga_b", n_clbs=300, partial_reconfiguration=False
         )
     )
+    arch.validate()
+    return arch
+
+
+class _SubProcessor(Processor):
+    """Not the exact built-in type: the incremental engine takes its
+    generic path through the resource's own polymorphic methods."""
+
+
+class _SubCircuit(ReconfigurableCircuit):
+    """See :class:`_SubProcessor`."""
+
+
+def _subclassed_arch() -> Architecture:
+    arch = Architecture("subclassed", bus=Bus(rate_kbytes_per_ms=30.0))
+    arch.add_resource(_SubProcessor("cpu0"))
+    arch.add_resource(Processor("cpu1", speed_factor=1.4))
+    arch.add_resource(_SubCircuit("fpga", n_clbs=800))
     arch.validate()
     return arch
 
