@@ -20,7 +20,8 @@ corpus is pinned by ``tests/graph/test_reachability.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Sequence
 
 from repro.errors import GraphError
 
@@ -141,6 +142,12 @@ class ReachabilityIndex:
     def position(self, node: Node) -> int:
         """The bit position assigned to ``node``."""
         return self._require(node)
+
+    @property
+    def positions(self) -> Mapping[Node, int]:
+        """Read-only ``node -> bit position`` map, for scans that test
+        many nodes against one mask without validating each."""
+        return MappingProxyType(self._pos)
 
     def descendants(self, node: Node) -> set:
         """The reachable node set (materialized; for tests/debugging)."""

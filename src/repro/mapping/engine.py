@@ -217,14 +217,10 @@ class EvaluationEngine(ABC):
     def reject_move(self, solution: Solution, move) -> None:
         """Abort the transaction opened by :meth:`propose_move`: undo
         the move on the solution.  The stateful engines deliberately do
-        **not** restore their mirrors eagerly — the next delta-sync
-        re-diffs the undone solution against the mirror in O(delta),
-        exactly the flow the sequential explorer drives them through.
-        (An eager snapshot/replay reverse patch was measured *slower*
-        than the lazy re-diff on the paper corpus: the snapshot is paid
-        on every proposal while the re-diff is only paid on rejection,
-        and the re-diff itself is the same O(delta) pair-trimmed layer
-        replay the sync already performs.)"""
+        **not** restore their mirrors eagerly — the undo journals the
+        inverse records, and the next delta-sync re-checks what they
+        name in O(delta), exactly the flow the sequential explorer
+        drives them through."""
         move.undo(solution)
 
 
@@ -290,10 +286,13 @@ class IncrementalEngine(EvaluationEngine):
 
     The engine mirrors the last-seen solution state (per-task assignment
     and implementation choice, per-resource orders) and on each call
-    diffs the incoming solution against that mirror — O(N) C-speed list
-    comparisons — to patch only what a move actually changed.  Rejected
-    moves need no special rollback support: after ``undo`` the next diff
-    simply patches the state back.
+    re-checks against that mirror only the tasks and resources the
+    solution's change journal names after the engine's cursor, patching
+    only what a move actually changed.  Rejected moves need no special
+    rollback support: ``undo`` journals the inverse records, and the
+    next sync patches the state back.  A solution the engine did not
+    follow (a copy, a decoded chromosome) or a journal trimmed past the
+    cursor is re-checked in full, against the same mirror.
 
     The search graph is kept in two edge layers:
 
@@ -432,25 +431,21 @@ class IncrementalEngine(EvaluationEngine):
         self._proc_prev: List[int] = [-1] * n
         self._proc_next: List[int] = [-1] * n
 
-        # Per-context realization memo, keyed by the context's members
-        # and their implementation choices.  It survives mirror resets:
-        # a context's boundary tasks depend only on the static
-        # precedence graph.  Single contexts recur far more often than
-        # whole layouts, so this is the granularity at which an RC memo
-        # hits in real annealing walks.
-        self._ctx_memo: Dict[Tuple, Tuple[int, List[int], List[int]]] = {}
+        # Immediate-predecessor and -successor bitmasks over the dense
+        # task ids: a context member is initial (terminal) when no bit
+        # of its mask falls inside the context.
+        self._pred_mask = [sum(1 << p for p in ps) for ps in self._pred_ids]
+        self._succ_mask = [sum(1 << q for q in qs) for qs in self._succ_ids]
         self._config_ids: Dict[str, int] = {}
 
         # Internal counters sampled by the telemetry layer (plain ints,
         # incremented unconditionally: cheaper than any enabled-check
-        # and deterministic for fixed seeds).  Reset with the memo they
-        # describe.
+        # and deterministic for fixed seeds).
         self.stat_sync_calls = 0
+        self.stat_sync_full = 0
         self.stat_sync_tasks = 0
         self.stat_sync_resources = 0
         self.stat_rc_rebuilds = 0
-        self.stat_ctx_hits = 0
-        self.stat_ctx_misses = 0
 
         # Dynamic (solution-dependent) state, reset to "never seen".
         self._dur: List[float] = [0.0] * n
@@ -469,12 +464,11 @@ class IncrementalEngine(EvaluationEngine):
             self._dur[node_id] = 0.0
         self._m_resource: List[Optional[str]] = [None] * self._ntasks
         self._m_impl: List[int] = [-1] * self._ntasks
-        # After a reset the arrays mirror the empty assignment, so empty
-        # dicts are the matching wholesale-comparison baseline.
-        self._m_res_dict: Dict[int, str] = {}
-        self._m_impl_dict: Dict[int, int] = {}
         self._m_res_names: List[str] = []
-        self._m_rev: Dict[str, int] = {}
+        # The solution the mirror follows and the absolute journal
+        # position read up to; any other solution is re-checked in full.
+        self._m_solution: Optional[Solution] = None
+        self._m_cursor = 0
         self._rc_list: List[Tuple[str, ReconfigurableCircuit]] = []
         # Each resource's live sequentialization edges: ``(prev, next)``
         # chain pairs for processors, ``(src, dst, weight)`` triples for
@@ -568,11 +562,10 @@ class IncrementalEngine(EvaluationEngine):
         out = super().telemetry_counters()
         out.update(
             sync_calls=self.stat_sync_calls,
+            sync_full=self.stat_sync_full,
             sync_tasks=self.stat_sync_tasks,
             sync_resources=self.stat_sync_resources,
             rc_rebuilds=self.stat_rc_rebuilds,
-            ctx_hits=self.stat_ctx_hits,
-            ctx_misses=self.stat_ctx_misses,
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
             chain_repairs=self.stat_chain_repairs,
@@ -601,7 +594,6 @@ class IncrementalEngine(EvaluationEngine):
                 [(name, res_kind[name][0] == "p", []) for name in gone]
             )
             for name in gone:
-                self._m_rev.pop(name, None)
                 self._res_edges.pop(name, None)
                 self._rc_stats.pop(name, None)
                 for node_id in self._virtual_ids.pop(name, ()):
@@ -613,9 +605,6 @@ class IncrementalEngine(EvaluationEngine):
                 if isinstance(r, ReconfigurableCircuit)
             ]
 
-        # Per-task assignment / implementation diff -> durations, deps
-        # and the hardware-task count.  The wholesale dict comparisons
-        # skip the scan entirely for order-only moves (m1 reorders).
         res_of = solution._resource_of
         impl_of = solution._impl_choice
         tid = self._tid
@@ -627,88 +616,101 @@ class IncrementalEngine(EvaluationEngine):
             for t in self._tasks:
                 if t not in res_of:
                     raise MappingError(f"task {t} is not assigned")
-        if res_of != self._m_res_dict or impl_of != self._m_impl_dict:
-            # The symmetric item differences pick out exactly the tasks
-            # a move touched, at C speed; the mirror dicts are patched
-            # key by key instead of recopied.
-            m_res_dict = self._m_res_dict
-            m_impl_dict = self._m_impl_dict
-            diff = {t for t, _ in res_of.items() ^ m_res_dict.items()}
-            diff.update(t for t, _ in impl_of.items() ^ m_impl_dict.items())
-            m_res = self._m_resource
-            m_impl = self._m_impl
-            changed: List[int] = []
-            for t in diff:
-                r = res_of.get(t)
-                if r is None:
-                    m_res_dict.pop(t, None)
-                else:
-                    m_res_dict[t] = r
-                raw = impl_of.get(t)
-                if raw is None:
-                    m_impl_dict.pop(t, None)
-                    c = 0
-                else:
-                    m_impl_dict[t] = raw
-                    c = raw
-                i = tid[t]
-                old_r = m_res[i]
-                if r == old_r and c == m_impl[i]:
-                    continue
-                if r != old_r:
-                    if old_r is not None and _kind_is_hw(res_kind[old_r]):
-                        self._hw_count -= 1
-                    if r is not None and _kind_is_hw(res_kind[r]):
-                        self._hw_count += 1
-                m_res[i] = r
-                m_impl[i] = c
-                changed.append(i)
-            self.stat_sync_tasks += len(changed)
-            if changed:
-                impl_ms = self._impl_ms
-                sw_ms = self._sw_ms
-                for i in changed:
-                    kind = res_kind[m_res[i]]
-                    if kind[0] == "p":
-                        value = sw_ms[i] / kind[2]
-                    elif kind[0] == "?" or impl_ms[i] is None:
-                        value = kind[1].execution_time_ms(solution, self._tasks[i])
-                    else:
-                        value = impl_ms[i][m_impl[i]]
-                    self._set_dur(i, value)
-                for i in changed:
-                    for j in self._deps_of_task[i]:
-                        self._refresh_dep(j)
 
-        # Per-resource sequentialization edges, gated by the solution's
-        # revision stamps: an untouched resource is skipped outright, and
-        # a restored stamp (move undo) guarantees restored content.
-        rev_of = solution._res_rev
-        m_rev = self._m_rev
+        # What to re-check: the tasks and resources named by the journal
+        # records after the cursor.  They are hints, not a replay — the
+        # solution's state is the truth, so reversed or redundant
+        # records cost a no-op re-check.
+        journal = solution._journal
+        start = self._m_cursor - solution._journal_base
+        if solution is self._m_solution and start >= 0:
+            tasks = set()
+            touched = set()
+            for idx in range(start, len(journal)):
+                record = journal[idx]
+                tag = record[0]
+                if tag == "L":
+                    tasks.add(record[1])
+                    touched.add(record[2])
+                elif tag == "I":
+                    tasks.add(record[1])
+                else:
+                    touched.add(record[1].name)
+        else:
+            self.stat_sync_full += 1
+            tasks = self._tasks
+            touched = None
+        self._m_solution = solution
+        if solution._journal is None:
+            # Start the journal of a newly followed solution.  An
+            # existing one is never marked here: the mark could trim it
+            # under a move's outstanding rollback mark.
+            solution.journal_mark()
+        self._m_cursor = solution._journal_base + len(solution._journal)
+
+        # Per-task assignment / implementation re-check -> durations,
+        # deps and the hardware-task count.
+        m_res = self._m_resource
+        m_impl = self._m_impl
+        changed: List[int] = []
+        for t in tasks:
+            r = res_of[t]
+            c = impl_of.get(t, 0)
+            i = tid[t]
+            old_r = m_res[i]
+            if r != old_r:
+                if old_r is not None and _kind_is_hw(res_kind[old_r]):
+                    self._hw_count -= 1
+                if _kind_is_hw(res_kind[r]):
+                    self._hw_count += 1
+                m_res[i] = r
+            elif c == m_impl[i]:
+                continue
+            if c != m_impl[i]:
+                # The variant's area and time feed the hosting resource's
+                # reconfiguration weights.
+                m_impl[i] = c
+                if touched is not None:
+                    touched.add(r)
+            changed.append(i)
+        self.stat_sync_tasks += len(changed)
+        if changed:
+            impl_ms = self._impl_ms
+            sw_ms = self._sw_ms
+            for i in changed:
+                kind = res_kind[m_res[i]]
+                if kind[0] == "p":
+                    value = sw_ms[i] / kind[2]
+                elif kind[0] == "?" or impl_ms[i] is None:
+                    value = kind[1].execution_time_ms(solution, self._tasks[i])
+                else:
+                    value = impl_ms[i][m_impl[i]]
+                self._set_dur(i, value)
+            for i in changed:
+                for j in self._deps_of_task[i]:
+                    self._refresh_dep(j)
+
+        # Per-resource sequentialization edges of the re-checked
+        # resources.  Unknown resource types are refreshed on every call
+        # through their own polymorphic methods: overridden methods may
+        # depend on state the journal does not name.
         updates: List[Tuple[str, bool, List[Tuple]]] = []
         for name in names:
-            rev = rev_of.get(name, 0)
-            if m_rev.get(name) == rev:
-                continue
             kind = res_kind[name]
             tag = kind[0]
-            if tag == "p":
+            if tag == "?":
+                triples = self._refresh_generic(name, kind[1], solution)
+                updates.append((name, False, triples))
+            elif touched is not None and name not in touched:
+                continue
+            elif tag == "p":
                 ids = [tid[t] for t in solution._sw_orders[name]]
                 updates.append((name, True, list(zip(ids, ids[1:]))))
             elif tag == "rc":
                 triples = self._refresh_rc(
-                    name, kind[1], solution._contexts[name], impl_of
+                    name, kind[1], solution._contexts[name]
                 )
                 updates.append((name, False, triples))
-            elif tag != "asic":
-                # Unknown resource type: conservatively refresh on every
-                # call through the resource's own polymorphic methods
-                # (no revision skip — overridden methods may depend on
-                # state the stamps do not cover).
-                triples = self._refresh_generic(name, kind[1], solution)
-                updates.append((name, False, triples))
-                continue
-            m_rev[name] = rev
         self.stat_sync_resources += len(updates)
         if updates:
             self._replace_edges(updates)
@@ -746,15 +748,13 @@ class IncrementalEngine(EvaluationEngine):
         name: str,
         rc: ReconfigurableCircuit,
         contexts: List[List[int]],
-        impl_of: Dict[int, int],
     ) -> List[Tuple[int, int, float]]:
         """Native regeneration of a DRLC's search-graph contribution:
         context sequentialization edges ``Ehw``, the virtual
         configuration node, and the cached reconfiguration statistics.
         Mirrors ``ReconfigurableCircuit.sequentialization_edges`` /
-        ``virtual_nodes`` exactly, over interned arrays.  The layout is
-        realized on every refresh; only the per-context boundary tasks
-        and CLB totals come from ``_ctx_memo``."""
+        ``virtual_nodes`` exactly, over interned arrays; each context's
+        boundary tasks come from the immediate-neighbour bitmasks."""
         self.stat_rc_rebuilds += 1
         if not contexts:
             for node_id in self._virtual_ids.pop(name, ()):
@@ -769,34 +769,21 @@ class IncrementalEngine(EvaluationEngine):
         tid = self._tid
         m_impl = self._m_impl
         impl_clbs = self._impl_clbs
+        pred_mask = self._pred_mask
+        succ_mask = self._succ_mask
         ctx_clbs: List[int] = []
         initials: List[List[int]] = []
         terminals: List[List[int]] = []
-        memo = self._ctx_memo
-        if len(memo) > 16384:
-            memo.clear()
         for ctx in contexts:
-            key = (tuple(ctx), tuple(impl_of.get(t, 0) for t in ctx))
-            cached = memo.get(key)
-            if cached is None:
-                self.stat_ctx_misses += 1
-                members = [tid[t] for t in ctx]
-                inside = set(members)
-                pred_ids = self._pred_ids
-                succ_ids = self._succ_ids
-                cached = (
-                    sum(impl_clbs[i][m_impl[i]] for i in members),
-                    [i for i in members
-                     if not any(p in inside for p in pred_ids[i])],
-                    [i for i in members
-                     if not any(s in inside for s in succ_ids[i])],
-                )
-                memo[key] = cached
-            else:
-                self.stat_ctx_hits += 1
-            ctx_clbs.append(cached[0])
-            initials.append(cached[1])
-            terminals.append(cached[2])
+            members = [tid[t] for t in ctx]
+            inside = 0
+            clbs = 0
+            for i in members:
+                inside |= 1 << i
+                clbs += impl_clbs[i][m_impl[i]]
+            ctx_clbs.append(clbs)
+            initials.append([i for i in members if not pred_mask[i] & inside])
+            terminals.append([i for i in members if not succ_mask[i] & inside])
         triples: List[Tuple[int, int, float]] = [
             (config_id, i, 0.0) for i in initials[0]
         ]

@@ -2,13 +2,12 @@
 
 The solution owns all mutable mapping state; resources stay immutable
 descriptors.  Moves (:mod:`repro.sa.moves`) mutate a solution in place
-and know how to undo themselves, which keeps the annealing loop free of
-deep copies.
+and undo themselves by rolling its change journal back, which keeps the
+annealing loop free of deep copies.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -20,13 +19,9 @@ from repro.arch.resource import Resource
 from repro.errors import CapacityError, MappingError
 from repro.model.application import Application
 
-#: Global monotonic revision source for per-resource change stamps.  A
-#: revision value is handed out exactly once, so a given ``(resource,
-#: revision)`` pair always denotes the same mapping content — undoing a
-#: move restores the old stamp together with the old content, and the
-#: incremental evaluation engine exploits that to skip untouched
-#: resources.
-_REVISION = itertools.count(1)
+#: Journal length past which :meth:`Solution.journal_mark` starts a
+#: fresh journal (positions stay absolute through a base offset).
+JOURNAL_LIMIT = 4096
 
 
 class Solution:
@@ -44,6 +39,29 @@ class Solution:
     invariant — the evaluator detects cyclic realizations and reports
     them as infeasible, exactly as the paper rejects cycle-creating
     moves (section 4.3).
+
+    Change journal: from the first :meth:`journal_mark` on (a move's
+    apply, or an evaluation engine that starts following the solution),
+    every mutation primitive appends invertible records to
+    ``_journal``; before it, nothing is recorded:
+
+    * ``("L", task, resource, k, i, sign)`` inserts (``sign`` 1) or
+      deletes (``-1``) one list entry — at ``i`` in a processor order or
+      ASIC list (``k = -1``), at ``i`` in context ``k``, or a whole
+      one-task context at ``k`` (``i = -1``);
+    * ``("I", task, old, new)`` changes an implementation pick
+      (``None`` for no pick);
+    * ``("R", resource, sign)`` attaches or detaches a resource.
+
+    :meth:`journal_mark` returns an absolute position and
+    :meth:`rollback` undoes everything after one, newest first, by
+    journaling the inverse records (the journal is never truncated, so
+    a reader that already consumed the forward records sees the undo
+    too).  The stateful evaluation engine reads the records after its
+    cursor to learn which tasks and resources to re-check.  Editing the
+    lists returned by :meth:`software_order`, :meth:`contexts` or
+    :meth:`asic_tasks` in place bypasses the journal: rollbacks and the
+    engine's delta-sync would then miss the edit.
     """
 
     def __init__(self, application: Application, architecture: Architecture) -> None:
@@ -62,13 +80,75 @@ class Solution:
         # Sticky per-task implementation choice (kept when a task moves
         # back to software, so re-offloading restores the same variant).
         self._impl_choice: Dict[int, int] = {}
-        # Per-resource change stamps (see _REVISION).  Every mutation of
-        # a resource's mapping state re-stamps it; move snapshots save
-        # and restore the stamps together with the content.
-        self._res_rev: Dict[str, int] = {}
+        self._journal: Optional[List[Tuple]] = None
+        self._journal_base = 0
 
-    def _touch(self, resource_name: str) -> None:
-        self._res_rev[resource_name] = next(_REVISION)
+    # ------------------------------------------------------------------
+    # change journal
+    # ------------------------------------------------------------------
+    def journal_mark(self) -> int:
+        """Start or continue the journal; returns the absolute position
+        to :meth:`rollback` to later.  A journal longer than
+        :data:`JOURNAL_LIMIT` is replaced by a fresh one first: a reader
+        behind the new base re-checks everything, and older marks can
+        no longer be rolled back to."""
+        journal = self._journal
+        if journal is None or len(journal) > JOURNAL_LIMIT:
+            if journal is not None:
+                self._journal_base += len(journal)
+            self._journal = journal = []
+        return self._journal_base + len(journal)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every change after ``mark``, newest first."""
+        journal = self._journal
+        start = mark - self._journal_base
+        if journal is None or start < 0:
+            raise MappingError(f"journal mark {mark} predates the journal")
+        for idx in range(len(journal) - 1, start - 1, -1):
+            record = journal[idx]
+            tag = record[0]
+            if tag == "L":
+                _, task, name, k, i, sign = record
+                self._edit(task, name, k, i, -sign)
+            elif tag == "I":
+                self._set_impl(record[1], record[2])
+            elif record[2] > 0:
+                self.detach_resource(record[1].name)
+            else:
+                self.attach_resource(record[1])
+
+    def _edit(self, task: int, name: str, k: int, i: int, sign: int) -> None:
+        """Insert or delete one list entry (see the class docstring)
+        and journal it; the assignment follows the entry."""
+        if k < 0:
+            seq = self._sw_orders.get(name)
+            if seq is None:
+                seq = self._asic_tasks[name]
+            at, item = i, task
+        elif i < 0:
+            seq, at, item = self._contexts[name], k, [task]
+        else:
+            seq, at, item = self._contexts[name][k], i, task
+        if sign > 0:
+            seq.insert(at, item)
+            self._resource_of[task] = name
+        else:
+            del seq[at]
+            del self._resource_of[task]
+        if self._journal is not None:
+            self._journal.append(("L", task, name, k, i, sign))
+
+    def _set_impl(self, task_index: int, choice: Optional[int]) -> None:
+        old = self._impl_choice.get(task_index)
+        if old == choice:
+            return
+        if choice is None:
+            del self._impl_choice[task_index]
+        else:
+            self._impl_choice[task_index] = choice
+        if self._journal is not None:
+            self._journal.append(("I", task_index, old, choice))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -145,12 +225,7 @@ class Solution:
     def set_implementation_choice(self, task_index: int, choice: int) -> None:
         task = self.application.task(task_index)
         task.implementation(choice)  # validates the index
-        self._impl_choice[task_index] = choice
-        # The variant's area/time feeds the hosting resource's realized
-        # durations and reconfiguration weights.
-        name = self._resource_of.get(task_index)
-        if name is not None:
-            self._touch(name)
+        self._set_impl(task_index, choice)
 
     def task_clbs(self, task_index: int) -> int:
         """CLBs of the task's currently selected implementation."""
@@ -197,21 +272,23 @@ class Solution:
     # mutation primitives (used by moves and initial-solution builders)
     # ------------------------------------------------------------------
     def unassign(self, task_index: int) -> None:
-        """Detach the task from its resource (empty contexts are pruned)."""
-        name = self._resource_of.pop(task_index, None)
+        """Detach the task from its resource (an emptied context is
+        deleted)."""
+        name = self._resource_of.get(task_index)
         if name is None:
             return
-        self._touch(name)
-        if name in self._sw_orders:
-            self._sw_orders[name].remove(task_index)
-        elif name in self._contexts:
-            for members in self._contexts[name]:
-                if task_index in members:
-                    members.remove(task_index)
-                    break
-            self._contexts[name] = [c for c in self._contexts[name] if c]
-        elif name in self._asic_tasks:
-            self._asic_tasks[name].remove(task_index)
+        contexts = self._contexts.get(name)
+        if contexts is None:
+            seq = self._sw_orders.get(name)
+            if seq is None:
+                seq = self._asic_tasks[name]
+            self._edit(task_index, name, -1, seq.index(task_index), -1)
+            return
+        for k, members in enumerate(contexts):
+            if task_index in members:
+                i = members.index(task_index) if len(members) > 1 else -1
+                self._edit(task_index, name, k, i, -1)
+                return
 
     def assign_to_processor(
         self,
@@ -227,15 +304,12 @@ class Solution:
         self.unassign(task_index)
         order = self._sw_orders[processor_name]
         if position is None:
-            order.append(task_index)
-        else:
-            if not 0 <= position <= len(order):
-                raise MappingError(
-                    f"position {position} out of range 0..{len(order)}"
-                )
-            order.insert(position, task_index)
-        self._resource_of[task_index] = processor_name
-        self._touch(processor_name)
+            position = len(order)
+        elif not 0 <= position <= len(order):
+            raise MappingError(
+                f"position {position} out of range 0..{len(order)}"
+            )
+        self._edit(task_index, processor_name, -1, position, 1)
 
     def assign_to_context(
         self,
@@ -263,13 +337,11 @@ class Solution:
         self.unassign(task_index)
         # Re-resolve: unassign may have pruned an emptied context.
         contexts = self._contexts[rc_name]
-        if context_index > len(contexts):
-            context_index = len(contexts)
-        if context_index == len(contexts):
-            contexts.append([])
-        contexts[context_index].append(task_index)
-        self._resource_of[task_index] = rc_name
-        self._touch(rc_name)
+        if context_index >= len(contexts):
+            self._edit(task_index, rc_name, len(contexts), -1, 1)
+        else:
+            members = contexts[context_index]
+            self._edit(task_index, rc_name, context_index, len(members), 1)
 
     def spawn_context(
         self,
@@ -300,9 +372,7 @@ class Solution:
         contexts = self._contexts[rc_name]
         if position is None or position > len(contexts):
             position = len(contexts)
-        contexts.insert(position, [task_index])
-        self._resource_of[task_index] = rc_name
-        self._touch(rc_name)
+        self._edit(task_index, rc_name, position, -1, 1)
         return position
 
     def assign_to_asic(self, task_index: int, asic_name: str) -> None:
@@ -312,9 +382,8 @@ class Solution:
         if asic_name not in self._asic_tasks:
             raise MappingError(f"no ASIC named {asic_name!r}")
         self.unassign(task_index)
-        self._asic_tasks[asic_name].append(task_index)
-        self._resource_of[task_index] = asic_name
-        self._touch(asic_name)
+        members = self._asic_tasks[asic_name]
+        self._edit(task_index, asic_name, -1, len(members), 1)
 
     # ------------------------------------------------------------------
     # resource-set mutation (architecture exploration, moves m3/m4)
@@ -330,7 +399,8 @@ class Solution:
             self._asic_tasks[resource.name] = []
         else:  # pragma: no cover - defensive
             raise MappingError(f"unknown resource type {type(resource).__name__}")
-        self._touch(resource.name)
+        if self._journal is not None:
+            self._journal.append(("R", resource, 1))
 
     def detach_resource(self, name: str) -> Resource:
         """Remove an *empty* resource from the system (move m3)."""
@@ -348,8 +418,10 @@ class Solution:
             del self._asic_tasks[name]
         else:
             raise MappingError(f"no resource named {name!r}")
-        self._res_rev.pop(name, None)
-        return self.architecture.remove_resource(name)
+        resource = self.architecture.remove_resource(name)
+        if self._journal is not None:
+            self._journal.append(("R", resource, -1))
+        return resource
 
     # ------------------------------------------------------------------
     # validation / copying
@@ -403,7 +475,7 @@ class Solution:
                 task.implementation(choice)
 
     def copy(self) -> "Solution":
-        """Deep copy of the mapping state.
+        """Deep copy of the mapping state, without a journal.
 
         The application is shared (immutable here); the architecture is
         snapshot-copied so that subsequent resource creation/removal
@@ -419,7 +491,8 @@ class Solution:
         }
         clone._asic_tasks = {k: list(v) for k, v in self._asic_tasks.items()}
         clone._impl_choice = dict(self._impl_choice)
-        clone._res_rev = dict(self._res_rev)
+        clone._journal = None
+        clone._journal_base = 0
         return clone
 
     def summary(self) -> str:

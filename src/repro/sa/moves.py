@@ -29,17 +29,19 @@ We add two moves beyond the paper's numbered four:
   set (with the m4 creation move disabled, as in the paper's
   experiments) could never repopulate it.  The paper's general mode
   repairs this through m4; with the architecture pinned we keep a small
-  probability of direct offloading instead.  See DESIGN.md.
+  probability of direct offloading instead.
 
-Moves mutate the solution in place; every move snapshots the mapping
-state before mutating and can restore it exactly (undo), so the
+Moves mutate the solution in place.  A move marks the solution's change
+journal before mutating and undoes itself by rolling the journal back
+to that mark, so undo costs only what the move changed and the
 annealing loop never deep-copies solutions.
 
 Feasibility: obviously precedence-violating realizations are rejected
 *before* mutation using the application's static transitive closure
-(O(1) per pair — the paper's closure-matrix test); cross-resource cycles
-that survive the precheck are caught by the evaluator's topological sort
-and reported as infeasible moves.
+(the paper's closure-matrix test): the task's ancestor and descendant
+bitmasks are read once and each resident task costs one bit test.
+Cross-resource cycles that survive the precheck are caught by the
+evaluator's topological sort and reported as infeasible moves.
 """
 
 from __future__ import annotations
@@ -56,64 +58,30 @@ from repro.errors import CapacityError, ConfigurationError, InfeasibleMoveError
 from repro.mapping.solution import Solution
 from repro.model.application import Application
 
-Snapshot = Tuple[
-    Dict[int, str],
-    Dict[str, List[int]],
-    Dict[str, List[List[int]]],
-    Dict[str, List[int]],
-    Dict[int, int],
-    Dict[str, int],
-]
-
-
-def snapshot_solution(solution: Solution) -> Snapshot:
-    return (
-        dict(solution._resource_of),
-        {k: list(v) for k, v in solution._sw_orders.items()},
-        {k: [list(c) for c in v] for k, v in solution._contexts.items()},
-        {k: list(v) for k, v in solution._asic_tasks.items()},
-        dict(solution._impl_choice),
-        dict(solution._res_rev),
-    )
-
-
-def restore_solution(solution: Solution, snapshot: Snapshot) -> None:
-    resource_of, sw_orders, contexts, asic_tasks, impl_choice, res_rev = snapshot
-    solution._resource_of = dict(resource_of)
-    solution._sw_orders = {k: list(v) for k, v in sw_orders.items()}
-    solution._contexts = {k: [list(c) for c in v] for k, v in contexts.items()}
-    solution._asic_tasks = {k: list(v) for k, v in asic_tasks.items()}
-    solution._impl_choice = dict(impl_choice)
-    # Restoring the revision stamps with the content keeps the stamp ->
-    # content correspondence exact, so the incremental evaluation engine
-    # sees an undone move as "nothing changed" for untouched resources.
-    solution._res_rev = dict(res_rev)
-
-
 class Move(ABC):
     """A reversible in-place mutation of a solution."""
 
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self._snapshot: Optional[Snapshot] = None
+        self._mark: Optional[int] = None
 
     def apply(self, solution: Solution) -> None:
         """Perform the move; raises :class:`InfeasibleMoveError` (leaving
         the solution unchanged) when the realization is impossible."""
-        self._snapshot = snapshot_solution(solution)
+        mark = solution.journal_mark()
         try:
             self._realize(solution)
         except (InfeasibleMoveError, CapacityError):
-            restore_solution(solution, self._snapshot)
-            self._snapshot = None
+            solution.rollback(mark)
             raise
+        self._mark = mark
 
     def undo(self, solution: Solution) -> None:
-        if self._snapshot is None:
+        if self._mark is None:
             raise InfeasibleMoveError("nothing to undo: move was not applied")
-        restore_solution(solution, self._snapshot)
-        self._snapshot = None
+        solution.rollback(self._mark)
+        self._mark = None
 
     @abstractmethod
     def _realize(self, solution: Solution) -> None:
@@ -123,49 +91,54 @@ class Move(ABC):
 # ----------------------------------------------------------------------
 # shared realization helpers
 # ----------------------------------------------------------------------
-def _feasible_insert_position(
-    application: Application,
-    order: Sequence[int],
-    task: int,
-    target: int,
-) -> int:
-    """Clamp ``target`` into the precedence-feasible insertion window.
+def _precedence_window(
+    application: Application, order: Sequence[int], task: int
+) -> Tuple[int, int]:
+    """The precedence-feasible insertion window ``(lo, hi)`` of ``task``.
 
     ``order`` must not contain ``task``.  Position ``p`` is feasible when
-    every predecessor of ``task`` sits before ``p`` and every successor
-    at or after ``p``.
+    every ancestor of ``task`` sits before ``p`` and every descendant at
+    or after ``p``.
     """
+    index = application.reachability()
+    ancestors = index.ancestors_mask(task)
+    descendants = index.descendants_mask(task)
+    bit = index.positions
     lo, hi = 0, len(order)
     for pos, other in enumerate(order):
-        if application.precedes(other, task):
-            lo = max(lo, pos + 1)
-        elif application.precedes(task, other):
-            hi = min(hi, pos)
+        b = bit[other]
+        if ancestors >> b & 1:
+            lo = pos + 1
+        elif descendants >> b & 1 and pos < hi:
+            hi = pos
     if lo > hi:
         raise InfeasibleMoveError(
             f"task {task} has no feasible position in the software order"
         )
-    return min(max(target, lo), hi)
+    return lo, hi
 
 
-def _context_precedence_ok(
-    solution: Solution, rc_name: str, context_index: int, task: int
+def _contexts_ok(
+    solution: Solution, rc_name: str, task: int, before: int, after: int
 ) -> bool:
-    """True when placing ``task`` into context ``context_index`` keeps the
-    DRLC's context order consistent with the precedence graph.
-
-    Uses the static closure: contexts before the target must hold no
-    descendant of the task, contexts after it no ancestor (section 3.3:
+    """True when contexts ``[0, before)`` of the DRLC hold no descendant
+    of ``task`` and contexts ``[after, end)`` no ancestor (section 3.3:
     every node of a context precedes every node of the following ones).
-    """
-    app = solution.application
-    contexts = solution.contexts(rc_name)
-    for j, members in enumerate(contexts):
-        if j < context_index:
-            if any(app.precedes(task, m) for m in members):
-                return False
-        elif j > context_index:
-            if any(app.precedes(m, task) for m in members):
+    Joining context ``k`` needs ``(k, k + 1)``, spawning a context at
+    ``p`` needs ``(p, p)``."""
+    index = solution.application.reachability()
+    ancestors = index.ancestors_mask(task)
+    descendants = index.descendants_mask(task)
+    bit = index.positions
+    for j, members in enumerate(solution.contexts(rc_name)):
+        if j < before:
+            mask = descendants
+        elif j >= after:
+            mask = ancestors
+        else:
+            continue
+        for m in members:
+            if mask >> bit[m] & 1:
                 return False
     return True
 
@@ -187,7 +160,8 @@ def _place_on_destination(
         solution.unassign(task)
         order = solution.software_order(dest_resource_name)
         target = order.index(dest_task)
-        position = _feasible_insert_position(app, order, task, target)
+        lo, hi = _precedence_window(app, order, task)
+        position = min(max(target, lo), hi)
         solution.assign_to_processor(task, dest_resource_name, position)
         return "to_sw"
 
@@ -203,7 +177,7 @@ def _place_on_destination(
         clbs = solution.task_clbs(task)
         used = solution.context_clbs(dest_resource_name, k)
         if dest_resource.fits(used, clbs):
-            if not _context_precedence_ok(solution, dest_resource_name, k, task):
+            if not _contexts_ok(solution, dest_resource_name, task, k, k + 1):
                 raise InfeasibleMoveError(
                     f"task {task} cannot join context {k}: order violation"
                 )
@@ -216,9 +190,7 @@ def _place_on_destination(
                 f"task {task} does not fit device {dest_resource_name!r}"
             )
         spawn_at = k + 1
-        if not _context_precedence_ok_for_new(
-            solution, dest_resource_name, spawn_at, task
-        ):
+        if not _contexts_ok(solution, dest_resource_name, task, spawn_at, spawn_at):
             raise InfeasibleMoveError(
                 f"task {task} cannot spawn a context at {spawn_at}: order violation"
             )
@@ -237,22 +209,6 @@ def _place_on_destination(
     raise InfeasibleMoveError(
         f"unsupported destination resource {dest_resource_name!r}"
     )
-
-
-def _context_precedence_ok_for_new(
-    solution: Solution, rc_name: str, position: int, task: int
-) -> bool:
-    """Precedence test for spawning a fresh context at ``position``."""
-    app = solution.application
-    contexts = solution.contexts(rc_name)
-    for j, members in enumerate(contexts):
-        if j < position:
-            if any(app.precedes(task, m) for m in members):
-                return False
-        else:
-            if any(app.precedes(m, task) for m in members):
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -276,16 +232,12 @@ class ReorderMove(Move):
         current = order.index(self.task)
         reduced = order[:current] + order[current + 1:]
         target = reduced.index(self.dest_task)
-        position = _feasible_insert_position(
-            solution.application, reduced, self.task, target
-        )
+        lo, hi = _precedence_window(solution.application, reduced, self.task)
+        position = min(max(target, lo), hi)
         if position == current:
             # The clamp landed back on the current position: take the
             # nearest feasible different one instead, so chain-heavy
             # graphs do not waste most m1 draws.
-            app = solution.application
-            lo = _feasible_insert_position(app, reduced, self.task, 0)
-            hi = _feasible_insert_position(app, reduced, self.task, len(reduced))
             if lo == hi:
                 raise InfeasibleMoveError(
                     "m1: the precedence window admits a single position"
@@ -390,7 +342,7 @@ class OffloadMove(Move):
             k
             for k in range(len(contexts))
             if rc.fits(solution.context_clbs(self.rc_name, k), clbs)
-            and _context_precedence_ok(solution, self.rc_name, k, self.task)
+            and _contexts_ok(solution, self.rc_name, self.task, k, k + 1)
         ]
         if join_candidates and self._rng.random() < 0.5:
             return ("join", join_candidates[self._rng.randrange(len(join_candidates))])
@@ -398,9 +350,7 @@ class OffloadMove(Move):
             spawn_candidates = [
                 p
                 for p in range(len(contexts) + 1)
-                if _context_precedence_ok_for_new(
-                    solution, self.rc_name, p, self.task
-                )
+                if _contexts_ok(solution, self.rc_name, self.task, p, p)
             ]
             if spawn_candidates:
                 return (
@@ -423,7 +373,6 @@ class RemoveResourceMove(Move):
         super().__init__()
         self.dest_task = dest_task
         self._rng = rng
-        self._removed: Optional[Resource] = None
         self._picked: Optional[Tuple[str, int]] = None  # replay determinism
         self._arch_order: Optional[List[str]] = None
 
@@ -473,19 +422,16 @@ class RemoveResourceMove(Move):
         self._arch_order = solution.architecture.resource_names()
         if task is not None:
             _place_on_destination(solution, task, self.dest_task, self._rng)
-        self._removed = solution.detach_resource(name)
+        solution.detach_resource(name)
 
     def undo(self, solution: Solution) -> None:
-        if self._removed is not None:
-            solution.architecture.add_resource(self._removed)
-            self._removed = None
-            # Resource enumeration order is observable (proposal draws
-            # iterate it): put the restored resource back where it was,
-            # so apply + undo is side-effect-free and a rejected move
-            # leaves the next proposal's draws unchanged.
-            if self._arch_order is not None:
-                solution.architecture.restore_resource_order(self._arch_order)
         super().undo(solution)
+        # Resource enumeration order is observable (proposal draws
+        # iterate it): the rollback re-attaches the removed resource
+        # last, so put it back where it was — apply + undo is then
+        # side-effect-free and a rejected move leaves the next
+        # proposal's draws unchanged.
+        solution.architecture.restore_resource_order(self._arch_order)
 
 
 class CreateResourceMove(Move):
@@ -517,7 +463,6 @@ class CreateResourceMove(Move):
         self.prefix = prefix
         self._rng = rng
         self._name: Optional[str] = None
-        self._created: Optional[str] = None
 
     def _pick_name(self, solution: Solution) -> str:
         arch = solution.architecture
@@ -533,15 +478,14 @@ class CreateResourceMove(Move):
                 return candidate
 
     def _realize(self, solution: Solution) -> None:
-        arch = solution.architecture
         resource = self.factory(self._pick_name(solution))
         task = solution.application.task(self.task)
         if not isinstance(resource, Processor) and not task.hardware_capable:
             raise InfeasibleMoveError(
                 f"task {task.name!r} cannot run on hardware resource"
             )
+        # Attaching is journaled: a rollback detaches the resource again.
         solution.attach_resource(resource)
-        self._created = resource.name
         if isinstance(resource, Processor):
             solution.unassign(self.task)
             solution.assign_to_processor(self.task, resource.name)
@@ -559,22 +503,6 @@ class CreateResourceMove(Move):
             raise InfeasibleMoveError(
                 f"catalog produced unsupported resource {type(resource).__name__}"
             )
-
-    def apply(self, solution: Solution) -> None:
-        try:
-            super().apply(solution)
-        except (InfeasibleMoveError, CapacityError):
-            # The snapshot restore does not undo the architecture change.
-            if self._created is not None and self._created in solution.architecture:
-                solution.architecture.remove_resource(self._created)
-            self._created = None
-            raise
-
-    def undo(self, solution: Solution) -> None:
-        super().undo(solution)
-        if self._created is not None:
-            solution.architecture.remove_resource(self._created)
-            self._created = None
 
 
 # ----------------------------------------------------------------------

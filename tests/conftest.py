@@ -24,6 +24,18 @@ def make_impls(*points):
     )
 
 
+def mapping_state(solution):
+    """Deep copy of a solution's five content dicts, for exact-restoration
+    checks (list order inside every order and context included)."""
+    return (
+        dict(solution._resource_of),
+        {k: list(v) for k, v in solution._sw_orders.items()},
+        {k: [list(c) for c in v] for k, v in solution._contexts.items()},
+        {k: list(v) for k, v in solution._asic_tasks.items()},
+        dict(solution._impl_choice),
+    )
+
+
 @pytest.fixture
 def small_app() -> Application:
     """A 6-task diamond-ish app: 0 -> (1, 2) -> 3 -> 4 -> 5.

@@ -58,6 +58,17 @@ class TestReachabilityIndex:
                 )
                 assert forward == via_anc
 
+    def test_positions_is_a_read_only_bit_map(self):
+        index = ReachabilityIndex.from_dag(_diamond())
+        positions = index.positions
+        assert dict(positions) == {n: index.position(n) for n in (1, 2, 3, 4)}
+        with pytest.raises(TypeError):
+            positions[1] = 0
+        for a in (1, 2, 3, 4):
+            for b in (1, 2, 3, 4):
+                bit = (index.descendants_mask(a) >> positions[b]) & 1
+                assert index.has_path(a, b) == bool(bit)
+
     def test_unknown_node_raises(self):
         index = ReachabilityIndex.from_dag(_diamond())
         with pytest.raises(GraphError):

@@ -39,6 +39,7 @@ from repro.mapping.engine import (
     IncrementalEngine,
     make_engine,
 )
+from repro.mapping import solution as solution_module
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import Solution, random_initial_solution
 from repro.model.application import Application
@@ -76,9 +77,16 @@ def _replay(
     p_zero=0.0,
     bus_policy="ordered",
     engines=("full", "incremental"),
+    fork_copies=False,
+    counters=None,
 ):
     """Replay one random move sequence through an engine pair; returns
-    the number of evaluated states."""
+    the number of evaluated states.
+
+    With ``fork_copies`` the engines regularly leave the walked solution
+    for a mutated ``copy()`` of it and come back, so both switches go
+    through the full re-check.  ``counters`` (a dict) accumulates the
+    second engine's telemetry counters."""
     arch = arch_factory()
     catalog = None
     if p_zero > 0.0:
@@ -106,6 +114,16 @@ def _replay(
         context = f"seed={seed} step={evaluated} move={move.name} {engines}"
         _assert_same(left.evaluate(solution), right.evaluate(solution), context)
         evaluated += 1
+        if fork_copies and rng.random() < 0.3:
+            clone = solution.copy()
+            try:
+                gen.propose(clone, rng).apply(clone)
+            except InfeasibleMoveError:
+                pass
+            _assert_same(
+                left.evaluate(clone), right.evaluate(clone), context + " (copy)"
+            )
+            evaluated += 1
         # Metropolis-style coin: reject half the moves and make sure the
         # engines agree again after the rollback.
         if rng.random() < 0.5:
@@ -117,10 +135,13 @@ def _replay(
                     context + " (after undo)",
                 )
                 evaluated += 1
+    if counters is not None:
+        for name, value in right.engine.telemetry_counters().items():
+            counters[name] = counters.get(name, 0) + value
     return evaluated
 
 
-def _replay_random_instances(engines):
+def _replay_random_instances(engines, **options):
     """Replay one move sequence per varied random instance; returns the
     number of evaluated states."""
     total = 0
@@ -139,16 +160,20 @@ def _replay_random_instances(engines):
             GeneratorConfig(num_tasks=num_tasks, topology=topology), seed=seed
         )
         total += _replay(
-            app, arch_factory, seed * 101, 80, p_zero, bus, engines
+            app, arch_factory, seed * 101, 80, p_zero, bus, engines, **options
         )
     return total
 
 
-def _replay_motion(engines):
+def _replay_motion(engines, **options):
     return _replay(
         motion_detection_application(), lambda: epicure_architecture(2000),
-        seed=99, steps=120, engines=engines,
+        seed=99, steps=120, engines=engines, **options,
     )
+
+#: Replays per ``_replay_random_instances`` + ``_replay_motion`` round;
+#: each starts with one full re-check (the initial solution).
+_REPLAYS = 8
 
 
 @pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
@@ -182,6 +207,30 @@ def test_engine_parity_with_forced_serialized_fallback(monkeypatch):
     assert _replay_random_instances(engines) >= 480
     assert _replay_motion(engines) >= 100
     assert fallbacks > 100
+
+
+def test_engine_parity_across_solution_copies():
+    """Any solution but the one the engine follows is re-checked in
+    full against the same mirror, keeping the persistent order and DP:
+    alternate the engines between the walk and mutated copies of it."""
+    counters = {}
+    engines = ("full", "incremental")
+    assert _replay_random_instances(engines, fork_copies=True, counters=counters) >= 480
+    assert _replay_motion(engines, fork_copies=True, counters=counters) >= 100
+    assert counters["sync_full"] > _REPLAYS + 100
+
+
+def test_engine_parity_across_journal_trims(monkeypatch):
+    """A journal trimmed past the engine's cursor forces a full
+    re-check: with a limit of a few records, most undone moves are
+    trimmed away before the engine reads them."""
+    monkeypatch.setattr(solution_module, "JOURNAL_LIMIT", 4)
+    counters = {}
+    engines = ("full", "incremental")
+    assert _replay_random_instances(engines, counters=counters) >= 480
+    assert _replay_motion(engines, counters=counters) >= 100
+    assert counters["sync_full"] > _REPLAYS + 50
+    assert counters["sync_full"] < counters["sync_calls"]
 
 
 def _processors(count: int) -> Architecture:

@@ -1,9 +1,21 @@
-"""Tests for the Solution mapping state."""
+"""Tests for the Solution mapping state and its change journal."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.arch.architecture import Architecture
+from repro.arch.asic import Asic
+from repro.arch.bus import Bus
+from repro.arch.processor import Processor
+from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import CapacityError, MappingError
+from repro.mapping import solution as solution_module
 from repro.mapping.solution import Solution
+from repro.model.application import Application
+from repro.model.task import Task
+from tests.conftest import make_impls, mapping_state
 
 
 class TestAssignment:
@@ -148,3 +160,157 @@ class TestValidationAndCopy:
         s.assign_to_context(3, "fpga", 0)
         assert sorted(s.hardware_tasks()) == [1, 3]
         assert sorted(s.software_tasks()) == [0, 2, 4, 5]
+
+
+def _journal_instance():
+    """Five hardware-capable tasks in a chain plus one software task,
+    two processors, a DRLC small enough to force several contexts, and
+    an ASIC."""
+    app = Application("journal")
+    app.add_task(Task(0, "src", "IO", 1.0))
+    for t in range(1, 6):
+        app.add_task(Task(t, f"hw{t}", "F", 2.0, make_impls((40, 0.5), (70, 0.3))))
+    for t in range(5):
+        app.add_dependency(t, t + 1, 1.0)
+    arch = Architecture("journal_arch", bus=Bus())
+    arch.add_resource(Processor("cpu0"))
+    arch.add_resource(Processor("cpu1"))
+    arch.add_resource(ReconfigurableCircuit("fpga", n_clbs=100))
+    arch.add_resource(Asic("asic"))
+    return app, arch
+
+
+#: Factories of the resources the property attaches.
+_NEW_RESOURCES = (
+    Processor,
+    lambda name: ReconfigurableCircuit(name, n_clbs=100),
+    Asic,
+)
+
+
+def _mutate(solution, op, fresh):
+    """Apply one raw mutator drawn by the property; errors a primitive
+    raises are part of the walk (some raise after a journaled edit)."""
+    kind, task, a, b = op
+    arch = solution.architecture
+    procs = [r.name for r in arch.processors()]
+    rcs = [r.name for r in arch.reconfigurable_circuits()]
+    asics = [r.name for r in arch.asics()]
+    try:
+        if kind == "proc" and procs:
+            name = procs[a % len(procs)]
+            order = solution.software_order(name)
+            solution.assign_to_processor(task, name, b % (len(order) + 2))
+        elif kind == "ctx" and rcs:
+            name = rcs[a % len(rcs)]
+            k = b % (len(solution.contexts(name)) + 1)
+            solution.assign_to_context(task, name, k)
+        elif kind == "spawn" and rcs:
+            name = rcs[a % len(rcs)]
+            solution.spawn_context(task, name, b % (len(solution.contexts(name)) + 2))
+        elif kind == "asic" and asics:
+            solution.assign_to_asic(task, asics[a % len(asics)])
+        elif kind == "impl":
+            solution.set_implementation_choice(task, b % 2)
+        elif kind == "unassign":
+            solution.unassign(task)
+        elif kind == "attach":
+            factory = _NEW_RESOURCES[a % len(_NEW_RESOURCES)]
+            solution.attach_resource(factory(f"new{next(fresh)}"))
+        elif kind == "detach":
+            names = arch.resource_names()
+            solution.detach_resource(names[a % len(names)])
+    except (MappingError, CapacityError):
+        pass
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["proc", "ctx", "spawn", "asic", "impl", "unassign", "attach", "detach"]
+        ),
+        st.integers(1, 5),
+        st.integers(0, 7),
+        st.integers(0, 7),
+    ),
+    max_size=25,
+)
+
+
+class TestJournal:
+    @given(prefix=_OPS, first=_OPS, second=_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_rollback_restores_exactly(self, prefix, first, second):
+        """Raw mutator sequences (context member order, pruned contexts,
+        spawn positions, attach/detach included) restore exactly after
+        ``rollback(mark)``, through nested marks as well."""
+        app, arch = _journal_instance()
+        solution = Solution(app, arch)
+        for t in range(6):
+            solution.assign_to_processor(t, "cpu0")
+        fresh = itertools.count()
+        for op in prefix:
+            _mutate(solution, op, fresh)
+        state0 = mapping_state(solution)
+        names0 = sorted(arch.resource_names())
+        mark0 = solution.journal_mark()
+        for op in first:
+            _mutate(solution, op, fresh)
+        state1 = mapping_state(solution)
+        names1 = sorted(arch.resource_names())
+        mark1 = solution.journal_mark()
+        for op in second:
+            _mutate(solution, op, fresh)
+        solution.rollback(mark1)
+        assert mapping_state(solution) == state1
+        assert sorted(arch.resource_names()) == names1
+        solution.rollback(mark0)
+        assert mapping_state(solution) == state0
+        # The rollback re-attaches detached resources last; the resource
+        # set (not its enumeration order, which m3's undo restores) is
+        # part of the exact state.
+        assert sorted(arch.resource_names()) == names0
+
+    def test_pruned_context_comes_back_in_place(self, small_app, small_arch):
+        s = Solution(small_app, small_arch)
+        s.spawn_context(2, "fpga")
+        s.assign_to_context(1, "fpga", 0)
+        s.spawn_context(3, "fpga")
+        assert s.contexts("fpga") == [[2, 1], [3]]
+        mark = s.journal_mark()
+        s.assign_to_processor(3, "cpu")
+        s.assign_to_processor(2, "cpu")
+        assert s.contexts("fpga") == [[1]]
+        s.rollback(mark)
+        assert s.contexts("fpga") == [[2, 1], [3]]
+
+    def test_journal_starts_at_the_first_mark(self, small_solution):
+        assert small_solution._journal is None  # built unjournaled
+        with pytest.raises(MappingError):
+            small_solution.rollback(0)
+        mark = small_solution.journal_mark()
+        assert mark == 0 and small_solution._journal == []
+        small_solution.spawn_context(1, "fpga")
+        assert len(small_solution._journal) == 2  # unassign + spawn
+        clone = small_solution.copy()
+        assert clone._journal is None
+        assert mapping_state(clone) == mapping_state(small_solution)
+
+    def test_mark_past_the_limit_starts_a_fresh_journal(
+        self, small_solution, monkeypatch
+    ):
+        monkeypatch.setattr(solution_module, "JOURNAL_LIMIT", 3)
+        s = small_solution
+        old = s.journal_mark()
+        s.spawn_context(1, "fpga")
+        s.spawn_context(2, "fpga")
+        mid = s.journal_mark()
+        # Four records (unassign + spawn, twice) exceed the limit: a
+        # fresh journal starts, and positions stay absolute.
+        assert (old, mid) == (0, 4) and s._journal == []
+        s.set_implementation_choice(3, 1)
+        s.rollback(mid)
+        assert s.implementation_choice(3) == 0
+        assert s.contexts("fpga") == [[1], [2]]
+        with pytest.raises(MappingError):
+            s.rollback(old)

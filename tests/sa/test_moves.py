@@ -12,6 +12,8 @@ from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError, InfeasibleMoveError
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import Solution, random_initial_solution
+from repro.model.generator import GeneratorConfig, random_application
+from repro.model.motion import motion_detection_application
 from repro.sa.moves import (
     CreateResourceMove,
     ImplementationMove,
@@ -21,9 +23,10 @@ from repro.sa.moves import (
     ReassignMove,
     RemoveResourceMove,
     ReorderMove,
-    restore_solution,
-    snapshot_solution,
+    _contexts_ok,
+    _precedence_window,
 )
+from tests.conftest import mapping_state
 
 
 def sw_solution(small_app, small_arch):
@@ -33,16 +36,89 @@ def sw_solution(small_app, small_arch):
     return s
 
 
-class TestSnapshot:
+class TestJournal:
     def test_roundtrip(self, small_app, small_arch):
         s = sw_solution(small_app, small_arch)
-        snap = snapshot_solution(s)
+        before = mapping_state(s)
+        mark = s.journal_mark()
         s.spawn_context(1, "fpga")
         s.set_implementation_choice(2, 1)
-        restore_solution(s, snap)
+        s.rollback(mark)
         assert s.resource_name_of(1) == "cpu"
         assert s.implementation_choice(2) == 0
+        assert mapping_state(s) == before
         s.validate()
+
+
+class _Layout:
+    """The two things the context checks read from a solution."""
+
+    def __init__(self, application, contexts):
+        self.application = application
+        self._contexts = contexts
+
+    def contexts(self, rc_name):
+        return self._contexts
+
+
+def _scan_window(app, order, task):
+    lo, hi = 0, len(order)
+    for pos, other in enumerate(order):
+        if app.precedes(other, task):
+            lo = max(lo, pos + 1)
+        elif app.precedes(task, other):
+            hi = min(hi, pos)
+    return lo, hi
+
+
+def _scan_contexts(app, contexts, task, before, after):
+    for j, members in enumerate(contexts):
+        if j < before and any(app.precedes(task, m) for m in members):
+            return False
+        if j >= after and any(app.precedes(m, task) for m in members):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("which", ["motion", "tgff60"])
+def test_precedence_masks_match_a_pairwise_scan(which):
+    """The mask-based window and context checks agree with a scan that
+    asks ``Application.precedes`` about every pair."""
+    if which == "motion":
+        app = motion_detection_application()
+    else:
+        app = random_application(
+            GeneratorConfig(num_tasks=60, topology="tgff"), seed=3
+        )
+    rng = random.Random(11)
+    tasks = sorted(app.task_indices())
+    topo = app.topological_order()
+    for draw in range(150):
+        task = rng.choice(tasks)
+        if draw % 2:
+            others = [t for t in tasks if t != task]
+            rng.shuffle(others)
+        else:  # topological orders give wide, non-trivial windows
+            others = [t for t in topo if t != task]
+        order = [t for t in others if rng.random() < 0.6]
+        lo, hi = _scan_window(app, order, task)
+        if lo > hi:
+            with pytest.raises(InfeasibleMoveError):
+                _precedence_window(app, order, task)
+        else:
+            assert _precedence_window(app, order, task) == (lo, hi)
+        cuts = sorted(rng.sample(range(1, len(order)), min(3, len(order) - 1))) \
+            if len(order) > 1 else []
+        contexts = [
+            order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]) if order[a:b]
+        ]
+        layout = _Layout(app, contexts)
+        for k in range(len(contexts)):  # join context k
+            assert _contexts_ok(layout, "rc", task, k, k + 1) == \
+                _scan_contexts(app, contexts, task, k, k + 1)
+        for p in range(len(contexts) + 1):  # spawn a context at p
+            assert _contexts_ok(layout, "rc", task, p, p) == \
+                _scan_contexts(app, contexts, task, p, p)
 
 
 class TestReorderMove:
@@ -394,7 +470,7 @@ class TestUndoProperty:
     """The backbone invariant: apply + undo restores the exact state."""
 
     def _state(self, solution):
-        return snapshot_solution(solution)
+        return mapping_state(solution)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -445,13 +521,13 @@ class TestUndoProperty:
         generator = MoveGenerator(motion_app, p_impl=0.2, p_offload=0.2)
         evaluator = Evaluator(motion_app, epicure)
         for _ in range(300):
-            before = snapshot_solution(solution)
+            before = mapping_state(solution)
             try:
                 move = generator.propose(solution, rng)
                 move.apply(solution)
             except InfeasibleMoveError:
-                assert snapshot_solution(solution) == before
+                assert mapping_state(solution) == before
                 continue
             move.undo(solution)
-            assert snapshot_solution(solution) == before
+            assert mapping_state(solution) == before
         assert evaluator.evaluate(solution).feasible
