@@ -24,9 +24,9 @@ def test_fig3_sweep(benchmark):
     # The minimum is interior (neither the smallest nor the largest size).
     assert metrics["best_n_clbs"] not in (sizes[0], sizes[-1])
     # Context counts fall steeply as devices grow.  (Deviation from the
-    # paper, recorded in EXPERIMENTS.md: our model rewards pipelining
-    # reconfiguration under processor work, so large devices keep a few
-    # contexts instead of exactly one.)
+    # paper: our model rewards pipelining reconfiguration under
+    # processor work, so large devices keep a few contexts instead of
+    # exactly one.)
     assert rows["100"]["num_contexts"] > 2 * rows["10000"]["num_contexts"]
     small_ctx = max(
         rows[str(s)]["num_contexts"] for s in (400, 600, 800, 1000)

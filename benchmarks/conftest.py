@@ -13,7 +13,7 @@ historical environment knobs into a :class:`repro.bench.BenchContext`:
 
 Every bench prints the paper-style table it regenerates, so
 ``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment
-report generator (EXPERIMENTS.md records one such run).
+report generator.
 """
 
 import os

@@ -51,7 +51,7 @@ from repro.errors import (
     TelemetryError,
     ServiceError,
 )
-from repro.graph import Dag, PathCountClosure
+from repro.graph import Dag
 from repro.model import (
     Application,
     GeneratorConfig,
@@ -135,7 +135,7 @@ __all__ = [
     "InfeasibleMoveError", "ConfigurationError", "TelemetryError",
     "ServiceError",
     # graph
-    "Dag", "PathCountClosure",
+    "Dag",
     # model
     "Application", "Implementation", "Task",
     "SdfActor", "SdfChannel", "SdfGraph",

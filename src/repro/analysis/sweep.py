@@ -16,14 +16,12 @@ is independently seeded and the aggregation order is fixed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
 from repro.errors import ConfigurationError
 from repro.model.application import Application
-from repro.sa.explorer import DesignSpaceExplorer
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ def run_device_sweep(
     warmup_iterations: int = 1200,
     deadline_ms: float = 40.0,
     seed0: int = 1,
-    explorer_factory: Optional[Callable[[int, int], DesignSpaceExplorer]] = None,
     engine: str = "full",
     jobs: int = 1,
     checkpoint_path: Optional[str] = None,
@@ -77,36 +74,12 @@ def run_device_sweep(
     ``jobs=N`` executes the ``sizes × runs`` grid across N worker
     processes; rows are bit-identical to ``jobs=1`` for the same seeds.
     ``checkpoint_path`` (JSONL) lets an interrupted sweep resume.
-    ``explorer_factory(n_clbs, seed)`` may be supplied to customize the
-    optimizer (this legacy hook runs sequentially and supports neither
-    ``jobs`` nor checkpoints); the default builds the paper's EPICURE
-    platform with the requested capacity.  ``engine`` selects the
-    evaluation engine (``"full"`` or ``"incremental"``).
+    Every run uses the paper's EPICURE platform at the row's capacity.
+    ``engine`` selects the evaluation engine (``"full"`` or
+    ``"incremental"``).
     """
     if runs < 1:
         raise ConfigurationError("runs must be >= 1")
-    if explorer_factory is not None:
-        warnings.warn(
-            "explorer_factory is deprecated: ad-hoc constructor wiring "
-            "cannot cross a process boundary or serialize; express the "
-            "optimizer as an ExplorationRequest strategy/budget spec "
-            "(repro.api) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if jobs != 1 or checkpoint_path is not None:
-            raise ConfigurationError(
-                "explorer_factory is a sequential legacy hook: parallel "
-                "jobs and checkpoints need spec-based jobs (it cannot "
-                "cross a process boundary)"
-            )
-        evaluations = {
-            (n_clbs, r): explorer_factory(
-                n_clbs, seed0 + 1000 * r + n_clbs
-            ).run().best_evaluation
-            for n_clbs in sizes for r in range(runs)
-        }
-        return _aggregate_rows(sizes, runs, evaluations, deadline_ms)
 
     from repro.api.facade import explore
     from repro.api.specs import (

@@ -12,10 +12,10 @@
 
 from repro.baselines.clustering import cluster_into_contexts
 from repro.baselines.list_scheduler import list_schedule_software, decode_partition
-from repro.baselines.ga import GeneticConfig, GeneticPartitioner, GeneticResult
-from repro.baselines.tabu import TabuConfig, TabuSearch, TabuResult
-from repro.baselines.hill_climber import HillClimber, HillClimbResult
-from repro.baselines.random_search import RandomSearch, RandomSearchResult
+from repro.baselines.ga import GeneticConfig, GeneticPartitioner
+from repro.baselines.tabu import TabuConfig, TabuSearch
+from repro.baselines.hill_climber import HillClimber
+from repro.baselines.random_search import RandomSearch
 
 __all__ = [
     "cluster_into_contexts",
@@ -23,12 +23,8 @@ __all__ = [
     "decode_partition",
     "GeneticConfig",
     "GeneticPartitioner",
-    "GeneticResult",
     "TabuConfig",
     "TabuSearch",
-    "TabuResult",
     "HillClimber",
-    "HillClimbResult",
     "RandomSearch",
-    "RandomSearchResult",
 ]

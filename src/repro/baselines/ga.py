@@ -42,11 +42,6 @@ from repro.search.strategy import (
 
 Chromosome = Tuple[int, ...]
 
-#: Deprecated alias — the GA returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.
-GeneticResult = SearchResult
-
 
 @dataclass
 class GeneticConfig:

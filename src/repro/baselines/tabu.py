@@ -41,11 +41,6 @@ from repro.search.strategy import (
     StepCallback,
 )
 
-#: Deprecated alias — tabu search returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.
-TabuResult = SearchResult
-
 
 @dataclass
 class TabuConfig:

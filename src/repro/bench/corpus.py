@@ -13,7 +13,7 @@ workload axes:
   through :func:`repro.model.generator.random_application`.
 
 Scenarios hash via the canonical JSON of their bundled instance
-document (:func:`repro.io.instance_to_dict`), so ``scenario_hash`` is
+document (:func:`repro.io.content_digest`), so ``scenario_hash`` is
 identical across runs, machines, and Python versions — the regression
 gate ``repro bench compare`` treats a hash drift as a failure, because
 timings of different instances are not comparable.
@@ -21,8 +21,6 @@ timings of different instances are not comparable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -30,7 +28,7 @@ from repro.arch.architecture import Architecture, epicure_architecture
 from repro.arch.asic import Asic
 from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError
-from repro.io import ProblemInstance, instance_to_dict
+from repro.io import ProblemInstance, content_digest, instance_to_dict
 from repro.model.generator import TOPOLOGIES, GeneratorConfig, random_application
 from repro.model.motion import MOTION_DEADLINE_MS, motion_detection_application
 
@@ -207,18 +205,15 @@ def scenario(
 
 
 def scenario_hash(target: "Scenario | ProblemInstance") -> str:
-    """SHA-256 of the canonical instance JSON — the scenario's identity.
+    """SHA-256 of the canonical instance JSON — the scenario's identity
+    (:func:`repro.io.content_digest`).
 
     Two runs (or two machines, or two Python versions) produce the same
     hash exactly when they benchmarked the same problem.
     """
-    document = (
-        target.document()
-        if isinstance(target, Scenario)
-        else instance_to_dict(target)
+    return content_digest(
+        target.document() if isinstance(target, Scenario) else target
     )
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Experiment harness: one module per paper artefact.
 
 Every table and figure of the paper's evaluation (section 5) has a
-``run_*`` function here and a corresponding bench in ``benchmarks/``;
-EXPERIMENTS.md records paper-vs-measured values.
+``run_*`` function here and a corresponding bench in ``benchmarks/``.
 """
 
 from repro.experiments.fig2 import Fig2Result, run_fig2

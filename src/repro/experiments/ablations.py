@@ -1,4 +1,4 @@
-"""Ablations A1/A3 and the bus-policy study (DESIGN.md section 4).
+"""Ablations A1/A3 and the bus-policy study.
 
 * **Schedule ablation** — Lam adaptive vs modified-Lam vs geometric vs
   hill climbing vs random search at an equal move budget: what the

@@ -1,4 +1,4 @@
-"""Graph substrate: DAGs, closures, reachability and longest paths.
+"""Graph substrate: DAGs, reachability and longest paths.
 
 This subpackage is self-contained (no dependency on the application or
 architecture models) and provides:
@@ -6,13 +6,10 @@ architecture models) and provides:
 * :class:`~repro.graph.dag.Dag` — a mutable directed acyclic graph with
   node/edge attributes, the base structure for task graphs and search
   graphs.
-* :class:`~repro.graph.closure.PathCountClosure` — an incrementally
-  maintained path-count matrix giving O(1) reachability/cycle queries
-  (the "transitive closure matrix" of the paper's section 4.3); the
-  test oracle for the reachability index.
 * :class:`~repro.graph.reachability.ReachabilityIndex` — static
   ancestor/descendant bitsets answering the move generator's
-  precedence queries.
+  precedence queries (the "transitive closure matrix" of the paper's
+  section 4.3).
 * :mod:`~repro.graph.longest_path` — topological longest-path dynamic
   programming (the paper's makespan evaluation, section 4.4).
 * :mod:`~repro.graph.generators` — random DAG generators used by tests
@@ -20,7 +17,6 @@ architecture models) and provides:
 """
 
 from repro.graph.dag import Dag, NodeInterner
-from repro.graph.closure import PathCountClosure
 from repro.graph.longest_path import (
     topological_order,
     longest_path_length,
@@ -32,7 +28,6 @@ from repro.graph.longest_path import (
 __all__ = [
     "Dag",
     "NodeInterner",
-    "PathCountClosure",
     "topological_order",
     "longest_path_length",
     "earliest_start_times",

@@ -1,21 +1,19 @@
 """Static ancestor/descendant reachability bitsets.
 
-PR 7 profiling put the ``precedes``/``path_count`` cluster at ~15% of
-move-proposal time: :class:`~repro.graph.closure.PathCountClosure`
-answers ``has_path`` through two dict lookups plus a nested-list index
-per call, and the grouping/context feasibility tests in
-:mod:`repro.sa.moves` fire it for every member of every context.
+The grouping/context feasibility tests in :mod:`repro.sa.moves` ask
+``has_path`` for every member of every context, far more often than
+the graph changes.  :class:`ReachabilityIndex` answers those queries
+with one dense big-int bitmask per node (bit ``j`` of
+``descendants[i]`` set iff node ``j`` is reachable from node ``i``),
+built in one topological sweep, answered with a shift-and-mask.  The
+index is immutable — callers rebuild it when the graph changes
+(applications are static during a search, so in practice it is built
+once per instance).
 
-:class:`ReachabilityIndex` trades the closure's incremental
-edge-update support for raw query speed: one dense big-int bitmask per
-node (bit ``j`` of ``descendants[i]`` set iff node ``j`` is reachable
-from node ``i``), built in one topological sweep, answered with a
-shift-and-mask.  The index is immutable — callers rebuild it when the
-graph changes (applications are static during a search, so in practice
-it is built once per instance).
-
-Parity with the closure's graph-walk answer over the full scenario
-corpus is pinned by ``tests/graph/test_reachability.py``.
+Parity with an incremental path-count closure (the paper's transitive
+closure matrix, section 4.3; the oracle lives in
+``tests/graph/test_closure.py``) over the full scenario corpus is
+pinned by ``tests/graph/test_reachability.py``.
 """
 
 from __future__ import annotations

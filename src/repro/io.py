@@ -8,9 +8,10 @@ implementation and edge.
 
 Two instance-identity notions live here:
 
-* the *content* hash (``bench.corpus.scenario_hash``) covers every
-  byte of the bundled document — two instances are the same problem iff
-  it matches;
+* the *content* digest (:func:`content_digest`) covers every byte of
+  the bundled document — two instances are the same problem iff it
+  matches; service cache keys and ``bench.corpus.scenario_hash`` use
+  it;
 * the *structure* digest (:func:`structure_digest`) covers only the
   topology skeleton — task indices and implementation counts, the
   dependency edge set, and resource names/kinds — ignoring all numeric
@@ -260,6 +261,22 @@ def _instance_document(
     return instance
 
 
+def _canonical_sha256(document: Any) -> str:
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def content_digest(
+    instance: Union[ProblemInstance, Dict[str, Any]],
+) -> str:
+    """SHA-256 of the instance's canonical bundled document.
+
+    Two runs (or two machines, or two Python versions) produce the same
+    digest exactly when they describe the same problem.
+    """
+    return _canonical_sha256(_instance_document(instance))
+
+
 def structure_digest(
     instance: Union[ProblemInstance, Dict[str, Any]],
 ) -> str:
@@ -287,10 +304,7 @@ def structure_digest(
             for entry in doc["architecture"]["resources"]
         ),
     }
-    canonical = json.dumps(
-        skeleton, sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical_sha256(skeleton)
 
 
 #: Cap on the per-field descriptions an :class:`InstanceDelta` carries.

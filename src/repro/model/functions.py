@@ -8,8 +8,6 @@ family we know a base area, and a speedup range (smallest
 implementation -> fastest implementation).  Larger variants trade CLBs
 for speed, with diminishing returns, which is exactly the shape of real
 FPGA synthesis sweeps (loop unrolling / pipelining factors).
-
-See DESIGN.md section 3 for the substitution rationale.
 """
 
 from __future__ import annotations

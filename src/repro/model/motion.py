@@ -21,8 +21,7 @@ D/E fork, and 3 * C(21,7) = 348 840 in total.
 The per-task timing/area estimates come from the EPICURE project and
 were never published; this module provides a deterministic synthetic
 dataset calibrated to the paper's published aggregates (sum of software
-times = 76.4 ms, 5-6 dominant implementations per function).  See
-DESIGN.md section 3.
+times = 76.4 ms, 5-6 dominant implementations per function).
 """
 
 from __future__ import annotations

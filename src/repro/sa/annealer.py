@@ -51,11 +51,6 @@ from repro.search.strategy import (
     StepCallback,
 )
 
-#: Deprecated alias — the annealer returns the unified
-#: :class:`~repro.search.strategy.SearchResult` since the search-layer
-#: refactor.  Import :class:`SearchResult` directly in new code.
-AnnealingResult = SearchResult
-
 
 def default_warmup(iterations: int) -> int:
     """The paper's 1200 warmup iterations (Fig. 2), scaled down so

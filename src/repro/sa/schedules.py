@@ -9,7 +9,7 @@ cooling speed is maximized when the move acceptance ratio stays near
 
 Neither Lam's thesis nor the authors' refinements [11] are published in
 accessible form, so this module provides two faithful-behavior
-implementations (see DESIGN.md section 3):
+implementations:
 
 * :class:`LamDelosmeSchedule` — the statistical form: the inverse
   temperature ``S`` grows at a rate proportional to ``λ / σ(S)``

@@ -12,8 +12,9 @@ a step callback exposes every iteration to tracing tools.
 
 On top of that sits :mod:`repro.search.runner`: a batch of
 ``(strategy-spec, instance, seed)`` jobs executed across worker
-processes with spawn-safe job specs, ``SeedSequence``-derived per-job
-seeds and an optional JSONL checkpoint so long sweeps can resume.
+processes with spawn-safe job specs, per-job seeds derived by a
+pure-Python port of NumPy's ``SeedSequence`` and an optional JSONL
+checkpoint so long sweeps can resume.
 Parallel results are bit-identical to sequential ones for fixed seeds.
 :mod:`repro.search.portfolio` races several strategies on one instance
 and reports the winner.

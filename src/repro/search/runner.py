@@ -16,9 +16,9 @@ ones for fixed seeds:
   processes get one by construction (pickling); the inline path pickles
   each job through :func:`_isolate` so a shared ``Application`` or
   ``Architecture`` can never leak state between jobs, in either mode.
-* Jobs without an explicit seed get one derived from ``base_seed``
-  through ``numpy.random.SeedSequence`` spawning, so adding workers
-  never re-deals the seeds.
+* Jobs without an explicit seed get one derived from ``base_seed`` and
+  their position (:func:`derive_seeds`), so adding workers never
+  re-deals the seeds.
 * Outcomes are returned in submission order regardless of completion
   order.
 
@@ -38,8 +38,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from numpy.random import SeedSequence
-
 from repro.arch.architecture import Architecture, epicure_architecture
 from repro.errors import ConfigurationError
 from repro.mapping.evaluator import Evaluation, Evaluator
@@ -51,16 +49,67 @@ from repro.search.strategy import SearchBudget, SearchResult, SearchStrategy
 # ----------------------------------------------------------------------
 # seeds
 # ----------------------------------------------------------------------
+_MASK32 = 0xFFFFFFFF
+
+
+def _spawned_seed(words: List[int], index: int) -> int:
+    """First 32-bit output word of child ``index`` of NumPy's
+    ``SeedSequence`` over the entropy ``words`` (low word first).
+
+    The 4-word pool, the hash constants and the mixing order are those
+    of ``numpy/random/bit_generator.pyx``.
+    """
+    entropy = words + [0] * (4 - len(words)) + [index]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = (pool[0] ^ 0x8B51F9DD) * (0x8B51F9DD * 0x58F38DED & _MASK32)
+    value &= _MASK32
+    return value ^ value >> 16
+
+
 def derive_seeds(base_seed: int, n: int) -> List[int]:
     """``n`` statistically independent 32-bit seeds from one base seed.
 
-    Uses ``numpy.random.SeedSequence.spawn``, the recommended way to
-    key parallel streams; deterministic for a given ``base_seed``.
+    A pure-Python port of NumPy's ``SeedSequence(base_seed).spawn(n)``
+    with one ``generate_state(1)`` word per child (the recommended way
+    to key parallel streams): the seeds are NumPy's bit for bit and
+    deterministic for a given ``base_seed``, which must be a
+    non-negative ``int`` (a missing seed never means fresh entropy).
     """
+    if (
+        not isinstance(base_seed, int)
+        or isinstance(base_seed, bool)
+        or base_seed < 0
+    ):
+        raise ConfigurationError(
+            f"base seed must be a non-negative int, not {base_seed!r}"
+        )
     if n < 0:
         raise ConfigurationError("cannot derive a negative number of seeds")
-    children = SeedSequence(base_seed).spawn(n)
-    return [int(child.generate_state(1)[0]) for child in children]
+    words = [
+        base_seed >> shift & _MASK32
+        for shift in range(0, max(base_seed.bit_length(), 1), 32)
+    ]
+    return [_spawned_seed(words, index) for index in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -542,8 +591,9 @@ def run_search_jobs(
     Results come back in submission order and are bit-identical whether
     ``jobs`` is 1 (inline) or N (worker pool) — every job is seeded,
     isolated, and deterministic.  Jobs whose ``seed`` is ``None`` get a
-    ``SeedSequence``-derived seed from ``base_seed`` and their position,
-    so the seeding is also independent of ``jobs``.
+    seed derived from ``base_seed`` and their position
+    (:func:`derive_seeds`), so the seeding is also independent of
+    ``jobs``.
 
     ``checkpoint_path`` (JSONL, append-only) makes the batch resumable:
     finished jobs found there are reloaded instead of re-run.

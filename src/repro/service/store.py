@@ -8,8 +8,9 @@ unit of identity is the **cache key**
 where :meth:`~repro.api.specs.ExplorationRequest.content_hash` is the
 SHA-256 of the canonical request JSON and ``instance_hash`` is the
 SHA-256 of the *resolved* problem instance's canonical bundled document
-(the same digest :func:`repro.bench.corpus.scenario_hash` assigns to
-corpus scenarios).  The request hash alone would miss path-referencing
+(:func:`repro.io.content_digest`, the same digest
+:func:`repro.bench.corpus.scenario_hash` assigns to corpus
+scenarios).  The request hash alone would miss path-referencing
 specs whose file content changed underneath the path; composing it with
 the materialized instance binds the key to what would actually run.
 
@@ -87,9 +88,9 @@ class InstanceInfo:
 def instance_info_for(request: ExplorationRequest) -> InstanceInfo:
     """Resolve the request's problem instance once and digest it twice.
 
-    ``instance_hash`` is the canonical-document SHA-256 of
-    :func:`repro.bench.corpus.scenario_hash` (service cache keys and
-    bench corpus identities share one digest vocabulary);
+    ``instance_hash`` is :func:`repro.io.content_digest` of the
+    canonical document (service cache keys and bench corpus identities
+    share one digest vocabulary);
     ``structure_hash`` is :func:`repro.io.structure_digest` — topology
     plus resource kinds only, ignoring every numeric field — the key of
     the warm-start ``near/`` secondary index.  For sweep requests (whose
@@ -97,8 +98,12 @@ def instance_info_for(request: ExplorationRequest) -> InstanceInfo:
     problem; the grid itself is covered by the request hash.
     """
     from repro.api.resolve import resolve_application, resolve_architecture
-    from repro.bench.corpus import scenario_hash
-    from repro.io import ProblemInstance, instance_to_dict, structure_digest
+    from repro.io import (
+        ProblemInstance,
+        content_digest,
+        instance_to_dict,
+        structure_digest,
+    )
 
     problem = resolve_application(request.application)
     architecture = resolve_architecture(
@@ -114,7 +119,7 @@ def instance_info_for(request: ExplorationRequest) -> InstanceInfo:
     )
     document = instance_to_dict(instance)
     return InstanceInfo(
-        instance_hash=scenario_hash(instance),
+        instance_hash=content_digest(document),
         structure_hash=structure_digest(document),
         document=document,
     )

@@ -1,9 +1,6 @@
 """Device-sweep parallelism: jobs=N must not change a single row."""
 
-import pytest
-
 from repro.analysis.sweep import run_device_sweep
-from repro.errors import ConfigurationError
 
 
 SWEEP_KWARGS = dict(
@@ -26,13 +23,3 @@ class TestParallelSweep:
             small_app, jobs=1, checkpoint_path=path, **SWEEP_KWARGS
         )
         assert fresh == resumed
-
-    def test_explorer_factory_is_sequential_only(self, small_app):
-        with pytest.raises(ConfigurationError):
-            run_device_sweep(
-                small_app,
-                sizes=(300,),
-                runs=1,
-                explorer_factory=lambda n, s: None,
-                jobs=2,
-            )

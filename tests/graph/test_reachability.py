@@ -12,12 +12,12 @@ import pytest
 
 from repro.bench.corpus import CORPUS, get_scenario
 from repro.errors import GraphError
-from repro.graph.closure import PathCountClosure
 from repro.graph.dag import Dag
 from repro.graph.reachability import ReachabilityIndex
 from repro.mapping.compiled import compile_instance
 from repro.model.application import Application
 from repro.model.task import Implementation, Task
+from tests.graph.test_closure import PathCountClosure
 
 
 def _diamond() -> Dag:

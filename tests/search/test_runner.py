@@ -6,9 +6,15 @@ bit of any result — and an interrupted batch picks up where it left off.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.io import dump_solution
 from repro.search.runner import (
@@ -19,6 +25,12 @@ from repro.search.runner import (
     derive_seeds,
     run_search_jobs,
 )
+
+
+#: ``(base, n) -> seeds`` vectors recorded from NumPy's ``SeedSequence``.
+SEED_VECTORS = json.loads(
+    (Path(__file__).parent / "fixtures" / "seed_vectors.json").read_text()
+)["vectors"]
 
 
 def small_jobs(app, arch):
@@ -110,6 +122,62 @@ class TestSeeds:
         stream itself is pinned: any other derivation would silently
         change every derived-seed result."""
         assert derive_seeds(0, 3) == [3757552657, 673228719, 3241444873]
+
+    @pytest.mark.parametrize(
+        "vector",
+        SEED_VECTORS,
+        ids=[f"{v['base'].bit_length()}bit-n{v['n']}" for v in SEED_VECTORS],
+    )
+    def test_derive_seeds_match_numpy(self, vector):
+        """Bit-for-bit NumPy: the vectors were recorded from
+        ``numpy.random.SeedSequence`` (multi-word bases included)."""
+        assert derive_seeds(vector["base"], vector["n"]) == vector["seeds"]
+
+    @pytest.mark.parametrize("base", [None, -1, 1.5, "3"])
+    def test_derive_seeds_rejects_non_int_base(self, base):
+        """A missing seed must not fall back to fresh OS entropy."""
+        with pytest.raises(ConfigurationError, match="base seed"):
+            derive_seeds(base, 3)
+
+    def test_runs_without_numpy(self):
+        """No runtime dependency: with every ``numpy`` import refused,
+        ``repro`` imports, derives the pinned seeds and runs a two-seed
+        batch, and nothing has loaded NumPy."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            class RefuseNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "numpy":
+                        raise ModuleNotFoundError(f"No module named {name!r}")
+
+            sys.meta_path.insert(0, RefuseNumpy())
+            import repro
+
+            assert repro.derive_seeds(0, 3) == [
+                3757552657, 673228719, 3241444873,
+            ]
+            response = repro.explore(repro.ExplorationRequest(
+                kind="batch",
+                seeds=(1, 2),
+                budget=repro.BudgetSpec(iterations=200, warmup_iterations=50),
+            ))
+            assert response.summary["runs"] == 2, response.summary
+            assert "numpy" not in sys.modules
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + (os.pathsep + path if path else ""),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True,
+        )
+        assert child.returncode == 0, child.stderr
 
     def test_unseeded_jobs_get_position_stable_seeds(
         self, small_app, small_arch

@@ -13,6 +13,7 @@ from repro.api.specs import (
     BudgetSpec,
     ExplorationRequest,
 )
+from repro.bench.corpus import get_scenario
 from repro.errors import ConfigurationError, ServiceError
 from repro.io import application_to_dict
 from repro.model.generator import GeneratorConfig, random_application
@@ -77,6 +78,19 @@ class TestCacheKey:
         assert key_a[1] == key_b[1]  # same request hash...
         assert key_a[2] != key_b[2]  # ...different instance hash
         assert key_a[0] != key_b[0]
+
+    def test_instance_hash_is_pinned(self):
+        """Cache keys stay byte-identical across releases: the instance
+        digest of a bundled motion/2000 request is pinned."""
+        request = small_request(
+            application=ApplicationSpec(
+                kind="bundled",
+                document=get_scenario("motion/2000").document(),
+            )
+        )
+        assert instance_hash_for(request) == (
+            "842a941cf9024eaa50c3de37bd5d39a0ffb40a393949ce7b7870a3fe2d215c16"
+        )
 
     def test_sweep_requests_get_keys(self, store):
         request = small_request(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.io import (
     ProblemInstance,
+    content_digest,
     diff_instances,
     instance_to_dict,
     structure_digest,
@@ -32,6 +33,7 @@ class TestStructureDigest:
     ):
         instance = ProblemInstance(small_app, small_arch, deadline_ms=40.0)
         assert structure_digest(instance) == structure_digest(instance_doc)
+        assert content_digest(instance) == content_digest(instance_doc)
 
     @pytest.mark.parametrize(
         "mutate",

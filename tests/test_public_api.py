@@ -17,7 +17,7 @@ REPRO_SURFACE = sorted([
     "InfeasibleMoveError", "ConfigurationError", "TelemetryError",
     "ServiceError",
     # graph
-    "Dag", "PathCountClosure",
+    "Dag",
     # model
     "Application", "Implementation", "Task",
     "SdfActor", "SdfChannel", "SdfGraph",
