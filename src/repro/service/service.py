@@ -6,7 +6,8 @@ addressed (request hash × resolved instance hash), and
 
 * a ``done`` record is a **cache hit** — the persisted envelope is
   served back byte-identical to what the computing worker wrote, no
-  CPU spent;
+  CPU spent, and the row is only read (the hit is counted in the
+  store's append-only hit log);
 * a ``pending``/``running`` record is an **in-flight dedupe** — the
   submit attaches to the existing computation instead of starting a
   second one (the exclusive ``os.link`` record creation in the store
@@ -42,7 +43,12 @@ from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
 from repro.service.jobs import JobQueue
-from repro.service.store import InstanceInfo, JobRecord, ResultStore
+from repro.service.store import (
+    InstanceInfo,
+    JobRecord,
+    ResultStore,
+    instance_info_for,
+)
 
 __all__ = [
     "STATS_FORMAT",
@@ -116,9 +122,11 @@ class ExplorationService:
         with self.telemetry.phase("store_lookup"):
             key, request_hash, info = self.store.cache_key_info(request)
             record, created = self.store.create_record(
-                key, request_hash, info.instance_hash, request.to_dict()
+                key, request_hash, info.instance_hash, request
             )
         if created:
+            if info.document is None:  # memoized digests: resolve again
+                info = instance_info_for(request)
             self._register_instance(record, info)
             self._try_warm_start(record, request, info)
             self.queue.enqueue(key)
@@ -252,8 +260,10 @@ class ExplorationService:
         if record.status == "done":
             with self.telemetry.phase("store_lookup"):
                 text = self.store.response_text(key)
-            record.hits += 1
-            self.store.write_record(record)  # best-effort hit counter
+            # A hit only reads: it counts itself in the append-only hit
+            # log and never rewrites the row, so racing hits lose no
+            # count and a hit racing gc cannot republish a deleted row.
+            record.hits += self.store.log_hit(key)
             self.telemetry.count("cache_hit")
             if self.telemetry.enabled:
                 self.telemetry.event("submit", key=key, status="hit")
@@ -331,7 +341,12 @@ class ExplorationService:
         return self.store.cache_key(request)[0]
 
     def status(self, key: str) -> JobRecord:
-        return self.store.load_record(key)
+        """The record row with its hit log folded into ``hits`` (a view
+        to report: write back a :meth:`ResultStore.load_record` row,
+        never this one, or the logged hits would count twice)."""
+        record = self.store.load_record(key)
+        record.hits += self.store.logged_hits(key)
+        return record
 
     def result(self, key: str) -> ExplorationResponse:
         """The persisted envelope; raises while the job is unfinished."""
@@ -373,7 +388,7 @@ class ExplorationService:
         for record in self.store.iter_records():
             by_status[record.status] += 1
             executions += record.attempts
-            hits += record.hits
+            hits += record.hits + self.store.logged_hits(record.key)
             if record.status == "failed":
                 failed_attempts += record.attempts
             if record.warm_start is not None:
@@ -414,8 +429,10 @@ class ExplorationService:
 
         * ``failed`` — drop failed records (their error is in the
           history; resubmitting later simply recreates the row);
-        * ``orphans`` — tickets/envelopes whose record row is gone
-          (half-states from crashes or manual deletion);
+        * ``orphans`` — tickets, near markers (both counted as
+          ``orphan_tickets``), envelopes and hit logs (both counted as
+          ``orphan_results``) whose record row is gone (half-states from
+          crashes, manual deletion or a hit racing a deletion);
         * ``done_older_than_s`` — age out completed records + their
           envelopes (the cache eviction knob).
         """
@@ -440,12 +457,15 @@ class ExplorationService:
                 (self.store.QUEUE_DIR, ".ticket", "orphan_tickets"),
                 (self.store.CLAIMS_DIR, ".ticket", "orphan_tickets"),
                 (self.store.RESULTS_DIR, ".json", "orphan_results"),
+                (self.store.HITS_DIR, "", "orphan_results"),
             ):
                 directory = os.path.join(self.store.root, subdir)
+                if not os.path.isdir(directory):
+                    continue  # hits/ appears with a store's first hit
                 for name in os.listdir(directory):
                     if not name.endswith(suffix):
                         continue
-                    if name[: -len(suffix)] in keys:
+                    if name[: len(name) - len(suffix)] in keys:
                         continue
                     try:
                         os.unlink(os.path.join(directory, name))

@@ -24,18 +24,27 @@ On-disk layout (JSON files + atomic rename, no external database)::
       queue/<key>.ticket    pending work (claiming renames it away)
       claims/<key>.ticket   work owned by a worker (crash-safe: a stale
                             claim is renamed back into queue/)
+      hits/<key>            the cache-hit log: one byte appended per hit
+                            (created on first use)
 
-Every write is append-safe: new content goes to a uniquely named temp
-file in the same directory and is atomically renamed over the target,
-so readers never observe a torn record and two racing writers resolve
-to one winner.  Record *creation* publishes the complete row with
-``os.link``, which fails with ``EEXIST`` when the row exists: the
-store's one point of mutual exclusion — exactly one of N racing
-submitters creates the row, everyone else observes it (the dedupe
-guarantee of the service).  The record/probe-history idiom follows the
-persistent mirror records of Launchpad's ``distributionmirror.py`` (see
-SNIPPETS.md #3): each row keeps its full state-transition history next
-to the current freshness state.
+Rows and instance documents are compact JSON (no ``indent``, so
+CPython's C encoder writes them); readers parse any layout, so the
+indented files of earlier versions still load.  Every write is
+append-safe: new content goes to a uniquely named temp file in the same
+directory and is atomically renamed over the target, so readers never
+observe a torn record and two racing writers resolve to one winner.
+Record *creation* publishes the complete row with ``os.link``, which
+fails with ``EEXIST`` when the row exists: the store's one point of
+mutual exclusion — exactly one of N racing submitters creates the row,
+everyone else observes it (the dedupe guarantee of the service).  A
+cache hit never rewrites its row: it appends to ``hits/<key>`` with
+``O_APPEND``, so racing hits lose no count and a hit racing ``gc``
+cannot republish a deleted row.  A row's hit count is its ``hits``
+field (what earlier versions counted in place) plus the log's length.
+The record/probe-history idiom follows the persistent mirror records of
+Launchpad's ``distributionmirror.py`` (see SNIPPETS.md #3): each row
+keeps its full state-transition history next to the current freshness
+state.
 """
 
 from __future__ import annotations
@@ -45,8 +54,9 @@ import json
 import os
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.api.facade import ExplorationResponse, environment_stamp
 from repro.api.specs import ExplorationRequest
@@ -78,11 +88,13 @@ RECORD_STATES = ("pending", "running", "done", "failed")
 class InstanceInfo:
     """Everything one resolution of a request's problem instance yields:
     the content digest (cache-key component), the structure-only digest
-    (warm-start near-index key) and the canonical bundled document."""
+    (warm-start near-index key) and the canonical bundled document
+    (``None`` when :meth:`ResultStore.cache_key_info` took the digests
+    from its memo instead of resolving)."""
 
     instance_hash: str
     structure_hash: str
-    document: Dict[str, Any]
+    document: Optional[Dict[str, Any]]
 
 
 def instance_info_for(request: ExplorationRequest) -> InstanceInfo:
@@ -281,6 +293,22 @@ def _unlink_quietly(path: str) -> None:
         pass
 
 
+def _compact_json(document: Any, sort_keys: bool = False) -> str:
+    """The one encoding of rows and instance documents.  Without
+    ``indent`` CPython runs its C encoder (any ``indent`` falls back to
+    the pure-Python one), and compact separators keep rows small."""
+    return json.dumps(document, separators=(",", ":"), sort_keys=sort_keys)
+
+
+def _memoizable(request: ExplorationRequest) -> bool:
+    """Whether the resolved instance is a pure function of the request:
+    a ``path`` reads a file whose content may change under it."""
+    architecture = request.architecture
+    return request.application.path is None and (
+        architecture is None or architecture.path is None
+    )
+
+
 class ResultStore:
     """Filesystem-backed content-addressed store (records + envelopes).
 
@@ -301,9 +329,16 @@ class ResultStore:
     #: without scanning every record.
     INSTANCES_DIR = "instances"
     NEAR_DIR = "near"
+    #: ``hits/<key>`` logs one byte per cache hit; created on the first
+    #: hit, so stores written by earlier versions need no migration.
+    HITS_DIR = "hits"
+    #: Entries of the per-store request hash → instance digests memo of
+    #: :meth:`cache_key_info` (oldest evicted first).
+    KEY_MEMO_SIZE = 1024
 
     def __init__(self, root: str, create: bool = True) -> None:
         self.root = os.path.abspath(root)
+        self._key_memo: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
         if create:
             for name in (
                 self.RECORDS_DIR, self.RESULTS_DIR,
@@ -338,14 +373,36 @@ class ResultStore:
     def near_marker(self, structure_hash: str, key: str) -> str:
         return os.path.join(self.root, self.NEAR_DIR, structure_hash, key)
 
+    def hit_log(self, key: str) -> str:
+        return os.path.join(self.root, self.HITS_DIR, key)
+
     # -- keys ----------------------------------------------------------
     def cache_key_info(
         self, request: ExplorationRequest
     ) -> Tuple[str, str, InstanceInfo]:
         """``(key, request_hash, instance info)`` — one resolution pass
-        yields the cache key *and* the warm-start index inputs."""
+        yields the cache key *and* the warm-start index inputs.
+
+        When no ``path`` is involved the instance is a pure function of
+        the request, so its two digests are memoized by request hash and
+        later submits of the request skip resolution; such an info
+        carries ``document=None`` (the memo never holds the mutable
+        document; a caller that needs it resolves once more).
+        """
         request_hash = request.content_hash()
-        info = instance_info_for(request)
+        digests = self._key_memo.get(request_hash)
+        if digests is not None:
+            info = InstanceInfo(*digests, document=None)
+        else:
+            info = instance_info_for(request)
+            if _memoizable(request):
+                self._key_memo[request_hash] = (
+                    info.instance_hash, info.structure_hash,
+                )
+                # Threads sharing this store may both evict here; one
+                # entry too few only costs a later resolution.
+                if len(self._key_memo) > self.KEY_MEMO_SIZE:
+                    self._key_memo.popitem(last=False)
         return (
             compose_cache_key(request_hash, info.instance_hash),
             request_hash,
@@ -386,38 +443,44 @@ class ResultStore:
     # -- records -------------------------------------------------------
     def create_record(
         self, key: str, request_hash: str, instance_hash: str,
-        request_document: Dict[str, Any],
+        request: Union[ExplorationRequest, Dict[str, Any]],
     ) -> Tuple[JobRecord, bool]:
         """Create the row for ``key`` if absent; ``(record, created)``.
 
+        A row that already exists is read without building or writing
+        anything (the cache-hit and in-flight path): ``request`` — the
+        request or its document — is converted only for a new row.
         The complete row is written to a temp file first and published
         with ``os.link``, which is atomic and exclusive: exactly one of N
         racing creators wins, and losers (``EEXIST``) re-read the
-        winner's row, which is complete the moment it exists.  A row
-        that already exists is read without writing anything (the
-        cache-hit path).  The row is born ``pending`` with its first
-        probe-history entry.
+        winner's row, which is complete the moment it exists.  The row
+        is born ``pending`` with its first probe-history entry, and with
+        no hits: a hit log left by a hit that raced the deletion of an
+        earlier row is dropped.
         """
+        path = self.record_path(key)
+        if os.path.exists(path):
+            return self.load_record(key), False
+        if isinstance(request, ExplorationRequest):
+            request = request.to_dict()
         record = JobRecord(
             key=key,
             request_hash=request_hash,
             instance_hash=instance_hash,
-            request=request_document,
+            request=request,
             created_ts=time.time(),
         )
         record.transition("pending", now=record.created_ts)
-        path = self.record_path(key)
-        if not os.path.exists(path):
-            tmp = self._write_temp(
-                path, json.dumps(record.to_dict(), indent=2)
-            )
-            try:
-                os.link(tmp, path)
-                return record, True
-            except FileExistsError:
-                pass
-            finally:
-                _unlink_quietly(tmp)
+        tmp = self._write_temp(path, _compact_json(record.to_dict()))
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            pass
+        else:
+            _unlink_quietly(self.hit_log(key))
+            return record, True
+        finally:
+            _unlink_quietly(tmp)
         return self.load_record(key), False
 
     def load_record(self, key: str) -> JobRecord:
@@ -438,8 +501,7 @@ class ResultStore:
 
     def write_record(self, record: JobRecord) -> None:
         self._atomic_write(
-            self.record_path(record.key),
-            json.dumps(record.to_dict(), indent=2),
+            self.record_path(record.key), _compact_json(record.to_dict())
         )
 
     def list_keys(self) -> List[str]:
@@ -463,11 +525,40 @@ class ResultStore:
         paths = [
             self.record_path(key), self.result_path(key),
             self.queue_ticket(key), self.claim_ticket(key),
+            self.hit_log(key),
         ]
         if structure_hash is not None:
             paths.append(self.near_marker(structure_hash, key))
         for path in paths:
             _unlink_quietly(path)
+
+    # -- cache-hit log -------------------------------------------------
+    def log_hit(self, key: str) -> int:
+        """Append one byte to ``hits/<key>``; returns the log's length.
+
+        ``O_APPEND`` writes land one after another however many
+        processes append at once, so no hit is lost.  The append is not
+        fsync'd: the count is best effort across a power loss (rows,
+        envelopes and tickets keep their fsyncs)."""
+        path = self.hit_log(key)
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(path, flags, 0o644)
+        except FileNotFoundError:  # the store's first hit
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(path, flags, 0o644)
+        try:
+            os.write(fd, b"+")
+            return os.fstat(fd).st_size
+        finally:
+            os.close(fd)
+
+    def logged_hits(self, key: str) -> int:
+        """Hits logged for ``key`` (add the row's own ``hits`` field)."""
+        try:
+            return os.stat(self.hit_log(key)).st_size
+        except FileNotFoundError:
+            return 0
 
     # -- warm-start index ----------------------------------------------
     def put_instance(
@@ -479,9 +570,7 @@ class ResultStore:
         if os.path.exists(path):
             return
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        self._atomic_write(
-            path, json.dumps(document, sort_keys=True, indent=2)
-        )
+        self._atomic_write(path, _compact_json(document, sort_keys=True))
 
     def instance_document(self, instance_hash: str) -> Optional[Dict[str, Any]]:
         try:

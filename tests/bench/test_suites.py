@@ -81,6 +81,13 @@ class TestExecution:
         assert result.metrics["total_orders"] == 348_840
         assert result.report is not None
 
+    def test_service_cache_hit_case_counts_one_hit(self, tiny):
+        result = run_case(get_case("service/cache_hit@motion"), tiny)
+        assert result.metrics["cold_status"] == "queued"
+        assert result.metrics["warm_status"] == "hit"
+        assert result.metrics["executions"] == 1
+        assert result.metrics["cache_hits"] == 1
+
     def test_reconfig_ablation_tiny(self, tiny):
         """The runner-ported ablation executes end-to-end (2 modes x 2
         seeds through run_search_jobs)."""

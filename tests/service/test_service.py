@@ -6,6 +6,9 @@ request submitted twice performs exactly one computation — sequentially
 byte-identical to the computed one.
 """
 
+import json
+import os
+import sys
 import threading
 
 import pytest
@@ -241,3 +244,139 @@ class TestStatsAndGc:
         )
         assert removed["done"] == 1
         assert not service.store.has_response(key)
+
+
+def _row_bytes(service, key):
+    with open(service.store.record_path(key), "rb") as handle:
+        return handle.read()
+
+
+class TestReadOnlyHits:
+    def test_hits_never_rewrite_the_row(self, service):
+        request = small_request()
+        key = service.submit(request).key
+        service.run_local()
+        row = _row_bytes(service, key)
+        first = service.submit(request)
+        second = service.submit(request)
+        assert (first.record.hits, second.record.hits) == (1, 2)
+        assert _row_bytes(service, key) == row
+        assert service.status(key).hits == 2
+        assert service.store.load_record(key).hits == 0  # the row's own
+
+    def test_hit_racing_gc_leaves_the_key_servable(
+        self, service, monkeypatch
+    ):
+        """gc deletes the row and envelope after a hit read the envelope:
+        the hit must not bring the row back, and a re-submit recomputes
+        instead of failing on the missing envelope."""
+        request = small_request()
+        key = service.submit(request).key
+        service.run_local()
+        real = service.store.response_text
+
+        def read_then_gc(hit_key):
+            text = real(hit_key)
+            service.gc(done_older_than_s=0)
+            return text
+
+        monkeypatch.setattr(service.store, "response_text", read_then_gc)
+        hit = service.submit(request)
+        monkeypatch.undo()
+        assert hit.status == "hit"
+        assert not service.store.has_record(key)
+        assert not service.store.has_response(key)
+        again = service.submit(request)
+        assert again.status == "queued" and again.key == key
+        assert service.status(key).hits == 0
+        assert service.run_local() == 1
+        assert service.submit(request).status == "hit"
+
+
+class TestConcurrentHits:
+    THREADS = 8
+    HITS = 25
+
+    def test_racing_hits_lose_no_count(self, service):
+        request = small_request(seed=4)
+        key = service.submit(request).key
+        service.run_local()
+        row = _row_bytes(service, key)
+        errors = []
+        barrier = threading.Barrier(self.THREADS)
+
+        def racer():
+            barrier.wait(timeout=30)
+            try:
+                for _ in range(self.HITS):
+                    assert service.submit(request).status == "hit"
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=racer) for _ in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        total = self.THREADS * self.HITS
+        assert service.stats()["hits"] == total
+        assert service.status(key).hits == total
+        assert _row_bytes(service, key) == row
+
+
+class TestEarlierStoreLayout:
+    """Stores written by earlier versions (indented rows that count
+    hits in place, no ``hits/`` directory) keep working."""
+
+    def test_indented_row_keeps_its_hits_and_is_not_rewritten(self, service):
+        request = small_request()
+        key = service.submit(request).key
+        service.run_local()
+        data = service.store.load_record(key).to_dict()
+        data["hits"] = 2  # counted in place, as earlier versions did
+        with open(service.store.record_path(key), "w") as handle:
+            handle.write(json.dumps(data, indent=2))
+        row = _row_bytes(service, key)
+        assert not os.path.exists(
+            os.path.join(service.store.root, service.store.HITS_DIR)
+        )
+        assert service.stats()["hits"] == 2
+        assert service.status(key).hits == 2
+        hit = service.submit(request)
+        assert hit.status == "hit" and hit.record.hits == 3
+        assert service.stats()["hits"] == 3
+        assert service.status(key).hits == 3
+        assert _row_bytes(service, key) == row
+
+    def test_gc_removes_hit_logs_with_their_rows_and_orphans(self, service):
+        request = small_request()
+        key = service.submit(request).key
+        service.run_local()
+        service.submit(request)
+        orphan = service.store.hit_log("8" * 64)
+        service.store.log_hit("8" * 64)
+        removed = service.gc(done_older_than_s=0)
+        assert removed == {
+            "failed": 0, "done": 1, "orphan_tickets": 0,
+            "orphan_results": 1,
+        }
+        assert not os.path.exists(service.store.hit_log(key))
+        assert not os.path.exists(orphan)
+
+    def test_gc_without_a_hits_directory(self, service):
+        assert not os.path.exists(
+            os.path.join(service.store.root, service.store.HITS_DIR)
+        )
+        assert service.gc() == {
+            "failed": 0, "done": 0, "orphan_tickets": 0,
+            "orphan_results": 0,
+        }

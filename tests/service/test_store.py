@@ -138,6 +138,24 @@ class TestJobRecord:
         clone = JobRecord.from_dict(record.to_dict())
         assert clone.to_dict() == record.to_dict()
 
+    def test_compact_row_loads_like_an_indented_row(self, store):
+        """Rows are written compact now; an indented row (how earlier
+        versions wrote them) with the same content loads identically."""
+        record = self._record()
+        record.transition("running", worker="w0", now=101.0)
+        record.transition("done", worker="w0", now=102.0)
+        record.hits = 2
+        record.telemetry = {"counters": {"x": 1.5}, "label": "job"}
+        record.structure_hash = "s" * 64
+        record.warm_start = {"donor": "d" * 64, "delta": {}, "repairs": 1}
+        store.write_record(record)
+        with open(store.record_path(record.key), encoding="utf-8") as handle:
+            compact = handle.read()
+        indented = json.dumps(record.to_dict(), indent=2)
+        assert "\n" not in compact and len(compact) < len(indented)
+        assert JobRecord.from_dict(json.loads(compact)) == \
+            JobRecord.from_dict(json.loads(indented)) == record
+
     def test_wrong_format_rejected(self):
         with pytest.raises(ServiceError, match="exploration-record"):
             JobRecord.from_dict({"format": "exploration-response"})
@@ -216,6 +234,100 @@ class TestResultStore:
         assert not store.has_record(key)
         assert not os.path.exists(store.queue_ticket(key))
         assert not os.path.exists(store.result_path(key))
+
+
+class TestHitLog:
+    def test_log_counts_appends_and_starts_its_directory(self, store):
+        key = "5" * 64
+        assert not os.path.exists(os.path.dirname(store.hit_log(key)))
+        assert store.logged_hits(key) == 0
+        assert store.log_hit(key) == 1
+        assert store.log_hit(key) == 2
+        assert store.logged_hits(key) == 2
+
+    def test_delete_record_removes_the_log(self, store):
+        key = "6" * 64
+        store.create_record(key, "r" * 64, "i" * 64, {})
+        store.log_hit(key)
+        store.delete_record(key)
+        assert not os.path.exists(store.hit_log(key))
+
+    def test_new_row_drops_a_stale_log(self, store):
+        # a hit that raced the deletion of an earlier row for this key
+        key = "7" * 64
+        store.log_hit(key)
+        store.create_record(key, "r" * 64, "i" * 64, {})
+        assert store.logged_hits(key) == 0
+
+    def test_existing_row_is_read_without_converting_the_request(
+        self, store, monkeypatch
+    ):
+        request = small_request()
+        key, rh, ih = store.cache_key(request)
+        store.create_record(key, rh, ih, request)
+        conversions = []
+        real = ExplorationRequest.to_dict
+
+        def counting(self):
+            conversions.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ExplorationRequest, "to_dict", counting)
+        record, created = store.create_record(key, rh, ih, request)
+        assert not created and record.request == real(request)
+        assert conversions == []
+
+
+class TestKeyMemo:
+    @pytest.fixture
+    def resolutions(self, monkeypatch):
+        from repro.service import store as store_module
+
+        calls = []
+        real = store_module.instance_info_for
+
+        def counting(request):
+            calls.append(request.seed)
+            return real(request)
+
+        monkeypatch.setattr(store_module, "instance_info_for", counting)
+        return calls
+
+    def test_repeat_keys_skip_resolution(self, store, resolutions):
+        first = store.cache_key_info(small_request())
+        second = store.cache_key_info(small_request())
+        assert resolutions == [1]
+        assert first[:2] == second[:2]
+        assert first[2].document is not None
+        assert second[2].document is None
+        assert (second[2].instance_hash, second[2].structure_hash) == \
+            (first[2].instance_hash, first[2].structure_hash)
+
+    def test_memo_is_per_store(self, store, resolutions, tmp_path):
+        store.cache_key(small_request())
+        ResultStore(str(tmp_path / "other")).cache_key(small_request())
+        assert resolutions == [1, 1]
+
+    def test_oldest_entry_is_evicted_first(self, store, resolutions):
+        store.KEY_MEMO_SIZE = 2
+        for seed in (1, 2, 3, 3, 2, 1):
+            store.cache_key(small_request(seed=seed))
+        assert resolutions == [1, 2, 3, 1]
+
+    def test_path_specs_are_resolved_every_time(
+        self, store, resolutions, tmp_path
+    ):
+        path = str(tmp_path / "application.json")
+        with open(path, "w") as handle:
+            json.dump(application_to_dict(
+                random_application(GeneratorConfig(num_tasks=6), seed=1)
+            ), handle)
+        request = small_request(
+            application=ApplicationSpec(kind="inline", path=path)
+        )
+        store.cache_key(request)
+        store.cache_key(request)
+        assert resolutions == [1, 1]
 
 
 class TestCreateRecordRace:

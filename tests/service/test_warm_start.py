@@ -9,6 +9,7 @@ best-so-far envelope while the full job stays queued.
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -89,6 +90,25 @@ class TestNearIndexStore:
         service.store.delete_record(outcome.key)
         assert service.store.near_keys(info.structure_hash) == []
 
+    def test_memoized_key_without_a_row_registers_its_instance_again(
+        self, service, instance_doc
+    ):
+        """The store memoizes only the digests: once the row is gone, a
+        re-submit resolves the instance document once more."""
+        request = bundled_request(instance_doc)
+        info = instance_info_for(request)
+        key = service.submit(request).key
+        service.store.delete_record(key)
+        os.unlink(service.store.instance_path(info.instance_hash))
+        again = service.submit(request)
+        assert again.status == "queued" and again.key == key
+        assert service.status(key).structure_hash == info.structure_hash
+        assert service.store.near_keys(info.structure_hash) == [key]
+        assert (
+            service.store.instance_document(info.instance_hash)
+            == info.document
+        )
+
     def test_index_near_is_idempotent(self, service):
         service.store.index_near("s" * 64, "k" * 64)
         service.store.index_near("s" * 64, "k" * 64)
@@ -129,6 +149,23 @@ class TestWarmStartSubmit:
         # the rewritten job still executes and completes
         assert service.run_local() == 1
         assert service.status(warm.key).status == "done"
+
+    def test_indented_instance_document_still_donates(
+        self, service, instance_doc
+    ):
+        donor = self._donor(service, instance_doc)
+        path = service.store.instance_path(
+            instance_info_for(bundled_request(instance_doc)).instance_hash
+        )
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(
+                instance_doc, sort_keys=True, separators=(",", ":")
+            )
+        with open(path, "w", encoding="utf-8") as handle:
+            # the layout earlier versions wrote
+            json.dump(instance_doc, handle, sort_keys=True, indent=2)
+        warm = service.submit(bundled_request(perturb(instance_doc)))
+        assert service.status(warm.key).warm_start["donor"] == donor.key
 
     def test_cache_key_is_the_original_requests(
         self, service, instance_doc
