@@ -43,12 +43,7 @@ from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
 from repro.service.jobs import JobQueue
-from repro.service.store import (
-    InstanceInfo,
-    JobRecord,
-    ResultStore,
-    instance_info_for,
-)
+from repro.service.store import InstanceInfo, JobRecord, ResultStore
 
 __all__ = [
     "STATS_FORMAT",
@@ -125,8 +120,6 @@ class ExplorationService:
                 key, request_hash, info.instance_hash, request
             )
         if created:
-            if info.document is None:  # memoized digests: resolve again
-                info = instance_info_for(request)
             self._register_instance(record, info)
             self._try_warm_start(record, request, info)
             self.queue.enqueue(key)

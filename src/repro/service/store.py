@@ -54,9 +54,8 @@ import json
 import os
 import time
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.facade import ExplorationResponse, environment_stamp
 from repro.api.specs import ExplorationRequest
@@ -88,13 +87,11 @@ RECORD_STATES = ("pending", "running", "done", "failed")
 class InstanceInfo:
     """Everything one resolution of a request's problem instance yields:
     the content digest (cache-key component), the structure-only digest
-    (warm-start near-index key) and the canonical bundled document
-    (``None`` when :meth:`ResultStore.cache_key_info` took the digests
-    from its memo instead of resolving)."""
+    (warm-start near-index key) and the canonical bundled document."""
 
     instance_hash: str
     structure_hash: str
-    document: Optional[Dict[str, Any]]
+    document: Dict[str, Any]
 
 
 def instance_info_for(request: ExplorationRequest) -> InstanceInfo:
@@ -300,15 +297,6 @@ def _compact_json(document: Any, sort_keys: bool = False) -> str:
     return json.dumps(document, separators=(",", ":"), sort_keys=sort_keys)
 
 
-def _memoizable(request: ExplorationRequest) -> bool:
-    """Whether the resolved instance is a pure function of the request:
-    a ``path`` reads a file whose content may change under it."""
-    architecture = request.architecture
-    return request.application.path is None and (
-        architecture is None or architecture.path is None
-    )
-
-
 class ResultStore:
     """Filesystem-backed content-addressed store (records + envelopes).
 
@@ -332,13 +320,9 @@ class ResultStore:
     #: ``hits/<key>`` logs one byte per cache hit; created on the first
     #: hit, so stores written by earlier versions need no migration.
     HITS_DIR = "hits"
-    #: Entries of the per-store request hash → instance digests memo of
-    #: :meth:`cache_key_info` (oldest evicted first).
-    KEY_MEMO_SIZE = 1024
 
     def __init__(self, root: str, create: bool = True) -> None:
         self.root = os.path.abspath(root)
-        self._key_memo: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
         if create:
             for name in (
                 self.RECORDS_DIR, self.RESULTS_DIR,
@@ -381,28 +365,9 @@ class ResultStore:
         self, request: ExplorationRequest
     ) -> Tuple[str, str, InstanceInfo]:
         """``(key, request_hash, instance info)`` — one resolution pass
-        yields the cache key *and* the warm-start index inputs.
-
-        When no ``path`` is involved the instance is a pure function of
-        the request, so its two digests are memoized by request hash and
-        later submits of the request skip resolution; such an info
-        carries ``document=None`` (the memo never holds the mutable
-        document; a caller that needs it resolves once more).
-        """
+        yields the cache key *and* the warm-start index inputs."""
         request_hash = request.content_hash()
-        digests = self._key_memo.get(request_hash)
-        if digests is not None:
-            info = InstanceInfo(*digests, document=None)
-        else:
-            info = instance_info_for(request)
-            if _memoizable(request):
-                self._key_memo[request_hash] = (
-                    info.instance_hash, info.structure_hash,
-                )
-                # Threads sharing this store may both evict here; one
-                # entry too few only costs a later resolution.
-                if len(self._key_memo) > self.KEY_MEMO_SIZE:
-                    self._key_memo.popitem(last=False)
+        info = instance_info_for(request)
         return (
             compose_cache_key(request_hash, info.instance_hash),
             request_hash,
@@ -443,13 +408,13 @@ class ResultStore:
     # -- records -------------------------------------------------------
     def create_record(
         self, key: str, request_hash: str, instance_hash: str,
-        request: Union[ExplorationRequest, Dict[str, Any]],
+        request: ExplorationRequest,
     ) -> Tuple[JobRecord, bool]:
         """Create the row for ``key`` if absent; ``(record, created)``.
 
         A row that already exists is read without building or writing
-        anything (the cache-hit and in-flight path): ``request`` — the
-        request or its document — is converted only for a new row.
+        anything (the cache-hit and in-flight path): ``request`` is
+        converted to its document only for a new row.
         The complete row is written to a temp file first and published
         with ``os.link``, which is atomic and exclusive: exactly one of N
         racing creators wins, and losers (``EEXIST``) re-read the
@@ -461,13 +426,11 @@ class ResultStore:
         path = self.record_path(key)
         if os.path.exists(path):
             return self.load_record(key), False
-        if isinstance(request, ExplorationRequest):
-            request = request.to_dict()
         record = JobRecord(
             key=key,
             request_hash=request_hash,
             instance_hash=instance_hash,
-            request=request,
+            request=request.to_dict(),
             created_ts=time.time(),
         )
         record.transition("pending", now=record.created_ts)

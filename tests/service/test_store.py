@@ -177,12 +177,10 @@ class TestResultStore:
     def test_create_record_is_exclusive(self, store):
         request = small_request()
         key, rh, ih = store.cache_key(request)
-        first, created = store.create_record(key, rh, ih, request.to_dict())
+        first, created = store.create_record(key, rh, ih, request)
         assert created
         assert first.status == "pending"
-        second, created_again = store.create_record(
-            key, rh, ih, request.to_dict()
-        )
+        second, created_again = store.create_record(key, rh, ih, request)
         assert not created_again
         assert second.key == first.key
 
@@ -200,7 +198,7 @@ class TestResultStore:
     def test_write_then_load(self, store):
         request = small_request()
         key, rh, ih = store.cache_key(request)
-        record, _ = store.create_record(key, rh, ih, request.to_dict())
+        record, _ = store.create_record(key, rh, ih, request)
         record.transition("running", worker="w0")
         store.write_record(record)
         assert store.load_record(key).status == "running"
@@ -226,7 +224,7 @@ class TestResultStore:
     def test_delete_record_removes_all_files(self, store):
         request = small_request()
         key, rh, ih = store.cache_key(request)
-        store.create_record(key, rh, ih, request.to_dict())
+        store.create_record(key, rh, ih, request)
         for path in (store.queue_ticket(key), store.result_path(key)):
             with open(path, "w") as handle:
                 handle.write("x")
@@ -247,7 +245,7 @@ class TestHitLog:
 
     def test_delete_record_removes_the_log(self, store):
         key = "6" * 64
-        store.create_record(key, "r" * 64, "i" * 64, {})
+        store.create_record(key, "r" * 64, "i" * 64, small_request())
         store.log_hit(key)
         store.delete_record(key)
         assert not os.path.exists(store.hit_log(key))
@@ -256,7 +254,7 @@ class TestHitLog:
         # a hit that raced the deletion of an earlier row for this key
         key = "7" * 64
         store.log_hit(key)
-        store.create_record(key, "r" * 64, "i" * 64, {})
+        store.create_record(key, "r" * 64, "i" * 64, small_request())
         assert store.logged_hits(key) == 0
 
     def test_existing_row_is_read_without_converting_the_request(
@@ -278,58 +276,6 @@ class TestHitLog:
         assert conversions == []
 
 
-class TestKeyMemo:
-    @pytest.fixture
-    def resolutions(self, monkeypatch):
-        from repro.service import store as store_module
-
-        calls = []
-        real = store_module.instance_info_for
-
-        def counting(request):
-            calls.append(request.seed)
-            return real(request)
-
-        monkeypatch.setattr(store_module, "instance_info_for", counting)
-        return calls
-
-    def test_repeat_keys_skip_resolution(self, store, resolutions):
-        first = store.cache_key_info(small_request())
-        second = store.cache_key_info(small_request())
-        assert resolutions == [1]
-        assert first[:2] == second[:2]
-        assert first[2].document is not None
-        assert second[2].document is None
-        assert (second[2].instance_hash, second[2].structure_hash) == \
-            (first[2].instance_hash, first[2].structure_hash)
-
-    def test_memo_is_per_store(self, store, resolutions, tmp_path):
-        store.cache_key(small_request())
-        ResultStore(str(tmp_path / "other")).cache_key(small_request())
-        assert resolutions == [1, 1]
-
-    def test_oldest_entry_is_evicted_first(self, store, resolutions):
-        store.KEY_MEMO_SIZE = 2
-        for seed in (1, 2, 3, 3, 2, 1):
-            store.cache_key(small_request(seed=seed))
-        assert resolutions == [1, 2, 3, 1]
-
-    def test_path_specs_are_resolved_every_time(
-        self, store, resolutions, tmp_path
-    ):
-        path = str(tmp_path / "application.json")
-        with open(path, "w") as handle:
-            json.dump(application_to_dict(
-                random_application(GeneratorConfig(num_tasks=6), seed=1)
-            ), handle)
-        request = small_request(
-            application=ApplicationSpec(kind="inline", path=path)
-        )
-        store.cache_key(request)
-        store.cache_key(request)
-        assert resolutions == [1, 1]
-
-
 class TestCreateRecordRace:
     RACES = 200
     THREADS = 8
@@ -338,6 +284,7 @@ class TestCreateRecordRace:
         """Losers of a creation race re-read the winner's row, which must
         be complete the moment it is visible: no racer may raise, and
         each key has exactly one creator."""
+        request = small_request()
         errors = []
         created = [[False] * self.THREADS for _ in range(self.RACES)]
 
@@ -346,7 +293,7 @@ class TestCreateRecordRace:
             barrier.wait(timeout=30)
             try:
                 record, won = store.create_record(
-                    key, "r" * 64, "i" * 64, {"race": race}
+                    key, "r" * 64, "i" * 64, request
                 )
                 assert record.key == key
                 created[race][index] = won
@@ -391,9 +338,11 @@ class TestCreateRecordRace:
 
         monkeypatch.setattr(os, "link", failing_link)
         with pytest.raises(OSError, match="simulated crash"):
-            store.create_record(key, "r" * 64, "i" * 64, {})
+            store.create_record(key, "r" * 64, "i" * 64, small_request())
         records_dir = os.path.dirname(store.record_path(key))
         assert os.listdir(records_dir) == []
-        record, created = store.create_record(key, "r" * 64, "i" * 64, {})
+        record, created = store.create_record(
+            key, "r" * 64, "i" * 64, small_request()
+        )
         assert created and record.status == "pending"
         assert os.listdir(records_dir) == [f"{key}.json"]

@@ -90,11 +90,11 @@ class TestNearIndexStore:
         service.store.delete_record(outcome.key)
         assert service.store.near_keys(info.structure_hash) == []
 
-    def test_memoized_key_without_a_row_registers_its_instance_again(
+    def test_resubmit_after_delete_registers_its_instance_again(
         self, service, instance_doc
     ):
-        """The store memoizes only the digests: once the row is gone, a
-        re-submit resolves the instance document once more."""
+        """Once the row and the instance document are gone, a re-submit
+        files the instance again."""
         request = bundled_request(instance_doc)
         info = instance_info_for(request)
         key = service.submit(request).key
