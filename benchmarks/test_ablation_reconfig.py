@@ -1,16 +1,22 @@
 """Partial vs full reconfiguration ablation.
 
-Thin shim over the registered case ``ablation/reconfig``
-(:mod:`repro.bench.suites`): the paper's model is *partially*
-reconfigurable (section 3.2), in contrast to full-device approaches in
-its related work (Chatha & Vemuri [5]); this quantifies the gap.
+The paper's model is *partially* reconfigurable (section 3.2), in
+contrast to full-device approaches in its related work (Chatha &
+Vemuri [5]); this quantifies the gap.
 """
 
-from benchmarks.conftest import run_case_via
+from repro.experiments.ablations import (
+    format_reconfig_ablation,
+    run_reconfig_ablation,
+)
 
 
-def test_partial_vs_full_reconfiguration(benchmark):
-    rows = run_case_via(benchmark, "ablation/reconfig")["rows"]
+def test_partial_vs_full_reconfiguration():
+    rows = run_reconfig_ablation(
+        iterations=8000, warmup=1200, runs=3, seed0=31
+    )
+    print()
+    print(format_reconfig_ablation(rows))
 
     # Whole-fabric reconfiguration (45 ms per context switch!) must hurt
     # badly: the optimizer either collapses to very few contexts or eats

@@ -11,7 +11,7 @@ The paper sizes the search space of the 28-task example by counting
 
 multiplying to 131 861 520 combinations for 2 context changes and
 7 142 499 000 for 4.  This module reproduces all of those numbers
-exactly (``benchmarks/bench_combinatorics.py`` prints the table), and
+exactly (``tests/analysis/test_combinatorics.py`` pins them), and
 provides a general linear-extension counter usable on any application.
 """
 

@@ -48,7 +48,7 @@ class ReconfigurableCircuit(Resource):
         device (as assumed by e.g. Chatha & Vemuri [5], discussed in
         the paper's related work): *every* context switch reprograms
         the whole fabric, ``tR × NCLB`` — the ablation in
-        ``benchmarks/bench_ablation_reconfig.py`` quantifies the gap.
+        ``benchmarks/test_ablation_reconfig.py`` quantifies the gap.
     """
 
     def __init__(

@@ -6,7 +6,7 @@ each individual, temporal partitioning is performed by a deterministic
 clustering and scheduling by a deterministic list scheduler.  The paper
 reports 28 ms solution quality in 4 minutes against its own 18.1 ms in
 under 10 seconds; our benchmark regenerates that comparison shape
-(``benchmarks/bench_comparison.py``).
+(``benchmarks/test_comparison.py``).
 
 Chromosome encoding: one gene per hardware-capable task, ``-1`` for
 software, otherwise the index of the selected hardware implementation.

@@ -1,7 +1,7 @@
 """Greedy hill climbing: the zero-temperature ablation of the annealer.
 
 Shares the annealer's move space but accepts only strict improvements.
-Included so the schedule ablation (``bench_ablation_schedules.py``) can
+Included so the schedule ablation (``test_ablation_schedules.py``) can
 show what the temperature actually buys.  Implements the unified
 :class:`~repro.search.strategy.SearchStrategy` protocol; the loop
 bookkeeping lives in the shared tracker.

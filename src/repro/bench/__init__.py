@@ -1,6 +1,7 @@
-"""Scenario corpus + benchmark harness with machine-readable results.
+"""Scenario corpus and the legacy benchmark harness.
 
-Layers (each usable on its own):
+The package imports none of its modules, so ``repro.bench.corpus``
+loads without the harness.  Import each module by name:
 
 * :mod:`repro.bench.corpus` — named, seed-deterministic scenario
   families; every scenario materializes to a hashed
@@ -10,90 +11,8 @@ Layers (each usable on its own):
 * :mod:`repro.bench.report` — versioned ``BENCH_<suite>.json`` results
   documents and the ``compare()`` regression gate.
 * :mod:`repro.bench.suites` — the registered cases (corpus throughput
-  grid, multi-seed search, and the 14 ported benchmark scripts),
-  grouped into ``quick``/``full`` suites.
+  grid, multi-seed search, service and micro cases), grouped into
+  ``quick``/``full`` suites; importing it registers them.
 
 CLI: ``repro bench run|list|compare``.
 """
-
-from repro.bench.corpus import (
-    ARCHITECTURE_REGIMES,
-    CORPUS,
-    FAMILIES,
-    Scenario,
-    corpus_table,
-    get_scenario,
-    iter_scenarios,
-    register_family,
-    scenario,
-    scenario_hash,
-)
-from repro.bench.harness import (
-    ENGINES,
-    BenchCase,
-    BenchContext,
-    CaseResult,
-    FunctionCase,
-    SuiteRun,
-    bench_case,
-    context_for_suite,
-    get_case,
-    list_cases,
-    move_eval_loop,
-    register_case,
-    run_case,
-    run_suite,
-)
-from repro.bench.report import (
-    DEFAULT_SLOWDOWN_THRESHOLD,
-    CaseDelta,
-    Comparison,
-    capture_environment,
-    compare,
-    format_comparison,
-    format_results_table,
-    load_results,
-    results_document,
-    validate_results,
-    write_results,
-)
-from repro.bench import suites  # noqa: F401  (registers the cases)
-
-__all__ = [
-    "ARCHITECTURE_REGIMES",
-    "CORPUS",
-    "FAMILIES",
-    "Scenario",
-    "corpus_table",
-    "get_scenario",
-    "iter_scenarios",
-    "register_family",
-    "scenario",
-    "scenario_hash",
-    "ENGINES",
-    "BenchCase",
-    "BenchContext",
-    "CaseResult",
-    "FunctionCase",
-    "SuiteRun",
-    "bench_case",
-    "context_for_suite",
-    "get_case",
-    "list_cases",
-    "move_eval_loop",
-    "register_case",
-    "run_case",
-    "run_suite",
-    "DEFAULT_SLOWDOWN_THRESHOLD",
-    "CaseDelta",
-    "Comparison",
-    "capture_environment",
-    "compare",
-    "format_comparison",
-    "format_results_table",
-    "load_results",
-    "results_document",
-    "validate_results",
-    "write_results",
-    "suites",
-]

@@ -114,20 +114,13 @@ class BenchCase(Protocol):
 
 @dataclass
 class FunctionCase:
-    """A :class:`BenchCase` from plain functions.
-
-    ``repeats_cap``/``warmup_cap`` bound the context's repeat/warmup
-    counts for expensive cases (a multi-minute sweep is measured once
-    even when the suite default is five timed repeats).
-    """
+    """A :class:`BenchCase` from plain functions."""
 
     name: str
     fn: Callable[[BenchContext, Any], Mapping[str, Any]]
     suites: Tuple[str, ...] = ("full",)
     scenarios: Tuple[str, ...] = ()
     setup: Optional[Callable[[BenchContext], Any]] = None
-    repeats_cap: Optional[int] = None
-    warmup_cap: Optional[int] = None
 
     def prepare(self, context: BenchContext) -> Any:
         return self.setup(context) if self.setup is not None else None
@@ -157,8 +150,6 @@ def bench_case(
     suites: Sequence[str] = ("full",),
     scenarios: Sequence[str] = (),
     setup: Optional[Callable[[BenchContext], Any]] = None,
-    repeats_cap: Optional[int] = None,
-    warmup_cap: Optional[int] = None,
 ) -> Callable[[Callable], Callable]:
     """Decorator flavor of :func:`register_case`."""
 
@@ -170,8 +161,6 @@ def bench_case(
                 suites=tuple(suites),
                 scenarios=tuple(scenarios),
                 setup=setup,
-                repeats_cap=repeats_cap,
-                warmup_cap=warmup_cap,
             )
         )
         return fn
@@ -268,19 +257,11 @@ def run_case(
     case: BenchCase, context: BenchContext, profile: bool = False
 ) -> CaseResult:
     state = case.prepare(context)
-    repeats_cap = getattr(case, "repeats_cap", None)
-    warmup_cap = getattr(case, "warmup_cap", None)
-    repeats = context.repeats if repeats_cap is None else min(
-        context.repeats, repeats_cap
-    )
-    warmup = context.warmup if warmup_cap is None else min(
-        context.warmup, warmup_cap
-    )
-    for _ in range(warmup):
+    for _ in range(context.warmup):
         case.run(context, state)
     timings: List[float] = []
     metrics: Dict[str, Any] = {}
-    for _ in range(repeats):
+    for _ in range(context.repeats):
         started = time.perf_counter()
         metrics = dict(case.run(context, state))
         timings.append(time.perf_counter() - started)

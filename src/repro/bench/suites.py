@@ -1,52 +1,42 @@
 """The registered benchmark cases, grouped into ``quick``/``full`` suites.
 
-Three layers of cases:
+Two layers of cases:
 
 * **Corpus throughput** — every corpus scenario × both evaluation
   engines through the annealer-shaped move/evaluate/undo loop; the
   machine-readable evals/sec trajectory that perf PRs are gated on.
-* **Multi-seed search** — adaptive-SA replicate batches expressed as
-  batch :class:`~repro.api.specs.ExplorationRequest` specs (the
-  scenario's bundled document is the application) and executed through
-  :func:`repro.api.facade.explore` (``jobs=N``); cases whose per-job
-  architectures vary (the reconfiguration ablation) stay on the raw
-  runner underneath the façade.
-* **Ported experiment scripts** — the measurement bodies of the 14
-  historical ``benchmarks/bench_*.py`` scripts; the scripts are now
-  thin shims that call these cases and assert on the returned metrics.
+* **Search, service and micro cases** — adaptive-SA replicate batches
+  expressed as batch :class:`~repro.api.specs.ExplorationRequest` specs
+  (the scenario's bundled document is the application) and executed
+  through :func:`repro.api.facade.explore` (``jobs=N``), population
+  tempering, the exploration service's cache and warm start, the
+  solution-space table and two evaluation micro cases.
+
+The paper's experiments are not cases: ``benchmarks/test_*.py`` call
+:mod:`repro.experiments` directly and assert the paper's claims.
 
 Every case returns a flat JSON-serializable metrics mapping; the
-optional ``"report"`` key carries the human-readable table the old
-scripts used to print.
+optional ``"report"`` key carries a human-readable table.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.analysis.combinatorics import (
     chain_interleavings,
     solution_space_report,
 )
-from repro.analysis.plot import plot_sweep, plot_trace
-from repro.analysis.stats import Summary
-from repro.analysis.sweep import run_device_sweep
 from repro.api.facade import explore
 from repro.api.specs import (
     ApplicationSpec,
     BudgetSpec,
     ExplorationRequest,
+    StrategySpec,
 )
-from repro.api.specs import StrategySpec as ApiStrategySpec
-from repro.arch.architecture import Architecture
-from repro.arch.asic import Asic
-from repro.arch.bus import Bus
-from repro.arch.processor import Processor
-from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.bench.corpus import CORPUS, get_scenario
 from repro.bench.harness import (
     ENGINES,
@@ -54,47 +44,15 @@ from repro.bench.harness import (
     bench_case,
     move_eval_loop,
 )
-from repro.experiments.ablations import (
-    SCHEDULE_ABLATION_HEADER,
-    run_bus_ablation,
-    run_impl_ablation,
-    run_schedule_ablation,
-)
-from repro.experiments.comparison import run_comparison
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import FIG3_SIZES, format_fig3_table
-from repro.experiments.pareto import format_pareto_table, run_pareto_front
-from repro.experiments.quality import format_quality_table, run_quality_knob
-from repro.mapping.cost import SystemCost
 from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import random_initial_solution
-from repro.model.motion import MOTION_DEADLINE_MS, motion_detection_application
+from repro.model.motion import motion_detection_application
 from repro.sa.explorer import DesignSpaceExplorer
-from repro.sa.trace import downsample
-from repro.search.runner import (
-    InstanceSpec,
-    SearchJob,
-    StrategySpec,
-    best_evaluation_of,
-    run_search_jobs,
-)
 
 
 def _scaled_warmup(iterations: int) -> int:
-    """The historical scripts' warmup (1200 at the paper's budget),
-    scaled down safely for quick contexts."""
+    """A quarter of the budget as warmup, at most the paper's 1200."""
     return min(1200, max(1, iterations // 4))
-
-
-def _summary_dict(summary: Summary) -> Dict[str, float]:
-    return {
-        "mean": summary.mean,
-        "std": summary.std,
-        "min": summary.minimum,
-        "median": summary.median,
-        "max": summary.maximum,
-        "n": summary.n,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +109,7 @@ def _register_search_cases() -> None:
             request = ExplorationRequest(
                 kind="batch",
                 application=ApplicationSpec(kind="bundled", document=state),
-                strategy=ApiStrategySpec("sa", {"keep_trace": False}),
+                strategy=StrategySpec("sa", {"keep_trace": False}),
                 budget=BudgetSpec(
                     iterations=context.iterations,
                     warmup_iterations=_scaled_warmup(context.iterations),
@@ -346,7 +304,7 @@ def _service_cache_hit(context: BenchContext, state: Any) -> Dict[str, Any]:
     request = ExplorationRequest(
         kind="single",
         application=ApplicationSpec(kind="builtin", name="motion"),
-        strategy=ApiStrategySpec("sa", {"keep_trace": False}),
+        strategy=StrategySpec("sa", {"keep_trace": False}),
         budget=BudgetSpec(
             iterations=context.iterations,
             warmup_iterations=_scaled_warmup(context.iterations),
@@ -423,7 +381,7 @@ def _service_warm_start(context: BenchContext, state: Any) -> Dict[str, Any]:
         return ExplorationRequest(
             kind="single",
             application=ApplicationSpec(kind="bundled", document=document),
-            strategy=ApiStrategySpec("sa", {"keep_trace": keep_trace}),
+            strategy=StrategySpec("sa", {"keep_trace": keep_trace}),
             budget=BudgetSpec(
                 iterations=context.iterations,
                 warmup_iterations=_scaled_warmup(context.iterations),
@@ -583,391 +541,3 @@ def _solution_evaluation(context: BenchContext, state: Any) -> Dict[str, Any]:
     for _ in range(n):
         makespan = evaluator.makespan_ms(solution)
     return {"makespan_ms": makespan, "evaluations": n}
-
-
-# ----------------------------------------------------------------------
-# ported experiment scripts (full suite; heavy => single repeat)
-# ----------------------------------------------------------------------
-#: Ported experiment scripts run minutes, not milliseconds: one timed
-#: measurement, no warmup — their value is the metrics trajectory.
-_HEAVY = dict(suites=("full",), repeats_cap=1, warmup_cap=0)
-
-
-@bench_case(name="experiment/fig2_trace", scenarios=("motion/2000",), **_HEAVY)
-def _fig2(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """E1 / Fig. 2 — execution time and context count vs iteration."""
-    result = run_fig2(
-        n_clbs=2000,
-        iterations=context.iterations,
-        warmup_iterations=_scaled_warmup(context.iterations),
-        seed=context.seed,
-    )
-    ev = result.final_evaluation
-    lo, hi = result.warmup_spread()
-    table = [f"{'iteration':>10} {'exec (ms)':>10} {'contexts':>9}"]
-    for record in downsample(
-        result.trace, every=max(len(result.trace) // 40, 1)
-    ):
-        table.append(
-            f"{record.iteration:>10} {record.current_cost:>10.2f} "
-            f"{record.num_contexts:>9}"
-        )
-    return {
-        "initial_makespan_ms": result.initial_evaluation.makespan_ms,
-        "final_makespan_ms": ev.makespan_ms,
-        "num_contexts": ev.num_contexts,
-        "hw_tasks": ev.hw_tasks,
-        "warmup_lo": lo,
-        "warmup_hi": hi,
-        "iterations_to_deadline": result.iterations_to_deadline(),
-        "deadline_ms": result.deadline_ms,
-        "evaluations": result.iterations_run,
-        "report": "\n".join(
-            [result.format_summary(), "", plot_trace(result.trace), ""]
-            + table
-        ),
-    }
-
-
-@bench_case(name="experiment/fig3_sweep", scenarios=("motion/2000",), **_HEAVY)
-def _fig3(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """E2 / Fig. 3 — execution/reconfiguration/contexts vs device size."""
-    rows = run_device_sweep(
-        motion_detection_application(),
-        sizes=FIG3_SIZES,
-        runs=context.runs,
-        iterations=context.iterations,
-        warmup_iterations=_scaled_warmup(context.iterations),
-        deadline_ms=MOTION_DEADLINE_MS,
-        seed0=1,
-        jobs=context.jobs,
-    )
-    return {
-        "rows": {
-            str(row.n_clbs): {
-                "execution_ms": row.execution_ms,
-                "execution_std_ms": row.execution_std_ms,
-                "initial_reconfig_ms": row.initial_reconfig_ms,
-                "dynamic_reconfig_ms": row.dynamic_reconfig_ms,
-                "reconfig_ms": row.reconfig_ms,
-                "num_contexts": row.num_contexts,
-                "hw_tasks": row.hw_tasks,
-                "feasible_fraction": row.feasible_fraction,
-            }
-            for row in rows
-        },
-        "best_n_clbs": min(rows, key=lambda r: r.execution_ms).n_clbs,
-        "sizes": list(FIG3_SIZES),
-        "report": format_fig3_table(rows) + "\n\n" + plot_sweep(rows),
-    }
-
-
-@bench_case(name="experiment/comparison", scenarios=("motion/2000",), **_HEAVY)
-def _comparison(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """E3 — adaptive SA vs the GA baseline of Ben Chehida & Auguin.
-
-    Always sequential: the headline metric is the SA/GA *wall-clock
-    ratio*, and racing both optimizers concurrently would let CPU
-    contention distort exactly that number.
-    """
-    result = run_comparison(
-        n_clbs=2000,
-        sa_iterations=context.iterations,
-        sa_warmup=_scaled_warmup(context.iterations),
-        ga_population=300,
-        ga_generations=60,
-        seed=11,
-        jobs=1,
-    )
-    return {
-        "sa_makespan_ms": result.sa_makespan_ms,
-        "ga_makespan_ms": result.ga_makespan_ms,
-        "sa_runtime_s": result.sa_runtime_s,
-        "ga_runtime_s": result.ga_runtime_s,
-        "sa_contexts": result.sa_contexts,
-        "ga_contexts": result.ga_contexts,
-        "speedup": result.speedup,
-        "deadline_ms": result.deadline_ms,
-        "report": result.format_table(),
-    }
-
-
-@bench_case(
-    name="experiment/quality_knob", scenarios=("motion/2000",), **_HEAVY
-)
-def _quality(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """The designer's quality/time knob (lambda_rate sweep)."""
-    rates = (0.4, 0.1, 0.025)
-    rows = run_quality_knob(
-        lambda_rates=rates, runs=context.runs, jobs=context.jobs
-    )
-    return {
-        "rows": {
-            str(row.lambda_rate): {
-                "makespan": _summary_dict(row.makespan),
-                "mean_iterations": row.mean_iterations,
-                "mean_runtime_s": row.mean_runtime_s,
-            }
-            for row in rows
-        },
-        "report": format_quality_table(rows),
-    }
-
-
-@bench_case(
-    name="experiment/pareto_front", scenarios=("motion/2000",), **_HEAVY
-)
-def _pareto(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """Cost-performance Pareto front over a deadline sweep."""
-    deadlines = (80.0, 60.0, 40.0, 30.0)
-    points = run_pareto_front(
-        deadlines_ms=deadlines,
-        iterations=context.iterations,
-        warmup=_scaled_warmup(context.iterations),
-    )
-    return {
-        "rows": {
-            str(point.deadline_ms): {
-                "makespan_ms": point.makespan_ms,
-                "monetary_cost": point.monetary_cost,
-                "meets_deadline": point.meets_deadline,
-                "resources": list(point.resources),
-            }
-            for point in points
-        },
-        "report": format_pareto_table(points),
-    }
-
-
-ARCH_EXPLORATION_CATALOG = [
-    lambda name: Processor(name, speed_factor=1.0, monetary_cost=1.0),
-    lambda name: ReconfigurableCircuit(
-        name, n_clbs=1000, reconfig_ms_per_clb=0.0225, monetary_cost=2.0
-    ),
-    lambda name: Asic(name, monetary_cost=4.0),
-]
-
-
-def minimal_platform() -> Architecture:
-    arch = Architecture("minimal", bus=Bus(rate_kbytes_per_ms=50.0))
-    arch.add_resource(Processor("arm922", monetary_cost=1.0))
-    arch.add_resource(
-        ReconfigurableCircuit(
-            "virtex", n_clbs=1000, reconfig_ms_per_clb=0.0225,
-            monetary_cost=2.0,
-        )
-    )
-    return arch
-
-
-@bench_case(
-    name="experiment/arch_exploration", scenarios=("motion/2000",), **_HEAVY
-)
-def _arch_exploration(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """A4 — architecture exploration with moves m3/m4 under SystemCost."""
-    explorer = DesignSpaceExplorer(
-        motion_detection_application(),
-        minimal_platform(),
-        iterations=context.iterations,
-        warmup_iterations=_scaled_warmup(context.iterations),
-        seed=19,
-        p_zero=0.05,
-        catalog=ARCH_EXPLORATION_CATALOG,
-        cost_function=SystemCost(
-            deadline_ms=MOTION_DEADLINE_MS, penalty_per_ms=50.0
-        ),
-        keep_trace=False,
-    )
-    result = explorer.run()
-    arch = result.best_solution.architecture
-    ev = result.best_evaluation
-    return {
-        "makespan_ms": ev.makespan_ms,
-        "feasible": ev.feasible,
-        "monetary_cost": arch.total_monetary_cost(),
-        "num_resources": len(list(arch.resources())),
-        "num_processors": len(arch.processors()),
-        "resources": [r.name for r in arch.resources()],
-        "evaluations": result.annealing.iterations_run,
-        "report": (
-            "Architecture exploration (SystemCost, 40 ms deadline)\n"
-            f"  final makespan:   {ev.makespan_ms:.2f} ms\n"
-            f"  final resources:  {[r.name for r in arch.resources()]}\n"
-            f"  monetary cost:    {arch.total_monetary_cost():.1f}"
-        ),
-    }
-
-
-@bench_case(name="ablation/schedules", scenarios=("motion/2000",), **_HEAVY)
-def _ablation_schedules(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """A1 — cooling schedules vs no-temperature baselines, equal budget."""
-    rows = run_schedule_ablation(
-        n_clbs=2000,
-        iterations=context.iterations,
-        warmup=_scaled_warmup(context.iterations),
-        runs=context.runs,
-        jobs=context.jobs,
-    )
-    return {
-        "rows": {
-            row.method: dict(
-                _summary_dict(row.makespan),
-                mean_runtime_s=row.mean_runtime_s,
-            )
-            for row in rows
-        },
-        "report": "\n".join(
-            ["Schedule ablation (motion detection, 2000 CLBs)",
-             SCHEDULE_ABLATION_HEADER]
-            + [row.format_row() for row in rows]
-        ),
-    }
-
-
-@bench_case(name="ablation/impls", scenarios=("motion/2000",), **_HEAVY)
-def _ablation_impls(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """A3 — multi-implementation exploration on/off."""
-    results = run_impl_ablation(
-        n_clbs=2000,
-        iterations=context.iterations,
-        warmup=_scaled_warmup(context.iterations),
-        runs=context.runs,
-        jobs=context.jobs,
-    )
-    return {
-        "rows": {mode: _summary_dict(s) for mode, s in results.items()},
-        "report": "\n".join(
-            ["Implementation-selection ablation (motion, 2000 CLBs)"]
-            + [f"  {mode:<10} {summary.format('ms')}"
-               for mode, summary in results.items()]
-        ),
-    }
-
-
-@bench_case(name="ablation/bus", scenarios=("motion/2000",), **_HEAVY)
-def _ablation_bus(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """Bus policy: serialized transactions vs plain edge delays."""
-    results = run_bus_ablation(
-        n_clbs=2000,
-        iterations=context.iterations,
-        warmup=_scaled_warmup(context.iterations),
-        runs=context.runs,
-        jobs=context.jobs,
-    )
-    return {
-        "rows": {policy: _summary_dict(s) for policy, s in results.items()},
-        "report": "\n".join(
-            ["Bus-policy ablation (motion detection, 2000 CLBs)"]
-            + [f"  {policy:<8} {summary.format('ms')}"
-               for policy, summary in results.items()]
-        ),
-    }
-
-
-def reconfig_ablation_arch(partial: bool) -> Architecture:
-    arch = Architecture(
-        "ablation_platform", bus=Bus(rate_kbytes_per_ms=50.0)
-    )
-    arch.add_resource(Processor("arm922"))
-    arch.add_resource(
-        ReconfigurableCircuit(
-            "virtex",
-            n_clbs=2000,
-            reconfig_ms_per_clb=0.0225,
-            partial_reconfiguration=partial,
-        )
-    )
-    return arch
-
-
-@bench_case(name="ablation/reconfig", scenarios=("motion/2000",), **_HEAVY)
-def _ablation_reconfig(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """Partial vs full reconfiguration, multi-seed through the runner."""
-    application = motion_detection_application()
-    spec = StrategySpec("sa", {
-        "iterations": context.iterations,
-        "warmup_iterations": _scaled_warmup(context.iterations),
-        "keep_trace": False,
-    })
-    job_list = [
-        SearchJob(
-            spec,
-            InstanceSpec(
-                application,
-                architecture=reconfig_ablation_arch(partial),
-            ),
-            seed=31 + r,
-            tag=["partial" if partial else "full", r],
-        )
-        for partial in (True, False)
-        for r in range(context.runs)
-    ]
-    outcomes = run_search_jobs(job_list, jobs=context.jobs)
-    by_mode: Dict[str, Dict[str, List[float]]] = {
-        "partial": {"exec": [], "reconfig": [], "contexts": []},
-        "full": {"exec": [], "reconfig": [], "contexts": []},
-    }
-    for outcome in outcomes:
-        ev = best_evaluation_of(outcome.result)
-        bucket = by_mode[outcome.tag[0]]
-        bucket["exec"].append(ev.makespan_ms)
-        bucket["reconfig"].append(ev.reconfig_ms)
-        bucket["contexts"].append(float(ev.num_contexts))
-    rows = {
-        mode: {
-            "exec_mean": sum(v["exec"]) / len(v["exec"]),
-            "reconfig_mean": sum(v["reconfig"]) / len(v["reconfig"]),
-            "contexts_mean": sum(v["contexts"]) / len(v["contexts"]),
-        }
-        for mode, v in by_mode.items()
-    }
-    report = [
-        "Partial vs full reconfiguration (2000 CLBs, tR = 22.5 us/CLB)",
-        f"{'mode':<9} {'exec(ms)':>9} {'reconfig(ms)':>13} {'contexts':>9}",
-    ]
-    for mode, row in rows.items():
-        report.append(
-            f"{mode:<9} {row['exec_mean']:>9.2f} "
-            f"{row['reconfig_mean']:>13.2f} {row['contexts_mean']:>9.2f}"
-        )
-    return {"rows": rows, "report": "\n".join(report)}
-
-
-@bench_case(
-    name="runner/parallel_scaling", scenarios=("motion/2000",), **_HEAVY
-)
-def _runner_scaling(context: BenchContext, state: Any) -> Dict[str, Any]:
-    """Parallel sweep scaling: jobs=1 vs jobs=N wall clock, rows equal."""
-    application = motion_detection_application()
-    workers = min(os.cpu_count() or 1, 4)
-    kwargs = dict(
-        sizes=(400, 800, 2000),
-        runs=context.runs,
-        iterations=context.iterations,
-        warmup_iterations=_scaled_warmup(context.iterations),
-        seed0=1,
-        engine="incremental",
-    )
-    started = time.perf_counter()
-    sequential = run_device_sweep(application, jobs=1, **kwargs)
-    t_seq = time.perf_counter() - started
-    started = time.perf_counter()
-    parallel = run_device_sweep(application, jobs=workers, **kwargs)
-    t_par = time.perf_counter() - started
-    speedup = t_seq / max(t_par, 1e-9)
-    return {
-        "t_sequential_s": t_seq,
-        "t_parallel_s": t_par,
-        "speedup": speedup,
-        "workers": workers,
-        "rows_identical": sequential == parallel,
-        "cpu_count": os.cpu_count(),
-        "report": (
-            f"device sweep: 3 sizes x {context.runs} runs x "
-            f"{context.iterations} iterations\n"
-            f"{'jobs':>6} {'wall (s)':>10}\n"
-            f"{1:>6} {t_seq:>10.2f}\n"
-            f"{workers:>6} {t_par:>10.2f}\n"
-            f"speedup: {speedup:.2f}x on {os.cpu_count()} visible cores"
-        ),
-    }

@@ -336,11 +336,11 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        context_for_suite,
+    from repro.bench import suites  # noqa: F401  (registers the cases)
+    from repro.bench.harness import context_for_suite, run_suite
+    from repro.bench.report import (
         format_results_table,
         results_document,
-        run_suite,
         write_results,
     )
 
@@ -391,7 +391,9 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import CORPUS, corpus_table, list_cases
+    from repro.bench import suites  # noqa: F401  (registers the cases)
+    from repro.bench.corpus import CORPUS, corpus_table
+    from repro.bench.harness import list_cases
 
     suite = None if args.suite == "all" else args.suite
     cases = list_cases(suite=suite, pattern=args.filter)
@@ -422,7 +424,7 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import compare, format_comparison, load_results
+    from repro.bench.report import compare, format_comparison, load_results
 
     comparison = compare(
         load_results(args.old),

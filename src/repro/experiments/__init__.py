@@ -1,7 +1,9 @@
 """Experiment harness: one module per paper artefact.
 
 Every table and figure of the paper's evaluation (section 5) has a
-``run_*`` function here and a corresponding bench in ``benchmarks/``.
+``run_*`` function here; ``benchmarks/test_*.py`` run them at the
+paper's budgets and fixed seeds and assert the paper's claims
+(``python -m pytest benchmarks/ -s`` prints the tables).
 """
 
 from repro.experiments.fig2 import Fig2Result, run_fig2
@@ -12,6 +14,7 @@ from repro.experiments.ablations import (
     run_schedule_ablation,
     run_impl_ablation,
     run_bus_ablation,
+    run_reconfig_ablation,
 )
 from repro.experiments.pareto import (
     ParetoPoint,
@@ -35,6 +38,7 @@ __all__ = [
     "run_schedule_ablation",
     "run_impl_ablation",
     "run_bus_ablation",
+    "run_reconfig_ablation",
     "ParetoPoint",
     "format_pareto_table",
     "run_pareto_front",

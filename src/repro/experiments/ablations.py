@@ -1,4 +1,4 @@
-"""Ablations A1/A3 and the bus-policy study.
+"""Ablations A1/A3, the bus-policy study and the reconfiguration study.
 
 * **Schedule ablation** — Lam adaptive vs modified-Lam vs geometric vs
   hill climbing vs random search at an equal move budget: what the
@@ -9,8 +9,11 @@
   the area/time trade-off exploration buys.
 * **Bus-policy ablation** — serialized transactions (the paper's model)
   versus plain edge delays: how much bus exclusiveness matters.
+* **Reconfiguration ablation** — partial reconfiguration (the paper's
+  model, section 3.2) versus whole-fabric reconfiguration, as in the
+  full-device approaches of its related work (Chatha & Vemuri [5]).
 
-All three submit their runs through the parallel runner
+All four submit their runs through the parallel runner
 (:mod:`repro.search.runner`): every ``(configuration, seed)`` cell is an
 independent job, so ``jobs=N`` spreads a whole ablation over N worker
 processes without changing its numbers.
@@ -23,7 +26,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.stats import Summary, summarize
-from repro.arch.architecture import epicure_architecture
+from repro.arch.architecture import Architecture, epicure_architecture
+from repro.arch.bus import Bus
+from repro.arch.processor import Processor
+from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError
 from repro.model.motion import motion_detection_application
 from repro.mapping.solution import random_initial_solution
@@ -31,6 +37,7 @@ from repro.search.runner import (
     InstanceSpec,
     SearchJob,
     StrategySpec,
+    best_evaluation_of,
     run_search_jobs,
 )
 
@@ -52,6 +59,24 @@ class ScheduleAblationRow:
 SCHEDULE_ABLATION_HEADER = (
     f"{'method':<16} {'mean(ms)':>9} {'std':>7} {'min':>8} {'max':>8} {'time(s)':>9}"
 )
+
+
+def format_schedule_ablation(rows: Sequence[ScheduleAblationRow]) -> str:
+    return "\n".join(
+        ["Schedule ablation (motion detection, 2000 CLBs)",
+         SCHEDULE_ABLATION_HEADER]
+        + [row.format_row() for row in rows]
+    )
+
+
+def format_ablation(title: str, results: Dict[str, Summary]) -> str:
+    """One makespan summary per setting, as returned by the
+    implementation-choice and bus-policy ablations."""
+    return "\n".join(
+        [title]
+        + [f"  {name:<10} {summary.format('ms')}"
+           for name, summary in results.items()]
+    )
 
 
 def _collect_rows(
@@ -213,3 +238,85 @@ def run_bus_ablation(
         )
         for policy in ("ordered", "edge")
     }
+
+
+def reconfig_ablation_arch(partial: bool) -> Architecture:
+    """One processor and a 2000-CLB DRLC that reconfigures partially or
+    as a whole fabric (22.5 us per CLB either way)."""
+    arch = Architecture(
+        "ablation_platform", bus=Bus(rate_kbytes_per_ms=50.0)
+    )
+    arch.add_resource(Processor("arm922"))
+    arch.add_resource(
+        ReconfigurableCircuit(
+            "virtex",
+            n_clbs=2000,
+            reconfig_ms_per_clb=0.0225,
+            partial_reconfiguration=partial,
+        )
+    )
+    return arch
+
+
+def run_reconfig_ablation(
+    iterations: int = 6000,
+    warmup: int = 1000,
+    runs: int = 5,
+    seed0: int = 31,
+    jobs: int = 1,
+) -> Dict[str, Dict[str, float]]:
+    """Partial vs full reconfiguration.
+
+    Returns, per mode (``"partial"``, ``"full"``), the means of the best
+    solutions' makespan (``exec_mean``), total reconfiguration time
+    (``reconfig_mean``) and context count (``contexts_mean``).
+    """
+    application = motion_detection_application()
+    spec = StrategySpec("sa", {
+        "iterations": iterations,
+        "warmup_iterations": warmup,
+        "keep_trace": False,
+    })
+    modes = {"partial": True, "full": False}
+    job_list = [
+        SearchJob(
+            spec,
+            InstanceSpec(
+                application,
+                architecture=reconfig_ablation_arch(partial),
+            ),
+            seed=seed0 + r,
+            tag=[mode, r],
+        )
+        for mode, partial in modes.items()
+        for r in range(runs)
+    ]
+    samples: Dict[str, Dict[str, List[float]]] = {
+        mode: {"exec": [], "reconfig": [], "contexts": []} for mode in modes
+    }
+    for outcome in run_search_jobs(job_list, jobs=jobs):
+        ev = best_evaluation_of(outcome.result)
+        bucket = samples[outcome.tag[0]]
+        bucket["exec"].append(ev.makespan_ms)
+        bucket["reconfig"].append(ev.reconfig_ms)
+        bucket["contexts"].append(float(ev.num_contexts))
+    return {
+        mode: {
+            f"{name}_mean": sum(values) / len(values)
+            for name, values in bucket.items()
+        }
+        for mode, bucket in samples.items()
+    }
+
+
+def format_reconfig_ablation(rows: Dict[str, Dict[str, float]]) -> str:
+    lines = [
+        "Partial vs full reconfiguration (2000 CLBs, tR = 22.5 us/CLB)",
+        f"{'mode':<9} {'exec(ms)':>9} {'reconfig(ms)':>13} {'contexts':>9}",
+    ]
+    for mode, row in rows.items():
+        lines.append(
+            f"{mode:<9} {row['exec_mean']:>9.2f} "
+            f"{row['reconfig_mean']:>13.2f} {row['contexts_mean']:>9.2f}"
+        )
+    return "\n".join(lines)

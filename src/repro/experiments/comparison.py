@@ -36,6 +36,8 @@ class ComparisonResult:
     sa_makespan_ms: float
     sa_runtime_s: float
     sa_contexts: int
+    #: Summed over the ``sa_best_of`` runs, like ``sa_runtime_s``.
+    sa_evaluations: int
     ga_makespan_ms: float
     ga_runtime_s: float
     ga_contexts: int
@@ -57,6 +59,7 @@ class ComparisonResult:
             "sa_makespan_ms": self.sa_makespan_ms,
             "sa_runtime_s": self.sa_runtime_s,
             "sa_contexts": self.sa_contexts,
+            "sa_evaluations": self.sa_evaluations,
             "ga_makespan_ms": self.ga_makespan_ms,
             "ga_runtime_s": self.ga_runtime_s,
             "ga_contexts": self.ga_contexts,
@@ -153,6 +156,7 @@ def run_comparison(
         sa_makespan_ms=sa_best["evaluation"]["makespan_ms"],
         sa_runtime_s=sum(r["runtime_s"] for r in sa_response.results),
         sa_contexts=sa_best["evaluation"]["num_contexts"],
+        sa_evaluations=sum(r["evaluations"] for r in sa_response.results),
         ga_makespan_ms=ga_best["evaluation"]["makespan_ms"],
         ga_runtime_s=ga_record["runtime_s"],
         ga_contexts=ga_best["evaluation"]["num_contexts"],

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.analysis.plot import plot_trace
 from repro.api.facade import explore
 from repro.api.specs import (
     ApplicationSpec,
@@ -34,7 +35,7 @@ from repro.api.specs import (
 )
 from repro.mapping.evaluator import Evaluation
 from repro.model.motion import MOTION_DEADLINE_MS
-from repro.sa.trace import TraceRecord
+from repro.sa.trace import TraceRecord, downsample
 from repro.search.strategy import SearchResult
 
 
@@ -113,6 +114,20 @@ class Fig2Result:
             f"({self.iterations_run} iterations)",
         ]
         return "\n".join(lines)
+
+    def format_report(self) -> str:
+        """The summary, an ASCII plot of the trace and about 40 of its
+        samples as a table."""
+        table = [f"{'iteration':>10} {'exec (ms)':>10} {'contexts':>9}"]
+        every = max(len(self.trace) // 40, 1)
+        for record in downsample(self.trace, every=every):
+            table.append(
+                f"{record.iteration:>10} {record.current_cost:>10.2f} "
+                f"{record.num_contexts:>9}"
+            )
+        return "\n".join(
+            [self.format_summary(), "", plot_trace(self.trace), ""] + table
+        )
 
 
 def fig2_request(

@@ -2,7 +2,7 @@
 
 Average execution time, reconfiguration times (initial and dynamic) and
 number of contexts versus FPGA size, 100 runs per size in the paper
-(configurable here; the benches use fewer for wall-clock sanity).
+(configurable here; ``benchmarks/test_fig3_sweep.py`` runs 3).
 
 Paper narrative to reproduce:
 

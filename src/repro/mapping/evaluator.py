@@ -39,7 +39,7 @@ class Evaluator:
     ``bus_policy="ordered"`` (default) serializes shared-bus transfers
     as the paper's transaction order requires; ``"edge"`` charges
     transfer times on the precedence edges without bus exclusiveness
-    (the ablation in ``benchmarks/bench_ablation_bus.py``).
+    (the ablation in ``benchmarks/test_ablation_bus.py``).
 
     ``engine`` selects the evaluation strategy: ``"full"`` (reference
     semantics, rebuild per candidate), ``"incremental"`` (fast path;

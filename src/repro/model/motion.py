@@ -14,7 +14,7 @@ order-counting paragraph specifies it exactly:
   node (E), then a 5-node chain (F).
 
 We instantiate precisely that shape.  Its linear-extension counts must
-(and do — see tests and ``benchmarks/bench_combinatorics.py``) match the
+(and do — see ``tests/analysis/test_combinatorics.py``) match the
 paper's numbers: C(13,6) = 1716 for the first 20 nodes, 3 orders for the
 D/E fork, and 3 * C(21,7) = 348 840 in total.
 

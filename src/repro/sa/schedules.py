@@ -23,7 +23,7 @@ implementations:
   multiplicative temperature adjustment.  Needs the planned horizon.
 
 A plain :class:`GeometricSchedule` is included as the ablation baseline
-(``benchmarks/bench_ablation_schedules.py``); the paper's pitch is
+(``benchmarks/test_ablation_schedules.py``); the paper's pitch is
 precisely that the adaptive schedule needs no per-problem tuning while
 geometric cooling does.
 """

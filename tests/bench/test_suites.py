@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench import get_scenario
+from repro.bench import suites  # noqa: F401  (registers the cases)
+from repro.bench.corpus import get_scenario
 from repro.bench.harness import (
-    CASE_REGISTRY,
     context_for_suite,
     get_case,
     list_cases,
@@ -27,26 +27,6 @@ class TestCoverage:
         assert {case.name.rsplit("@", 1)[1] for case in throughput} == {
             "full", "incremental",
         }
-
-    def test_every_historical_script_has_a_case(self):
-        """The 14 bench_*.py scripts' measurement bodies live here."""
-        expected = {
-            "ablation/bus", "ablation/impls", "ablation/reconfig",
-            "ablation/schedules", "analysis/combinatorics",
-            "experiment/arch_exploration", "experiment/comparison",
-            "experiment/fig2_trace", "experiment/fig3_sweep",
-            "experiment/pareto_front", "experiment/quality_knob",
-            "kernel/solution_evaluation", "runner/parallel_scaling",
-        }
-        assert expected <= set(CASE_REGISTRY)
-
-    def test_heavy_cases_run_once(self):
-        for name in ("experiment/fig3_sweep", "runner/parallel_scaling",
-                     "experiment/comparison"):
-            case = get_case(name)
-            assert case.repeats_cap == 1
-            assert case.warmup_cap == 0
-            assert case.suites == ("full",)
 
 
 class TestExecution:
@@ -87,12 +67,3 @@ class TestExecution:
         assert result.metrics["warm_status"] == "hit"
         assert result.metrics["executions"] == 1
         assert result.metrics["cache_hits"] == 1
-
-    def test_reconfig_ablation_tiny(self, tiny):
-        """The runner-ported ablation executes end-to-end (2 modes x 2
-        seeds through run_search_jobs)."""
-        result = run_case(get_case("ablation/reconfig"), tiny)
-        rows = result.metrics["rows"]
-        assert set(rows) == {"partial", "full"}
-        for row in rows.values():
-            assert row["exec_mean"] > 0

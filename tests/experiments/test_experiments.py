@@ -1,8 +1,8 @@
 """Integration tests for the experiment harness (small budgets).
 
-These do not reproduce the paper's statistics (the benches do); they
-check the harness runs end to end and reports internally consistent
-numbers.
+These do not reproduce the paper's statistics (``benchmarks/test_*.py``
+do); they check the harness runs end to end and reports internally
+consistent numbers.
 """
 
 import pytest
@@ -10,8 +10,10 @@ import pytest
 from repro.analysis.sweep import smallest_feasible_device
 from repro.experiments.ablations import (
     SCHEDULE_ABLATION_HEADER,
+    format_reconfig_ablation,
     run_bus_ablation,
     run_impl_ablation,
+    run_reconfig_ablation,
     run_schedule_ablation,
 )
 from repro.experiments.comparison import run_comparison
@@ -110,3 +112,12 @@ class TestAblations:
     def test_bus_ablation_policies(self):
         results = run_bus_ablation(iterations=600, warmup=150, runs=2)
         assert set(results) == {"ordered", "edge"}
+
+    def test_reconfig_ablation_modes(self):
+        rows = run_reconfig_ablation(iterations=300, warmup=60, runs=2)
+        assert list(rows) == ["partial", "full"]
+        for row in rows.values():
+            assert row["exec_mean"] > 0
+            assert row["reconfig_mean"] >= 0
+            assert row["contexts_mean"] >= 0
+        assert "partial" in format_reconfig_ablation(rows)

@@ -79,6 +79,7 @@ def _replay(
     engines=("full", "incremental"),
     fork_copies=False,
     counters=None,
+    hw_fraction=None,
 ):
     """Replay one random move sequence through an engine pair; returns
     the number of evaluated states.
@@ -98,7 +99,7 @@ def _replay(
     left = Evaluator(app, arch, bus_policy, engine=engines[0])
     right = Evaluator(app, arch, bus_policy, engine=engines[1])
     rng = random.Random(seed)
-    solution = random_initial_solution(app, arch, rng)
+    solution = random_initial_solution(app, arch, rng, hw_fraction)
     gen = MoveGenerator(app, p_zero=p_zero, catalog=catalog)
 
     _assert_same(left.evaluate(solution), right.evaluate(solution), "initial")
@@ -187,6 +188,18 @@ def test_engine_parity_on_random_move_sequences(engines):
 @pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
 def test_engine_parity_on_motion_benchmark(engines):
     assert _replay_motion(engines) >= 100
+
+
+@pytest.mark.parametrize("scenario", ["tgff/36", "tgff/120"])
+@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
+def test_engine_parity_on_large_corpus_instances(engines, scenario):
+    """The corpus instances past the random graphs' 26 tasks, from a
+    solution with about half the hardware-capable tasks in hardware."""
+    instance = get_scenario(scenario).build()
+    assert _replay(
+        instance.application, lambda: instance.architecture, seed=7,
+        steps=300, engines=engines, hw_fraction=0.5,
+    ) >= 300
 
 
 def test_engine_parity_with_forced_serialized_fallback(monkeypatch):

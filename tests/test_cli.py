@@ -189,7 +189,7 @@ class TestBench:
         assert "series_parallel/24" in out
 
     def test_run_writes_schema_valid_results(self, tmp_path, capsys):
-        from repro.bench import load_results
+        from repro.bench.report import load_results
 
         out_path = tmp_path / "BENCH_quick.json"
         assert main([
@@ -209,7 +209,7 @@ class TestBench:
     def test_compare_gate_exit_codes(self, tmp_path, capsys):
         import copy
 
-        from repro.bench import load_results, write_results
+        from repro.bench.report import load_results, write_results
 
         out_path = tmp_path / "old.json"
         assert main([
@@ -236,7 +236,7 @@ class TestBench:
         import copy
         import json
 
-        from repro.bench import load_results, write_results
+        from repro.bench.report import load_results, write_results
 
         out_path = tmp_path / "old.json"
         assert main([
@@ -302,6 +302,7 @@ class TestJsonOutput:
         ]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["sa_makespan_ms"] > 0
+        assert document["sa_evaluations"] > 0
         assert "speedup" in document
 
     def test_info_json(self, capsys):
