@@ -25,11 +25,10 @@ dense-id layout is load-bearing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.graph.dag import NodeInterner
-from repro.graph.reachability import ReachabilityIndex
 from repro.mapping.search_graph import COMM_NODE
 from repro.model.application import Application
 
@@ -70,10 +69,6 @@ class CompiledInstance:
     succ_static: List[List[int]]
     indeg_static: List[int]
 
-    #: Lazily built tables shared by every :meth:`fork` sibling (the
-    #: precedence reachability index).
-    _shared: Dict[str, Any] = field(default_factory=dict, repr=False)
-
     # ------------------------------------------------------------------
     def fork(self) -> "CompiledInstance":
         """A sibling view sharing every immutable table.
@@ -82,11 +77,9 @@ class CompiledInstance:
         virtual configuration nodes (:meth:`IncrementalEngine._grow_nodes`):
         the interner and the ``pred_comms``/``succ_static``/
         ``indeg_static`` per-node arrays.  A fork deep-copies those four
-        and aliases everything else — including the lazily built
-        tables, which only ever cover the immutable task region — so K
-        engines can drive K independent solutions over one compile pass
-        without re-running it or corrupting each other's virtual-node
-        regions."""
+        and aliases everything else, so K engines can drive K
+        independent solutions over one compile pass without re-running
+        it or corrupting each other's virtual-node regions."""
         return CompiledInstance(
             application=self.application,
             bus=self.bus,
@@ -108,7 +101,6 @@ class CompiledInstance:
             pred_comms=[list(row) for row in self.pred_comms],
             succ_static=[list(row) for row in self.succ_static],
             indeg_static=list(self.indeg_static),
-            _shared=self._shared,
         )
 
     # ------------------------------------------------------------------
@@ -119,31 +111,6 @@ class CompiledInstance:
     @property
     def ndeps(self) -> int:
         return len(self.dep_srct)
-
-    # ------------------------------------------------------------------
-    # precedence reachability (lazy, cached; shared by forks)
-    # ------------------------------------------------------------------
-    @property
-    def reachability(self) -> ReachabilityIndex:
-        """Ancestor/descendant bitsets over the dense task ids.
-
-        Built once per compile pass from the immutable ``succ_ids``
-        adjacency and cached in the tables :meth:`fork` siblings share,
-        so they share one index (the task-level precedence graph never
-        changes during a search).
-        """
-        index = self._shared.get("reachability")
-        if index is None:
-            index = ReachabilityIndex.from_successors(self.succ_ids)
-            self._shared["reachability"] = index
-        return index
-
-    def precedes(self, src_task: int, dst_task: int) -> bool:
-        """Transitive precedence between two *application task indices*
-        (the compiled counterpart of ``application.precedes``)."""
-        return self.reachability.has_path(
-            self.tid[src_task], self.tid[dst_task]
-        )
 
 
 def compile_instance(application: Application, bus) -> CompiledInstance:

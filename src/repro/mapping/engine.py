@@ -166,63 +166,6 @@ class EvaluationEngine(ABC):
         """Score ``solution``; cyclic realizations yield an infeasible
         evaluation (``makespan = inf``) unless ``strict`` re-raises."""
 
-    # ------------------------------------------------------------------
-    # transactional single-move evaluation (the population hot path)
-    # ------------------------------------------------------------------
-    def propose_move(
-        self,
-        solution: Solution,
-        move,
-        cost_function=None,
-    ) -> Optional[Tuple[Evaluation, Optional[float]]]:
-        """Apply ``move``, score the candidate, and leave it **applied**.
-
-        The move is applied, the engine delta-syncs to the candidate and
-        scores it, and control returns with the move still in force.
-        The caller must finish the transaction with exactly one of
-        :meth:`accept_move` (keep the candidate — the engine state is
-        already synced, no undo/re-apply/re-diff anywhere) or
-        :meth:`reject_move` (undo the move; the engine's next delta-sync
-        absorbs the reverse patch in O(delta)).
-
-        Returns ``None`` when the move's application raises
-        :class:`InfeasibleMoveError` — the move was never applied and
-        there is no transaction to resolve.  ``cost`` is computed while
-        the move is applied.  Results are bit-identical to the
-        sequential apply/evaluate/undo loop: every engine's evaluation is
-        a pure function of the candidate state.
-        """
-        try:
-            move.apply(solution)
-        except InfeasibleMoveError:
-            return None
-        try:
-            evaluation = self.evaluate(solution)
-            cost = (
-                cost_function(solution, evaluation)
-                if cost_function is not None
-                else None
-            )
-        except Exception:
-            move.undo(solution)
-            raise
-        return (evaluation, cost)
-
-    def accept_move(self, solution: Solution, move) -> None:
-        """Commit the transaction opened by :meth:`propose_move`: the
-        candidate becomes the current state and the engine keeps its
-        already-synced mirror (commit-on-accept) — no undo, no re-apply,
-        no second delta-diff anywhere."""
-
-    def reject_move(self, solution: Solution, move) -> None:
-        """Abort the transaction opened by :meth:`propose_move`: undo
-        the move on the solution.  The stateful engines deliberately do
-        **not** restore their mirrors eagerly — the undo journals the
-        inverse records, and the next delta-sync re-checks what they
-        name in O(delta), exactly the flow the sequential explorer
-        drives them through."""
-        move.undo(solution)
-
 
 class FullRebuildEngine(EvaluationEngine):
     """Reference engine: rebuild the search graph for every candidate.
@@ -315,18 +258,18 @@ class IncrementalEngine(EvaluationEngine):
 
     On top of the layers sit three persistent structures:
 
-    * **One topological order.**  A structural change that contradicts
-      it is *repaired* in place (Pearce/Kelly-style region reordering
-      per contradicting edge, verified in O(E) after multi-edge
-      repairs); Kahn's sort runs only when a repair detects a potential
-      cycle or too many edges contradict at once.  The base layers are
-      repaired first, ignoring the bus chain; then the bus chain — the
-      serialized transaction order, one more pointer layer — is
-      written, and its contradicting edges are unlinked and re-inserted
-      one at a time (or the base layers plus the chain are sorted at
-      once).  Every order the engine evaluates with is a verified
-      topological order, so cyclic realizations are detected exactly
-      like the reference engine.
+    * **One topological order.**  The base layers are kept first,
+      ignoring the bus chain.  One live added edge that contradicts the
+      order is *repaired* in place by one Pearce/Kelly region
+      reordering: every other live edge agrees with the stored
+      positions, so an insert that finds a cycle is an exact verdict and
+      leaves the order as it was.  Two or more contradicting edges go to
+      one Kahn sort.  Then the bus chain — the serialized transaction
+      order, one more pointer layer — is written, and its contradicting
+      edges are unlinked and re-inserted one at a time (or the base
+      layers plus the chain are sorted at once).  Every order the engine
+      evaluates with is a topological order, so cyclic realizations are
+      detected exactly like the reference engine.
     * **The base DP values.**  The unserialized ASAP start/finish values
       survive across evaluations.  Every node whose inputs change is
       recorded where the change is written — structural deltas by
@@ -352,8 +295,9 @@ class IncrementalEngine(EvaluationEngine):
 
     name = "incremental"
 
-    #: Contradicting-edge count above which repairing the order is
-    #: assumed costlier than one Kahn rebuild.
+    #: Contradicting-edge count above which repairing the bus chain is
+    #: assumed costlier than one Kahn rebuild, and past which the base
+    #: layers' contradicting edges drop the stored order outright.
     MAX_REPAIR_EDGES = 24
 
     def __init__(
@@ -495,7 +439,6 @@ class IncrementalEngine(EvaluationEngine):
         # *added* edge contradicts its positions (checked in O(1) per
         # added edge); removals never invalidate it.
         self._orders0: List[List] = []
-        self._cycle0: Optional[CycleError] = None
         #: The bus chain: comm ids in transaction order, and the same
         #: chain as pointer arrays (``-1`` off the chain).  The base
         #: layers never read them; ``_no_chain`` stands in for them
@@ -880,13 +823,6 @@ class IncrementalEngine(EvaluationEngine):
             succ_seq[a].append(b)
             pred_seq[b].append((a, w))
             indeg[b] += 1
-        if self._cycle0 is not None and removed:
-            # A removed (src, dst) pair may have broken the cycle behind
-            # the cached verdict; retry on the next evaluation.  (A
-            # weight-only change or a migrating edge puts the pair back.)
-            pairs = {(e[0], e[1]) for e in removed}
-            if pairs.difference((e[0], e[1]) for e in added):
-                self._cycle0 = None
         self._note_structural(removed, added)
 
     def _grow_nodes(self) -> None:
@@ -966,61 +902,46 @@ class IncrementalEngine(EvaluationEngine):
         n = len(self._interner)
         seeds = self._dirty_seeds
 
-        # --- cached cycle verdict (no edge removed since it was reached)
-        if self._cycle0 is not None:
-            return self._infeasible(self._cycle0)
-
         # --- persistent order: revalidate, repair, else rebuild --------
         # Over the base layers only: the chain arrays still hold the
         # previous evaluation's bus chain, and a stale chain edge can
         # close a false cycle.
         entries = self._orders0
         entry = entries[0] if entries else None
-        pending = self._pending_edges
         full_dp = not self._values_valid
         moved = False
         if entry is not None and not entry[2]:
-            if pending:
-                # Contradicting edges that were since removed (rejected
-                # moves get undone) stop mattering; what remains is the
-                # exact bridge between the stored order and the live
-                # edge set.
-                pending[:] = [e for e in pending if self._edge_live(e)]
+            # Contradicting edges that were since removed (rejected moves
+            # get undone) stop mattering; what remains is the exact
+            # bridge between the stored order and the live edge set.
+            pending = self._pending_edges
+            pending[:] = [e for e in pending if self._edge_live(e)]
             if not pending:
                 # Every contradicting addition was undone: the stored
                 # order is exactly valid again.
                 entry[2] = True
-            elif len(pending) <= self.MAX_REPAIR_EDGES:
-                verdict = self._repair(entry, pending)
-                if verdict is True:
-                    self.stat_order_repairs += 1
-                    entry[2] = True
-                    pending.clear()
-                    moved = True
-                elif verdict == "cycle":
-                    # Exact detection (single contradicting edge, PK
-                    # invariant intact): the realization is cyclic —
-                    # no Kahn needed, and the next removal clears the
-                    # verdict just like the reference engine's.
-                    a, b = pending[0]
+            elif len(pending) == 1:
+                # Every other live edge agrees with the stored positions,
+                # so one Pearce/Kelly insert repairs the order, or proves
+                # the realization cyclic before it writes anything.
+                a, b = pending[0]
+                no_chain = self._no_chain
+                if not self._pk_insert(
+                    entry[0], entry[1], a, b, no_chain, no_chain
+                ):
                     keys = self._interner.keys()
-                    self._cycle0 = CycleError(
+                    return self._infeasible(CycleError(
                         "realization contains a cycle",
                         cycle=[keys[b], keys[a]],
-                    )
-                    return self._infeasible(self._cycle0)
-                else:
-                    # A failed multi-edge repair may already have
-                    # reordered the stored order in place: drop it with
-                    # its pending edges, or an early fallback exit below
-                    # would leave it to be revalidated later as if it
-                    # were intact.
-                    entries.clear()
-                    pending.clear()
-                    entry = None
-            else:
-                entry = None
+                    ))
+                self.stat_order_repairs += 1
+                entry[2] = True
+                pending.clear()
+                moved = True
         if entry is None or not entry[2]:
+            # No stored order, or two or more contradicting edges: one
+            # Kahn over the base layers (a failed sort leaves the stored
+            # order as it was).
             self.stat_order_rebuilds += 1
             try:
                 order = kahn_order_indices(
@@ -1028,7 +949,6 @@ class IncrementalEngine(EvaluationEngine):
                     self._interner.keys(), self._succ_seq, self._proc_next,
                 )
             except CycleError as exc:
-                self._cycle0 = exc
                 return self._infeasible(exc)
             # Note: a rebuilt *order* does not invalidate the persistent
             # *values* — they depend on the graph, not on the order —
@@ -1181,36 +1101,6 @@ class IncrementalEngine(EvaluationEngine):
             return True
         return b in self._succ_seq[a]
 
-    def _repair(self, entry: List, pending: List[Tuple[int, int]]):
-        """Repair the persistent order for the (live) contradicting
-        added base edges — Pearce/Kelly region reordering, one edge at a
-        time, over the base layers only.
-
-        A single repaired edge is sound by the PK invariant (every other
-        live edge is position-consistent when the repair runs); after
-        multiple repairs the invariant cannot be assumed — the adjacency
-        already contains the later pending edges — so the final order is
-        re-verified against every live edge in O(E).  Returns ``True``
-        on success, ``"cycle"`` when a single-edge repair proves the
-        graph cyclic (exact under the invariant), or ``False`` when the
-        caller should fall back to Kahn (possible cycle among several
-        contradicting edges, or failed verification).
-        """
-        order, pos, _valid = entry
-        no_chain = self._no_chain
-        repaired = 0
-        for a, b in pending:
-            if pos[a] < pos[b]:
-                continue  # an earlier repair already satisfied it
-            if not self._pk_insert(order, pos, a, b, no_chain, no_chain):
-                if repaired == 0 and len(pending) == 1:
-                    return "cycle"
-                return False
-            repaired += 1
-        if repaired > 1 and not self._verify_order(pos):
-            return False
-        return True
-
     def _repair_chain(
         self, order: List[int], pos: List[int], bad: List[Tuple[int, int]]
     ) -> bool:
@@ -1248,8 +1138,9 @@ class IncrementalEngine(EvaluationEngine):
         backward-reachable nodes of ``a`` (both within the region) are
         remapped onto their own position pool, backward block first.
         The bus chain is walked through ``chain_next``/``chain_pred``
-        (``_no_chain`` for the base graph alone).  Returns False when
-        the region search sees a cycle."""
+        (``_no_chain`` for the base graph alone).  Returns False, with
+        ``order`` and ``pos`` untouched, when the region search sees a
+        cycle."""
         lower = pos[b]
         upper = pos[a]
         lo = self._ntasks
@@ -1321,24 +1212,6 @@ class IncrementalEngine(EvaluationEngine):
         for p, v in zip(pool, affected):
             pos[v] = p
             order[p] = v
-        return True
-
-    def _verify_order(self, pos: List[int]) -> bool:
-        """O(E) check that ``pos`` respects every live base edge."""
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        for x in range(len(pos)):
-            px = pos[x]
-            for y in succ_static[x]:
-                if px >= pos[y]:
-                    return False
-            for y in succ_seq[x]:
-                if px >= pos[y]:
-                    return False
-            y = proc_next[x]
-            if y >= 0 and px >= pos[y]:
-                return False
         return True
 
     # ------------------------------------------------------------------
@@ -1551,12 +1424,14 @@ class CrossChainEvaluator:
         """Score chain k's proposed move against chain k's state, for
         all chains at once, as open transactions.
 
-        Every scored move is left **applied** with its engine synced to
-        the candidate; the caller must then call :meth:`resolve` for
-        each non-``None`` outcome.  ``moves[k]`` may be ``None`` (no
-        proposal this round); the k-th result is then ``None``, as it is
-        when the move's application raises :class:`InfeasibleMoveError`
-        — neither opens a transaction."""
+        Each move is applied, scored and costed (``cost`` is ``None``
+        without a ``cost_function``), and left **applied** with its
+        engine synced to the candidate; the caller must then call
+        :meth:`resolve` for each non-``None`` outcome.  ``moves[k]`` may
+        be ``None`` (no proposal this round); the k-th result is then
+        ``None``, as it is when the move's application raises
+        :class:`InfeasibleMoveError` — neither opens a transaction.  A
+        move whose scoring raises is undone first."""
         if len(solutions) != len(self.engines) or len(moves) != len(
             self.engines
         ):
@@ -1569,7 +1444,22 @@ class CrossChainEvaluator:
             if move is None:
                 results.append(None)
                 continue
-            results.append(engine.propose_move(solution, move, cost_function))
+            try:
+                move.apply(solution)
+            except InfeasibleMoveError:
+                results.append(None)
+                continue
+            try:
+                evaluation = engine.evaluate(solution)
+                cost = (
+                    cost_function(solution, evaluation)
+                    if cost_function is not None
+                    else None
+                )
+            except Exception:
+                move.undo(solution)
+                raise
+            results.append((evaluation, cost))
         return results
 
     def resolve(
@@ -1578,12 +1468,10 @@ class CrossChainEvaluator:
         """Finish one chain's transaction from the last
         :meth:`propose_moves` round: commit-on-accept keeps the applied
         move and the engine's already-synced state; reject undoes the
-        move (the engine's next delta-sync absorbs the reverse patch)."""
-        engine = self.engines[chain]
-        if accept:
-            engine.accept_move(solution, move)
-        else:
-            engine.reject_move(solution, move)
+        move (the undo journals its inverse records, which the engine's
+        next delta-sync re-checks in O(delta))."""
+        if not accept:
+            move.undo(solution)
 
 
 def make_engine(

@@ -60,9 +60,6 @@ class Evaluator:
             self.engine = engine
         else:
             self.engine = make_engine(engine, application, architecture, bus_policy)
-        #: Kept for backward compatibility: the reference search-graph
-        #: builder (every engine carries one for ``realize``).
-        self.builder = self.engine.builder
 
     @property
     def engine_name(self) -> str:

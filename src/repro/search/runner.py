@@ -583,7 +583,6 @@ def run_search_jobs(
     jobs: int = 1,
     checkpoint_path: Optional[str] = None,
     base_seed: int = 0,
-    start_method: str = "spawn",
     telemetry=None,
 ) -> List[JobOutcome]:
     """Execute a batch of search jobs, ``jobs`` processes at a time.
@@ -656,7 +655,7 @@ def run_search_jobs(
         else:
             import multiprocessing
 
-            context = multiprocessing.get_context(start_method)
+            context = multiprocessing.get_context("spawn")
             workers = min(jobs, len(pending))
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=context

@@ -311,7 +311,6 @@ def run_workers(
     jobs: int = 1,
     max_jobs: Optional[int] = None,
     telemetry=NULL,
-    start_method: str = "spawn",
 ) -> int:
     """Drain the store's queue with ``workers`` processes; jobs executed.
 
@@ -338,7 +337,7 @@ def run_workers(
         return executed
     import multiprocessing
 
-    context = multiprocessing.get_context(start_method)
+    context = multiprocessing.get_context("spawn")
     executed = 0
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=context

@@ -5,7 +5,7 @@ The move generator's precedence checks now answer through
 shift-and-mask per query) instead of the closure's dict-and-list walk.
 These tests pin the index against the closure's graph-walk answer over
 the *full* scenario corpus, plus the cache-invalidation contract on
-``Application`` and the compiled-instance view.
+``Application``.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.bench.corpus import CORPUS, get_scenario
 from repro.errors import GraphError
 from repro.graph.dag import Dag
 from repro.graph.reachability import ReachabilityIndex
-from repro.mapping.compiled import compile_instance
 from repro.model.application import Application
 from repro.model.task import Implementation, Task
 from tests.graph.test_closure import PathCountClosure
@@ -93,20 +92,16 @@ class TestReachabilityIndex:
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_parity_with_closure(name):
     """Every (a, b) pair of every corpus scenario answers identically
-    through the bitset index, the path-count closure, and the compiled
-    instance's dense view."""
-    instance = get_scenario(name).build()
-    application = instance.application
+    through the bitset index and the path-count closure."""
+    application = get_scenario(name).build().application
     closure = PathCountClosure.from_dag(application.dag)
     index = application.reachability()
-    compiled = compile_instance(application, instance.architecture.bus)
     tasks = application.task_indices()
     for a in tasks:
         for b in tasks:
             expected = closure.has_path(a, b)
             assert index.has_path(a, b) == expected
             assert application.precedes(a, b) == expected
-            assert compiled.precedes(a, b) == expected
 
 
 class TestApplicationCache:
@@ -133,11 +128,3 @@ class TestApplicationCache:
         app.add_dependency(3, 4)
         assert app.precedes(3, 4)
         assert not app.precedes(1, 4)
-
-    def test_fork_shares_compiled_index(self):
-        instance = get_scenario("motion/800").build()
-        compiled = compile_instance(
-            instance.application, instance.architecture.bus
-        )
-        sibling = compiled.fork()
-        assert compiled.reachability is sibling.reachability

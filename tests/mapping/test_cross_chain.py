@@ -31,7 +31,6 @@ class TestCompiledFork:
         assert fork.dep_src is compiled.dep_src
         assert fork.sw_ms is compiled.sw_ms
         assert fork.pred_ids is compiled.pred_ids
-        assert fork._shared is compiled._shared
 
     def test_fork_isolates_virtual_node_growth(self, small_app, small_arch):
         compiled = compile_instance(small_app, _bus(small_arch))
@@ -230,16 +229,16 @@ class TestPersistentTransactions:
 
     def _single_engine_walk(self, app, arch, engine, persistent,
                             p_zero, rounds=20, seed=23):
-        """One engine, one solution: drive ``propose_move`` + accept/
-        reject (persistent) or the classic apply → evaluate → undo
-        reference over the same seeded move stream.  ``p_zero > 0``
+        """One chain, one solution: drive ``propose_moves`` + ``resolve``
+        (persistent) or the classic apply → evaluate → undo reference
+        over the same seeded move stream.  ``p_zero > 0``
         draws the m3/m4 resource moves, which change the resource set
         mid-walk (the hardest case for the persistent mirrors: interner
         growth plus resource-name churn)."""
         arch = copy.deepcopy(arch)
-        eng = make_engine(engine, app, arch)
+        evaluator = CrossChainEvaluator(app, arch, 1, engine=engine)
         solution = random_initial_solution(app, arch, random.Random(seed))
-        eng.evaluate(solution)
+        evaluator.evaluate(0, solution)
         generator = MoveGenerator(
             app, p_zero=p_zero, p_impl=0.2,
             catalog=self._catalog() if p_zero else None,
@@ -255,35 +254,32 @@ class TestPersistentTransactions:
                 continue
             accept = round_no % 2 == 0
             if persistent:
-                outcome = eng.propose_move(solution, move, cost)
+                (outcome,) = evaluator.propose_moves([solution], [move], cost)
                 if outcome is None:
                     costs.append(None)
                     continue
                 costs.append(outcome[1])
-                if accept:
-                    eng.accept_move(solution, move)
-                else:
-                    eng.reject_move(solution, move)
+                evaluator.resolve(0, solution, move, accept)
             else:
                 try:
                     move.apply(solution)
                 except Exception:
                     costs.append(None)
                     continue
-                evaluation = eng.evaluate(solution)
+                evaluation = evaluator.evaluate(0, solution)
                 costs.append(cost(solution, evaluation))
                 if not accept:
                     move.undo(solution)
-        return costs, eng.evaluate(solution).makespan_ms
+        return costs, evaluator.evaluate(0, solution).makespan_ms
 
     @pytest.mark.parametrize("engine", ["full", "incremental", "array"])
     def test_architecture_moves_replay_identically(
         self, engine, small_app, small_arch
     ):
         # m3/m4 change the architecture itself, so they are exercised
-        # on a single permanently-bound engine (the population draws
-        # them with p_zero=0 across chains: a shared-architecture edit
-        # would desync the sibling chains' solutions).
+        # on a one-chain evaluator (the population draws them with
+        # p_zero=0 across chains: a shared-architecture edit would
+        # desync the sibling chains' solutions).
         persistent = self._single_engine_walk(
             small_app, small_arch, engine, persistent=True, p_zero=0.4
         )

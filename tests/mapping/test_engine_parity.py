@@ -254,15 +254,11 @@ def _processors(count: int) -> Architecture:
     return arch
 
 
-def _chain_walk(sw_times, deps, cpus, layout, edits):
-    """Evaluate a hand-placed software-only solution, then each edit in
-    turn, with the reference and the incremental engine.  Every
-    dependency carries 4 KB (a 2 ms transfer).  After every step the
-    engines must agree and no base + bus chain Kahn may have run: chain
-    repairs alone keep the persistent order serialized.  Returns the
-    reference graph's comm-node ``(start, finish)`` per step label and
-    the incremental engine's counters."""
-    app = Application("chain")
+def _hand_placed(sw_times, deps, cpus, layout):
+    """A hand-placed software-only solution, where every dependency
+    carries 4 KB (a 2 ms transfer), with a reference and an incremental
+    evaluator: ``(solution, full, incremental)``."""
+    app = Application("hand-placed")
     for i, ms in enumerate(sw_times):
         app.add_task(Task(i, f"t{i}", "F", sw_time_ms=ms))
     for src, dst in deps:
@@ -273,8 +269,21 @@ def _chain_walk(sw_times, deps, cpus, layout, edits):
     for cpu, tasks in layout.items():
         for t in tasks:
             solution.assign_to_processor(t, cpu)
-    full = Evaluator(app, arch, engine="full")
-    incremental = Evaluator(app, arch, engine="incremental")
+    return (
+        solution,
+        Evaluator(app, arch, engine="full"),
+        Evaluator(app, arch, engine="incremental"),
+    )
+
+
+def _chain_walk(sw_times, deps, cpus, layout, edits):
+    """Evaluate a :func:`_hand_placed` solution, then each edit in turn,
+    with the reference and the incremental engine.  After every step the
+    engines must agree and no base + bus chain Kahn may have run: chain
+    repairs alone keep the persistent order serialized.  Returns the
+    reference graph's comm-node ``(start, finish)`` per step label and
+    the incremental engine's counters."""
+    solution, full, incremental = _hand_placed(sw_times, deps, cpus, layout)
     spans = {}
     for label, edit in [("initial", None)] + list(edits):
         if edit is not None:
@@ -348,12 +357,78 @@ def test_bus_chain_tight_edge_beside_a_binding_one():
     assert spans["bind"] == {**tight, (2, 5): (5.0, 7.0)}
 
 
+def _order_walk(deps, layout, edits):
+    """Evaluate a :func:`_hand_placed` six-task solution on two
+    processors, then each edit in turn, with the reference and the
+    incremental engine.  Returns ``(label, feasible, order_repairs,
+    order_rebuilds)`` after each step, the counters read from the
+    incremental engine."""
+    solution, full, incremental = _hand_placed(
+        [1.0 + i / 4 for i in range(6)], deps, 2, layout
+    )
+    counts = []
+    for label, edit in [("initial", None)] + list(edits):
+        if edit is not None:
+            edit(solution)
+        full_ev = full.evaluate(solution)
+        _assert_same(full_ev, incremental.evaluate(solution), label)
+        counters = incremental.engine.telemetry_counters()
+        counts.append(
+            (label, full_ev.feasible,
+             counters["order_repairs"], counters["order_rebuilds"])
+        )
+    return counts
+
+
+def _swap_pairs(solution):
+    """cpu0 ``[0, 1, 2, 3]`` -> ``[1, 0, 3, 2]`` in one delta: chain
+    edges 1->0 and 3->2 both contradict the stored order."""
+    solution.assign_to_processor(1, "cpu0", 0)
+    solution.assign_to_processor(3, "cpu0", 2)
+
+
+def test_two_contradicting_base_edges_rebuild_the_order():
+    """Two contradicting base edges in one delta go to one Kahn over the
+    base layers, not to an in-place repair, and still score like the
+    reference."""
+    counts = _order_walk(
+        [(0, 4), (2, 5)], {"cpu0": [0, 1, 2, 3], "cpu1": [4, 5]},
+        [("swap pairs", _swap_pairs)],
+    )
+    assert counts == [
+        ("initial", True, 0, 1),
+        ("swap pairs", True, 0, 2),
+    ]
+
+
+def test_one_edge_cycle_keeps_the_stored_order():
+    """Moving task 2 ahead of its predecessor 0 on the same processor
+    adds one contradicting chain edge that closes a cycle: the failed
+    insert is the infeasible verdict.  After the move is undone the
+    stored order is valid again, so neither a repair nor a rebuild
+    runs."""
+    counts = _order_walk(
+        [(0, 2), (3, 4)], {"cpu0": [0, 1, 2, 3], "cpu1": [4, 5]},
+        [
+            ("cycle", lambda s: s.assign_to_processor(2, "cpu0", 0)),
+            ("undo", lambda s: s.assign_to_processor(2, "cpu0", 2)),
+            ("cycle again", lambda s: s.assign_to_processor(2, "cpu0", 0)),
+        ],
+    )
+    assert counts == [
+        ("initial", True, 0, 1),
+        ("cycle", False, 0, 1),
+        ("undo", True, 0, 1),
+        ("cycle again", False, 0, 1),
+    ]
+
+
 def test_failed_order_repair_leaves_no_stale_order():
-    """A multi-edge order repair that fails after reordering the
-    persistent order in place must drop that order.  On this SA request
-    (motion/2000 at the paper's 8000-iteration budget) a kept half-repaired
-    order later placed a task before its static predecessor, mis-scored
-    33 candidates and changed the trajectory."""
+    """Several base edges that contradict the stored order in one delta
+    are sorted by one Kahn, never repaired in place edge by edge.  On
+    this SA request (motion/2000 at the paper's 8000-iteration budget) a
+    half-repaired order placed a task before its static predecessor,
+    mis-scored 33 candidates and changed the trajectory."""
     document = get_scenario("motion/2000").document()
     outcomes = []
     for engine in ("full", "array"):
