@@ -9,7 +9,9 @@ files; no broker, no database):
   with exactly one winner among racing workers — then stamps the record
   ``running`` (attempt count + worker + claimed timestamp);
 * **complete** persists the envelope, stamps the record ``done`` with
-  the job's telemetry snapshot absorbed, and removes the claim ticket;
+  the job's telemetry snapshot absorbed, removes the claim ticket and
+  fills the record's ``near/`` marker with its instance hash (the donor
+  index the warm-start scan reads instead of the row);
   **fail** stamps ``failed`` with the error message;
 * **requeue_stale** is the crash-safety pass: a worker that died
   mid-job leaves a ``running`` record and a stranded claim ticket;
@@ -139,14 +141,19 @@ class JobQueue:
         response: ExplorationResponse,
         job_telemetry: Optional[Dict[str, Any]] = None,
     ) -> str:
-        """Persist the envelope, stamp ``done``; returns the envelope
-        text written (the bytes later cache hits serve back)."""
+        """Persist the envelope, stamp ``done`` and fill the record's
+        near marker (a donor index hint); returns the envelope text
+        written (the bytes later cache hits serve back)."""
         text = self.store.put_response(key, response)
         record = self.store.load_record(key)
         record.telemetry = job_telemetry
         record.transition("done", worker=record.worker)
         self.store.write_record(record)
         self._drop_claim(key)
+        try:
+            self.store.fill_near(record)
+        except OSError:
+            pass  # the donor scan falls back to reading the row
         self.telemetry.count("job_completed")
         if self.telemetry.enabled:
             self.telemetry.event("job_completed", key=key)

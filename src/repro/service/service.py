@@ -14,8 +14,9 @@ addressed (request hash × resolved instance hash), and
   makes this hold even when two submits race);
 * a ``failed`` record is **resubmitted** — back to ``pending`` and
   re-ticketed, keeping its attempt history;
-* no record means a **cache miss** — row + queue ticket are created
-  for the worker pool.
+* no record means a **cache miss** — the instance document, the
+  ``near/`` marker, the row (born complete, warm-start seed included)
+  and the queue ticket are written, in that order, for the worker pool.
 
 A cache miss additionally probes the warm-start ``near/`` index (see
 :meth:`ExplorationService.submit`), and ``submit_anytime`` serves
@@ -43,7 +44,12 @@ from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
 from repro.service.jobs import JobQueue
-from repro.service.store import InstanceInfo, JobRecord, ResultStore
+from repro.service.store import (
+    WARM_KINDS,
+    InstanceInfo,
+    JobRecord,
+    ResultStore,
+)
 
 __all__ = [
     "STATS_FORMAT",
@@ -59,11 +65,6 @@ STATS_SCHEMA_VERSION = 2
 #: a deadline-capped in-process run served a best-so-far envelope while
 #: the full job stays queued.
 SUBMIT_STATUSES = ("hit", "queued", "inflight", "resubmitted", "partial")
-
-#: Request kinds whose records can donate/receive warm-start seeds (one
-#: fixed instance per run, so the best solution maps onto a near
-#: instance; sweeps and portfolios vary the platform per job).
-_WARM_KINDS = ("single", "batch")
 
 #: Strategies that use an initial solution (population/sampling
 #: strategies generate their own starting points and ignore it).
@@ -103,120 +104,136 @@ class ExplorationService:
         """Cache-first submit; never computes, only looks up or enqueues
         (workers — or :meth:`run_local` — do the computing).
 
-        A cache miss additionally consults the warm-start ``near/``
-        index: when a completed record exists for a structurally
-        identical instance (same topology and resource kinds, numeric
-        fields free to differ), its persisted best solution is re-mapped
-        onto the new instance — repaired deterministically where the
-        drift invalidated assignments — and the queued job is rewritten
-        to anneal from that seed with warmup skipped.  The cache key is
-        always the *original* request's, so warm-started results are
-        served back under the identity the client submitted.
+        A cache miss writes its row once.  It first files the instance
+        document and the ``near/`` marker (both idempotent), then
+        consults the warm-start index: when a completed record exists
+        for a structurally identical instance (same topology and
+        resource kinds, numeric fields free to differ), its persisted
+        best solution is re-mapped onto the new instance — repaired
+        deterministically where the drift invalidated assignments — and
+        the job's request is rewritten to anneal from that seed with
+        warmup skipped.  Only then is the row published, already
+        carrying ``structure_hash`` and ``warm_start``, followed by the
+        queue ticket.  A submit that loses the creation race attaches
+        to the winner's row.  The cache key is always the *original*
+        request's, so warm-started results are served back under the
+        identity the client submitted.
         """
         request.validate()
         with self.telemetry.phase("store_lookup"):
             key, request_hash, info = self.store.cache_key_info(request)
-            record, created = self.store.create_record(
-                key, request_hash, info.instance_hash, request
+            found = (
+                self.store.load_record(key)
+                if self.store.has_record(key) else None
             )
-        if created:
-            self._register_instance(record, info)
-            self._try_warm_start(record, request, info)
-            self.queue.enqueue(key)
-            self.telemetry.count("cache_miss")
-            if self.telemetry.enabled:
-                self.telemetry.event("submit", key=key, status="queued")
-            return SubmitOutcome(key=key, status="queued", record=record)
-        return self._attach(key, record)
-
-    def _register_instance(
-        self, record: JobRecord, info: InstanceInfo
-    ) -> None:
-        """Persist the instance document and file the record under its
-        structure digest (what makes it findable as a future donor)."""
+        if found is not None:
+            return self._attach(key, found)
         self.store.put_instance(info.instance_hash, info.document)
-        self.store.index_near(info.structure_hash, record.key)
-        record.structure_hash = info.structure_hash
-        self.store.write_record(record)
+        self.store.index_near(info.structure_hash, key)
+        rewritten, warm_start = self._warm_start(key, request, info)
+        record, created = self.store.create_record(
+            key, request_hash, info.instance_hash, request,
+            structure_hash=info.structure_hash,
+            warm_start=warm_start,
+            request_document=rewritten,
+        )
+        if not created:
+            return self._attach(key, record)
+        self.queue.enqueue(key)
+        self.telemetry.count("cache_miss")
+        if warm_start is not None:
+            self._count_warm_start(key, warm_start)
+        if self.telemetry.enabled:
+            self.telemetry.event("submit", key=key, status="queued")
+        return SubmitOutcome(key=key, status="queued", record=record)
 
-    def _try_warm_start(
+    def _warm_start(
         self,
-        record: JobRecord,
+        key: str,
         request: ExplorationRequest,
         info: InstanceInfo,
-    ) -> None:
-        """Seed the freshly queued job from the best near-instance donor
-        (no-op when no donor qualifies; never fails the submit)."""
-        if request.kind not in _WARM_KINDS:
-            return
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+        """``(rewritten request document, warm_start block)`` seeding
+        the new job from the best near-instance donor; ``(None, None)``
+        when no donor qualifies (never fails the submit)."""
+        if request.kind not in WARM_KINDS:
+            return None, None
         if request.strategy.kind not in _WARM_STRATEGIES:
-            return
+            return None, None
         if request.strategy.initial_solution is not None:
-            return  # the client seeded the run explicitly
+            return None, None  # the client seeded the run explicitly
         try:
-            donor, delta = self._best_donor(record.key, info)
-            if donor is None:
-                return
+            best = self._best_donor(key, info)
+            if best is None:
+                return None, None
+            donor, delta = best
             rewritten, repairs = self._warm_rewrite(request, info, donor)
         except (ServiceError, ConfigurationError, MappingError):
-            return
-        record.request = rewritten
-        record.warm_start = {
-            "donor": donor.key,
+            return None, None
+        return rewritten, {
+            "donor": donor,
             "delta": delta.to_dict(),
             "repairs": repairs,
         }
-        self.store.write_record(record)
+
+    def _count_warm_start(self, key: str, warm_start: Dict[str, Any]) -> None:
+        """Telemetry of a published warm-started row."""
+        repairs = warm_start["repairs"]
         self.telemetry.count("warm_start_hit")
         if repairs:
             self.telemetry.count("warm_start_repair", repairs)
         if self.telemetry.enabled:
             self.telemetry.event(
                 "warm_start",
-                key=record.key,
-                donor=donor.key,
-                delta_kind=delta.kind,
-                delta_size=delta.size,
+                key=key,
+                donor=warm_start["donor"],
+                delta_kind=warm_start["delta"]["kind"],
+                delta_size=warm_start["delta"]["size"],
                 repairs=repairs,
             )
 
     def _best_donor(
         self, key: str, info: InstanceInfo
-    ) -> Tuple[Optional[JobRecord], Any]:
-        """The completed near-index record with the smallest instance
-        delta (ties broken lexicographically by key)."""
+    ) -> Optional[Tuple[str, Any]]:
+        """``(donor key, instance delta)`` of the completed near-index
+        record with the smallest delta, ties broken by key; ``None``
+        when no candidate qualifies.
+
+        The candidates are :meth:`ResultStore.near_donors`: completed
+        ``single``/``batch`` records whose envelope exists.  Pending
+        candidates and filled markers cost no row read.  Each distinct
+        donor instance is loaded and diffed once per scan, so the scan
+        stays linear in the distinct completed donor instances.
+        """
         from repro.io import diff_instances
 
-        best: Optional[JobRecord] = None
-        best_delta = None
-        for candidate_key in self.store.near_keys(info.structure_hash):
-            if candidate_key == key:
+        best: Optional[Tuple[str, Any]] = None
+        deltas: Dict[str, Any] = {}
+        for candidate, instance_hash in self.store.near_donors(
+            info.structure_hash
+        ):
+            if candidate == key:
                 continue
-            try:
-                candidate = self.store.load_record(candidate_key)
-            except ServiceError:
-                continue
-            if candidate.status != "done":
-                continue
-            if candidate.request.get("kind") not in _WARM_KINDS:
-                continue
-            donor_doc = self.store.instance_document(candidate.instance_hash)
-            if donor_doc is None:
-                continue
-            delta = diff_instances(donor_doc, info.document)
-            if delta.kind == "structural":
-                continue  # same digest yet structural drift: stale index
-            if best_delta is None or (
-                (delta.size, candidate.key) < (best_delta.size, best.key)
+            if instance_hash not in deltas:
+                donor_doc = self.store.instance_document(instance_hash)
+                deltas[instance_hash] = (
+                    None if donor_doc is None
+                    else diff_instances(donor_doc, info.document)
+                )
+            delta = deltas[instance_hash]
+            if delta is None or delta.kind == "structural":
+                continue  # no document, or a stale index entry
+            if best is None or (delta.size, candidate) < (
+                best[1].size, best[0]
             ):
-                best, best_delta = candidate, delta
-        return best, best_delta
+                best = (candidate, delta)
+        return best
 
     def _warm_rewrite(
         self,
         request: ExplorationRequest,
         info: InstanceInfo,
-        donor: JobRecord,
+        donor: str,
     ) -> Tuple[Dict[str, Any], int]:
         """The queued job's rewritten request document: donor's best
         solution re-mapped onto the new instance as ``initial_solution``
@@ -231,9 +248,9 @@ class ExplorationService:
         from repro.io import instance_from_dict, solution_to_dict
         from repro.mapping.seed import seed_solution
 
-        envelope = self.store.get_response(donor.key)
+        envelope = self.store.get_response(donor)
         if envelope.best is None or "solution" not in envelope.best:
-            raise ServiceError(f"donor {donor.key!r} has no best solution")
+            raise ServiceError(f"donor {donor!r} has no best solution")
         instance = instance_from_dict(info.document)
         seed, repairs = seed_solution(
             envelope.best["solution"],

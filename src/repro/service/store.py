@@ -26,6 +26,10 @@ On-disk layout (JSON files + atomic rename, no external database)::
                             claim is renamed back into queue/)
       hits/<key>            the cache-hit log: one byte appended per hit
                             (created on first use)
+      instances/<hash>.json the resolved instance document
+      near/<structure>/<key> warm-start index marker: empty while the
+                            job is unfinished, the record's instance
+                            hash once a donor-kind job completes
 
 Rows and instance documents are compact JSON (no ``indent``, so
 CPython's C encoder writes them); readers parse any layout, so the
@@ -36,11 +40,18 @@ observe a torn record and two racing writers resolve to one winner.
 Record *creation* publishes the complete row with ``os.link``, which
 fails with ``EEXIST`` when the row exists: the store's one point of
 mutual exclusion — exactly one of N racing submitters creates the row,
-everyone else observes it (the dedupe guarantee of the service).  A
-cache hit never rewrites its row: it appends to ``hits/<key>`` with
-``O_APPEND``, so racing hits lose no count and a hit racing ``gc``
-cannot republish a deleted row.  A row's hit count is its ``hits``
-field (what earlier versions counted in place) plus the log's length.
+everyone else observes it (the dedupe guarantee of the service).  A row
+is born complete: a cache miss files its instance document and near
+marker and picks its warm-start donor first, so the published row
+already carries ``structure_hash`` and ``warm_start`` and is not
+rewritten before a worker claims it.  When a ``single``/``batch`` job
+completes, its near marker is filled with the record's instance hash,
+so the donor scan (:meth:`ResultStore.near_donors`) takes it without
+reading its row.  A cache hit never rewrites its row: it appends to
+``hits/<key>`` with ``O_APPEND``, so racing hits lose no count and a
+hit racing ``gc`` cannot republish a deleted row.  A row's hit count
+is its ``hits`` field (what earlier versions counted in place) plus
+the log's length.
 The record/probe-history idiom follows the persistent mirror records of
 Launchpad's ``distributionmirror.py`` (see SNIPPETS.md #3): each row
 keeps its full state-transition history next to the current freshness
@@ -81,6 +92,13 @@ RECORD_SCHEMA_VERSION = 1
 #: (error captured).  A stale ``running`` record is requeued back to
 #: ``pending`` by :meth:`repro.service.jobs.JobQueue.requeue_stale`.
 RECORD_STATES = ("pending", "running", "done", "failed")
+
+#: Request kinds whose records can donate/receive warm-start seeds (one
+#: fixed instance per run, so the best solution maps onto a near
+#: instance; sweeps and portfolios vary the platform per job).
+WARM_KINDS = ("single", "batch")
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 @dataclass(frozen=True)
@@ -409,13 +427,18 @@ class ResultStore:
     def create_record(
         self, key: str, request_hash: str, instance_hash: str,
         request: ExplorationRequest,
+        structure_hash: Optional[str] = None,
+        warm_start: Optional[Dict[str, Any]] = None,
+        request_document: Optional[Dict[str, Any]] = None,
     ) -> Tuple[JobRecord, bool]:
         """Create the row for ``key`` if absent; ``(record, created)``.
 
         A row that already exists is read without building or writing
         anything (the cache-hit and in-flight path): ``request`` is
-        converted to its document only for a new row.
-        The complete row is written to a temp file first and published
+        converted to its document only for a new row, and only when no
+        ``request_document`` (a warm-start rewrite of it) is given.
+        The complete row — ``structure_hash`` and ``warm_start``
+        included — is written to a temp file first and published
         with ``os.link``, which is atomic and exclusive: exactly one of N
         racing creators wins, and losers (``EEXIST``) re-read the
         winner's row, which is complete the moment it exists.  The row
@@ -430,8 +453,13 @@ class ResultStore:
             key=key,
             request_hash=request_hash,
             instance_hash=instance_hash,
-            request=request.to_dict(),
+            request=(
+                request.to_dict() if request_document is None
+                else request_document
+            ),
             created_ts=time.time(),
+            structure_hash=structure_hash,
+            warm_start=warm_start,
         )
         record.transition("pending", now=record.created_ts)
         tmp = self._write_temp(path, _compact_json(record.to_dict()))
@@ -552,6 +580,30 @@ class ResultStore:
             return
         os.close(fd)
 
+    def fill_near(self, record: JobRecord) -> None:
+        """Write a completed donor-kind record's instance hash into its
+        existing near marker, so :meth:`near_donors` takes it without
+        reading the row.
+
+        Call it after the ``done`` row is written.  The write is an
+        index hint, not fsync'd (a lost fill only costs the scan a row
+        read), and it opens the marker without ``O_CREAT``: a marker
+        that :meth:`delete_record` or ``gc`` removed stays removed."""
+        if (
+            record.structure_hash is None
+            or record.request.get("kind") not in WARM_KINDS
+        ):
+            return
+        marker = self.near_marker(record.structure_hash, record.key)
+        try:
+            fd = os.open(marker, os.O_WRONLY)
+        except FileNotFoundError:
+            return
+        try:
+            os.write(fd, record.instance_hash.encode("ascii"))
+        finally:
+            os.close(fd)
+
     def near_keys(self, structure_hash: str) -> List[str]:
         """Record keys filed under ``structure_hash``, sorted."""
         directory = os.path.join(self.root, self.NEAR_DIR, structure_hash)
@@ -559,6 +611,41 @@ class ResultStore:
             return sorted(os.listdir(directory))
         except FileNotFoundError:
             return []
+
+    def near_donors(self, structure_hash: str) -> Iterator[Tuple[str, str]]:
+        """``(key, instance_hash)`` of every completed ``single``/``batch``
+        record filed under ``structure_hash`` whose envelope exists, in
+        key order: the warm-start donor candidates.
+
+        A key without an envelope (pending, running or failed) is
+        skipped without reading anything else.  A marker holding 64 hex
+        characters (:meth:`fill_near`) names a completed donor, whose row
+        is not read.  Any other marker — a store written by an earlier
+        version, or a fill that was lost — costs one row read, and the
+        row's status and request kind decide."""
+        for key in self.near_keys(structure_hash):
+            if not self.has_response(key):
+                continue
+            marker = self.near_marker(structure_hash, key)
+            try:
+                with open(marker, encoding="ascii", errors="replace") as handle:
+                    instance_hash = handle.read()
+            except FileNotFoundError:
+                continue  # deleted since the listing
+            if len(instance_hash) != 64 or not _HEX_DIGITS.issuperset(
+                instance_hash
+            ):
+                try:
+                    record = self.load_record(key)
+                except ServiceError:
+                    continue
+                if (
+                    record.status != "done"
+                    or record.request.get("kind") not in WARM_KINDS
+                ):
+                    continue
+                instance_hash = record.instance_hash
+            yield key, instance_hash
 
     # -- envelopes -----------------------------------------------------
     def put_response(self, key: str, response: ExplorationResponse) -> str:

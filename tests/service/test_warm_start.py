@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+import repro.io
 from repro.api.specs import (
     ApplicationSpec,
     BudgetSpec,
@@ -23,7 +24,7 @@ from repro.errors import ServiceError
 from repro.io import ProblemInstance, instance_to_dict
 from repro.obs.telemetry import Telemetry
 from repro.service import ExplorationService
-from repro.service.store import instance_info_for
+from repro.service.store import JobRecord, ResultStore, instance_info_for
 
 
 @pytest.fixture
@@ -56,6 +57,27 @@ def perturb(document, factor=1.1):
 @pytest.fixture
 def service(tmp_path):
     return ExplorationService(str(tmp_path / "store"))
+
+
+def completed(service, request):
+    """Submit ``request`` and drain the queue: a finished donor."""
+    outcome = service.submit(request)
+    service.run_local()
+    assert service.status(outcome.key).status == "done"
+    return outcome
+
+
+def record_loads(monkeypatch):
+    """Keys passed to ``ResultStore.load_record`` from now on."""
+    loaded = []
+    real = ResultStore.load_record
+
+    def spy(self, key):
+        loaded.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(ResultStore, "load_record", spy)
+    return loaded
 
 
 class TestNearIndexStore:
@@ -231,6 +253,21 @@ class TestWarmStartSubmit:
         assert record.warm_start["donor"] != far.key
         assert record.warm_start["delta"]["size"] == 1
 
+    def test_donor_without_envelope_is_skipped(self, service, instance_doc):
+        """The nearer donor lost its envelope (pruned by hand, or left
+        by a hit racing gc): the next donor seeds the job instead of
+        the warm start being cancelled."""
+        near = completed(service, bundled_request(instance_doc))
+        far = completed(service, bundled_request(perturb(instance_doc, 3.0)))
+        os.unlink(service.store.result_path(near.key))
+        near_doc = copy.deepcopy(instance_doc)
+        near_doc["deadline_ms"] = 41.0
+        warm = service.submit(bundled_request(near_doc))
+        record = service.status(warm.key)
+        assert record.warm_start is not None
+        assert record.warm_start["donor"] == far.key
+        assert record.warm_start["delta"]["size"] == 2
+
     def test_warm_run_is_deterministic(self, tmp_path, instance_doc):
         from repro.obs.telemetry import strip_times
 
@@ -276,6 +313,246 @@ class TestWarmStartSubmit:
         assert removed["orphan_tickets"] == 1
         info = instance_info_for(bundled_request(instance_doc))
         assert service.store.near_keys(info.structure_hash) == [outcome.key]
+
+
+class TestMissCosts:
+    """What a cache miss reads and writes."""
+
+    @staticmethod
+    def _published_rows(monkeypatch, store):
+        """Every row written under ``records/``, as first read back."""
+        records_dir = os.path.join(store.root, store.RECORDS_DIR)
+        rows = []
+
+        def watching(real):
+            def write(src, dst, *args, **kwargs):
+                real(src, dst, *args, **kwargs)
+                if os.path.dirname(dst) == records_dir:
+                    with open(dst, encoding="utf-8") as handle:
+                        rows.append(json.load(handle))
+            return write
+
+        monkeypatch.setattr(os, "link", watching(os.link))
+        monkeypatch.setattr(os, "replace", watching(os.replace))
+        return rows
+
+    def test_cold_miss_writes_its_row_once(
+        self, service, instance_doc, monkeypatch
+    ):
+        request = bundled_request(instance_doc)
+        rows = self._published_rows(monkeypatch, service.store)
+        outcome = service.submit(request)
+        assert outcome.status == "queued"
+        assert len(rows) == 1
+        assert rows[0]["key"] == outcome.key
+        assert (
+            rows[0]["structure_hash"]
+            == instance_info_for(request).structure_hash
+        )
+        assert rows[0]["warm_start"] is None
+
+    def test_warm_miss_writes_its_row_once(
+        self, service, instance_doc, monkeypatch
+    ):
+        donor = completed(service, bundled_request(instance_doc))
+        request = bundled_request(perturb(instance_doc))
+        rows = self._published_rows(monkeypatch, service.store)
+        outcome = service.submit(request)
+        assert len(rows) == 1
+        assert rows[0]["key"] == outcome.key
+        assert (
+            rows[0]["structure_hash"]
+            == instance_info_for(request).structure_hash
+        )
+        assert rows[0]["warm_start"]["donor"] == donor.key
+        assert rows[0]["request"]["strategy"]["initial_solution"] is not None
+        assert outcome.record.to_dict() == rows[0]
+
+    def test_completion_fills_the_marker_with_the_instance_hash(
+        self, service, instance_doc
+    ):
+        request = bundled_request(instance_doc)
+        info = instance_info_for(request)
+        outcome = service.submit(request)
+        marker = service.store.near_marker(info.structure_hash, outcome.key)
+        assert os.path.getsize(marker) == 0
+        service.run_local()
+        with open(marker, encoding="ascii") as handle:
+            assert handle.read() == info.instance_hash
+
+    def test_fill_never_recreates_a_removed_marker(
+        self, service, instance_doc
+    ):
+        request = bundled_request(instance_doc)
+        info = instance_info_for(request)
+        outcome = service.submit(request)
+        marker = service.store.near_marker(info.structure_hash, outcome.key)
+        os.unlink(marker)  # what gc or delete_record does
+        assert service.run_local() == 1
+        assert not os.path.exists(marker)
+
+    def test_scan_reads_no_pending_or_filled_rows(
+        self, service, instance_doc, monkeypatch
+    ):
+        donor = completed(service, bundled_request(instance_doc))
+        pending = service.submit(bundled_request(perturb(instance_doc, 2.0)))
+        assert service.status(pending.key).status == "pending"
+        loaded = record_loads(monkeypatch)
+        warm = service.submit(bundled_request(perturb(instance_doc, 1.5)))
+        assert loaded == []
+        monkeypatch.undo()
+        assert service.status(warm.key).warm_start["donor"] == donor.key
+
+    def test_one_diff_per_donor_instance(
+        self, service, instance_doc, monkeypatch
+    ):
+        keys = [
+            service.submit(bundled_request(instance_doc, seed=seed)).key
+            for seed in (3, 4, 5)
+        ]
+        assert service.run_local() == 3
+        documents, diffs = [], []
+        real_document = ResultStore.instance_document
+        real_diff = repro.io.diff_instances
+
+        def document_spy(self, instance_hash):
+            documents.append(instance_hash)
+            return real_document(self, instance_hash)
+
+        def diff_spy(a, b):
+            diffs.append(1)
+            return real_diff(a, b)
+
+        monkeypatch.setattr(ResultStore, "instance_document", document_spy)
+        monkeypatch.setattr(repro.io, "diff_instances", diff_spy)
+        warm = service.submit(bundled_request(perturb(instance_doc)))
+        assert len(documents) == 1 and len(diffs) == 1
+        record = service.status(warm.key)
+        assert record.warm_start["donor"] == min(keys)
+        assert record.warm_start["delta"]["size"] == 1
+
+    def test_unfilled_markers_still_donate(
+        self, service, instance_doc, monkeypatch
+    ):
+        """Earlier versions left every marker empty: the scan reads the
+        row of each key with an envelope and picks the same donor and
+        delta as from filled markers."""
+        near = completed(service, bundled_request(instance_doc))
+        far = completed(service, bundled_request(perturb(instance_doc, 3.0)))
+        service.submit(bundled_request(perturb(instance_doc, 2.0)))
+        near_doc = copy.deepcopy(instance_doc)
+        near_doc["deadline_ms"] = 41.0
+        request = bundled_request(near_doc)
+        info = instance_info_for(request)
+        key = service.key_of(request)
+        from_filled = service._best_donor(key, info)
+        bucket = service.store.near_keys(info.structure_hash)
+        assert len(bucket) == 3
+        for candidate in bucket:
+            with open(
+                service.store.near_marker(info.structure_hash, candidate), "w"
+            ):
+                pass
+        loaded = record_loads(monkeypatch)
+        warm = service.submit(request)
+        assert loaded == sorted([near.key, far.key])
+        monkeypatch.undo()
+        record = service.status(warm.key)
+        assert record.warm_start["donor"] == near.key == from_filled[0]
+        assert record.warm_start["delta"] == from_filled[1].to_dict()
+        assert record.warm_start["delta"]["size"] == 1
+
+
+def _inject(monkeypatch, call, directory):
+    """Make ``os.<call>`` raise for every path under ``directory``."""
+    real = getattr(os, call)
+    prefix = directory + os.sep
+
+    def failing(*args, **kwargs):
+        target = args[1] if call in ("link", "replace") else args[0]
+        if os.fspath(target).startswith(prefix):
+            raise OSError(f"injected {call} failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, call, failing)
+
+
+def _assert_rows_whole(store):
+    """Only complete rows under ``records/``, no temp file anywhere."""
+    for subdir in (store.RECORDS_DIR, store.INSTANCES_DIR):
+        names = os.listdir(os.path.join(store.root, subdir))
+        assert all(name.endswith(".json") for name in names), names
+    for key in store.list_keys():
+        with open(store.record_path(key), encoding="utf-8") as handle:
+            assert JobRecord.from_dict(json.load(handle)).key == key
+
+
+class TestMissFaults:
+    """A warm miss writes the instance document, the near marker, the
+    row and the queue ticket, in that order; completion then fills the
+    marker.  A failure at any of them leaves whole rows and a state
+    that a resubmit, ``requeue_stale`` or ``gc`` heals."""
+
+    @pytest.mark.parametrize(
+        "call, subdir, published, orphan_marker",
+        [
+            ("replace", ResultStore.INSTANCES_DIR, False, False),
+            ("open", ResultStore.NEAR_DIR, False, False),
+            ("link", ResultStore.RECORDS_DIR, False, True),
+            ("open", ResultStore.QUEUE_DIR, True, False),
+        ],
+        ids=["instance-document", "near-marker", "row-publish",
+             "queue-ticket"],
+    )
+    def test_failed_write(
+        self, service, instance_doc, monkeypatch,
+        call, subdir, published, orphan_marker,
+    ):
+        donor = completed(service, bundled_request(instance_doc))
+        request = bundled_request(perturb(instance_doc))
+        info = instance_info_for(request)
+        key = service.key_of(request)
+        with monkeypatch.context() as patch:
+            _inject(patch, call, os.path.join(service.store.root, subdir))
+            with pytest.raises(OSError, match="injected"):
+                service.submit(request)
+        _assert_rows_whole(service.store)
+        assert service.store.has_record(key) is published
+        bucket = service.store.near_keys(info.structure_hash)
+        assert (key in bucket) is (orphan_marker or published)
+        if orphan_marker:
+            assert service.gc()["orphan_tickets"] == 1
+            assert service.store.near_keys(info.structure_hash) == [donor.key]
+        if published:
+            assert service.submit(request).status == "inflight"
+            assert service.queue.pending_keys() == []
+            service.queue.requeue_stale(stale_after_s=0)
+            assert service.queue.pending_keys() == [key]
+        else:
+            assert service.submit(request).status == "queued"
+        assert service.status(key).warm_start["donor"] == donor.key
+        assert service.run_local() == 1
+        assert service.status(key).status == "done"
+        _assert_rows_whole(service.store)
+
+    def test_failed_marker_fill_leaves_the_job_done(
+        self, service, instance_doc, monkeypatch
+    ):
+        first = service.submit(bundled_request(instance_doc))
+        second = service.submit(bundled_request(instance_doc, seed=4))
+        info = instance_info_for(bundled_request(instance_doc))
+        with monkeypatch.context() as patch:
+            _inject(patch, "open", os.path.join(
+                service.store.root, service.store.NEAR_DIR))
+            assert service.run_local() == 2  # the worker kept draining
+        for outcome in (first, second):
+            assert service.status(outcome.key).status == "done"
+            marker = service.store.near_marker(
+                info.structure_hash, outcome.key)
+            assert os.path.getsize(marker) == 0
+        warm = service.submit(bundled_request(perturb(instance_doc)))
+        assert service.status(warm.key).warm_start["donor"] == min(
+            first.key, second.key)
 
 
 class TestSubmitAnytime:
