@@ -99,7 +99,6 @@ from repro.sa import (
     LamDelosmeSchedule,
     ModifiedLamSchedule,
     MoveGenerator,
-    SimulatedAnnealing,
 )
 from repro.search import (
     InstanceSpec,
@@ -153,7 +152,7 @@ __all__ = [
     # annealing
     "AnnealerConfig", "DesignSpaceExplorer", "ExplorationResult",
     "GeometricSchedule", "LamDelosmeSchedule", "ModifiedLamSchedule",
-    "MoveGenerator", "SimulatedAnnealing",
+    "MoveGenerator",
     # search subsystem
     "SearchStrategy", "SearchBudget", "SearchResult",
     "StrategySpec", "InstanceSpec", "SearchJob",

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.architecture import Architecture
 from repro.arch.asic import Asic
@@ -48,7 +48,6 @@ from repro.arch.resource import Resource
 from repro.errors import (
     ConfigurationError,
     CycleError,
-    InfeasibleMoveError,
     MappingError,
 )
 from repro.graph.longest_path import kahn_order_indices
@@ -1338,26 +1337,19 @@ class IncrementalEngine(EvaluationEngine):
 
 
 class CrossChainEvaluator:
-    """K per-chain engines over one compile pass.
+    """K engines over one compile pass.
 
-    The population annealer (:class:`repro.sa.population.PopulationAnnealer`)
-    runs K independent chains, each with its own
+    The annealing loop (:class:`repro.sa.population.PopulationAnnealer`)
+    runs K chains, each with its own
     :class:`~repro.mapping.solution.Solution`.  Re-pointing one
     stateful engine across K solutions every round would defeat the
     incremental mirror (each sync would diff away the previous chain's
-    whole assignment), so each chain gets a permanently-bound engine of
-    its own and pays only its own chain's delta.  For the stateful
-    engine the compile pass is shared: chain 0 compiles, chains 1..K-1
-    receive :meth:`CompiledInstance.fork` views, so construction stays
-    O(compile + K · mirror) instead of O(K · compile).
-
-    ``propose_moves`` + ``resolve`` is the annealer hot path: each
-    chain's permanently-bound engine scores its proposed move through
-    the persistent delta path (apply → delta-sync → read the makespan)
-    and leaves it applied; the annealer's accept keeps the
-    already-synced engine state (commit-on-accept — no undo, no
-    re-apply, no second delta-diff), a reject undoes the move and lets
-    the engine's next delta-sync absorb the O(delta) reverse patch.
+    whole assignment), so each chain steps through a permanently-bound
+    engine of its own (``engines[k]``) and pays only its own chain's
+    delta.  For the stateful engine the compile pass is shared: chain 0
+    compiles, chains 1..K-1 receive :meth:`CompiledInstance.fork`
+    views, so construction stays O(compile + K · mirror) instead of
+    O(K · compile).
     """
 
     def __init__(
@@ -1413,65 +1405,6 @@ class CrossChainEvaluator:
     def evaluate(self, chain: int, solution: Solution) -> Evaluation:
         """Evaluation of one chain's current state."""
         return self.engines[chain].evaluate(solution)
-
-    # ------------------------------------------------------------------
-    def propose_moves(
-        self,
-        solutions: Sequence[Solution],
-        moves: Sequence,
-        cost_function=None,
-    ) -> List[Optional[Tuple[Evaluation, Optional[float]]]]:
-        """Score chain k's proposed move against chain k's state, for
-        all chains at once, as open transactions.
-
-        Each move is applied, scored and costed (``cost`` is ``None``
-        without a ``cost_function``), and left **applied** with its
-        engine synced to the candidate; the caller must then call
-        :meth:`resolve` for each non-``None`` outcome.  ``moves[k]`` may
-        be ``None`` (no proposal this round); the k-th result is then
-        ``None``, as it is when the move's application raises
-        :class:`InfeasibleMoveError` — neither opens a transaction.  A
-        move whose scoring raises is undone first."""
-        if len(solutions) != len(self.engines) or len(moves) != len(
-            self.engines
-        ):
-            raise ConfigurationError(
-                f"expected {len(self.engines)} solutions and moves, got "
-                f"{len(solutions)} and {len(moves)}"
-            )
-        results: List[Optional[Tuple[Evaluation, Optional[float]]]] = []
-        for engine, solution, move in zip(self.engines, solutions, moves):
-            if move is None:
-                results.append(None)
-                continue
-            try:
-                move.apply(solution)
-            except InfeasibleMoveError:
-                results.append(None)
-                continue
-            try:
-                evaluation = engine.evaluate(solution)
-                cost = (
-                    cost_function(solution, evaluation)
-                    if cost_function is not None
-                    else None
-                )
-            except Exception:
-                move.undo(solution)
-                raise
-            results.append((evaluation, cost))
-        return results
-
-    def resolve(
-        self, chain: int, solution: Solution, move, accept: bool
-    ) -> None:
-        """Finish one chain's transaction from the last
-        :meth:`propose_moves` round: commit-on-accept keeps the applied
-        move and the engine's already-synced state; reject undoes the
-        move (the undo journals its inverse records, which the engine's
-        next delta-sync re-checks in O(delta))."""
-        if not accept:
-            move.undo(solution)
 
 
 def make_engine(

@@ -18,7 +18,7 @@ from repro.sa.schedules import (
     make_schedule,
 )
 from repro.sa.moves import MoveGenerator, MoveStats
-from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
+from repro.sa.annealer import AnnealerConfig
 from repro.sa.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.sa.trace import TraceRecord
 
@@ -31,7 +31,6 @@ __all__ = [
     "MoveGenerator",
     "MoveStats",
     "AnnealerConfig",
-    "SimulatedAnnealing",
     "DesignSpaceExplorer",
     "ExplorationResult",
     "TraceRecord",

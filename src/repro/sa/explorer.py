@@ -5,31 +5,31 @@ architecture, the evaluator, the move generator and the adaptive
 annealer, reproducing the tool of the paper: give it an application and
 an architecture, call :meth:`run`, read off the best mapping, its
 schedule, and the iteration trace (Fig. 2's data).
+
+The annealer is the library's one annealing loop
+(:class:`~repro.sa.population.PopulationAnnealer`) at one chain with
+replica exchange off; the explorer adds its own move generator, which
+draws the m3/m4 architecture moves when ``p_zero > 0``, and the
+:class:`~repro.mapping.evaluator.Evaluator` facade over the chain's
+engine.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.arch.architecture import Architecture
 from repro.arch.resource import Resource
-from repro.errors import ConfigurationError
-from repro.mapping.cost import CostFunction, MakespanCost
+from repro.mapping.cost import CostFunction
 from repro.mapping.evaluator import Evaluation, Evaluator
 from repro.mapping.schedule import Schedule, extract_schedule
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
 from repro.sa.moves import MoveGenerator
-from repro.sa.schedules import CoolingSchedule, make_schedule
+from repro.sa.population import PopulationAnnealer
 from repro.sa.trace import TraceRecord
-from repro.search.strategy import (
-    SearchBudget,
-    SearchResult,
-    SearchStrategy,
-    StepCallback,
-)
+from repro.search.strategy import SearchBudget, SearchResult, StepCallback
 
 
 @dataclass
@@ -54,8 +54,8 @@ class ExplorationResult:
         return extract_schedule(self.best_solution, graph)
 
 
-class DesignSpaceExplorer(SearchStrategy):
-    """The paper's exploration tool.
+class DesignSpaceExplorer(PopulationAnnealer):
+    """The paper's exploration tool: adaptive SA on one chain.
 
     Parameters
     ----------
@@ -99,35 +99,28 @@ class DesignSpaceExplorer(SearchStrategy):
         initial_hw_fraction: Optional[float] = None,
         engine: str = "full",
     ) -> None:
-        application.validate()
-        architecture.validate()
-        self.application = application
-        self.architecture = architecture
-        self.seed = seed
-        self.initial_hw_fraction = initial_hw_fraction
-        self.evaluator = Evaluator(
-            application, architecture, bus_policy, engine=engine
-        )
-        self.move_generator = MoveGenerator(
-            application, p_zero=p_zero, p_impl=p_impl, catalog=catalog
-        )
-        horizon = max(1, iterations - warmup_iterations)
-        self.schedule: CoolingSchedule = make_schedule(
-            schedule_name, horizon=horizon, **(schedule_kwargs or {})
-        )
-        self.config = AnnealerConfig(
+        super().__init__(
+            application,
+            architecture,
+            chains=1,
             iterations=iterations,
             warmup_iterations=warmup_iterations,
             seed=seed,
+            schedule_name=schedule_name,
+            schedule_kwargs=schedule_kwargs,
+            cost_function=cost_function,
+            bus_policy=bus_policy,
             keep_trace=keep_trace,
             stall_limit=stall_limit,
+            initial_hw_fraction=initial_hw_fraction,
+            swap_interval=None,
+            engine=engine,
         )
-        self.annealer = SimulatedAnnealing(
-            evaluator=self.evaluator,
-            move_generator=self.move_generator,
-            schedule=self.schedule,
-            cost_function=cost_function if cost_function is not None else MakespanCost(),
-            config=self.config,
+        self.evaluator = Evaluator(
+            application, architecture, bus_policy, engine=self.engines[0]
+        )
+        self.move_generator = MoveGenerator(
+            application, p_zero=p_zero, p_impl=p_impl, catalog=catalog
         )
 
     # ------------------------------------------------------------------
@@ -142,14 +135,11 @@ class DesignSpaceExplorer(SearchStrategy):
 
     def run(self, initial: Optional[Solution] = None) -> ExplorationResult:
         """Run the full iteration budget and return the best mapping."""
-        solution = initial if initial is not None else self.initial_solution()
-        initial_evaluation = self.evaluator.evaluate(solution)
-        annealing = self.annealer.run(solution)
-        best_evaluation = self.evaluator.evaluate(annealing.best_solution)
+        annealing = self.search(initial)
         return ExplorationResult(
             best_solution=annealing.best_solution,
-            best_evaluation=best_evaluation,
-            initial_evaluation=initial_evaluation,
+            best_evaluation=annealing.extras["best_evaluation"],
+            initial_evaluation=annealing.extras["initial_evaluation"],
             annealing=annealing,
         )
 
@@ -164,13 +154,7 @@ class DesignSpaceExplorer(SearchStrategy):
         the best and initial solutions in ``extras``."""
         solution = initial if initial is not None else self.initial_solution()
         initial_evaluation = self.evaluator.evaluate(solution)
-        self.annealer.telemetry = self.telemetry
-        annealing = self.annealer.search(
-            solution, budget=budget, on_step=on_step
-        )
-        annealing.extras["best_evaluation"] = self.evaluator.evaluate(
-            annealing.best_solution
-        )
+        annealing = super().search(solution, budget=budget, on_step=on_step)
         annealing.extras["initial_evaluation"] = initial_evaluation
         return annealing
 
@@ -186,16 +170,12 @@ class DesignSpaceExplorer(SearchStrategy):
         """
         solution = initial if initial is not None else self.initial_solution()
         initial_evaluation = self.evaluator.evaluate(solution)
-        annealing: Optional[SearchResult] = None
-        for annealing in self.annealer.iterate(solution):
+        for annealing in self.iterate(solution):
             if stop(annealing):
                 break
-        if annealing is None:
-            raise ConfigurationError("annealer yielded no iterations")
-        best_evaluation = self.evaluator.evaluate(annealing.best_solution)
         return ExplorationResult(
             best_solution=annealing.best_solution,
-            best_evaluation=best_evaluation,
+            best_evaluation=self.evaluator.evaluate(annealing.best_solution),
             initial_evaluation=initial_evaluation,
             annealing=annealing,
         )

@@ -1,40 +1,51 @@
-"""Population annealing / parallel tempering over K chains.
+"""The annealing loop: K chains, optional replica exchange.
 
-K independent annealing chains, each with its own current solution and
-its own permanently-bound evaluation engine, propose one move per round
-and score it through
-:meth:`repro.mapping.engine.CrossChainEvaluator.propose_moves`: per-chain
-*persistent delta evaluation* (apply → delta-sync → read the makespan,
-commit-on-accept, lazy O(delta) re-diff on reject) over one shared
-compile pass.
+This is the library's one Metropolis loop (paper section 4.1).  Each
+round, every chain steps inline through its own permanently-bound
+evaluation engine: draw a move, realize it, score the new solution by
+longest path, accept by the Metropolis criterion at its slot's
+temperature, undo on reject, and feed the outcome back to the slot's
+adaptive schedule.  The first ``warmup_iterations`` rounds run at
+infinite temperature (every feasible move is accepted) while cost
+statistics accumulate — exactly the first 1200 iterations of the
+paper's Fig. 2 — after which adaptive cooling starts.
 
-The population buys parallel tempering's quality gains: chains occupy
-the rungs of a temperature ladder (slot ``s`` anneals at
-``schedule.temperature * ladder_ratio**s``), and
-on a deterministic schedule adjacent rungs attempt a replica-exchange
-swap with the standard acceptance probability
+The loop is *anytime*: :meth:`PopulationAnnealer.iterate` is a
+generator that yields the running result after every round, and
+:meth:`~PopulationAnnealer.search` drains it, so callers can stop
+whenever they wish and keep the best solution so far (section 4: "it
+can be interrupted by the user at any time and will then return the
+current solution").
+
+Plain simulated annealing is this loop at ``chains=1`` with exchange
+off: :class:`~repro.sa.explorer.DesignSpaceExplorer` (the ``"sa"``
+strategy) is that configuration with its own move generator, which may
+draw the m3/m4 architecture moves.  With more chains (the
+``"tempering"`` strategy), the chains occupy the rungs of a temperature
+ladder (slot ``s`` anneals at ``schedule.temperature * ladder_ratio**s``),
+and on a deterministic schedule adjacent rungs attempt a
+replica-exchange swap with the standard acceptance probability
 ``min(1, exp((E_i - E_j) * (1/T_i - 1/T_j)))``.  A swap exchanges the
 chains' *slot assignment* (their temperatures), never their solutions:
-each chain's solution stays permanently bound to its per-chain engine,
-so the incremental mirrors never re-sync across solutions mid-search.
+each chain's solution stays bound to its engine
+(:class:`~repro.mapping.engine.CrossChainEvaluator` gives the K engines
+one compile pass), so the incremental mirrors never re-sync across
+solutions mid-search.  The chains share one ``Architecture``, so
+architecture moves need ``chains=1``.
 
-Determinism contract (pinned by ``tests/sa/test_population.py``):
-
-* ``chains=1`` with no exchange reproduces the ``"sa"`` strategy
-  (:class:`~repro.sa.explorer.DesignSpaceExplorer`) bit-for-bit — same
-  seed, same history, same trace, same best solution.
-* Any fixed ``(seed, chains, ladder)`` is reproducible across runs,
-  engines, ``PYTHONHASHSEED`` values and ``jobs=N`` worker fan-out:
-  every random draw derives from the seed through per-chain
-  splitmix-keyed streams (:func:`_stream_seed`), and exchange rounds
-  own private streams of the same family.
+Determinism contract (pinned by ``tests/sa/test_pins.py``): any fixed
+``(seed, chains, ladder)`` is reproducible across runs, engines,
+``PYTHONHASHSEED`` values and ``jobs=N`` worker fan-out.  Chain 0 draws
+from ``random.Random(seed)``; every other random draw derives from the
+seed through per-chain splitmix-keyed streams (:func:`_stream_seed`),
+and exchange rounds own private streams of the same family.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.arch.architecture import Architecture
 from repro.errors import ConfigurationError, InfeasibleMoveError
@@ -43,7 +54,7 @@ from repro.mapping.engine import CrossChainEvaluator
 from repro.mapping.solution import Solution, random_initial_solution
 from repro.sa.annealer import AnnealerConfig
 from repro.sa.moves import MoveGenerator, MoveStats
-from repro.sa.schedules import make_schedule
+from repro.sa.schedules import CoolingSchedule, make_schedule
 from repro.sa.trace import TraceRecord
 from repro.search.strategy import (
     SearchBudget,
@@ -69,6 +80,28 @@ def _stream_seed(base: int, index: int) -> int:
     return (z ^ (z >> 31)) & mask
 
 
+def _metropolis(
+    current: float,
+    candidate: float,
+    cooling: bool,
+    rng: random.Random,
+    schedule: CoolingSchedule,
+    factor: float,
+) -> bool:
+    """The Metropolis rule at ``schedule``'s temperature times the
+    slot's ladder ``factor`` (read only when a worse candidate meets a
+    cooling schedule; the warmup accepts every finite candidate)."""
+    if not math.isfinite(candidate):
+        return False  # cyclic realization: always reject
+    delta = candidate - current
+    if delta <= 0 or not cooling:
+        return True
+    temperature = schedule.temperature * factor
+    if temperature <= 0:
+        return False
+    return rng.random() < math.exp(-delta / temperature)
+
+
 class PopulationAnnealer(SearchStrategy):
     """K SA chains with optional replica exchange.
 
@@ -76,9 +109,9 @@ class PopulationAnnealer(SearchStrategy):
     where they mean the same thing; the population-specific knobs are:
 
     chains:
-        Number of independent chains K.  ``iterations`` counts *rounds*
-        (one proposed move per chain per round), so the evaluation
-        budget is ``chains * iterations``.
+        Number of chains K.  ``iterations`` counts *rounds* (one
+        proposed move per chain per round), so the evaluation budget is
+        ``chains * iterations``.
     swap_interval:
         Attempt replica-exchange swaps between adjacent temperature
         slots every this many rounds once cooling has started
@@ -95,9 +128,11 @@ class PopulationAnnealer(SearchStrategy):
         engine over one shared compile pass; results are bit-identical
         across kinds).
 
-    Architecture-exploration moves (``p_zero`` / catalog) are not
-    supported: the K chains share one ``Architecture`` object, which
-    m3/m4 would mutate under every other chain's feet.
+    The move generator draws no architecture moves (``p_zero=0``): the
+    K chains share one ``Architecture`` object, which m3/m4 would
+    mutate under every other chain's feet, so the loop raises
+    :class:`ConfigurationError` for a ``p_zero > 0`` generator unless
+    ``chains=1``.
     """
 
     name = "tempering"
@@ -154,25 +189,32 @@ class PopulationAnnealer(SearchStrategy):
             stall_limit=stall_limit,
         )
         self.config.validate()
-        # The same schedule horizon the explorer derives (bit-identity
-        # at chains=1 depends on it).
         self._horizon = max(1, iterations - warmup_iterations)
+        self._new_schedule()  # a bad schedule name or knob fails here
+        #: Counts evaluations and engine internals across the chains.
         self.evaluator = CrossChainEvaluator(
             application, architecture, chains, engine=engine,
             bus_policy=bus_policy,
         )
+        #: Chain k's permanently-bound engine.
+        self.engines = self.evaluator.engines
         self.move_generator = MoveGenerator(
             application, p_zero=0.0, p_impl=p_impl, catalog=None
         )
 
     # ------------------------------------------------------------------
+    def _new_schedule(self) -> CoolingSchedule:
+        """A fresh adaptive schedule for one temperature slot."""
+        return make_schedule(
+            self.schedule_name, horizon=self._horizon, **self.schedule_kwargs
+        )
+
     def _initials(
         self, initial: Optional[Solution], init_base: int
     ) -> List[Solution]:
-        """Per-chain starting solutions.  Chain 0 draws exactly like the
-        explorer (``random.Random(seed)``) so chains=1 is bit-identical
-        to the ``"sa"`` strategy; chains 1.. draw from splitmix-keyed
-        streams of the same seed."""
+        """Per-chain starting solutions: ``initial`` (when given) or a
+        draw from ``random.Random(seed)`` for chain 0, draws from
+        splitmix-keyed streams of the same seed for chains 1.."""
         solutions: List[Solution] = []
         for c in range(self.chains):
             if c == 0 and initial is not None:
@@ -191,29 +233,6 @@ class PopulationAnnealer(SearchStrategy):
             )
         return solutions
 
-    @staticmethod
-    def _metropolis(
-        current: float,
-        candidate: float,
-        cooling: bool,
-        rng: random.Random,
-        temperature: float,
-    ) -> bool:
-        """The annealer's Metropolis rule with the slot's effective
-        temperature (``temperature`` is only read once cooling has
-        begun — callers pass ``inf`` during warmup, when schedules
-        expose no temperature yet)."""
-        if not math.isfinite(candidate):
-            return False  # cyclic realization: always reject
-        delta = candidate - current
-        if delta <= 0:
-            return True
-        if not cooling:
-            return True  # infinite-temperature warmup accepts everything
-        if temperature <= 0:
-            return False
-        return rng.random() < math.exp(-delta / temperature)
-
     # ------------------------------------------------------------------
     def search(
         self,
@@ -221,16 +240,45 @@ class PopulationAnnealer(SearchStrategy):
         budget: Optional[SearchBudget] = None,
         on_step: Optional[StepCallback] = None,
     ) -> SearchResult:
+        """Drain :meth:`iterate`; the full evaluation of the best
+        solution lands in ``extras["best_evaluation"]``."""
+        for result in self.iterate(initial, budget=budget, on_step=on_step):
+            pass
+        result.extras["best_evaluation"] = self.engines[0].evaluate(
+            result.best_solution
+        )
+        return result
+
+    def iterate(
+        self,
+        initial: Optional[Solution] = None,
+        budget: Optional[SearchBudget] = None,
+        on_step: Optional[StepCallback] = None,
+    ) -> Iterator[SearchResult]:
+        """Generator form: yields the running result after every round.
+
+        The yielded object is updated in place except for ``trace`` and
+        ``best_solution`` (copied on improvement), so interrupting the
+        loop at any point leaves a consistent best-so-far result.
+        ``initial`` seeds chain 0 (a seeded random solution when
+        ``None``).
+        """
         config = self.config.with_budget(budget)
         config.validate()
         K = self.chains
-        evaluator = self.evaluator
+        generator = self.move_generator
+        if K > 1 and generator.p_zero > 0:
+            raise ConfigurationError(
+                "architecture moves (p_zero > 0) need chains=1: the "
+                "chains share one Architecture"
+            )
+        engines = self.engines
         cost_function = self.cost_function
 
-        # Seed plan: chain 0's loop RNG is exactly the sequential
-        # annealer's ``random.Random(seed)``; every auxiliary stream
-        # (other chains' loops and initials, exchange draws) is keyed by
-        # splitmix mixing, which is PYTHONHASHSEED- and process-stable.
+        # Seed plan: chain 0's loop RNG is ``random.Random(seed)``;
+        # every auxiliary stream (other chains' loops and initials,
+        # exchange draws) is keyed by splitmix mixing, which is
+        # PYTHONHASHSEED- and process-stable.
         aux = random.Random(config.seed)
         chain_base = aux.getrandbits(64)
         init_base = aux.getrandbits(64)
@@ -243,11 +291,12 @@ class PopulationAnnealer(SearchStrategy):
         ]
         solutions = self._initials(initial, init_base)
         tele = self.telemetry
+        phase = tele.phase
 
-        evaluations_before = evaluator.evaluations
-        with tele.phase("init"):
+        evaluations_before = self.evaluator.evaluations
+        with phase("init"):
             initial_evaluations = [
-                evaluator.evaluate(c, solutions[c]) for c in range(K)
+                engines[c].evaluate(solutions[c]) for c in range(K)
             ]
             current = [
                 cost_function(solutions[c], initial_evaluations[c])
@@ -281,14 +330,11 @@ class PopulationAnnealer(SearchStrategy):
         slot_of_chain = list(range(K))
         chain_in_slot = list(range(K))
         factors = [self.ladder_ratio ** s for s in range(K)]
-        schedules = [
-            make_schedule(
-                self.schedule_name, horizon=self._horizon,
-                **self.schedule_kwargs,
-            )
-            for _ in range(K)
-        ]
+        schedules = [self._new_schedule() for _ in range(K)]
         warmup_costs = [[current[c]] for c in range(K)]
+        names = ["none"] * K
+        accepted = [False] * K
+        feasible = [False] * K
         cooling = False
         swap_attempts = 0
         swap_accepts = 0
@@ -302,86 +348,64 @@ class PopulationAnnealer(SearchStrategy):
                     schedules[s].begin(warmup_costs[chain_in_slot[s]])
                 cooling = True
 
-            moves = []
-            names = []
-            with tele.phase("propose"):
-                for c in range(K):
-                    move = None
-                    move_name = "none"
-                    try:
-                        move = self.move_generator.propose(
-                            solutions[c], rngs[c]
-                        )
+            lead = 0
+            for c in range(K):
+                solution = solutions[c]
+                rng = rngs[c]
+                move_name = "none"
+                accept = False
+                try:
+                    with phase("propose"):
+                        move = generator.propose(solution, rng)
                         move_name = move.name
                         stats.record_proposed(move_name)
-                    except InfeasibleMoveError:
-                        move = None
-                    moves.append(move)
-                    names.append(move_name)
-
-            with tele.phase("evaluate"):
-                outcomes = evaluator.propose_moves(
-                    solutions, moves, cost_function
-                )
-
-            accepted = [False] * K
-            feasible = [False] * K
-            with tele.phase("accept"):
-                for c in range(K):
-                    outcome = outcomes[c]
-                    if outcome is None:
-                        # Null draw or infeasible application: the round
-                        # counts, but carries no thermal information for
-                        # this chain (and no transaction is open).
-                        stats.record_infeasible(names[c])
-                        continue
-                    _evaluation, new_cost = outcome
-                    feasible[c] = True
-                    s = slot_of_chain[c]
-                    accept = self._metropolis(
-                        current[c], new_cost, cooling, rngs[c],
-                        schedules[s].temperature * factors[s]
-                        if cooling else math.inf,
-                    )
-                    # Commit-on-accept: on the persistent path an
-                    # accepted move is already applied with its engine
-                    # synced (no undo/re-apply/re-diff); a reject undoes
-                    # the move and the engine's next delta-sync absorbs
-                    # the reverse patch.
-                    evaluator.resolve(c, solutions[c], moves[c], accept)
-                    if accept:
-                        current[c] = new_cost
-                        stats.record_accepted(names[c])
+                        move.apply(solution)
+                except InfeasibleMoveError:
+                    # Infeasible draws consume the round (the paper's
+                    # Fig. 2 x-axis counts them) but carry no thermal
+                    # information, so they feed neither the schedule nor
+                    # the stall counter.
+                    stats.record_infeasible(move_name)
+                    feasible[c] = False
+                else:
+                    with phase("evaluate"):
+                        new_cost = cost_function(
+                            solution, engines[c].evaluate(solution)
+                        )
+                    with phase("accept"):
+                        s = slot_of_chain[c]
+                        accept = _metropolis(
+                            current[c], new_cost, cooling, rng,
+                            schedules[s], factors[s],
+                        )
+                        if accept:
+                            current[c] = new_cost
+                            stats.record_accepted(move_name)
+                        else:
+                            move.undo(solution)
+                            stats.record_rejected(move_name)
+                    if cooling:
+                        schedules[s].record(current[c], accept)
                     else:
-                        stats.record_rejected(names[c])
-                    accepted[c] = accept
+                        warmup_costs[c].append(current[c])
+                    feasible[c] = True
+                names[c] = move_name
+                accepted[c] = accept
+                if current[c] < current[lead]:
+                    lead = c
 
-            lead = min(range(K), key=lambda c: (current[c], c))
             tracker.observe(
                 iteration, current[lead], solutions[lead],
                 accepted=accepted[lead], move_name=names[lead],
                 stall_eligible=cooling and feasible[lead],
             )
-
-            for c in range(K):
-                if not feasible[c]:
-                    continue
-                if not cooling:
-                    warmup_costs[c].append(current[c])
-                else:
-                    schedules[slot_of_chain[c]].record(
-                        current[c], accepted[c]
-                    )
-
             if config.keep_trace:
                 cold = chain_in_slot[0]
                 tracker.record_trace(
                     TraceRecord(
                         iteration=iteration,
                         temperature=(
-                            schedules[0].temperature * factors[0]
-                            if cooling
-                            else math.inf
+                            schedules[0].temperature if cooling else math.inf
                         ),
                         current_cost=current[cold],
                         best_cost=result.best_cost,
@@ -390,6 +414,7 @@ class PopulationAnnealer(SearchStrategy):
                         move_name=names[cold],
                     )
                 )
+            yield result
 
             if tracker.exhausted():
                 break
@@ -430,20 +455,12 @@ class PopulationAnnealer(SearchStrategy):
                         slot_of_chain[c_hot] = s
                         slot_of_chain[c_cold] = s + 1
 
-        evaluations = evaluator.evaluations - evaluations_before
-        best_evaluation = (
-            evaluator.engines[0].evaluate(result.best_solution)
-            if result.best_solution is not None
-            else None
-        )
-        lead = min(range(K), key=lambda c: (current[c], c))
-        if tele.enabled:
+        if tele.enabled and K > 1:
             tele.count("swap_attempts", swap_attempts)
             tele.count("swap_accepts", swap_accepts)
-        tracker.record_engine(evaluator)
-        return tracker.finish(
-            evaluations=evaluations,
-            best_evaluation=best_evaluation,
+        tracker.record_engine(self.evaluator)
+        tracker.finish(
+            evaluations=self.evaluator.evaluations - evaluations_before,
             initial_evaluation=initial_evaluations[0],
             chains=K,
             swap_attempts=swap_attempts,

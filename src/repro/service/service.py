@@ -114,10 +114,10 @@ class ExplorationService:
         the job's request is rewritten to anneal from that seed with
         warmup skipped.  Only then is the row published, already
         carrying ``structure_hash`` and ``warm_start``, followed by the
-        queue ticket.  A submit that loses the creation race attaches
-        to the winner's row.  The cache key is always the *original*
-        request's, so warm-started results are served back under the
-        identity the client submitted.
+        marker again and the queue ticket.  A submit that loses the
+        creation race attaches to the winner's row.  The cache key is
+        always the *original* request's, so warm-started results are
+        served back under the identity the client submitted.
         """
         request.validate()
         with self.telemetry.phase("store_lookup"):
@@ -139,6 +139,9 @@ class ExplorationService:
         )
         if not created:
             return self._attach(key, record)
+        # A gc that ran between the marker and the row saw a marker
+        # without a row and pruned it; file it again now the row exists.
+        self.store.index_near(info.structure_hash, key)
         self.queue.enqueue(key)
         self.telemetry.count("cache_miss")
         if warm_start is not None:
@@ -316,7 +319,7 @@ class ExplorationService:
         outcome = self.submit(request)
         if outcome.status == "hit":
             return outcome
-        record = self.store.load_record(outcome.key)
+        record = outcome.record
         executed = ExplorationRequest.from_dict(record.request)
         capped = executed.to_dict()
         capped["budget"]["time_limit_s"] = deadline_s
@@ -442,7 +445,8 @@ class ExplorationService:
         * ``orphans`` — tickets, near markers (both counted as
           ``orphan_tickets``), envelopes and hit logs (both counted as
           ``orphan_results``) whose record row is gone (half-states from
-          crashes, manual deletion or a hit racing a deletion);
+          crashes, manual deletion or a hit racing a deletion); those of
+          a submit in flight are kept;
         * ``done_older_than_s`` — age out completed records + their
           envelopes (the cache eviction knob).
         """
@@ -462,6 +466,11 @@ class ExplorationService:
                 self.store.delete_record(record.key)
                 removed["done"] += 1
         if orphans:
+            # A submit can run while this pass does, so a key missing
+            # from the snapshot is checked against its row again just
+            # before the unlink.  Tickets, claims, envelopes and hit
+            # logs are written after their row, so that check is exact
+            # for them.
             keys = set(self.store.list_keys())
             for subdir, suffix, bucket in (
                 (self.store.QUEUE_DIR, ".ticket", "orphan_tickets"),
@@ -475,7 +484,8 @@ class ExplorationService:
                 for name in os.listdir(directory):
                     if not name.endswith(suffix):
                         continue
-                    if name[: len(name) - len(suffix)] in keys:
+                    key = name[: len(name) - len(suffix)]
+                    if key in keys or self.store.has_record(key):
                         continue
                     try:
                         os.unlink(os.path.join(directory, name))
@@ -483,7 +493,9 @@ class ExplorationService:
                         continue
                     removed[bucket] += 1
             # Near-index markers whose record row is gone (nested one
-            # level: near/<structure_hash>/<key>).
+            # level: near/<structure_hash>/<key>).  A miss files its
+            # marker before its row, so a row published between the
+            # check and the unlink gets its marker filed again.
             near_root = os.path.join(self.store.root, self.store.NEAR_DIR)
             if os.path.isdir(near_root):
                 for structure_hash in os.listdir(near_root):
@@ -491,11 +503,14 @@ class ExplorationService:
                     if not os.path.isdir(bucket_dir):
                         continue
                     for name in os.listdir(bucket_dir):
-                        if name in keys:
+                        if name in keys or self.store.has_record(name):
                             continue
                         try:
                             os.unlink(os.path.join(bucket_dir, name))
                         except FileNotFoundError:
+                            continue
+                        if self.store.has_record(name):
+                            self.store.index_near(structure_hash, name)
                             continue
                         removed["orphan_tickets"] += 1
         return removed

@@ -573,9 +573,13 @@ class ResultStore:
     def index_near(self, structure_hash: str, key: str) -> None:
         """File ``key`` under the structure-only digest (idempotent)."""
         marker = self.near_marker(structure_hash, key)
-        os.makedirs(os.path.dirname(marker), exist_ok=True)
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
         try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                fd = os.open(marker, flags)
+            except FileNotFoundError:  # the bucket's first marker
+                os.makedirs(os.path.dirname(marker), exist_ok=True)
+                fd = os.open(marker, flags)
         except FileExistsError:
             return
         os.close(fd)

@@ -1,8 +1,8 @@
 """Cross-chain evaluator.
 
-Covers the pieces the population annealer stands on: compiled-instance
-forking and the per-chain transactions of
-``CrossChainEvaluator.propose_moves`` + ``resolve``.
+Covers the pieces the annealing loop stands on: compiled-instance
+forking, and per-chain apply → evaluate → undo walks over the forked
+engines of one ``CrossChainEvaluator``.
 """
 
 import copy
@@ -22,6 +22,22 @@ from repro.sa.moves import MoveGenerator
 
 def _bus(architecture):
     return architecture.bus
+
+
+def _step(engine, solution, move, accept):
+    """One chain's step as the annealing loop takes it: apply the move,
+    score it on the chain's engine, keep it on accept and undo it on
+    reject.  ``None`` when there is no move or it does not apply."""
+    if move is None:
+        return None
+    try:
+        move.apply(solution)
+    except InfeasibleMoveError:
+        return None
+    cost = MakespanCost()(solution, engine.evaluate(solution))
+    if not accept:
+        move.undo(solution)
+    return cost
 
 
 class TestCompiledFork:
@@ -64,22 +80,14 @@ class TestCrossChainEvaluator:
                 moves.append(None)
         return moves
 
-    def test_rejects_wrong_arity(self, small_app, small_arch):
-        evaluator, solutions = self._population(
-            small_app, small_arch, "array"
-        )
-        with pytest.raises(ConfigurationError, match="expected 3"):
-            evaluator.propose_moves(solutions[:2], [None, None])
-
     def _reject_all(self, evaluator, solutions, moves):
-        results = evaluator.propose_moves(solutions, moves, MakespanCost())
-        for c, result in enumerate(results):
-            if result is not None:
-                evaluator.resolve(c, solutions[c], moves[c], False)
-        return results
+        return [
+            _step(evaluator.engines[c], solutions[c], move, False)
+            for c, move in enumerate(moves)
+        ]
 
     def test_solutions_left_untouched(self, small_app, small_arch):
-        """Rejecting every open transaction restores every chain."""
+        """Rejecting every chain's move restores every chain."""
         evaluator, solutions = self._population(
             small_app, small_arch, "array"
         )
@@ -93,15 +101,6 @@ class TestCrossChainEvaluator:
             for c in range(3)
         ]
         assert before == after
-
-    def test_none_moves_yield_none_results(self, small_app, small_arch):
-        evaluator, solutions = self._population(
-            small_app, small_arch, "array"
-        )
-        results = evaluator.propose_moves(
-            solutions, [None] * 3, MakespanCost()
-        )
-        assert results == [None, None, None]
 
     def test_evaluations_accumulate_across_chains(
         self, small_app, small_arch
@@ -121,11 +120,12 @@ class TestCrossChainEvaluator:
 
 
 class TestPersistentTransactions:
-    """The commit-on-accept path (``propose_moves`` + ``resolve``) is
-    bit-identical to the classic apply → evaluate → undo loop (with a
-    re-apply on accept), across every engine name, both resolve
-    branches, and every move kind (m1/m2/m_impl/m_offload plus the m3/m4
-    architecture moves)."""
+    """The loop's persistent step (an accepted move stays applied with
+    its engine already synced: no undo, no re-apply, no second diff) is
+    bit-identical to the classic apply → evaluate → undo replay (with a
+    re-apply on accept), across every engine name, both branches, and
+    every move kind (m1/m2/m_impl/m_offload plus the m3/m4 architecture
+    moves)."""
 
     CHAINS = 3
     ROUNDS = 8
@@ -165,55 +165,39 @@ class TestPersistentTransactions:
                 moves.append(None)
         return moves
 
-    def _run_walk(self, app, arch, engine, persistent, p_zero=0.0):
-        """Drive ROUNDS rounds; ``persistent`` picks the transaction
-        path, else the apply/evaluate/undo + re-apply reference.  The accept
-        rule is deterministic in (round, chain) so both walks take the
-        same branches.  The architecture is copied per walk: the m3/m4
-        moves mutate it (resource set, fresh-name counter), and the two
-        walks must start from identical state."""
+    @staticmethod
+    def _walk_step(engine, solution, move, accept, persistent):
+        """``persistent`` takes the loop's step, else the
+        apply/evaluate/undo + re-apply reference."""
+        if persistent:
+            return _step(engine, solution, move, accept)
+        cost = _step(engine, solution, move, False)
+        if cost is not None and accept:
+            move.apply(solution)
+        return cost
+
+    def _run_walk(self, app, arch, engine, persistent):
+        """Drive ROUNDS rounds over the forked engines.  The accept rule
+        is deterministic in (round, chain) so both walks take the same
+        branches.  The architecture is copied per walk so the two walks
+        start from identical state."""
         arch = copy.deepcopy(arch)
         evaluator, solutions = self._population(app, arch, engine)
-        cost = MakespanCost()
         costs = []
         for round_no in range(self.ROUNDS):
-            moves = self._moves(app, solutions, seed=round_no, p_zero=p_zero)
-            if persistent:
-                outcomes = evaluator.propose_moves(solutions, moves, cost)
-            else:
-                outcomes = [
-                    self._score_and_undo(evaluator, c, solutions[c], move, cost)
-                    for c, move in enumerate(moves)
-                ]
-            for c in range(self.CHAINS):
-                if outcomes[c] is None:
-                    continue
-                accept = (round_no + c) % 2 == 0
-                if persistent:
-                    evaluator.resolve(c, solutions[c], moves[c], accept)
-                elif accept:
-                    moves[c].apply(solutions[c])
-            costs.append(
-                [None if r is None else r[1] for r in outcomes]
-            )
+            moves = self._moves(app, solutions, seed=round_no)
+            costs.append([
+                self._walk_step(
+                    evaluator.engines[c], solutions[c], moves[c],
+                    (round_no + c) % 2 == 0, persistent,
+                )
+                for c in range(self.CHAINS)
+            ])
         finals = [
             evaluator.evaluate(c, solutions[c]).makespan_ms
             for c in range(self.CHAINS)
         ]
         return costs, finals
-
-    @staticmethod
-    def _score_and_undo(evaluator, chain, solution, move, cost):
-        if move is None:
-            return None
-        try:
-            move.apply(solution)
-        except InfeasibleMoveError:
-            return None
-        evaluation = evaluator.evaluate(chain, solution)
-        value = cost(solution, evaluation)
-        move.undo(solution)
-        return evaluation, value
 
     @pytest.mark.parametrize("engine", ["full", "incremental", "array"])
     def test_commit_path_matches_pure_replay(
@@ -229,12 +213,10 @@ class TestPersistentTransactions:
 
     def _single_engine_walk(self, app, arch, engine, persistent,
                             p_zero, rounds=20, seed=23):
-        """One chain, one solution: drive ``propose_moves`` + ``resolve``
-        (persistent) or the classic apply → evaluate → undo reference
-        over the same seeded move stream.  ``p_zero > 0``
-        draws the m3/m4 resource moves, which change the resource set
-        mid-walk (the hardest case for the persistent mirrors: interner
-        growth plus resource-name churn)."""
+        """One chain, one solution, over the same seeded move stream.
+        ``p_zero > 0`` draws the m3/m4 resource moves, which change the
+        resource set mid-walk (the hardest case for the persistent
+        mirrors: interner growth plus resource-name churn)."""
         arch = copy.deepcopy(arch)
         evaluator = CrossChainEvaluator(app, arch, 1, engine=engine)
         solution = random_initial_solution(app, arch, random.Random(seed))
@@ -244,7 +226,6 @@ class TestPersistentTransactions:
             catalog=self._catalog() if p_zero else None,
         )
         rng = random.Random(seed + 1)
-        cost = MakespanCost()
         costs = []
         for round_no in range(rounds):
             try:
@@ -252,24 +233,10 @@ class TestPersistentTransactions:
             except Exception:
                 costs.append(None)
                 continue
-            accept = round_no % 2 == 0
-            if persistent:
-                (outcome,) = evaluator.propose_moves([solution], [move], cost)
-                if outcome is None:
-                    costs.append(None)
-                    continue
-                costs.append(outcome[1])
-                evaluator.resolve(0, solution, move, accept)
-            else:
-                try:
-                    move.apply(solution)
-                except Exception:
-                    costs.append(None)
-                    continue
-                evaluation = evaluator.evaluate(0, solution)
-                costs.append(cost(solution, evaluation))
-                if not accept:
-                    move.undo(solution)
+            costs.append(self._walk_step(
+                evaluator.engines[0], solution, move, round_no % 2 == 0,
+                persistent,
+            ))
         return costs, evaluator.evaluate(0, solution).makespan_ms
 
     @pytest.mark.parametrize("engine", ["full", "incremental", "array"])
@@ -277,9 +244,9 @@ class TestPersistentTransactions:
         self, engine, small_app, small_arch
     ):
         # m3/m4 change the architecture itself, so they are exercised
-        # on a one-chain evaluator (the population draws them with
-        # p_zero=0 across chains: a shared-architecture edit would
-        # desync the sibling chains' solutions).
+        # on a one-chain evaluator (the loop refuses them across chains:
+        # a shared-architecture edit would desync the sibling chains'
+        # solutions).
         persistent = self._single_engine_walk(
             small_app, small_arch, engine, persistent=True, p_zero=0.4
         )
@@ -295,29 +262,15 @@ class TestPersistentTransactions:
         evaluator, solutions = self._population(
             small_app, small_arch, engine
         )
-        cost = MakespanCost()
         for round_no in range(self.ROUNDS):
             moves = self._moves(small_app, solutions, seed=round_no)
-            outcomes = evaluator.propose_moves(solutions, moves, cost)
             for c in range(self.CHAINS):
-                if outcomes[c] is None:
-                    continue
-                evaluator.resolve(
-                    c, solutions[c], moves[c], (round_no + c) % 2 == 0
+                _step(
+                    evaluator.engines[c], solutions[c], moves[c],
+                    (round_no + c) % 2 == 0,
                 )
         for c in range(self.CHAINS):
             fresh = make_engine(
                 engine, small_app, small_arch
             ).evaluate(solutions[c]).makespan_ms
             assert evaluator.evaluate(c, solutions[c]).makespan_ms == fresh
-
-    def test_propose_none_moves_open_no_transactions(
-        self, small_app, small_arch
-    ):
-        evaluator, solutions = self._population(
-            small_app, small_arch, "array"
-        )
-        results = evaluator.propose_moves(
-            solutions, [None] * self.CHAINS, MakespanCost()
-        )
-        assert results == [None] * self.CHAINS

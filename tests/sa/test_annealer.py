@@ -1,4 +1,4 @@
-"""Tests for the annealing engine."""
+"""Tests for the annealing loop, driven as plain SA (one chain)."""
 
 import math
 import random
@@ -6,23 +6,18 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mapping.cost import MakespanCost
-from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
+from repro.sa.annealer import AnnealerConfig
+from repro.sa.explorer import DesignSpaceExplorer
 from repro.sa.moves import MoveGenerator
-from repro.sa.schedules import LamDelosmeSchedule
 
 
 def make_annealer(app, arch, **config_kwargs):
     defaults = dict(iterations=400, warmup_iterations=100, seed=1)
     defaults.update(config_kwargs)
-    return SimulatedAnnealing(
-        evaluator=Evaluator(app, arch),
-        move_generator=MoveGenerator(app, p_impl=0.15, p_offload=0.15),
-        schedule=LamDelosmeSchedule(),
-        config=AnnealerConfig(**defaults),
-    )
+    annealer = DesignSpaceExplorer(app, arch, **defaults)
+    annealer.move_generator = MoveGenerator(app, p_impl=0.15, p_offload=0.15)
+    return annealer
 
 
 class TestConfig:
@@ -41,7 +36,7 @@ class TestRun:
         rng = random.Random(0)
         initial = random_initial_solution(small_app, small_arch, rng)
         initial_cost = annealer.evaluator.makespan_ms(initial)
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         assert result.best_cost <= initial_cost
         assert result.iterations_run == 400
         result.best_solution.validate()
@@ -52,7 +47,7 @@ class TestRun:
         annealer = make_annealer(small_app, small_arch)
         rng = random.Random(3)
         initial = random_initial_solution(small_app, small_arch, rng)
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         check = annealer.evaluator.evaluate(result.best_solution)
         assert check.feasible
         assert check.makespan_ms == pytest.approx(result.best_cost)
@@ -62,7 +57,7 @@ class TestRun:
         initial = random_initial_solution(
             small_app, small_arch, random.Random(0)
         )
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         assert len(result.trace) == 400
         assert result.trace[0].iteration == 1
         # warmup iterations report infinite temperature
@@ -74,7 +69,7 @@ class TestRun:
         initial = random_initial_solution(
             small_app, small_arch, random.Random(0)
         )
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         assert result.trace == []
 
     def test_deterministic_for_seed(self, small_app, small_arch):
@@ -84,7 +79,7 @@ class TestRun:
             initial = random_initial_solution(
                 small_app, small_arch, random.Random(7)
             )
-            results.append(annealer.run(initial).best_cost)
+            results.append(annealer.search(initial).best_cost)
         assert results[0] == results[1]
 
     def test_infeasible_initial_rejected(self, small_app, small_arch):
@@ -95,7 +90,7 @@ class TestRun:
         for t in (2, 3, 4, 5):
             bad.assign_to_processor(t, "cpu")
         with pytest.raises(ConfigurationError):
-            annealer.run(bad)
+            annealer.search(bad)
 
     def test_stall_limit_stops_early(self, small_app, small_arch):
         annealer = make_annealer(
@@ -105,7 +100,7 @@ class TestRun:
         initial = random_initial_solution(
             small_app, small_arch, random.Random(1)
         )
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         assert result.iterations_run < 2000
 
 
@@ -139,19 +134,14 @@ class TestAnytime:
 class TestMotionEndToEnd:
     def test_meets_deadline_on_2000_clbs(self, motion_app, epicure):
         """Integration: a full run lands under the 40 ms constraint."""
-        annealer = SimulatedAnnealing(
-            evaluator=Evaluator(motion_app, epicure),
-            move_generator=MoveGenerator(motion_app),
-            schedule=LamDelosmeSchedule(),
-            config=AnnealerConfig(
-                iterations=6000, warmup_iterations=1000, seed=3,
-                keep_trace=False,
-            ),
+        annealer = DesignSpaceExplorer(
+            motion_app, epicure, iterations=6000, warmup_iterations=1000,
+            seed=3, keep_trace=False,
         )
         initial = random_initial_solution(
             motion_app, epicure, random.Random(3)
         )
-        result = annealer.run(initial)
+        result = annealer.search(initial)
         assert result.best_cost < 40.0
         ev = annealer.evaluator.evaluate(result.best_solution)
         assert ev.feasible and ev.num_contexts >= 1

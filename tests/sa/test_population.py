@@ -2,21 +2,27 @@
 
 Three pins, in increasing strength:
 
-* ``chains=1`` (no exchange possible) is **bit-identical** to the
-  ``"sa"`` strategy — same seed in, same trajectory out, down to the
-  per-iteration trace.
+* ``chains=1`` (no exchange possible) is plain SA — it reproduces the
+  ``"sa"`` trajectories pinned in ``tests/sa/test_pins.py``, down to
+  the per-iteration trace.
 * Replica exchange replays: a fixed ``(seed, chains, ladder)`` gives
   the identical run every time, including the swap bookkeeping.
 * Runner fan-out (``jobs=N``) returns the same bits as inline
   execution.
 """
 
+import random
+
 import pytest
 
+from repro.arch.processor import Processor
+from repro.bench.corpus import get_scenario
 from repro.errors import ConfigurationError
 from repro.mapping.evaluator import ENGINES, Evaluator
-from repro.sa.explorer import DesignSpaceExplorer
+from repro.mapping.solution import random_initial_solution
+from repro.sa.moves import MoveGenerator
 from repro.sa.population import PopulationAnnealer
+from tests.sa import test_pins as pins
 
 ITERATIONS = 120
 WARMUP = 30
@@ -32,48 +38,31 @@ def make_population(app, arch, seed, chains=3, engine="array", **kwargs):
 
 
 class TestSingleChainBitIdentity:
-    """chains=1 *is* the sequential annealer."""
+    """chains=1 *is* the sequential annealer: one chain reproduces the
+    pinned ``"sa"`` trajectories."""
+
+    @staticmethod
+    def _one_chain(seed, engine="incremental"):
+        instance = get_scenario("motion/2000").build()
+        return PopulationAnnealer(
+            instance.application, instance.architecture, chains=1,
+            iterations=pins.ITERATIONS, warmup_iterations=pins.WARMUP,
+            seed=seed, engine=engine,
+        ), instance
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_matches_the_sa_strategy(self, engine, small_app, small_arch):
-        sa = DesignSpaceExplorer(
-            small_app, small_arch, iterations=ITERATIONS,
-            warmup_iterations=WARMUP, seed=5, engine=engine,
-        ).search()
-        pop = make_population(
-            small_app, small_arch, 5, chains=1, engine=engine
-        ).search()
-        assert pop.best_cost == sa.best_cost
-        assert pop.final_cost == sa.final_cost
-        assert pop.history == sa.history
-        assert pop.iterations_run == sa.iterations_run
-        assert pop.evaluations == sa.evaluations
-        assert [
-            (r.iteration, r.temperature, r.current_cost, r.best_cost,
-             r.accepted, r.move_name)
-            for r in pop.trace
-        ] == [
-            (r.iteration, r.temperature, r.current_cost, r.best_cost,
-             r.accepted, r.move_name)
-            for r in sa.trace
-        ]
+    def test_matches_the_sa_strategy(self, engine):
+        annealer, _ = self._one_chain(1, engine)
+        assert pins.digest(annealer.search()) == pins.SA_PINS[1]
 
-    def test_matches_from_a_shared_initial(self, small_app, small_arch):
-        from repro.mapping.solution import random_initial_solution
-        import random
-
+    def test_matches_from_a_shared_initial(self):
+        annealer, instance = self._one_chain(5)
         initial = random_initial_solution(
-            small_app, small_arch, random.Random(99)
+            instance.application, instance.architecture, random.Random(99)
         )
-        sa = DesignSpaceExplorer(
-            small_app, small_arch, iterations=ITERATIONS,
-            warmup_iterations=WARMUP, seed=5,
-        ).search(initial.copy())
-        pop = make_population(small_app, small_arch, 5, chains=1).search(
-            initial.copy()
+        assert pins.digest(annealer.search(initial)) == (
+            pins.SHARED_INITIAL_PIN
         )
-        assert pop.best_cost == sa.best_cost
-        assert pop.history == sa.history
 
 
 class TestExchangeDeterminism:
@@ -152,6 +141,16 @@ class TestValidation:
     def test_rejects_non_positive_ladder(self, small_app, small_arch):
         with pytest.raises(ConfigurationError, match="ladder_ratio"):
             PopulationAnnealer(small_app, small_arch, ladder_ratio=0.0)
+
+    def test_architecture_moves_need_one_chain(self, small_app, small_arch):
+        """The chains share one Architecture, which m3/m4 would mutate
+        under the other chains' feet."""
+        annealer = make_population(small_app, small_arch, 1, chains=2)
+        annealer.move_generator = MoveGenerator(
+            small_app, p_zero=0.1, catalog=[lambda name: Processor(name)]
+        )
+        with pytest.raises(ConfigurationError, match="p_zero"):
+            annealer.search()
 
 
 def trajectory(result):

@@ -21,7 +21,7 @@ from repro.baselines.hill_climber import HillClimber
 from repro.baselines.random_search import RandomSearch
 from repro.baselines.tabu import TabuConfig, TabuSearch
 from repro.mapping.evaluator import ENGINES, Evaluator
-from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
+from repro.sa.explorer import DesignSpaceExplorer
 from repro.sa.moves import MoveGenerator
 from repro.search.strategy import SearchBudget, SearchResult
 
@@ -29,12 +29,9 @@ ITERATIONS = 120
 
 
 def make_sa(app, arch, seed, engine):
-    return SimulatedAnnealing(
-        Evaluator(app, arch, engine=engine),
-        MoveGenerator(app, p_impl=0.15, p_offload=0.1),
-        config=AnnealerConfig(
-            iterations=ITERATIONS, warmup_iterations=30, seed=seed
-        ),
+    return DesignSpaceExplorer(
+        app, arch, iterations=ITERATIONS, warmup_iterations=30, seed=seed,
+        p_impl=0.15, engine=engine,
     )
 
 

@@ -10,6 +10,7 @@ best-so-far envelope while the full job stays queued.
 import copy
 import json
 import os
+import threading
 
 import pytest
 
@@ -315,6 +316,116 @@ class TestWarmStartSubmit:
         assert service.store.near_keys(info.structure_hash) == [outcome.key]
 
 
+class TestGcRacingSubmit:
+    """``gc``'s orphan pass while a cache miss is in flight: the miss's
+    queue ticket and near marker survive, a drain runs the job, and the
+    finished job then donates to a drifted submit."""
+
+    @staticmethod
+    def _assert_served(service, instance_doc, key):
+        info = instance_info_for(bundled_request(instance_doc))
+        assert service.queue.pending_keys() == [key]
+        assert service.store.near_keys(info.structure_hash) == [key]
+        assert service.run_local() == 1
+        warm = service.submit(bundled_request(perturb(instance_doc)))
+        assert service.status(warm.key).warm_start["donor"] == key
+
+    @staticmethod
+    def _paused_submit(service, request, monkeypatch):
+        """Start ``submit(request)`` in a thread that stops once the
+        instance document and the near marker are filed, before the row
+        is published; returns ``(thread, resume, outcomes)``."""
+        filed, resume = threading.Event(), threading.Event()
+        real = ResultStore.create_record
+
+        def create_record(store, *args, **kwargs):
+            filed.set()
+            assert resume.wait(30)
+            return real(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "create_record", create_record)
+        outcomes = []
+        thread = threading.Thread(
+            target=lambda: outcomes.append(service.submit(request))
+        )
+        thread.start()
+        assert filed.wait(30)
+        return thread, resume, outcomes
+
+    def test_submit_after_the_orphan_snapshot(
+        self, service, instance_doc, monkeypatch
+    ):
+        request = bundled_request(instance_doc)
+        real = service.store.list_keys
+        listings, outcomes = [], []
+
+        def list_keys():
+            keys = real()
+            listings.append(keys)
+            if len(listings) == 2:  # the orphan pass's snapshot
+                outcomes.append(service.submit(request))
+            return keys
+
+        monkeypatch.setattr(service.store, "list_keys", list_keys)
+        assert service.gc(failed=False) == {
+            "failed": 0, "done": 0, "orphan_tickets": 0,
+            "orphan_results": 0,
+        }
+        (outcome,) = outcomes
+        assert outcome.status == "queued"
+        self._assert_served(service, instance_doc, outcome.key)
+
+    def test_gc_between_marker_and_row(
+        self, service, instance_doc, monkeypatch
+    ):
+        thread, resume, outcomes = self._paused_submit(
+            service, bundled_request(instance_doc), monkeypatch
+        )
+        try:
+            # The marker has no row yet: gc prunes it as an orphan.
+            assert service.gc(failed=False)["orphan_tickets"] == 1
+        finally:
+            resume.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        (outcome,) = outcomes
+        assert outcome.status == "queued"
+        self._assert_served(service, instance_doc, outcome.key)
+
+    def test_row_published_at_the_marker_unlink(
+        self, service, instance_doc, monkeypatch
+    ):
+        request = bundled_request(instance_doc)
+        info = instance_info_for(request)
+        marker = service.store.near_marker(
+            info.structure_hash, service.key_of(request)
+        )
+        thread, resume, outcomes = self._paused_submit(
+            service, request, monkeypatch
+        )
+        real_unlink = os.unlink
+
+        def unlink(path, *args, **kwargs):
+            if path == marker and thread.is_alive():
+                # gc found no row; the submit now publishes its row and
+                # ticket before the marker goes.
+                resume.set()
+                thread.join(30)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", unlink)
+        try:
+            removed = service.gc(failed=False)
+        finally:
+            resume.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert removed["orphan_tickets"] == 0
+        (outcome,) = outcomes
+        assert outcome.status == "queued"
+        self._assert_served(service, instance_doc, outcome.key)
+
+
 class TestMissCosts:
     """What a cache miss reads and writes."""
 
@@ -601,6 +712,15 @@ class TestSubmitAnytime:
         )
         assert outcome.status == "partial"
         assert service.status(outcome.key).warm_start is not None
+
+    def test_miss_reads_no_row(self, service, instance_doc, monkeypatch):
+        loaded = record_loads(monkeypatch)
+        outcome = service.submit_anytime(
+            bundled_request(instance_doc), deadline_s=5.0
+        )
+        assert outcome.status == "partial"
+        assert outcome.record.status == "pending"
+        assert loaded == []
 
     def test_counts_anytime_partial(self, tmp_path, instance_doc):
         telemetry = Telemetry(label="svc")

@@ -35,7 +35,7 @@ REPRO_SURFACE = sorted([
     # annealing
     "AnnealerConfig", "DesignSpaceExplorer", "ExplorationResult",
     "GeometricSchedule", "LamDelosmeSchedule", "ModifiedLamSchedule",
-    "MoveGenerator", "SimulatedAnnealing",
+    "MoveGenerator",
     # search subsystem
     "SearchStrategy", "SearchBudget", "SearchResult",
     "StrategySpec", "InstanceSpec", "SearchJob",
