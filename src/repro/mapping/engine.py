@@ -1406,6 +1406,24 @@ class CrossChainEvaluator:
         """Evaluation of one chain's current state."""
         return self.engines[chain].evaluate(solution)
 
+    # The batched round (``propose_moves`` then ``resolve``) was removed:
+    # each chain steps inline through ``engines[k]``.  The two names
+    # remain only because the benchmark harness's tracer
+    # (``perfbench/spans.py``) wraps them by name, and its traced-run
+    # test fails on a missing target.  They go when the harness stops
+    # naming them (ROADMAP item 5).
+    def propose_moves(self, *args, **kwargs):
+        raise TypeError(
+            "CrossChainEvaluator.propose_moves was removed: step each "
+            "chain through engines[k]"
+        )
+
+    def resolve(self, *args, **kwargs):
+        raise TypeError(
+            "CrossChainEvaluator.resolve was removed: step each chain "
+            "through engines[k]"
+        )
+
 
 def make_engine(
     name: str,

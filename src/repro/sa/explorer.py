@@ -151,7 +151,14 @@ class DesignSpaceExplorer(PopulationAnnealer):
     ) -> SearchResult:
         """:class:`~repro.search.strategy.SearchStrategy` form of
         :meth:`run`: the unified result, with the full evaluations of
-        the best and initial solutions in ``extras``."""
+        the best and initial solutions in ``extras``.
+
+        The override exists only to evaluate the initial solution once
+        before the loop evaluates it again: SA's ``engine.*`` telemetry
+        counters have always included that extra evaluation, and it
+        keeps them as they were (:meth:`run_interruptible` does the
+        same).  The benchmark harness's tracer also wraps this method
+        by name."""
         solution = initial if initial is not None else self.initial_solution()
         initial_evaluation = self.evaluator.evaluate(solution)
         annealing = super().search(solution, budget=budget, on_step=on_step)

@@ -114,7 +114,7 @@ class ExplorationService:
         the job's request is rewritten to anneal from that seed with
         warmup skipped.  Only then is the row published, already
         carrying ``structure_hash`` and ``warm_start``, followed by the
-        marker again and the queue ticket.  A submit that loses the
+        queue ticket and the marker again.  A submit that loses the
         creation race attaches to the winner's row.  The cache key is
         always the *original* request's, so warm-started results are
         served back under the identity the client submitted.
@@ -139,10 +139,11 @@ class ExplorationService:
         )
         if not created:
             return self._attach(key, record)
-        # A gc that ran between the marker and the row saw a marker
-        # without a row and pruned it; file it again now the row exists.
-        self.store.index_near(info.structure_hash, key)
         self.queue.enqueue(key)
+        # A gc that ran between the marker and the row saw a marker
+        # without a row and pruned it; file it again now the row exists
+        # (after the ticket, so a failure here leaves a runnable job).
+        self.store.index_near(info.structure_hash, key)
         self.telemetry.count("cache_miss")
         if warm_start is not None:
             self._count_warm_start(key, warm_start)

@@ -573,13 +573,9 @@ class ResultStore:
     def index_near(self, structure_hash: str, key: str) -> None:
         """File ``key`` under the structure-only digest (idempotent)."""
         marker = self.near_marker(structure_hash, key)
-        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+        os.makedirs(os.path.dirname(marker), exist_ok=True)
         try:
-            try:
-                fd = os.open(marker, flags)
-            except FileNotFoundError:  # the bucket's first marker
-                os.makedirs(os.path.dirname(marker), exist_ok=True)
-                fd = os.open(marker, flags)
+            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return
         os.close(fd)

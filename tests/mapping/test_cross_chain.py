@@ -118,6 +118,16 @@ class TestCrossChainEvaluator:
         with pytest.raises(ConfigurationError, match="chains"):
             CrossChainEvaluator(small_app, small_arch, 0)
 
+    def test_batched_round_is_removed(self, small_app, small_arch):
+        evaluator, solutions = self._population(
+            small_app, small_arch, "array"
+        )
+        moves = self._moves(small_app, solutions)
+        with pytest.raises(TypeError, match="engines"):
+            evaluator.propose_moves(solutions, moves)
+        with pytest.raises(TypeError, match="engines"):
+            evaluator.resolve([False] * len(moves))
+
 
 class TestPersistentTransactions:
     """The loop's persistent step (an accepted move stays applied with

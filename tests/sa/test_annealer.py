@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mapping.solution import Solution, random_initial_solution
-from repro.sa.annealer import AnnealerConfig
+from repro.sa.annealer import AnnealerConfig, SimulatedAnnealing
 from repro.sa.explorer import DesignSpaceExplorer
 from repro.sa.moves import MoveGenerator
 
@@ -28,6 +28,10 @@ class TestConfig:
             AnnealerConfig(iterations=10, warmup_iterations=10).validate()
         with pytest.raises(ConfigurationError):
             AnnealerConfig(iterations=10, stall_limit=0).validate()
+
+    def test_simulated_annealing_is_removed(self, small_app, small_arch):
+        with pytest.raises(TypeError, match="DesignSpaceExplorer"):
+            SimulatedAnnealing(small_app, small_arch)
 
 
 class TestRun:

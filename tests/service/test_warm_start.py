@@ -600,9 +600,10 @@ def _assert_rows_whole(store):
 
 class TestMissFaults:
     """A warm miss writes the instance document, the near marker, the
-    row and the queue ticket, in that order; completion then fills the
-    marker.  A failure at any of them leaves whole rows and a state
-    that a resubmit, ``requeue_stale`` or ``gc`` heals."""
+    row, the queue ticket and the marker again, in that order;
+    completion then fills the marker.  A failure at any of them leaves
+    whole rows and a state that a resubmit, ``requeue_stale`` or ``gc``
+    heals."""
 
     @pytest.mark.parametrize(
         "call, subdir, published, orphan_marker",
@@ -645,6 +646,35 @@ class TestMissFaults:
         assert service.run_local() == 1
         assert service.status(key).status == "done"
         _assert_rows_whole(service.store)
+
+    def test_failed_second_marker_filing_leaves_a_runnable_job(
+        self, service, instance_doc, monkeypatch
+    ):
+        donor = completed(service, bundled_request(instance_doc))
+        request = bundled_request(perturb(instance_doc))
+        info = instance_info_for(request)
+        key = service.key_of(request)
+        ticket = service.store.queue_ticket(key)
+        near_dir = os.path.join(service.store.root, ResultStore.NEAR_DIR)
+        real_open = os.open
+
+        def failing(path, *args, **kwargs):
+            # Only the filing after the ticket: the first one succeeds.
+            if path.startswith(near_dir + os.sep) and os.path.exists(ticket):
+                raise OSError("injected open failure")
+            return real_open(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", failing)
+            with pytest.raises(OSError, match="injected"):
+                service.submit(request)
+        _assert_rows_whole(service.store)
+        assert service.queue.pending_keys() == [key]
+        assert service.store.near_keys(info.structure_hash) == sorted(
+            [donor.key, key])
+        assert service.status(key).warm_start["donor"] == donor.key
+        assert service.run_local() == 1
+        assert service.status(key).status == "done"
 
     def test_failed_marker_fill_leaves_the_job_done(
         self, service, instance_doc, monkeypatch
