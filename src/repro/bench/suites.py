@@ -489,9 +489,9 @@ def _combinatorics(context: BenchContext, state: Any) -> Dict[str, Any]:
 def _rc_layout_realization(context: BenchContext, state: Any) -> Dict[str, Any]:
     """Targeted micro-bench for the per-move RC-layout realization path:
     every iteration flips one hardware task's implementation choice —
-    re-stamping the DRLC and forcing ``IncrementalEngine._refresh_rc`` —
-    and re-evaluates, so it measures one RC refresh (layout realization
-    through the per-context memo, edge patch, suffix DP) per flip."""
+    marking its context dirty for ``IncrementalEngine._refresh_contexts``
+    — and re-evaluates, so it measures one context refresh (its
+    re-derivation, boundary edge patch, suffix DP) per flip."""
     instance = get_scenario("motion/2000").build()
     application, architecture = instance.application, instance.architecture
     evaluator = Evaluator(application, architecture, engine="incremental")

@@ -71,18 +71,48 @@ def _kind_is_hw(kind: Tuple) -> bool:
     return tag == "rc" or tag == "asic" or (tag == "?" and kind[2])
 
 
-def _trim(old: List, new: List) -> Tuple[List, List]:
-    """``(removed, added)``: the two lists without their common prefix
-    and suffix."""
-    n_old, n_new = len(old), len(new)
-    hi = min(n_old, n_new)
-    lo = 0
-    while lo < hi and old[lo] == new[lo]:
-        lo += 1
-    tail = 0
-    while tail < hi - lo and old[n_old - 1 - tail] == new[n_new - 1 - tail]:
-        tail += 1
-    return old[lo:n_old - tail], new[lo:n_new - tail]
+def _chain_edit(ids: List[int], x: int, i: int, sign: int, delta: Dict) -> None:
+    """Insert (``sign`` 1) or delete (``-1``) task ``x`` at ``i`` of a
+    processor order copy, counting the at most three chain edges it
+    links (+1) or unlinks (-1) into ``delta``."""
+    if sign > 0:
+        ids.insert(i, x)
+    a = ids[i - 1] if i > 0 else -1
+    b = ids[i + 1] if i + 1 < len(ids) else -1
+    if sign < 0:
+        del ids[i]
+    if a >= 0:
+        delta[(a, x)] = delta.get((a, x), 0) + sign
+        if b >= 0:
+            delta[(a, b)] = delta.get((a, b), 0) - sign
+    if b >= 0:
+        delta[(x, b)] = delta.get((x, b), 0) + sign
+
+
+def _count_pairs(ids: List[int], sign: int, delta: Dict) -> None:
+    """Count every chain edge of a processor order copy into ``delta``."""
+    for pair in zip(ids, ids[1:]):
+        delta[pair] = delta.get(pair, 0) + sign
+
+
+class _Context:
+    """The engine's copy of one DRLC context: member ids, CLB total,
+    reconfiguration time, initial and terminal members, and the live
+    sequentialization edges into it — from the previous context's
+    terminal members, or from the configuration node for the first
+    context — with the context they were derived against (``prev``:
+    ``None`` for the configuration node, itself before the first)."""
+
+    __slots__ = (
+        "rc", "ids", "clbs", "reconfig", "initials", "terminals", "edges",
+        "prev", "dirty",
+    )
+
+    def __init__(self, rc: str, ids: List[int]) -> None:
+        self.rc, self.ids, self.clbs, self.reconfig = rc, ids, 0, 0.0
+        self.initials, self.terminals, self.edges = [], [], []
+        self.prev: object = self
+        self.dirty = True
 
 
 @dataclass(frozen=True)
@@ -227,69 +257,55 @@ class IncrementalEngine(EvaluationEngine):
     """Delta-sync engine with a persistent longest-path DP.
 
     The engine mirrors the last-seen solution state (per-task assignment
-    and implementation choice, per-resource orders) and on each call
-    re-checks against that mirror only the tasks and resources the
-    solution's change journal names after the engine's cursor, patching
-    only what a move actually changed.  Rejected moves need no special
-    rollback support: ``undo`` journals the inverse records, and the
-    next sync patches the state back.  A solution the engine did not
+    and implementation choice, each processor order and each DRLC's
+    contexts) and on each call replays the solution's change journal
+    records after the engine's cursor as local edits on those copies,
+    patching only what a move actually changed.  Rejected moves need no
+    special rollback support: ``undo`` journals the inverse records, and
+    the next sync replays them too.  A solution the engine did not
     follow (a copy, a decoded chromosome) or a journal trimmed past the
-    cursor is re-checked in full, against the same mirror.
+    cursor is re-checked in full: the copies are rebuilt from the
+    solution and diffed against the same mirror.
 
     The search graph is kept in two edge layers:
 
-    * a **static dependency layer**, built once: every application
-      dependency is permanently wired ``src -> comm -> dst`` through its
-      interned communication node.  When the transfer is active (edge
-      crosses resources under the ``"ordered"`` policy), the transfer
-      time is the comm node's duration; when inactive, it is the weight
-      of the ``src -> comm`` edge (``0`` for same-resource edges) and
-      the comm node's duration is zero.  Both routings produce the same
-      float candidates as the reference graph's direct edge, so a move
-      that flips an edge's crossing state is a pure O(1) weight patch —
-      the layer's structure, indegrees and reachability never change;
-    * a **sequentialization layer** holding per-resource ``Esw``/``Ehw``
-      edges, recomputed only for resources whose order actually changed
-      (a move touches at most two) and patched pair-trimmed — only the
-      differing middle of a resource's edge list is unlinked and
-      relinked, and weight-only changes (e.g. an implementation swap
-      retuning reconfiguration delays) keep the structure.
+    * a **static dependency layer**, built once: every dependency is
+      wired ``src -> comm -> dst`` through its interned communication
+      node.  An active transfer (crossing resources under the
+      ``"ordered"`` policy) is the comm node's duration, an inactive one
+      the ``src -> comm`` weight (``0`` on one resource); both give the
+      reference graph's float candidates, so flipping a crossing state
+      is an O(1) weight patch and the structure never changes;
+    * a **sequentialization layer** holding the processor chains
+      ``Esw`` and the DRLC context boundaries ``Ehw``, patched exactly:
+      one processor insert or delete relinks at most three chain edges,
+      and a context edit re-derives only that context and diffs only
+      the boundary edge sets next to it.
 
     On top of the layers sit three persistent structures:
 
-    * **One topological order.**  The base layers are kept first,
-      ignoring the bus chain.  One live added edge that contradicts the
-      order is *repaired* in place by one Pearce/Kelly region
-      reordering: every other live edge agrees with the stored
-      positions, so an insert that finds a cycle is an exact verdict and
-      leaves the order as it was.  Two or more contradicting edges go to
-      one Kahn sort.  Then the bus chain — the serialized transaction
-      order, one more pointer layer — is written, and its contradicting
-      edges are unlinked and re-inserted one at a time (or the base
-      layers plus the chain are sorted at once).  Every order the engine
-      evaluates with is a topological order, so cyclic realizations are
-      detected exactly like the reference engine.
-    * **The base DP values.**  The unserialized ASAP start/finish values
-      survive across evaluations.  Every node whose inputs change is
-      recorded where the change is written — structural deltas by
-      :meth:`_replace_edges`, duration and pass-through weight changes
-      by compare-and-seed writes — and the DP re-runs only from the
-      earliest order position among them.  Recomputed nodes take the
-      max over the identical candidate set the full DP would, so
-      makespans stay bit-identical.
-    * **The serialized DP values** (base layers plus the bus chain) on
-      separate buffers, persistent the same way: the same DP loop
-      re-runs them from the earliest position among the base seeds and
-      the comm nodes whose chain predecessor changed.  When no chain
-      edge binds in the base values, the serialized values *are* the
-      base values and are copied instead.
+    * **One topological order** of the base layers.  One live added
+      edge that contradicts it is *repaired* by one Pearce/Kelly region
+      reordering (every other live edge agrees with the stored
+      positions, so an insert that finds a cycle is an exact verdict);
+      two or more go to one Kahn sort.  The bus chain — the serialized
+      transaction order, one more pointer layer — is written next, and
+      its contradicting edges are re-inserted one at a time (or base
+      layers and chain are sorted at once).  Every order evaluated with
+      is topological, so cycles are detected like the reference does.
+    * **The base DP values.**  Every node whose inputs change is seeded
+      where the change is written (structural deltas by
+      :meth:`_replace_edges`, durations and weights by compare-and-seed
+      writes), and the DP re-runs from the earliest seeded position
+      over the candidate sets the full DP uses: bit-identical.
+    * **The serialized DP values** (base layers plus bus chain), re-run
+      the same way from the base seeds and the comm nodes whose chain
+      predecessor changed, or copied when no chain edge binds.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
-    cached alongside.  ``Processor``/``ReconfigurableCircuit``/``Asic``
-    contributions are generated natively over the interned arrays;
-    unknown :class:`Resource` subclasses fall back to calling the
-    resource's own ``sequentialization_edges``/``virtual_nodes`` on
-    every evaluation (conservative but correct).
+    cached alongside.  Unknown :class:`Resource` subclasses fall back to
+    their own ``sequentialization_edges``/``virtual_nodes`` on every
+    evaluation (conservative but correct).
     """
 
     name = "incremental"
@@ -324,13 +340,11 @@ class IncrementalEngine(EvaluationEngine):
     def _build_skeleton(self, bus) -> None:
         self._bus = bus
         self._ordered = self.bus_policy == "ordered"
-        # The one compile pass (repro.mapping.compiled) flattens the
-        # application + bus into the dense solution-independent tables;
-        # the engine aliases them (and extends the per-node arrays in
-        # place when virtual nodes are interned later).  A caller may
-        # hand the constructor a pre-built ``CompiledInstance.fork()``
-        # instead — that's how K cross-chain engines share one compile
-        # pass.  The seed is one-shot: a bus swap recompiles.
+        # The compile pass (repro.mapping.compiled) flattens application
+        # + bus into dense solution-independent tables, aliased here and
+        # extended in place when virtual nodes are interned.  A one-shot
+        # ``CompiledInstance.fork()`` seed lets K engines share one pass;
+        # a bus swap recompiles.
         compiled = self._compiled_seed
         self._compiled_seed = None
         if compiled is None or compiled.bus is not bus:
@@ -355,22 +369,17 @@ class IncrementalEngine(EvaluationEngine):
         ndeps = compiled.ndeps
         self._ndeps = ndeps
 
-        # Static dependency layer: dep j is permanently wired
-        # ``src -> comm -> dst`` where comm is the dense id ``ntasks +
-        # j`` (interning order guarantees contiguity).  The ``src ->
-        # comm`` weight is the only mutable part; the ``comm -> dst``
-        # edge is always 0, so task-side predecessors reduce to a plain
-        # list of comm ids whose *finish* times are the candidates.
-        # This structure — and therefore its indegrees and reachability
-        # — never changes after construction.
+        # Static dependency layer: dep j is wired ``src -> comm -> dst``
+        # with comm id ``ntasks + j``.  Only the ``src -> comm`` weight
+        # changes; ``comm -> dst`` is always 0, so a task's candidates
+        # are its predecessor comm nodes' *finish* times.
         n = len(self._interner)
         self._comm_w: List[float] = [0.0] * ndeps
         self._pred_comms = compiled.pred_comms
         self._succ_static = compiled.succ_static
         self._indeg_static = compiled.indeg_static
-        # Processor total orders as prev/next pointer arrays: a task sits
-        # on at most one processor, so one array pair covers them all and
-        # replacing a processor's chain is plain integer stores.
+        # Processor chains as prev/next pointer arrays: a task sits on at
+        # most one processor, so one array pair covers them all.
         self._proc_prev: List[int] = [-1] * n
         self._proc_next: List[int] = [-1] * n
 
@@ -381,14 +390,14 @@ class IncrementalEngine(EvaluationEngine):
         self._succ_mask = [sum(1 << q for q in qs) for qs in self._succ_ids]
         self._config_ids: Dict[str, int] = {}
 
-        # Internal counters sampled by the telemetry layer (plain ints,
-        # incremented unconditionally: cheaper than any enabled-check
-        # and deterministic for fixed seeds).
+        # Telemetry counters: plain ints, incremented unconditionally.
         self.stat_sync_calls = 0
         self.stat_sync_full = 0
         self.stat_sync_tasks = 0
         self.stat_sync_resources = 0
         self.stat_rc_rebuilds = 0
+        self.stat_contexts_refreshed = 0
+        self.stat_edges_relinked = 0
 
         # Dynamic (solution-dependent) state, reset to "never seen".
         self._dur: List[float] = [0.0] * n
@@ -398,11 +407,8 @@ class IncrementalEngine(EvaluationEngine):
     def _invalidate(self) -> None:
         """Forget all mirrored solution state (forces a full re-sync)."""
         n = len(self._interner)
-        # Durations mirror solution state too: the re-sync recomputes
-        # task and comm durations (every task diffs) and re-stamps
-        # active config nodes, but a config node whose RC ends up empty
-        # is only zeroed via _virtual_ids — which is being reset here —
-        # so clear the whole array rather than leak a stale duration.
+        # Durations mirror solution state too; an emptied RC's config
+        # node is only zeroed through _virtual_ids, reset here.
         for node_id in range(len(self._dur)):
             self._dur[node_id] = 0.0
         self._m_resource: List[Optional[str]] = [None] * self._ntasks
@@ -413,30 +419,28 @@ class IncrementalEngine(EvaluationEngine):
         self._m_solution: Optional[Solution] = None
         self._m_cursor = 0
         self._rc_list: List[Tuple[str, ReconfigurableCircuit]] = []
-        # Each resource's live sequentialization edges: ``(prev, next)``
-        # chain pairs for processors, ``(src, dst, weight)`` triples for
-        # every other resource.
-        self._res_edges: Dict[str, List[Tuple]] = {}
+        # The copies the journal is replayed on: each processor order
+        # as dense ids, each DRLC's contexts, the context holding each
+        # task (``None`` off the DRLCs), and the live ``(src, dst,
+        # weight)`` edges of each resource on the polymorphic path.
+        self._proc_ids: Dict[str, List[int]] = {}
+        self._rc_ctx: Dict[str, List[_Context]] = {}
+        self._ctx_of: List[Optional[_Context]] = [None] * self._ntasks
+        self._generic_edges: Dict[str, List[Tuple]] = {}
         self._virtual_ids: Dict[str, List[int]] = {}
         self._rc_stats: Dict[str, Tuple[int, float, float, int]] = {}
         self._hw_count = 0
         self._dep_mode: List[int] = [-1] * self._ndeps
         self._active_deps: List[int] = []
         self._active_dirty = True
-        # Sequentialization layer: maintained edge by edge as resources
-        # change.  ``pred_seq[v]`` holds ``(src, weight)`` pairs; the
-        # combined indegrees are kept in step so Kahn never needs a
-        # recount pass.
+        # Sequentialization layer: ``pred_seq[v]`` holds ``(src,
+        # weight)`` pairs; combined indegrees are kept in step for Kahn.
         self._pred_seq: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         self._succ_seq: List[List[int]] = [[] for _ in range(n)]
         self._indeg_total: List[int] = list(self._indeg_static)
-        for v in range(n):
-            self._proc_prev[v] = -1
-            self._proc_next[v] = -1
-        # The persistent base topological order, held as at most one
-        # ``[order, position, valid]`` entry.  It stays valid until an
-        # *added* edge contradicts its positions (checked in O(1) per
-        # added edge); removals never invalidate it.
+        self._proc_prev[:] = self._proc_next[:] = [-1] * n
+        # The persistent base order: at most one ``[order, position,
+        # valid]`` entry, invalid once an *added* edge contradicts it.
         self._orders0: List[List] = []
         #: The bus chain: comm ids in transaction order, and the same
         #: chain as pointer arrays (``-1`` off the chain).  The base
@@ -449,55 +453,49 @@ class IncrementalEngine(EvaluationEngine):
         #: Base (unserialized) DP values, persistent across evaluations.
         self._starts0: List[float] = [0.0] * n
         self._finish0: List[float] = [0.0] * n
-        #: Serialized DP values (base graph + bus chain), persistent
-        #: across evaluations as well.
+        #: Serialized DP values (base graph + bus chain), persistent too.
         self._starts1: List[float] = [0.0] * n
         self._finish1: List[float] = [0.0] * n
         #: Whether the persistent base DP values are trustworthy.
         self._values_valid = False
-        #: Whether the serialized values are current up to
-        #: ``_dirty_seeds`` and the next chain relink, with the
-        #: persistent order respecting the chain arrays; if not, the
-        #: next serialized pass checks every chain edge and runs in full.
+        #: Whether the serialized values are current up to the seeds
+        #: and the next chain relink; if not, the next serialized pass
+        #: checks every chain edge and runs in full.
         self._ser_valid = False
-        #: Node ids whose inputs changed since the last DP run
-        #: (structural deltas from :meth:`_replace_edges`, duration and
-        #: pass-through weight changes from the compare-and-seed writes).
+        #: Node ids whose inputs changed since the last DP run.
         self._dirty_seeds: set = set()
         #: Added edges that contradict the persistent order (repaired
         #: or folded into the next rebuild).
         self._pending_edges: List[Tuple[int, int]] = []
-        # Telemetry counters for the order machinery (plain ints, reset
-        # together with the order state they describe).
+        # Order telemetry, reset with the order state it describes.
         self.stat_order_repairs = 0
         self.stat_order_rebuilds = 0
         self.stat_chain_repairs = 0
         self.stat_chain_rebuilds = 0
 
-    def _classify_resources(self, arch: Architecture) -> None:
-        """(Re)build the resource kind table.  Entries are kept for
-        resources that left the architecture: a removed resource's name
-        can still appear as a task's *previous* assignment in the very
-        diff that rehomes the task (move m3).
-
-        Exact types get the array fast paths; *subclasses* of the
-        built-in resources (which may override timing or edge emission)
-        fall back to the polymorphic ``"?"`` path, whose third field
-        records whether the resource hosts hardware tasks (RC/ASIC
-        lineage) for the hardware-task counter."""
-        for res in arch.resources():
-            name = res.name
-            if name not in self._res_kind or self._res_kind[name][1] is not res:
-                kind = type(res)
-                if kind is Processor:
-                    self._res_kind[name] = ("p", res, res.speed_factor)
-                elif kind is ReconfigurableCircuit:
-                    self._res_kind[name] = ("rc", res)
-                elif kind is Asic:
-                    self._res_kind[name] = ("asic", res)
-                else:
-                    is_hw = isinstance(res, (ReconfigurableCircuit, Asic))
-                    self._res_kind[name] = ("?", res, is_hw)
+    def _classify(self, res: Resource) -> None:
+        """Classify a resource and give a built-in one its copy.  Exact
+        types get the array fast paths; *subclasses* (which may override
+        timing or edge emission) take the polymorphic ``"?"`` path, the
+        third field telling whether they host hardware tasks.  Entries
+        and copies outlive their resource: a removed resource can still
+        be a task's *previous* assignment (m3)."""
+        name = res.name
+        kind = self._res_kind.get(name)
+        if kind is None or kind[1] is not res:
+            if type(res) is Processor:
+                kind = ("p", res, res.speed_factor)
+            elif type(res) is ReconfigurableCircuit:
+                kind = ("rc", res)
+            elif type(res) is Asic:
+                kind = ("asic", res)
+            else:
+                kind = ("?", res, isinstance(res, (ReconfigurableCircuit, Asic)))
+            self._res_kind[name] = kind
+        if kind[0] == "p":
+            self._proc_ids.setdefault(name, [])
+        elif kind[0] == "rc":
+            self._rc_ctx.setdefault(name, [])
 
     # ------------------------------------------------------------------
     def telemetry_counters(self) -> Dict[str, int]:
@@ -508,6 +506,8 @@ class IncrementalEngine(EvaluationEngine):
             sync_tasks=self.stat_sync_tasks,
             sync_resources=self.stat_sync_resources,
             rc_rebuilds=self.stat_rc_rebuilds,
+            contexts_refreshed=self.stat_contexts_refreshed,
+            edges_relinked=self.stat_edges_relinked,
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
             chain_repairs=self.stat_chain_repairs,
@@ -527,61 +527,79 @@ class IncrementalEngine(EvaluationEngine):
             # object) but stay correct if a caller swaps it.
             self._build_skeleton(arch.bus)
 
-        res_kind = self._res_kind
-        names = arch.resource_names()
-        if names != self._m_res_names:
-            self._classify_resources(arch)
-            gone = set(self._m_res_names) - set(names)
-            self._replace_edges(
-                [(name, res_kind[name][0] == "p", []) for name in gone]
-            )
-            for name in gone:
-                self._res_edges.pop(name, None)
-                self._rc_stats.pop(name, None)
-                for node_id in self._virtual_ids.pop(name, ()):
-                    self._set_dur(node_id, 0.0)
-            self._m_res_names = list(names)
-            self._rc_list = [
-                (r.name, r)
-                for r in arch.resources()
-                if isinstance(r, ReconfigurableCircuit)
-            ]
-
         res_of = solution._resource_of
         impl_of = solution._impl_choice
         tid = self._tid
         if len(res_of) != self._ntasks:
-            # Match the reference engine, which trips over the missing
-            # assignment while realizing the graph; without this guard a
-            # partially assigned solution would silently score with
-            # zero durations for the unassigned tasks.
+            # Fail like the reference engine instead of scoring the
+            # unassigned tasks with zero durations.
             for t in self._tasks:
                 if t not in res_of:
                     raise MappingError(f"task {t} is not assigned")
 
-        # What to re-check: the tasks and resources named by the journal
-        # records after the cursor.  They are hints, not a replay — the
-        # solution's state is the truth, so reversed or redundant
-        # records cost a no-op re-check.
+        # Edge changes, patched at the end: net chain-edge counts, and
+        # the replaced and replacing seq edge lists.
+        res_kind = self._res_kind
+        chain_delta: Dict[Tuple[int, int], int] = {}
+        seq_old: List[Tuple[int, int, float]] = []
+        seq_new: List[Tuple[int, int, float]] = []
         journal = solution._journal
         start = self._m_cursor - solution._journal_base
         if solution is self._m_solution and start >= 0:
+            # Replay the records after the cursor on the copies: a list
+            # edit relinks a processor chain or marks its context dirty,
+            # an implementation pick marks its task's context dirty.
             tasks = set()
             touched = set()
+            proc_ids = self._proc_ids
+            rc_ctx = self._rc_ctx
+            ctx_of = self._ctx_of
             for idx in range(start, len(journal)):
                 record = journal[idx]
                 tag = record[0]
                 if tag == "L":
-                    tasks.add(record[1])
-                    touched.add(record[2])
+                    _, task, name, k, i, sign = record
+                    tasks.add(task)
+                    kind = res_kind[name][0]
+                    if kind == "p":
+                        _chain_edit(proc_ids[name], tid[task], i, sign, chain_delta)
+                    elif kind == "rc":
+                        x = tid[task]
+                        ctxs = rc_ctx[name]
+                        if i >= 0:
+                            ctx = ctxs[k]
+                            ctx.dirty = True
+                            if sign > 0:
+                                ctx.ids.insert(i, x)
+                            else:
+                                del ctx.ids[i]
+                                ctx = None
+                        elif sign > 0:
+                            ctx = _Context(name, [x])
+                            ctxs.insert(k, ctx)
+                        else:
+                            seq_old += ctxs.pop(k).edges
+                            ctx = None
+                        ctx_of[x] = ctx
+                    touched.add(name)
                 elif tag == "I":
                     tasks.add(record[1])
-                else:
-                    touched.add(record[1].name)
+                    ctx = ctx_of[tid[record[1]]]
+                    if ctx is not None:
+                        ctx.dirty = True
+                        touched.add(ctx.rc)
+                elif record[2] > 0:
+                    self._classify(record[1])
+            names = arch.resource_names()
+            if names != self._m_res_names:
+                self._reshape(arch, names, seq_old)
         else:
             self.stat_sync_full += 1
             tasks = self._tasks
-            touched = None
+            names = arch.resource_names()
+            if names != self._m_res_names:
+                self._reshape(arch, names, seq_old)
+            touched = self._rebuild(solution, names, chain_delta, seq_old)
         self._m_solution = solution
         if solution._journal is None:
             # Start the journal of a newly followed solution.  An
@@ -608,12 +626,7 @@ class IncrementalEngine(EvaluationEngine):
                 m_res[i] = r
             elif c == m_impl[i]:
                 continue
-            if c != m_impl[i]:
-                # The variant's area and time feed the hosting resource's
-                # reconfiguration weights.
-                m_impl[i] = c
-                if touched is not None:
-                    touched.add(r)
+            m_impl[i] = c
             changed.append(i)
         self.stat_sync_tasks += len(changed)
         if changed:
@@ -632,30 +645,153 @@ class IncrementalEngine(EvaluationEngine):
                 for j in self._deps_of_task[i]:
                     self._refresh_dep(j)
 
-        # Per-resource sequentialization edges of the re-checked
-        # resources.  Unknown resource types are refreshed on every call
-        # through their own polymorphic methods: overridden methods may
-        # depend on state the journal does not name.
-        updates: List[Tuple[str, bool, List[Tuple]]] = []
+        # The dirty contexts (read after the picks above) and their
+        # boundaries.  Unknown resource types are refreshed on every
+        # call: their methods may read state the journal does not name.
         for name in names:
             kind = res_kind[name]
-            tag = kind[0]
-            if tag == "?":
+            if kind[0] == "rc":
+                if name in touched:
+                    self._refresh_contexts(name, kind[1], seq_old, seq_new)
+            elif kind[0] == "?":
+                touched.add(name)
+                seq_old += self._generic_edges.get(name, ())
                 triples = self._refresh_generic(name, kind[1], solution)
-                updates.append((name, False, triples))
-            elif touched is not None and name not in touched:
-                continue
-            elif tag == "p":
-                ids = [tid[t] for t in solution._sw_orders[name]]
-                updates.append((name, True, list(zip(ids, ids[1:]))))
+                self._generic_edges[name] = triples
+                seq_new += triples
+        self.stat_sync_resources += len(touched)
+        self._replace_edges(chain_delta, seq_old, seq_new)
+
+    def _reshape(
+        self, arch: Architecture, names: List[str], seq_old: List[Tuple]
+    ) -> None:
+        """The resource list changed: classify it, and drop the edges,
+        virtual nodes and statistics of the resources that left."""
+        for res in arch.resources():
+            self._classify(res)
+        current = set(names)
+        for name in self._m_res_names:
+            if name not in current:
+                seq_old += self._generic_edges.pop(name, ())
+                self._rc_stats.pop(name, None)
+                for node_id in self._virtual_ids.pop(name, ()):
+                    self._set_dur(node_id, 0.0)
+        self._m_res_names = list(names)
+        self._rc_list = [
+            (r.name, r)
+            for r in arch.resources()
+            if isinstance(r, ReconfigurableCircuit)
+        ]
+
+    def _rebuild(
+        self, solution: Solution, names: List[str], chain_delta: Dict,
+        seq_old: List,
+    ) -> set:
+        """Full re-check: rebuild the processor and DRLC copies from
+        ``solution`` (every context dirty) and return their names; the
+        old copies' edges feed the replay's diff."""
+        tid = self._tid
+        old_procs = self._proc_ids
+        old_rcs = self._rc_ctx
+        self._proc_ids = procs = {}
+        self._rc_ctx = rcs = {}
+        self._ctx_of = ctx_of = [None] * self._ntasks
+        for name in names:
+            tag = self._res_kind[name][0]
+            if tag == "p":
+                ids = procs[name] = [tid[t] for t in solution._sw_orders[name]]
+                old = old_procs.pop(name, [])
+                if ids != old:
+                    _count_pairs(old, -1, chain_delta)
+                    _count_pairs(ids, 1, chain_delta)
             elif tag == "rc":
-                triples = self._refresh_rc(
-                    name, kind[1], solution._contexts[name]
+                self.stat_rc_rebuilds += 1
+                rcs[name] = ctxs = []
+                for members in solution._contexts[name]:
+                    ctx = _Context(name, [tid[t] for t in members])
+                    ctxs.append(ctx)
+                    for i in ctx.ids:
+                        ctx_of[i] = ctx
+        for ids in old_procs.values():
+            _count_pairs(ids, -1, chain_delta)
+        for ctxs in old_rcs.values():
+            for ctx in ctxs:
+                seq_old += ctx.edges
+        return set(procs) | set(rcs)
+
+    def _refresh_contexts(
+        self, name: str, rc: ReconfigurableCircuit, seq_old: List, seq_new: List
+    ) -> None:
+        """A DRLC's ``sequentialization_edges``/``virtual_nodes``,
+        native and limited to what changed: a dirty context's CLB total,
+        reconfiguration time and boundary members (from the neighbour
+        bitmasks) are re-derived, and the edges into a context only when
+        its initials, its time, its predecessor or that one's terminals
+        changed."""
+        ctxs = self._rc_ctx[name]
+        if not ctxs:
+            for node_id in self._virtual_ids.pop(name, ()):
+                self._set_dur(node_id, 0.0)
+            self._rc_stats[name] = (0, 0.0, 0.0, 0)
+            return
+        config_id = self._config_ids.get(name)
+        if config_id is None:
+            config_id = self._interner.intern((CONFIG_NODE, name))
+            self._config_ids[name] = config_id
+            self._grow_nodes()
+        m_impl = self._m_impl
+        impl_clbs = self._impl_clbs
+        pred_mask = self._pred_mask
+        succ_mask = self._succ_mask
+        prev = None
+        moved = False  # the previous context's terminal members changed
+        for ctx in ctxs:
+            stale = moved or ctx.prev is not prev
+            moved = False
+            if ctx.dirty:
+                ctx.dirty = False
+                self.stat_contexts_refreshed += 1
+                ids = ctx.ids
+                inside = 0
+                clbs = 0
+                for i in ids:
+                    inside |= 1 << i
+                    clbs += impl_clbs[i][m_impl[i]]
+                initials = [i for i in ids if not pred_mask[i] & inside]
+                terminals = [i for i in ids if not succ_mask[i] & inside]
+                reconfig = rc.reconfiguration_time_ms(clbs)
+                # The first context's time is the config node's duration.
+                stale = stale or initials != ctx.initials or (
+                    prev is not None and reconfig != ctx.reconfig
                 )
-                updates.append((name, False, triples))
-        self.stat_sync_resources += len(updates)
-        if updates:
-            self._replace_edges(updates)
+                moved = terminals != ctx.terminals
+                ctx.clbs = clbs
+                ctx.reconfig = reconfig
+                ctx.initials = initials
+                ctx.terminals = terminals
+            if stale:
+                seq_old += ctx.edges
+                if prev is None:
+                    ctx.edges = [(config_id, i, 0.0) for i in ctx.initials]
+                else:
+                    weight = ctx.reconfig
+                    ctx.edges = [
+                        (t, i, weight)
+                        for t in prev.terminals
+                        for i in ctx.initials
+                    ]
+                seq_new += ctx.edges
+                ctx.prev = prev
+            prev = ctx
+        # The Fig. 3 statistics, summed in the reference order.
+        self._rc_stats[name] = (
+            len(ctxs),
+            ctxs[0].reconfig,
+            sum([ctx.reconfig for ctx in ctxs[1:]]),
+            sum([ctx.clbs for ctx in ctxs]),
+        )
+        self._set_dur(config_id, ctxs[0].reconfig)
+        self._virtual_ids[name] = [config_id]
 
     def _set_dur(self, node: int, value: float) -> None:
         """Write a node duration, seeding the suffix DP when it changes."""
@@ -685,73 +821,19 @@ class IncrementalEngine(EvaluationEngine):
             self._dep_mode[j] = mode
             self._active_dirty = True
 
-    def _refresh_rc(
-        self,
-        name: str,
-        rc: ReconfigurableCircuit,
-        contexts: List[List[int]],
-    ) -> List[Tuple[int, int, float]]:
-        """Native regeneration of a DRLC's search-graph contribution:
-        context sequentialization edges ``Ehw``, the virtual
-        configuration node, and the cached reconfiguration statistics.
-        Mirrors ``ReconfigurableCircuit.sequentialization_edges`` /
-        ``virtual_nodes`` exactly, over interned arrays; each context's
-        boundary tasks come from the immediate-neighbour bitmasks."""
-        self.stat_rc_rebuilds += 1
-        if not contexts:
-            for node_id in self._virtual_ids.pop(name, ()):
-                self._set_dur(node_id, 0.0)
-            self._rc_stats[name] = (0, 0.0, 0.0, 0)
-            return []
-        config_id = self._config_ids.get(name)
-        if config_id is None:
-            config_id = self._interner.intern((CONFIG_NODE, name))
-            self._config_ids[name] = config_id
-            self._grow_nodes()
-        tid = self._tid
-        m_impl = self._m_impl
-        impl_clbs = self._impl_clbs
-        pred_mask = self._pred_mask
-        succ_mask = self._succ_mask
-        ctx_clbs: List[int] = []
-        initials: List[List[int]] = []
-        terminals: List[List[int]] = []
-        for ctx in contexts:
-            members = [tid[t] for t in ctx]
-            inside = 0
-            clbs = 0
-            for i in members:
-                inside |= 1 << i
-                clbs += impl_clbs[i][m_impl[i]]
-            ctx_clbs.append(clbs)
-            initials.append([i for i in members if not pred_mask[i] & inside])
-            terminals.append([i for i in members if not succ_mask[i] & inside])
-        triples: List[Tuple[int, int, float]] = [
-            (config_id, i, 0.0) for i in initials[0]
-        ]
-        reconfig = [rc.reconfiguration_time_ms(c) for c in ctx_clbs]
-        for k in range(len(contexts) - 1):
-            weight = reconfig[k + 1]
-            for t in terminals[k]:
-                for i in initials[k + 1]:
-                    triples.append((t, i, weight))
-        self._rc_stats[name] = (
-            len(contexts), reconfig[0], sum(reconfig[1:]), sum(ctx_clbs)
-        )
-        self._set_dur(config_id, reconfig[0])
-        self._virtual_ids[name] = [config_id]
-        return triples
-
     def _refresh_generic(
         self, name: str, res: Resource, solution: Solution
     ) -> List[Tuple[int, int, float]]:
         """Fallback for unknown resource types: delegate to the
         resource's polymorphic search-graph contribution."""
         intern = self._interner.intern
-        triples = [
-            (intern(a), intern(b), w)
-            for a, b, w in res.sequentialization_edges(solution)
-        ]
+        # Coinciding edges keep the larger delay, as in the reference.
+        best: Dict[Tuple[int, int], float] = {}
+        for a, b, w in res.sequentialization_edges(solution):
+            key = (intern(a), intern(b))
+            if best.get(key, w) <= w:
+                best[key] = w
+        triples = [(a, b, w) for (a, b), w in best.items()]
         virtual = getattr(res, "virtual_nodes", None)
         entries = virtual(solution) if virtual is not None else []
         new_ids = [intern(key) for key, _duration in entries]
@@ -764,49 +846,58 @@ class IncrementalEngine(EvaluationEngine):
         self._virtual_ids[name] = new_ids
         return triples
 
-    def _replace_edges(self, updates: List[Tuple[str, bool, List[Tuple]]]) -> None:
-        """Install the new sequentialization edges of every refreshed
-        resource.  ``updates`` holds ``(name, is_processor, edges)``:
-        processor chains as ``(prev, next)`` pairs in the pointer
-        arrays, every other resource as ``(src, dst, weight)`` triples
-        in the seq layer.
-
-        Each list is pair-trimmed against the resource's previous one —
-        a move perturbs a contiguous region of a resource's edges, so
-        only the differing middle is unlinked and relinked.  Every
-        removal is applied before any addition: an edge can migrate
-        between two resources refreshed in the same diff, and a later
-        unlink must not clobber its new link.  Seq edge pairs are unique
-        within one resource (it only chains its own tasks and its own
-        config node), so unlinking by ``(src, dst)`` is unambiguous."""
-        res_edges = self._res_edges
-        chain_removed: List[Tuple] = []
-        chain_added: List[Tuple] = []
-        seq_removed: List[Tuple] = []
-        seq_added: List[Tuple] = []
-        for name, is_proc, edges in updates:
-            removed, added = _trim(res_edges.get(name, []), edges)
-            res_edges[name] = edges
-            if is_proc:
-                chain_removed += removed
-                chain_added += added
-            else:
-                seq_removed += removed
-                seq_added += added
-        removed = chain_removed + seq_removed
-        added = chain_added + seq_added
-        if not removed and not added:
+    def _replace_edges(
+        self, chain_delta: Dict, seq_old: List, seq_new: List
+    ) -> None:
+        """The one edge-patching path, for journal replays and full
+        re-checks alike.  The pointer arrays take the chain edges of
+        nonzero net count in ``chain_delta``.  The seq layer diffs the
+        replaced and replacing ``(src, dst, weight)`` lists by
+        ``(src, dst)``, each pair at most once per list (a resource
+        links only its own tasks and config node), and retunes in place
+        an edge whose weight alone changed.  Removals go first: an edge
+        can migrate between two resources in one sync.  Every edge head
+        seeds the DP; an added edge contradicting the persistent order
+        is queued for repair."""
+        pred_seq = self._pred_seq
+        seeds = self._dirty_seeds
+        gone = {}
+        seq_added = []
+        if seq_old or seq_new:
+            gone = {(a, b): w for a, b, w in seq_old}
+            for a, b, w in seq_new:
+                old = gone.pop((a, b), None)
+                if old is None:
+                    seq_added.append((a, b, w))
+                elif old != w:
+                    plist = pred_seq[b]
+                    for idx in range(len(plist)):
+                        if plist[idx][0] == a:
+                            plist[idx] = (a, w)
+                            break
+                    seeds.add(b)
+        chain_removed = []
+        chain_added = []
+        for edge, count in chain_delta.items():
+            if count < 0:
+                chain_removed.append(edge)
+            elif count > 0:
+                chain_added.append(edge)
+        if not (chain_removed or chain_added or gone or seq_added):
             return
+        self.stat_edges_relinked += (
+            len(chain_removed) + len(chain_added) + len(gone) + len(seq_added)
+        )
         proc_prev = self._proc_prev
         proc_next = self._proc_next
-        pred_seq = self._pred_seq
         succ_seq = self._succ_seq
         indeg = self._indeg_total
         for a, b in chain_removed:
             proc_next[a] = -1
             proc_prev[b] = -1
             indeg[b] -= 1
-        for a, b, _w in seq_removed:
+            seeds.add(b)
+        for a, b in gone:
             succ_seq[a].remove(b)
             plist = pred_seq[b]
             for idx in range(len(plist)):
@@ -814,68 +905,25 @@ class IncrementalEngine(EvaluationEngine):
                     del plist[idx]
                     break
             indeg[b] -= 1
+            seeds.add(b)
+        entries = self._orders0
+        pos = entries[0][1] if entries else None
+        pending = self._pending_edges
         for a, b in chain_added:
             proc_next[a] = b
             proc_prev[b] = a
             indeg[b] += 1
+            seeds.add(b)
+            if pos is not None and pos[a] >= pos[b]:
+                entries[0][2] = False
+                pending.append((a, b))
         for a, b, w in seq_added:
             succ_seq[a].append(b)
             pred_seq[b].append((a, w))
             indeg[b] += 1
-        self._note_structural(removed, added)
-
-    def _grow_nodes(self) -> None:
-        n = len(self._interner)
-        if len(self._dur) < n:
-            while len(self._dur) < n:
-                self._dur.append(0.0)
-                self._pred_comms.append([])
-                self._succ_static.append([])
-                self._indeg_static.append(0)
-                self._pred_seq.append([])
-                self._succ_seq.append([])
-                self._indeg_total.append(0)
-                self._proc_prev.append(-1)
-                self._proc_next.append(-1)
-                self._chain_pred.append(-1)
-                self._chain_next.append(-1)
-                self._no_chain.append(-1)
-                self._starts0.append(0.0)
-                self._finish0.append(0.0)
-                self._starts1.append(0.0)
-                self._finish1.append(0.0)
-            # The persistent order and values do not cover the new
-            # nodes yet.
-            self._orders0.clear()
-            self._pending_edges.clear()
-            self._values_valid = False
-
-    # ------------------------------------------------------------------
-    # structural dirt capture (_replace_edges reports exact deltas)
-    # ------------------------------------------------------------------
-    def _note_structural(self, removed, added) -> None:
-        """Record an exact structural delta of the sequentialization
-        layer (edges as ``(src, dst, ...)`` tuples): every edge head
-        seeds the suffix DP, and an added edge that contradicts the
-        persistent order invalidates it and is queued for repair."""
-        seeds = self._dirty_seeds
-        for pair in removed:
-            seeds.add(pair[1])
-        if not added:
-            return
-        entries = self._orders0
-        if not entries:
-            for pair in added:
-                seeds.add(pair[1])
-            return
-        entry = entries[0]
-        pos0 = entry[1]
-        pending = self._pending_edges
-        for pair in added:
-            a, b = pair[0], pair[1]
             seeds.add(b)
-            if pos0[a] >= pos0[b]:
-                entry[2] = False
+            if pos is not None and pos[a] >= pos[b]:
+                entries[0][2] = False
                 pending.append((a, b))
         if len(pending) > self.MAX_REPAIR_EDGES:
             # Too many contradictions: the stored order is beyond
@@ -883,6 +931,26 @@ class IncrementalEngine(EvaluationEngine):
             # the pending list cannot balloon while the walk churns.
             entries.clear()
             pending.clear()
+
+    def _grow_nodes(self) -> None:
+        grow = len(self._interner) - len(self._dur)
+        if grow <= 0:
+            return
+        for values in (self._dur, self._starts0, self._finish0,
+                       self._starts1, self._finish1):
+            values.extend([0.0] * grow)
+        for ints in (self._proc_prev, self._proc_next, self._chain_pred,
+                     self._chain_next, self._no_chain):
+            ints.extend([-1] * grow)
+        for counts in (self._indeg_static, self._indeg_total):
+            counts.extend([0] * grow)
+        for lists in (self._pred_comms, self._succ_static,
+                      self._pred_seq, self._succ_seq):
+            lists.extend([] for _ in range(grow))
+        # The persistent order and values do not cover the new nodes yet.
+        self._orders0.clear()
+        self._pending_edges.clear()
+        self._values_valid = False
 
     # ------------------------------------------------------------------
     # evaluation
@@ -901,23 +969,17 @@ class IncrementalEngine(EvaluationEngine):
         n = len(self._interner)
         seeds = self._dirty_seeds
 
-        # --- persistent order: revalidate, repair, else rebuild --------
-        # Over the base layers only: the chain arrays still hold the
-        # previous evaluation's bus chain, and a stale chain edge can
-        # close a false cycle.
+        # --- persistent order: revalidate, repair, else rebuild, over
+        # the base layers only (a stale bus chain can close a false cycle).
         entries = self._orders0
         entry = entries[0] if entries else None
         full_dp = not self._values_valid
         moved = False
         if entry is not None and not entry[2]:
-            # Contradicting edges that were since removed (rejected moves
-            # get undone) stop mattering; what remains is the exact
-            # bridge between the stored order and the live edge set.
+            # Contradicting edges since removed stop mattering.
             pending = self._pending_edges
             pending[:] = [e for e in pending if self._edge_live(e)]
             if not pending:
-                # Every contradicting addition was undone: the stored
-                # order is exactly valid again.
                 entry[2] = True
             elif len(pending) == 1:
                 # Every other live edge agrees with the stored positions,
@@ -939,8 +1001,7 @@ class IncrementalEngine(EvaluationEngine):
                 moved = True
         if entry is None or not entry[2]:
             # No stored order, or two or more contradicting edges: one
-            # Kahn over the base layers (a failed sort leaves the stored
-            # order as it was).
+            # Kahn over the base layers (a failed sort changes nothing).
             self.stat_order_rebuilds += 1
             try:
                 order = kahn_order_indices(
@@ -949,9 +1010,8 @@ class IncrementalEngine(EvaluationEngine):
                 )
             except CycleError as exc:
                 return self._infeasible(exc)
-            # Note: a rebuilt *order* does not invalidate the persistent
-            # *values* — they depend on the graph, not on the order —
-            # so the suffix DPs below still apply.
+            # The persistent *values* depend on the graph, not on the
+            # order, so the suffix DPs below still apply.
             entry = self._adopt_order(order)
             moved = True
         order, pos = entry[0], entry[1]
@@ -1002,11 +1062,9 @@ class IncrementalEngine(EvaluationEngine):
                 ):
                     self.stat_chain_repairs += 1
                 else:
-                    # Too many contradictions, or a chain edge closes a
-                    # cycle: sort base layers + bus chain at once.
-                    # Processor chains link only task ids and the bus
-                    # chain only comm ids, so one pointer array carries
-                    # both chain layers.
+                    # Too many contradictions, or a cycle: sort base
+                    # layers + bus chain at once (processor chains link
+                    # task ids, the bus chain comm ids: one array).
                     self.stat_chain_rebuilds += 1
                     hi = lo + self._ndeps
                     chains = list(self._proc_next)
@@ -1224,15 +1282,11 @@ class IncrementalEngine(EvaluationEngine):
         starts: List[float],
         finish: List[float],
     ) -> None:
-        """The reference DP loop over ``order[start:]``.  It serves two
-        buffer pairs: the base values (``_starts0``/``_finish0``, with
-        ``chain=_no_chain``) and the serialized values
-        (``_starts1``/``_finish1``, with ``chain=_chain_pred``, the bus
-        chain's predecessor of every comm node).  Values before
-        ``start`` are reused: a node's value only depends on its
-        predecessors — all at earlier positions in a valid order — so
-        recomputing from the earliest position whose node's inputs
-        changed reproduces the full DP bit-for-bit."""
+        """The reference DP loop over ``order[start:]``, for the base
+        values (``chain=_no_chain``) or the serialized ones
+        (``chain=_chain_pred``).  A node depends only on predecessors at
+        earlier positions, so re-running from the earliest changed
+        position reproduces the full DP bit for bit."""
         lo = self._ntasks
         hi = lo + self._ndeps
         comm_src = self._dep_src
@@ -1279,9 +1333,8 @@ class IncrementalEngine(EvaluationEngine):
         except CycleError:
             raise
         except Exception:
-            # The mirror may be half-updated (e.g. an unassigned task
-            # surfaced mid-diff); drop it so the next call re-syncs from
-            # scratch instead of trusting stale state.
+            # The mirror may be half-updated: the next call re-syncs
+            # from scratch.
             self._invalidate()
             raise
 
@@ -1296,11 +1349,9 @@ class IncrementalEngine(EvaluationEngine):
         makespan, feasible, comm_ms, exc = self._guarded_compute(solution)
         if not feasible and strict and exc is not None:
             raise exc
-        # Fig. 3 decomposition from the cached per-RC statistics (the
-        # full engine recomputes these sums from the solution; the values
-        # are identical, accumulated in the same resource order).  RC
-        # subclasses on the generic path have no cached stats and are
-        # recomputed the full engine's way.
+        # Fig. 3 decomposition from the cached per-RC statistics, summed
+        # in the full engine's resource order; RC subclasses on the
+        # polymorphic path are recomputed the full engine's way.
         initial = 0.0
         dynamic = 0.0
         clbs = 0
@@ -1341,15 +1392,10 @@ class CrossChainEvaluator:
 
     The annealing loop (:class:`repro.sa.population.PopulationAnnealer`)
     runs K chains, each with its own
-    :class:`~repro.mapping.solution.Solution`.  Re-pointing one
-    stateful engine across K solutions every round would defeat the
-    incremental mirror (each sync would diff away the previous chain's
-    whole assignment), so each chain steps through a permanently-bound
-    engine of its own (``engines[k]``) and pays only its own chain's
-    delta.  For the stateful engine the compile pass is shared: chain 0
-    compiles, chains 1..K-1 receive :meth:`CompiledInstance.fork`
-    views, so construction stays O(compile + K · mirror) instead of
-    O(K · compile).
+    :class:`~repro.mapping.solution.Solution` and its own engine
+    (``engines[k]``), so each sync pays only its own chain's delta.
+    Chain 0 compiles; chains 1..K-1 receive
+    :meth:`CompiledInstance.fork` views of that compile pass.
     """
 
     def __init__(

@@ -151,19 +151,11 @@ class DesignSpaceExplorer(PopulationAnnealer):
     ) -> SearchResult:
         """:class:`~repro.search.strategy.SearchStrategy` form of
         :meth:`run`: the unified result, with the full evaluations of
-        the best and initial solutions in ``extras``.
-
-        The override exists only to evaluate the initial solution once
-        before the loop evaluates it again: SA's ``engine.*`` telemetry
-        counters have always included that extra evaluation, and it
-        keeps them as they were (:meth:`run_interruptible` does the
-        same).  The benchmark harness's tracer also wraps this method
-        by name."""
+        the best and initial solutions in ``extras``.  The loop
+        evaluates the initial solution once, as its first step.  The
+        benchmark harness's tracer wraps this method by name."""
         solution = initial if initial is not None else self.initial_solution()
-        initial_evaluation = self.evaluator.evaluate(solution)
-        annealing = super().search(solution, budget=budget, on_step=on_step)
-        annealing.extras["initial_evaluation"] = initial_evaluation
-        return annealing
+        return super().search(solution, budget=budget, on_step=on_step)
 
     def run_interruptible(
         self,
@@ -176,13 +168,12 @@ class DesignSpaceExplorer(PopulationAnnealer):
         time and will then return the current solution".
         """
         solution = initial if initial is not None else self.initial_solution()
-        initial_evaluation = self.evaluator.evaluate(solution)
         for annealing in self.iterate(solution):
             if stop(annealing):
                 break
         return ExplorationResult(
             best_solution=annealing.best_solution,
             best_evaluation=self.evaluator.evaluate(annealing.best_solution),
-            initial_evaluation=initial_evaluation,
+            initial_evaluation=annealing.extras["initial_evaluation"],
             annealing=annealing,
         )

@@ -332,31 +332,56 @@ class OffloadMove(Move):
         else:
             solution.spawn_context(self.task, self.rc_name, index)
 
+    def _candidates(
+        self, solution: Solution, rc: ReconfigurableCircuit
+    ) -> Tuple[List[int], List[int]]:
+        """The contexts the task can join and the positions it can spawn
+        a context at (post-unassign state; no spawn position when the
+        task does not fit an empty device).
+
+        One pass over the contexts finds ``first_desc``, the first
+        context holding a descendant of the task (``len`` if none), and
+        ``last_anc``, the last one holding an ancestor (-1 if none): by
+        :func:`_contexts_ok`, joining ``k`` is order-feasible exactly for
+        ``last_anc <= k <= first_desc`` and spawning at ``p`` for
+        ``last_anc < p <= first_desc``."""
+        clbs = solution.task_clbs(self.task)
+        contexts = solution.contexts(self.rc_name)
+        index = solution.application.reachability()
+        ancestors = index.ancestors_mask(self.task)
+        descendants = index.descendants_mask(self.task)
+        bit = index.positions
+        first_desc = len(contexts)
+        last_anc = -1
+        for k, members in enumerate(contexts):
+            mask = 0
+            for m in members:
+                mask |= 1 << bit[m]
+            if ancestors & mask:
+                last_anc = k
+            if descendants & mask and first_desc == len(contexts):
+                first_desc = k
+        join = [
+            k
+            for k in range(max(last_anc, 0), min(first_desc + 1, len(contexts)))
+            if rc.fits(solution.context_clbs(self.rc_name, k), clbs)
+        ]
+        if not rc.fits(0, clbs):
+            return join, []
+        return join, list(range(last_anc + 1, first_desc + 1))
+
     def _decide(
         self, solution: Solution, rc: ReconfigurableCircuit
     ) -> Tuple[str, int]:
         """Pick join-vs-spawn and the target index (post-unassign state)."""
-        clbs = solution.task_clbs(self.task)
-        contexts = solution.contexts(self.rc_name)
-        join_candidates = [
-            k
-            for k in range(len(contexts))
-            if rc.fits(solution.context_clbs(self.rc_name, k), clbs)
-            and _contexts_ok(solution, self.rc_name, self.task, k, k + 1)
-        ]
+        join_candidates, spawn_candidates = self._candidates(solution, rc)
         if join_candidates and self._rng.random() < 0.5:
             return ("join", join_candidates[self._rng.randrange(len(join_candidates))])
-        if rc.fits(0, clbs):
-            spawn_candidates = [
-                p
-                for p in range(len(contexts) + 1)
-                if _contexts_ok(solution, self.rc_name, self.task, p, p)
-            ]
-            if spawn_candidates:
-                return (
-                    "spawn",
-                    spawn_candidates[self._rng.randrange(len(spawn_candidates))],
-                )
+        if spawn_candidates:
+            return (
+                "spawn",
+                spawn_candidates[self._rng.randrange(len(spawn_candidates))],
+            )
         if join_candidates:
             return ("join", join_candidates[self._rng.randrange(len(join_candidates))])
         raise InfeasibleMoveError(
@@ -636,11 +661,8 @@ class MoveGenerator:
         return OffloadMove(task=task, rc_name=rc.name, rng=rng)
 
     def _propose_impl(self, solution: Solution, rng: random.Random) -> Move:
-        hw_tasks = [
-            t for t in self._hw_capable
-            if solution.context_of(t) is not None
-            or isinstance(solution.resource_of(t), Asic)
-        ]
+        on_hw = set(solution.hardware_tasks())
+        hw_tasks = [t for t in self._hw_capable if t in on_hw]
         if not hw_tasks:
             raise InfeasibleMoveError("no hardware task for mImpl")
         task_index = hw_tasks[rng.randrange(len(hw_tasks))]

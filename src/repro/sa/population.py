@@ -261,7 +261,8 @@ class PopulationAnnealer(SearchStrategy):
         ``best_solution`` (copied on improvement), so interrupting the
         loop at any point leaves a consistent best-so-far result.
         ``initial`` seeds chain 0 (a seeded random solution when
-        ``None``).
+        ``None``); its evaluation, the loop's first, is in
+        ``extras["initial_evaluation"]`` from the first yield on.
         """
         config = self.config.with_budget(budget)
         config.validate()
@@ -322,6 +323,7 @@ class PopulationAnnealer(SearchStrategy):
         )
         result = tracker.result
         result.move_stats = stats
+        result.extras["initial_evaluation"] = initial_evaluations[0]
         lead = min(range(K), key=lambda c: (current[c], c))
         tracker.begin(current[lead], solutions[lead])
 
@@ -461,7 +463,6 @@ class PopulationAnnealer(SearchStrategy):
         tracker.record_engine(self.evaluator)
         tracker.finish(
             evaluations=self.evaluator.evaluations - evaluations_before,
-            initial_evaluation=initial_evaluations[0],
             chains=K,
             swap_attempts=swap_attempts,
             swap_accepts=swap_accepts,

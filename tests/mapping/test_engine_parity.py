@@ -46,7 +46,12 @@ from repro.model.application import Application
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import motion_detection_application
 from repro.model.task import Task
-from repro.sa.moves import MoveGenerator
+from repro.sa.moves import (
+    MoveGenerator,
+    RemoveResourceMove,
+    ReorderMove,
+    _contexts_ok,
+)
 
 #: Every unordered pair of engine names (the replay asserts pairwise
 #: identity, so covering the pairs covers the whole equivalence class;
@@ -244,6 +249,246 @@ def test_engine_parity_across_journal_trims(monkeypatch):
     assert _replay_motion(engines, counters=counters) >= 100
     assert counters["sync_full"] > _REPLAYS + 50
     assert counters["sync_full"] < counters["sync_calls"]
+
+
+def _replay_instance():
+    """A 30-task solution with a 16-task processor order and a
+    five-context DRLC: ``(app, arch, solution, cpu, rc)``."""
+    app = random_application(
+        GeneratorConfig(num_tasks=30, topology="tgff"), seed=5
+    )
+    arch = epicure_architecture(300)
+    solution = random_initial_solution(
+        app, arch, random.Random(1), hw_fraction=0.5
+    )
+    cpu = arch.processors()[0].name
+    rc = arch.reconfigurable_circuits()[0].name
+    assert len(solution.software_order(cpu)) >= 10
+    assert len(solution.contexts(rc)) == 5
+    return app, arch, solution, cpu, rc
+
+
+def _follow(app, arch, solution, steps):
+    """Walk ``steps``, ``(label, apply, undo)`` triples where ``undo``
+    takes what ``apply`` returned, with the reference and the
+    incremental engine; they must agree after every apply and undo, and
+    the incremental engine must replay every step from the journal
+    (its one full re-check is the first evaluation).  Returns the
+    incremental engine's counter increments per applied step label."""
+    full = Evaluator(app, arch, engine="full")
+    incremental = Evaluator(app, arch, engine="incremental")
+    engine = incremental.engine
+    _assert_same(
+        full.evaluate(solution), incremental.evaluate(solution), "initial"
+    )
+    deltas = {}
+    for label, apply, undo in steps:
+        before = engine.telemetry_counters()
+        token = apply(solution)
+        _assert_same(
+            full.evaluate(solution), incremental.evaluate(solution), label
+        )
+        after = engine.telemetry_counters()
+        deltas[label] = {name: after[name] - before[name] for name in after}
+        undo(solution, token)
+        _assert_same(
+            full.evaluate(solution),
+            incremental.evaluate(solution),
+            f"{label} undone",
+        )
+    assert engine.telemetry_counters()["sync_full"] == 1
+    return deltas
+
+
+def _edit(edit):
+    """A ``(apply, undo)`` pair around a raw solution edit: ``apply``
+    marks the journal and edits, ``undo`` rolls back to the mark."""
+    def apply(solution):
+        mark = solution.journal_mark()
+        edit(solution)
+        return mark
+
+    def undo(solution, mark):
+        solution.rollback(mark)
+
+    return apply, undo
+
+
+def _spawnable(solution, rc, position):
+    """A software task that can spawn a context at ``position`` of
+    ``rc`` without violating precedence."""
+    device = solution.architecture.resource(rc)
+    for t in solution.software_tasks():
+        if not solution.application.task(t).hardware_capable:
+            continue
+        layout = solution.copy()
+        layout.unassign(t)
+        if device.fits(0, layout.task_clbs(t)) and _contexts_ok(
+            layout, rc, t, position, position
+        ):
+            return t
+    raise AssertionError(f"no task can spawn a context at {position}")
+
+
+def test_replayed_context_spawns_at_head_middle_and_tail():
+    """Spawning a one-task context shifts every later context: the
+    replay re-derives it, relinks the boundaries next to it (the
+    configuration edges too, at the head), and the undo deletes it."""
+    app, arch, solution, _cpu, rc = _replay_instance()
+    steps = []
+    for label, position in (("head", 0), ("middle", 2), ("tail", 5)):
+        task = _spawnable(solution, rc, position)
+        steps.append((label, *_edit(
+            lambda s, t=task, p=position: s.spawn_context(t, rc, p)
+        )))
+    deltas = _follow(app, arch, solution, steps)
+    for label in ("head", "middle", "tail"):
+        assert 1 <= deltas[label]["contexts_refreshed"] <= 2, label
+        assert deltas[label]["rc_rebuilds"] == 0, label
+
+
+def _reimplement(solution, task):
+    """Switch ``task`` to another implementation variant."""
+    current = solution.implementation_choice(task)
+    count = solution.application.task(task).num_implementations
+    solution.set_implementation_choice(task, (current + 1) % count)
+
+
+def test_replayed_implementation_picks():
+    """An implementation pick re-derives only its task's context: in
+    context 0 it changes the configuration node's duration, in a later
+    context the weights of the boundary edges into it."""
+    app, arch, solution, _cpu, rc = _replay_instance()
+    full = Evaluator(app, arch, engine="full")
+
+    def member(k):
+        return next(
+            t for t in solution.contexts(rc)[k]
+            if app.task(t).num_implementations > 1
+        )
+
+    first, later = member(0), member(3)
+    reference = full.evaluate(solution)
+    for task, field in ((first, "initial_reconfig_ms"),
+                        (later, "dynamic_reconfig_ms")):
+        mark = solution.journal_mark()
+        _reimplement(solution, task)
+        assert getattr(full.evaluate(solution), field) != getattr(
+            reference, field
+        )
+        solution.rollback(mark)
+    deltas = _follow(app, arch, solution, [
+        ("context 0", *_edit(lambda s: _reimplement(s, first))),
+        ("context 3", *_edit(lambda s: _reimplement(s, later))),
+    ])
+    for label in ("context 0", "context 3"):
+        assert deltas[label]["contexts_refreshed"] == 1, label
+
+
+def _long_reorder(solution, cpu):
+    """An m1 move that shifts its task at least 4 positions."""
+    order = list(solution.software_order(cpu))
+    for task in order:
+        for dest in order:
+            if dest == task:
+                continue
+            move = ReorderMove(task=task, dest_task=dest)
+            try:
+                move.apply(solution)
+            except InfeasibleMoveError:
+                continue
+            shift = abs(solution.software_order(cpu).index(task)
+                        - order.index(task))
+            move.undo(solution)
+            if shift >= 4:
+                return ReorderMove(task=task, dest_task=dest)
+    raise AssertionError("no m1 move shifts a task 4 positions")
+
+
+def test_replayed_long_reorder_relinks_at_most_six_edges():
+    """An m1 move deletes its task from a processor chain and inserts
+    it elsewhere: each edit relinks at most three chain edges, however
+    far the task travels, and no context is touched."""
+    app, arch, solution, cpu, _rc = _replay_instance()
+    move = _long_reorder(solution, cpu)
+
+    def apply(s):
+        move.apply(s)
+        return move
+
+    deltas = _follow(app, arch, solution, [
+        ("m1", apply, lambda s, m: m.undo(s)),
+    ])
+    assert 1 <= deltas["m1"]["edges_relinked"] <= 6
+    assert deltas["m1"]["contexts_refreshed"] == 0
+
+
+@pytest.mark.parametrize("kind", ["processor", "drlc"])
+def test_replayed_m3_empties_and_detaches_a_resource(kind):
+    """An m3 move that rehomes the only task of a resource and detaches
+    the resource is one sync; so is its undo, which attaches it again
+    and restores the task."""
+    app, arch, solution, cpu, rc = _replay_instance()
+    task = next(
+        t for t in solution.software_order(cpu)
+        if app.task(t).hardware_capable
+    )
+    if kind == "processor":
+        extra = Processor("cpu1")
+    else:
+        extra = ReconfigurableCircuit("fpga1", n_clbs=300)
+    solution.attach_resource(extra)
+    if kind == "processor":
+        solution.assign_to_processor(task, extra.name)
+    else:
+        solution.spawn_context(task, extra.name)
+    dest = solution.contexts(rc)[0][0]
+
+    def apply(s):
+        move = RemoveResourceMove(dest_task=dest, rng=random.Random(0))
+        move._picked = (extra.name, task)
+        move.apply(s)
+        assert extra.name not in s.architecture.resource_names()
+        return move
+
+    deltas = _follow(app, arch, solution, [
+        ("m3", apply, lambda s, m: m.undo(s)),
+    ])
+    assert deltas["m3"]["sync_calls"] == 1
+
+
+def test_replay_across_the_journal_limit():
+    """A move walk long enough for the journal to start over at
+    ``JOURNAL_LIMIT``: every evaluation agrees with the reference, and
+    only the sync whose records were trimmed away re-checks in full."""
+    app, arch, solution, _cpu, _rc = _replay_instance()
+    full = Evaluator(app, arch, engine="full")
+    incremental = Evaluator(app, arch, engine="incremental")
+    generator = MoveGenerator(app)
+    rng = random.Random(3)
+    _assert_same(
+        full.evaluate(solution), incremental.evaluate(solution), "initial"
+    )
+    steps = 0
+    while solution._journal_base == 0 or steps % 50:
+        try:
+            move = generator.propose(solution, rng)
+            move.apply(solution)
+        except InfeasibleMoveError:
+            continue
+        steps += 1
+        _assert_same(
+            full.evaluate(solution),
+            incremental.evaluate(solution),
+            f"step {steps}",
+        )
+        if rng.random() < 0.5:
+            move.undo(solution)
+    counters = incremental.engine.telemetry_counters()
+    assert solution._journal_base > solution_module.JOURNAL_LIMIT
+    assert 2 <= counters["sync_full"] <= 1 + solution._journal_base // (
+        solution_module.JOURNAL_LIMIT
+    )
 
 
 def _processors(count: int) -> Architecture:
@@ -475,6 +720,30 @@ def _subclassed_arch() -> Architecture:
     arch.add_resource(_SubCircuit("fpga", n_clbs=800))
     arch.validate()
     return arch
+
+
+class _DoublingProcessor(Processor):
+    """Emits every chain edge twice, with two delays: the reference
+    graph keeps the larger one for coinciding edges."""
+
+    def sequentialization_edges(self, solution):
+        edges = super().sequentialization_edges(solution)
+        return [(a, b, w + 0.5) for a, b, w in edges] + edges
+
+
+def test_engine_parity_with_coinciding_polymorphic_edges():
+    """A resource on the polymorphic path that emits coinciding edges:
+    the incremental engine keeps each ``(src, dst)`` once, with the
+    larger delay, through a random walk with undone moves."""
+    arch = Architecture("doubling", bus=Bus(rate_kbytes_per_ms=30.0))
+    arch.add_resource(_DoublingProcessor("cpu0"))
+    arch.add_resource(Processor("cpu1", speed_factor=1.4))
+    arch.add_resource(ReconfigurableCircuit("fpga", n_clbs=800))
+    arch.validate()
+    app = random_application(
+        GeneratorConfig(num_tasks=20, topology="tgff"), seed=7
+    )
+    assert _replay(app, lambda: arch, seed=707, steps=120) >= 120
 
 
 def _move_adjacent_pair(solution):

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.arch.architecture import epicure_architecture
 from repro.arch.asic import Asic
 from repro.arch.processor import Processor
 from repro.errors import ConfigurationError
 from repro.mapping.cost import SystemCost
+from repro.model.motion import motion_detection_application
+from repro.obs.telemetry import Telemetry
 from repro.sa.explorer import DesignSpaceExplorer
 
 
@@ -49,6 +52,24 @@ class TestBasicRun:
             DesignSpaceExplorer(
                 small_app, small_arch, schedule_name="volcanic"
             )
+
+    @pytest.mark.parametrize("engine", ["full", "incremental"])
+    def test_initial_solution_is_evaluated_once(self, engine):
+        """The loop's first step is the only evaluation of the initial
+        solution, so the engine counts exactly the run's evaluations
+        (before the final evaluation of the best solution)."""
+        explorer = DesignSpaceExplorer(
+            motion_detection_application(), epicure_architecture(2000),
+            iterations=1500, warmup_iterations=300, seed=1, engine=engine,
+        )
+        explorer.telemetry = tele = Telemetry(label="test")
+        result = explorer.search()
+        assert tele.counters["engine.evaluations"] == result.evaluations
+        assert tele.counters["evaluations"] == result.evaluations
+        initial = result.extras["initial_evaluation"]
+        assert initial == explorer.evaluator.evaluate(
+            explorer.initial_solution()
+        )
 
 
 class TestInterruptible:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.architecture import epicure_architecture
 from repro.arch.asic import Asic
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
@@ -288,6 +289,56 @@ class TestOffloadMove:
         move.undo(s)
         move.apply(s)
         assert [list(c) for c in s.contexts("fpga")] == first
+
+    @pytest.mark.parametrize("which", ["motion", "tgff60"])
+    def test_candidates_match_the_contexts_ok_scans(self, which):
+        """The one-pass join and spawn lists equal the lists built by
+        one ``_contexts_ok`` scan per candidate, on random context
+        layouts that may violate precedence and overflow capacity."""
+        if which == "motion":
+            app = motion_detection_application()
+        else:
+            app = random_application(
+                GeneratorConfig(num_tasks=60, topology="tgff"), seed=3
+            )
+        arch = epicure_architecture(900)
+        rc = arch.reconfigurable_circuits()[0]
+        cpu = arch.processors()[0].name
+        hw = [t.index for t in app.tasks() if t.hardware_capable]
+        rng = random.Random(17)
+        shapes = set()
+        for _ in range(60):
+            solution = Solution(app, arch)
+            for t in app.task_indices():
+                solution.assign_to_processor(t, cpu)
+            for t in rng.sample(hw, rng.randint(1, len(hw))):
+                count = len(solution.contexts(rc.name))
+                if count and rng.random() < 0.6:
+                    solution.assign_to_context(
+                        t, rc.name, rng.randrange(count),
+                        enforce_capacity=False,
+                    )
+                else:
+                    solution.spawn_context(t, rc.name, rng.randint(0, count))
+            task = rng.choice(hw)
+            solution.unassign(task)
+            contexts = solution.contexts(rc.name)
+            clbs = solution.task_clbs(task)
+            join = [
+                k for k in range(len(contexts))
+                if rc.fits(solution.context_clbs(rc.name, k), clbs)
+                and _contexts_ok(solution, rc.name, task, k, k + 1)
+            ]
+            spawn = [
+                p for p in range(len(contexts) + 1)
+                if _contexts_ok(solution, rc.name, task, p, p)
+            ] if rc.fits(0, clbs) else []
+            move = OffloadMove(task=task, rc_name=rc.name, rng=rng)
+            assert move._candidates(solution, rc) == (join, spawn)
+            shapes.add(("join", bool(join)))
+            shapes.add(("spawn", bool(spawn)))
+        # Both lists were seen empty and non-empty.
+        assert len(shapes) == 4
 
 
 class TestArchitectureMoves:
