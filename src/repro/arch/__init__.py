@@ -12,7 +12,8 @@ the tasks assigned to them —
 
 Each subclass contributes its sequentialization edges to the search
 graph through :meth:`Resource.sequentialization_edges` — the library's
-rendition of the paper's abstract ``PE.schedule(Vs, Vd)`` method.
+rendition of the paper's abstract ``PE.schedule(Vs, Vd)`` method.  The
+fast engine (``engine="incremental"``) takes exactly these three types.
 """
 
 from repro.arch.resource import Resource, OrderKind

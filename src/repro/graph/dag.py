@@ -344,8 +344,8 @@ class NodeInterner:
     def copy(self) -> "NodeInterner":
         """Independent interner with the same id assignments.
 
-        Engines intern virtual nodes on top of the compile pass's
-        interner; forking it lets several engines grow private virtual
+        Engines intern configuration nodes on top of the compile pass's
+        interner; each copies it, so several engines grow private
         regions without ever disagreeing on the shared prefix."""
         clone = NodeInterner()
         clone._ids = dict(self._ids)

@@ -12,15 +12,16 @@ plain Python lists, which :class:`~repro.mapping.engine.IncrementalEngine`
 consumes in its delta-patching and DP loops.
 
 The compile pass runs **once per search** (and again only if a caller
-swaps the bus object); everything in it is solution-independent.  The
+swaps the bus object); everything in it is solution-independent and
+read-only, so the K engines of a population share one instance.  The
 dense-id layout is load-bearing:
 
 * ids ``[0, ntasks)`` are the application tasks in
   ``application.task_indices()`` order;
 * ids ``[ntasks, ntasks + ndeps)`` are the communication nodes, one per
   dependency in ``application.dependencies()`` order;
-* ids beyond that are virtual nodes (per-DRLC configuration nodes)
-  interned on demand by the engine.
+* ids beyond that are the per-DRLC configuration nodes, interned on
+  demand by each engine into its own copy of the interner.
 """
 
 from __future__ import annotations
@@ -60,48 +61,14 @@ class CompiledInstance:
     dep_transfer: List[float]
     dep_comm: List[int]
     deps_of_task: List[List[int]]
-    #: The interner holding tasks + comm nodes (engines intern virtual
-    #: configuration nodes on top of it).
+    #: The interner holding tasks + comm nodes (engines intern the
+    #: configuration nodes on top of their own copies).
     interner: NodeInterner
     #: Static dependency layer: per-node comm predecessors, successors
     #: and indegrees of the permanent ``src -> comm -> dst`` wiring.
     pred_comms: List[List[int]]
     succ_static: List[List[int]]
     indeg_static: List[int]
-
-    # ------------------------------------------------------------------
-    def fork(self) -> "CompiledInstance":
-        """A sibling view sharing every immutable table.
-
-        Engines *append* to exactly four members when they intern
-        virtual configuration nodes (:meth:`IncrementalEngine._grow_nodes`):
-        the interner and the ``pred_comms``/``succ_static``/
-        ``indeg_static`` per-node arrays.  A fork deep-copies those four
-        and aliases everything else, so K engines can drive K
-        independent solutions over one compile pass without re-running
-        it or corrupting each other's virtual-node regions."""
-        return CompiledInstance(
-            application=self.application,
-            bus=self.bus,
-            tasks=self.tasks,
-            tid=self.tid,
-            sw_ms=self.sw_ms,
-            impl_clbs=self.impl_clbs,
-            impl_ms=self.impl_ms,
-            pred_ids=self.pred_ids,
-            succ_ids=self.succ_ids,
-            dep_srct=self.dep_srct,
-            dep_dstt=self.dep_dstt,
-            dep_src=self.dep_src,
-            dep_dst=self.dep_dst,
-            dep_transfer=self.dep_transfer,
-            dep_comm=self.dep_comm,
-            deps_of_task=self.deps_of_task,
-            interner=self.interner.copy(),
-            pred_comms=[list(row) for row in self.pred_comms],
-            succ_static=[list(row) for row in self.succ_static],
-            indeg_static=list(self.indeg_static),
-        )
 
     # ------------------------------------------------------------------
     @property

@@ -9,17 +9,20 @@ operation behind one interface with two implementations:
   the original ``Evaluator``/``SearchGraphBuilder`` pipeline: rebuild
   the whole :class:`~repro.graph.dag.Dag` from scratch for every
   candidate and run the dict-based longest-path DP.
-* :class:`IncrementalEngine` — the fast path.  The problem instance is
-  flattened once per search by the :mod:`repro.mapping.compiled` pass
-  (every search-graph node interned to a dense integer id, the
-  solution-independent precedence skeleton precomputed); after each
-  move only the solution-dependent parts are delta-patched — task
-  durations, the crossing state of each dependency, and the
-  sequentialization edges of the (typically one or two) resources a
-  move actually touched.  On top of that delta-sync the longest-path DP
-  is *persistent*: one topological order — of the bus-serialized graph
-  too — is repaired in place instead of re-sorted, and only the order
-  suffix a move could have affected is re-relaxed.
+* :class:`IncrementalEngine` — the fast path, for the paper's three
+  resource kinds: exact :class:`Processor`, :class:`ReconfigurableCircuit`
+  and :class:`Asic` instances (any other :class:`Resource` subclass
+  needs ``engine="full"``).  The problem instance is flattened once per
+  search by the :mod:`repro.mapping.compiled` pass (every search-graph
+  node interned to a dense integer id, the solution-independent
+  precedence skeleton precomputed); after each move only the
+  solution-dependent parts are delta-patched — task durations, the
+  crossing state of each dependency, and the sequentialization edges of
+  the (typically one or two) resources a move actually touched.  On top
+  of that delta-sync the longest-path DP is *persistent*: one
+  topological order — of the bus-serialized graph too — is repaired in
+  place instead of re-sorted, and only the order suffix a move could
+  have affected is re-relaxed.
 
 Both engines produce **bit-identical** makespans: they evaluate the same
 graph with the same float operations over the same candidate sets, and
@@ -62,13 +65,6 @@ INFEASIBLE_MS = math.inf
 #: Names accepted by :func:`make_engine` / ``Evaluator(engine=...)``;
 #: ``"array"`` builds the same engine as ``"incremental"``.
 ENGINES = ("full", "incremental", "array")
-
-
-def _kind_is_hw(kind: Tuple) -> bool:
-    """Does a classified resource host *hardware* tasks (the ones
-    ``Solution.hardware_tasks`` counts)?"""
-    tag = kind[0]
-    return tag == "rc" or tag == "asic" or (tag == "?" and kind[2])
 
 
 def _chain_edit(ids: List[int], x: int, i: int, sign: int, delta: Dict) -> None:
@@ -290,9 +286,10 @@ class IncrementalEngine(EvaluationEngine):
       positions, so an insert that finds a cycle is an exact verdict);
       two or more go to one Kahn sort.  The bus chain — the serialized
       transaction order, one more pointer layer — is written next, and
-      its contradicting edges are re-inserted one at a time (or base
-      layers and chain are sorted at once).  Every order evaluated with
-      is topological, so cycles are detected like the reference does.
+      its contradicting edges are unlinked and re-inserted one at a
+      time, so a failed insert is an exact cycle verdict too.  Every
+      order evaluated with is topological, so cycles are detected like
+      the reference does.
     * **The base DP values.**  Every node whose inputs change is seeded
       where the change is written (structural deltas by
       :meth:`_replace_edges`, durations and weights by compare-and-seed
@@ -303,16 +300,17 @@ class IncrementalEngine(EvaluationEngine):
       predecessor changed, or copied when no chain edge binds.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
-    cached alongside.  Unknown :class:`Resource` subclasses fall back to
-    their own ``sequentialization_edges``/``virtual_nodes`` on every
-    evaluation (conservative but correct).
+    cached alongside.  Edges and durations are derived natively for the
+    exact :class:`Processor`, :class:`ReconfigurableCircuit` and
+    :class:`Asic` types, so any other :class:`Resource` (a subclass may
+    override them) raises :class:`ConfigurationError`; the reference
+    engine scores it.
     """
 
     name = "incremental"
 
-    #: Contradicting-edge count above which repairing the bus chain is
-    #: assumed costlier than one Kahn rebuild, and past which the base
-    #: layers' contradicting edges drop the stored order outright.
+    #: Count of base-layer edges contradicting the stored order past
+    #: which the order is dropped outright (a Kahn rebuild is due).
     MAX_REPAIR_EDGES = 24
 
     def __init__(
@@ -330,7 +328,7 @@ class IncrementalEngine(EvaluationEngine):
                 "provided CompiledInstance was compiled for a different "
                 "application/bus than this engine's"
             )
-        self._compiled_seed = compiled
+        self.compiled = compiled
         super().__init__(application, architecture, bus_policy)
         self._build_skeleton(architecture.bus)
 
@@ -341,18 +339,21 @@ class IncrementalEngine(EvaluationEngine):
         self._bus = bus
         self._ordered = self.bus_policy == "ordered"
         # The compile pass (repro.mapping.compiled) flattens application
-        # + bus into dense solution-independent tables, aliased here and
-        # extended in place when virtual nodes are interned.  A one-shot
-        # ``CompiledInstance.fork()`` seed lets K engines share one pass;
-        # a bus swap recompiles.
-        compiled = self._compiled_seed
-        self._compiled_seed = None
+        # + bus into dense solution-independent tables.  They are read
+        # only, so K engines can share one pass; a bus swap recompiles.
+        compiled = self.compiled
         if compiled is None or compiled.bus is not bus:
-            compiled = compile_instance(self.application, bus)
-        self.compiled = compiled
+            compiled = self.compiled = compile_instance(self.application, bus)
         self._tasks = compiled.tasks
         self._ntasks = compiled.ntasks
-        self._interner = compiled.interner
+        # Configuration nodes are interned on top of the compiled ids,
+        # so the interner and the per-node static tables that grow with
+        # it are the engine's own copies (existing rows are never
+        # written, so copying the row lists suffices).
+        self._interner = compiled.interner.copy()
+        self._pred_comms = list(compiled.pred_comms)
+        self._succ_static = list(compiled.succ_static)
+        self._indeg_static = list(compiled.indeg_static)
         self._tid = compiled.tid
         self._sw_ms = compiled.sw_ms
         self._impl_clbs = compiled.impl_clbs
@@ -375,9 +376,6 @@ class IncrementalEngine(EvaluationEngine):
         # are its predecessor comm nodes' *finish* times.
         n = len(self._interner)
         self._comm_w: List[float] = [0.0] * ndeps
-        self._pred_comms = compiled.pred_comms
-        self._succ_static = compiled.succ_static
-        self._indeg_static = compiled.indeg_static
         # Processor chains as prev/next pointer arrays: a task sits on at
         # most one processor, so one array pair covers them all.
         self._proc_prev: List[int] = [-1] * n
@@ -407,8 +405,7 @@ class IncrementalEngine(EvaluationEngine):
     def _invalidate(self) -> None:
         """Forget all mirrored solution state (forces a full re-sync)."""
         n = len(self._interner)
-        # Durations mirror solution state too; an emptied RC's config
-        # node is only zeroed through _virtual_ids, reset here.
+        # Durations mirror solution state too, config nodes included.
         for node_id in range(len(self._dur)):
             self._dur[node_id] = 0.0
         self._m_resource: List[Optional[str]] = [None] * self._ntasks
@@ -418,16 +415,13 @@ class IncrementalEngine(EvaluationEngine):
         # position read up to; any other solution is re-checked in full.
         self._m_solution: Optional[Solution] = None
         self._m_cursor = 0
-        self._rc_list: List[Tuple[str, ReconfigurableCircuit]] = []
+        self._rc_names: List[str] = []
         # The copies the journal is replayed on: each processor order
         # as dense ids, each DRLC's contexts, the context holding each
-        # task (``None`` off the DRLCs), and the live ``(src, dst,
-        # weight)`` edges of each resource on the polymorphic path.
+        # task (``None`` off the DRLCs).
         self._proc_ids: Dict[str, List[int]] = {}
         self._rc_ctx: Dict[str, List[_Context]] = {}
         self._ctx_of: List[Optional[_Context]] = [None] * self._ntasks
-        self._generic_edges: Dict[str, List[Tuple]] = {}
-        self._virtual_ids: Dict[str, List[int]] = {}
         self._rc_stats: Dict[str, Tuple[int, float, float, int]] = {}
         self._hw_count = 0
         self._dep_mode: List[int] = [-1] * self._ndeps
@@ -471,15 +465,13 @@ class IncrementalEngine(EvaluationEngine):
         self.stat_order_repairs = 0
         self.stat_order_rebuilds = 0
         self.stat_chain_repairs = 0
-        self.stat_chain_rebuilds = 0
 
     def _classify(self, res: Resource) -> None:
-        """Classify a resource and give a built-in one its copy.  Exact
-        types get the array fast paths; *subclasses* (which may override
-        timing or edge emission) take the polymorphic ``"?"`` path, the
-        third field telling whether they host hardware tasks.  Entries
-        and copies outlive their resource: a removed resource can still
-        be a task's *previous* assignment (m3)."""
+        """Classify a resource and give it its copy.  Only the exact
+        built-in types are accepted: a subclass may override the timing
+        and edges the sync derives natively.  Entries and copies outlive
+        their resource: a removed resource can still be a task's
+        *previous* assignment (m3)."""
         name = res.name
         kind = self._res_kind.get(name)
         if kind is None or kind[1] is not res:
@@ -490,7 +482,11 @@ class IncrementalEngine(EvaluationEngine):
             elif type(res) is Asic:
                 kind = ("asic", res)
             else:
-                kind = ("?", res, isinstance(res, (ReconfigurableCircuit, Asic)))
+                raise ConfigurationError(
+                    f"resource {name!r} is a {type(res).__name__}: the "
+                    "incremental engine scores only the built-in Processor, "
+                    "ReconfigurableCircuit and Asic types; use engine='full'"
+                )
             self._res_kind[name] = kind
         if kind[0] == "p":
             self._proc_ids.setdefault(name, [])
@@ -511,7 +507,6 @@ class IncrementalEngine(EvaluationEngine):
             order_repairs=self.stat_order_repairs,
             order_rebuilds=self.stat_order_rebuilds,
             chain_repairs=self.stat_chain_repairs,
-            chain_rebuilds=self.stat_chain_rebuilds,
         )
         return out
 
@@ -592,13 +587,13 @@ class IncrementalEngine(EvaluationEngine):
                     self._classify(record[1])
             names = arch.resource_names()
             if names != self._m_res_names:
-                self._reshape(arch, names, seq_old)
+                self._reshape(arch, names)
         else:
             self.stat_sync_full += 1
             tasks = self._tasks
             names = arch.resource_names()
             if names != self._m_res_names:
-                self._reshape(arch, names, seq_old)
+                self._reshape(arch, names)
             touched = self._rebuild(solution, names, chain_delta, seq_old)
         self._m_solution = solution
         if solution._journal is None:
@@ -619,9 +614,9 @@ class IncrementalEngine(EvaluationEngine):
             i = tid[t]
             old_r = m_res[i]
             if r != old_r:
-                if old_r is not None and _kind_is_hw(res_kind[old_r]):
+                if old_r is not None and res_kind[old_r][0] != "p":
                     self._hw_count -= 1
-                if _kind_is_hw(res_kind[r]):
+                if res_kind[r][0] != "p":
                     self._hw_count += 1
                 m_res[i] = r
             elif c == m_impl[i]:
@@ -636,8 +631,6 @@ class IncrementalEngine(EvaluationEngine):
                 kind = res_kind[m_res[i]]
                 if kind[0] == "p":
                     value = sw_ms[i] / kind[2]
-                elif kind[0] == "?" or impl_ms[i] is None:
-                    value = kind[1].execution_time_ms(solution, self._tasks[i])
                 else:
                     value = impl_ms[i][m_impl[i]]
                 self._set_dur(i, value)
@@ -646,41 +639,30 @@ class IncrementalEngine(EvaluationEngine):
                     self._refresh_dep(j)
 
         # The dirty contexts (read after the picks above) and their
-        # boundaries.  Unknown resource types are refreshed on every
-        # call: their methods may read state the journal does not name.
+        # boundaries.
         for name in names:
             kind = res_kind[name]
-            if kind[0] == "rc":
-                if name in touched:
-                    self._refresh_contexts(name, kind[1], seq_old, seq_new)
-            elif kind[0] == "?":
-                touched.add(name)
-                seq_old += self._generic_edges.get(name, ())
-                triples = self._refresh_generic(name, kind[1], solution)
-                self._generic_edges[name] = triples
-                seq_new += triples
+            if kind[0] == "rc" and name in touched:
+                self._refresh_contexts(name, kind[1], seq_old, seq_new)
         self.stat_sync_resources += len(touched)
         self._replace_edges(chain_delta, seq_old, seq_new)
 
-    def _reshape(
-        self, arch: Architecture, names: List[str], seq_old: List[Tuple]
-    ) -> None:
-        """The resource list changed: classify it, and drop the edges,
-        virtual nodes and statistics of the resources that left."""
+    def _reshape(self, arch: Architecture, names: List[str]) -> None:
+        """The resource list changed: classify it, and drop the
+        configuration time and statistics of the DRLCs that left (their
+        edges left with their contexts)."""
         for res in arch.resources():
             self._classify(res)
         current = set(names)
         for name in self._m_res_names:
             if name not in current:
-                seq_old += self._generic_edges.pop(name, ())
                 self._rc_stats.pop(name, None)
-                for node_id in self._virtual_ids.pop(name, ()):
-                    self._set_dur(node_id, 0.0)
+                config_id = self._config_ids.get(name)
+                if config_id is not None:
+                    self._set_dur(config_id, 0.0)
         self._m_res_names = list(names)
-        self._rc_list = [
-            (r.name, r)
-            for r in arch.resources()
-            if isinstance(r, ReconfigurableCircuit)
+        self._rc_names = [
+            name for name in names if self._res_kind[name][0] == "rc"
         ]
 
     def _rebuild(
@@ -729,12 +711,12 @@ class IncrementalEngine(EvaluationEngine):
         its initials, its time, its predecessor or that one's terminals
         changed."""
         ctxs = self._rc_ctx[name]
+        config_id = self._config_ids.get(name)
         if not ctxs:
-            for node_id in self._virtual_ids.pop(name, ()):
-                self._set_dur(node_id, 0.0)
+            if config_id is not None:
+                self._set_dur(config_id, 0.0)
             self._rc_stats[name] = (0, 0.0, 0.0, 0)
             return
-        config_id = self._config_ids.get(name)
         if config_id is None:
             config_id = self._interner.intern((CONFIG_NODE, name))
             self._config_ids[name] = config_id
@@ -791,7 +773,6 @@ class IncrementalEngine(EvaluationEngine):
             sum([ctx.clbs for ctx in ctxs]),
         )
         self._set_dur(config_id, ctxs[0].reconfig)
-        self._virtual_ids[name] = [config_id]
 
     def _set_dur(self, node: int, value: float) -> None:
         """Write a node duration, seeding the suffix DP when it changes."""
@@ -820,31 +801,6 @@ class IncrementalEngine(EvaluationEngine):
         if mode != self._dep_mode[j]:
             self._dep_mode[j] = mode
             self._active_dirty = True
-
-    def _refresh_generic(
-        self, name: str, res: Resource, solution: Solution
-    ) -> List[Tuple[int, int, float]]:
-        """Fallback for unknown resource types: delegate to the
-        resource's polymorphic search-graph contribution."""
-        intern = self._interner.intern
-        # Coinciding edges keep the larger delay, as in the reference.
-        best: Dict[Tuple[int, int], float] = {}
-        for a, b, w in res.sequentialization_edges(solution):
-            key = (intern(a), intern(b))
-            if best.get(key, w) <= w:
-                best[key] = w
-        triples = [(a, b, w) for (a, b), w in best.items()]
-        virtual = getattr(res, "virtual_nodes", None)
-        entries = virtual(solution) if virtual is not None else []
-        new_ids = [intern(key) for key, _duration in entries]
-        self._grow_nodes()
-        for node_id in self._virtual_ids.get(name, ()):
-            if node_id not in new_ids:
-                self._set_dur(node_id, 0.0)
-        for (_key, duration), node_id in zip(entries, new_ids):
-            self._set_dur(node_id, duration)
-        self._virtual_ids[name] = new_ids
-        return triples
 
     def _replace_edges(
         self, chain_delta: Dict, seq_old: List, seq_new: List
@@ -990,11 +946,7 @@ class IncrementalEngine(EvaluationEngine):
                 if not self._pk_insert(
                     entry[0], entry[1], a, b, no_chain, no_chain
                 ):
-                    keys = self._interner.keys()
-                    return self._infeasible(CycleError(
-                        "realization contains a cycle",
-                        cycle=[keys[b], keys[a]],
-                    ))
+                    return self._infeasible(self._cycle(a, b))
                 self.stat_order_repairs += 1
                 entry[2] = True
                 pending.clear()
@@ -1057,31 +1009,14 @@ class IncrementalEngine(EvaluationEngine):
         if moved or heads or ser_full:
             bad = [(a, b) for a, b in zip(chain, chain[1:]) if pos[a] > pos[b]]
             if bad:
-                if len(bad) <= self.MAX_REPAIR_EDGES and self._repair_chain(
-                    order, pos, bad
-                ):
-                    self.stat_chain_repairs += 1
-                else:
-                    # Too many contradictions, or a cycle: sort base
-                    # layers + bus chain at once (processor chains link
-                    # task ids, the bus chain comm ids: one array).
-                    self.stat_chain_rebuilds += 1
-                    hi = lo + self._ndeps
-                    chains = list(self._proc_next)
-                    chains[lo:hi] = self._chain_next[lo:hi]
-                    indeg = list(self._indeg_total)
-                    for c in chain[1:]:
-                        indeg[c] += 1
-                    try:
-                        order = kahn_order_indices(
-                            n, indeg, self._succ_static,
-                            self._interner.keys(), self._succ_seq, chains,
-                        )
-                    except CycleError as exc:
-                        seeds.clear()
-                        self._ser_valid = False
-                        return INFEASIBLE_MS, False, comm_ms, exc
-                    order, pos = self._adopt_order(order)[:2]
+                failed = self._repair_chain(order, pos, bad)
+                if failed is not None:
+                    # The serialized graph is cyclic; the base values
+                    # are current, the serialized ones re-run in full.
+                    seeds.clear()
+                    self._ser_valid = False
+                    return INFEASIBLE_MS, False, comm_ms, self._cycle(*failed)
+                self.stat_chain_repairs += 1
 
         # --- persistent serialized DP ---------------------------------
         starts1 = self._starts1
@@ -1108,6 +1043,13 @@ class IncrementalEngine(EvaluationEngine):
         dep_comm = self._dep_comm
         comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
         return INFEASIBLE_MS, False, comm_ms, exc
+
+    def _cycle(self, a: int, b: int) -> CycleError:
+        """The cycle verdict of an edge ``a -> b`` whose insert failed."""
+        keys = self._interner.keys()
+        return CycleError(
+            "realization contains a cycle", cycle=[keys[b], keys[a]]
+        )
 
     # ------------------------------------------------------------------
     # persistent order maintenance
@@ -1160,26 +1102,29 @@ class IncrementalEngine(EvaluationEngine):
 
     def _repair_chain(
         self, order: List[int], pos: List[int], bad: List[Tuple[int, int]]
-    ) -> bool:
+    ) -> Optional[Tuple[int, int]]:
         """Repair the persistent order for the bus-chain edges that
         contradict it.  They are unlinked first and re-inserted one at a
         time, so every Pearce/Kelly insertion runs with every other
         linked edge (base layers and chain) position-consistent: each
-        step is sound by the PK invariant and needs no O(E) check.
-        Returns False when an insertion finds a cycle; the edges are
-        relinked either way."""
+        step is sound by the PK invariant and needs no O(E) check, and
+        an insertion that finds a path back proves the serialized graph
+        cyclic.  Returns that edge (``None`` when all went in); the
+        edges are relinked either way."""
         chain_pred = self._chain_pred
         chain_next = self._chain_next
         for a, b in bad:
             chain_next[a] = -1
             chain_pred[b] = -1
-        ok = True
+        failed = None
         for a, b in bad:
-            if ok and pos[a] > pos[b]:
-                ok = self._pk_insert(order, pos, a, b, chain_next, chain_pred)
+            if failed is None and pos[a] > pos[b] and not self._pk_insert(
+                order, pos, a, b, chain_next, chain_pred
+            ):
+                failed = (a, b)
             chain_next[a] = b
             chain_pred[b] = a
-        return ok
+        return failed
 
     def _pk_insert(
         self,
@@ -1350,29 +1295,20 @@ class IncrementalEngine(EvaluationEngine):
         if not feasible and strict and exc is not None:
             raise exc
         # Fig. 3 decomposition from the cached per-RC statistics, summed
-        # in the full engine's resource order; RC subclasses on the
-        # polymorphic path are recomputed the full engine's way.
+        # in the full engine's resource order.  A DRLC that a rollback
+        # attached again empty has none: it adds nothing.
         initial = 0.0
         dynamic = 0.0
         clbs = 0
         num_contexts = 0
         rc_stats = self._rc_stats
-        for name, rc in self._rc_list:
+        for name in self._rc_names:
             stats = rc_stats.get(name)
             if stats is not None:
                 num_contexts += stats[0]
                 initial += stats[1]
                 dynamic += stats[2]
                 clbs += stats[3]
-            else:
-                initial += rc.initial_reconfiguration_ms(solution)
-                dynamic += rc.dynamic_reconfiguration_ms(solution)
-                contexts = solution.contexts(name)
-                num_contexts += len(contexts)
-                clbs += sum(
-                    solution.context_clbs(name, k)
-                    for k in range(len(contexts))
-                )
         hw = self._hw_count
         return Evaluation(
             makespan_ms=makespan,
@@ -1394,8 +1330,8 @@ class CrossChainEvaluator:
     runs K chains, each with its own
     :class:`~repro.mapping.solution.Solution` and its own engine
     (``engines[k]``), so each sync pays only its own chain's delta.
-    Chain 0 compiles; chains 1..K-1 receive
-    :meth:`CompiledInstance.fork` views of that compile pass.
+    Chain 0 compiles; chains 1..K-1 are handed the same read-only
+    :class:`~repro.mapping.compiled.CompiledInstance`.
     """
 
     def __init__(
@@ -1413,22 +1349,15 @@ class CrossChainEvaluator:
         self.application = application
         self.architecture = architecture
         self.bus_policy = bus_policy
-        # Chains 1..K-1 reuse chain 0's compile pass through
-        # CompiledInstance.fork.
         first = make_engine(engine, application, architecture, bus_policy)
-        engines: List[EvaluationEngine] = [first]
         compiled = getattr(first, "compiled", None)
-        for _ in range(1, chains):
-            engines.append(
-                make_engine(
-                    engine,
-                    application,
-                    architecture,
-                    bus_policy,
-                    compiled=None if compiled is None else compiled.fork(),
-                )
+        self.engines: List[EvaluationEngine] = [first] + [
+            make_engine(
+                engine, application, architecture, bus_policy,
+                compiled=compiled,
             )
-        self.engines = engines
+            for _ in range(1, chains)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -1481,9 +1410,9 @@ def make_engine(
     """Instantiate an evaluation engine by name: ``"full"``, or
     ``"incremental"``/``"array"`` (two names of the same engine); raises
     :class:`ConfigurationError` otherwise.  ``compiled`` hands an
-    existing :class:`CompiledInstance` (or fork) to the stateful engine
-    so K engines can share one compile pass; the stateless reference
-    engine ignores it."""
+    existing :class:`CompiledInstance` to the stateful engine so K
+    engines can share one compile pass; the stateless reference engine
+    ignores it."""
     if name == "full":
         return FullRebuildEngine(application, architecture, bus_policy)
     if name in ("incremental", "array"):

@@ -162,16 +162,14 @@ class SearchGraphBuilder:
         Deterministic policy: sort communication nodes by their ASAP
         ready time in the unserialized graph (ties: source task, then
         destination task), then chain them with zero-weight edges.
-        Because every transfer has a strictly positive duration, a
-        transfer reachable from another always has a strictly later
-        ready time, so the chain cannot create a cycle when the
-        underlying realization is acyclic.  The argument needs every
-        edge weight and node duration to be non-negative, as the
-        ``Bus``, ``Task``/``Implementation`` and
-        ``ReconfigurableCircuit`` constructors validate.  A
-        :class:`~repro.arch.resource.Resource` subclass emitting
-        negative weights voids it; a cyclic chain is then reported by
-        :meth:`SearchGraph.makespan_ms` like any other cycle.
+        Every transfer has a positive duration, so in exact arithmetic
+        (and with the non-negative weights and durations the built-in
+        constructors validate) a transfer reachable from another has a
+        strictly later ready time.  In floating point a transfer shorter
+        than the spacing of floats at its start time can tie with a
+        transfer it reaches through zero-duration tasks, and the
+        tie-break then closes a cycle; :meth:`SearchGraph.makespan_ms`
+        reports it, as it reports any other cycle.
         """
         try:
             start = graph.start_times()

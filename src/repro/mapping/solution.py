@@ -234,7 +234,10 @@ class Solution:
 
     def context_clbs(self, rc_name: str, context_index: int) -> int:
         members = self._context(rc_name, context_index)
-        return sum(self.task_clbs(t) for t in members)
+        # Implementation choices are validated when set.
+        task = self.application.task
+        choice = self._impl_choice.get
+        return sum(task(t).implementations[choice(t, 0)].clbs for t in members)
 
     def _context(self, rc_name: str, context_index: int) -> List[int]:
         contexts = self.contexts(rc_name)

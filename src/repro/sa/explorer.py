@@ -125,6 +125,8 @@ class DesignSpaceExplorer(PopulationAnnealer):
 
     # ------------------------------------------------------------------
     def initial_solution(self) -> Solution:
+        """The seeded starting solution: the one the loop draws when
+        :meth:`search` is given none."""
         rng = random.Random(self.seed)
         return random_initial_solution(
             self.application,
@@ -151,11 +153,11 @@ class DesignSpaceExplorer(PopulationAnnealer):
     ) -> SearchResult:
         """:class:`~repro.search.strategy.SearchStrategy` form of
         :meth:`run`: the unified result, with the full evaluations of
-        the best and initial solutions in ``extras``.  The loop
-        evaluates the initial solution once, as its first step.  The
+        the best and initial solutions in ``extras``.  The loop draws
+        the initial solution (as :meth:`initial_solution` does) when
+        none is given and evaluates it once, as its first step.  The
         benchmark harness's tracer wraps this method by name."""
-        solution = initial if initial is not None else self.initial_solution()
-        return super().search(solution, budget=budget, on_step=on_step)
+        return super().search(initial, budget=budget, on_step=on_step)
 
     def run_interruptible(
         self,
@@ -167,8 +169,7 @@ class DesignSpaceExplorer(PopulationAnnealer):
         Demonstrates the paper's "can be interrupted by the user at any
         time and will then return the current solution".
         """
-        solution = initial if initial is not None else self.initial_solution()
-        for annealing in self.iterate(solution):
+        for annealing in self.iterate(initial):
             if stop(annealing):
                 break
         return ExplorationResult(

@@ -1,8 +1,8 @@
 """Cross-chain evaluator.
 
-Covers the pieces the annealing loop stands on: compiled-instance
-forking, and per-chain apply → evaluate → undo walks over the forked
-engines of one ``CrossChainEvaluator``.
+Covers the pieces the annealing loop stands on: one compile pass
+shared by every chain's engine, and per-chain apply → evaluate → undo
+walks over the engines of one ``CrossChainEvaluator``.
 """
 
 import copy
@@ -13,15 +13,10 @@ import pytest
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError, InfeasibleMoveError
-from repro.mapping.compiled import compile_instance
 from repro.mapping.engine import CrossChainEvaluator, make_engine
 from repro.mapping.cost import MakespanCost
 from repro.mapping.solution import random_initial_solution
 from repro.sa.moves import MoveGenerator
-
-
-def _bus(architecture):
-    return architecture.bus
 
 
 def _step(engine, solution, move, accept):
@@ -40,22 +35,34 @@ def _step(engine, solution, move, accept):
     return cost
 
 
-class TestCompiledFork:
-    def test_fork_shares_immutable_tables(self, small_app, small_arch):
-        compiled = compile_instance(small_app, _bus(small_arch))
-        fork = compiled.fork()
-        assert fork.dep_src is compiled.dep_src
-        assert fork.sw_ms is compiled.sw_ms
-        assert fork.pred_ids is compiled.pred_ids
+class TestSharedCompilePass:
+    @staticmethod
+    def _snapshot(compiled):
+        return (
+            compiled.interner.keys(),
+            [list(row) for row in compiled.pred_comms],
+            [list(row) for row in compiled.succ_static],
+            list(compiled.indeg_static),
+        )
 
-    def test_fork_isolates_virtual_node_growth(self, small_app, small_arch):
-        compiled = compile_instance(small_app, _bus(small_arch))
-        fork = compiled.fork()
-        assert len(fork.interner) == len(compiled.interner)
-        fork.interner.intern(("virtual", 0))
-        fork.pred_comms.append([])
-        assert len(fork.interner) == len(compiled.interner) + 1
-        assert len(fork.pred_comms) == len(compiled.pred_comms) + 1
+    def test_engines_share_one_read_only_compile_pass(
+        self, small_app, small_arch
+    ):
+        """The K engines hold one ``CompiledInstance``; each interns its
+        configuration node on its own copies, leaving it unchanged."""
+        evaluator = CrossChainEvaluator(small_app, small_arch, 3)
+        compiled = evaluator.engines[0].compiled
+        assert all(e.compiled is compiled for e in evaluator.engines)
+        before = self._snapshot(compiled)
+        for c, engine in enumerate(evaluator.engines):
+            solution = random_initial_solution(
+                small_app, small_arch, random.Random(41 + c), hw_fraction=1.0
+            )
+            assert solution.contexts("fpga")
+            fresh = make_engine("full", small_app, small_arch)
+            assert evaluator.evaluate(c, solution) == fresh.evaluate(solution)
+            assert len(engine._interner) == len(compiled.interner) + 1
+        assert self._snapshot(compiled) == before
 
 
 class TestCrossChainEvaluator:
@@ -187,7 +194,7 @@ class TestPersistentTransactions:
         return cost
 
     def _run_walk(self, app, arch, engine, persistent):
-        """Drive ROUNDS rounds over the forked engines.  The accept rule
+        """Drive ROUNDS rounds over the chains' engines.  The accept rule
         is deterministic in (round, chain) so both walks take the same
         branches.  The architecture is copied per walk so the two walks
         start from identical state."""

@@ -32,7 +32,7 @@ from repro.api.specs import (
     StrategySpec,
 )
 from repro.bench.corpus import get_scenario
-from repro.errors import ConfigurationError, InfeasibleMoveError
+from repro.errors import ConfigurationError, CycleError, InfeasibleMoveError
 from repro.mapping.engine import (
     ENGINES,
     FullRebuildEngine,
@@ -47,6 +47,7 @@ from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import motion_detection_application
 from repro.model.task import Task
 from repro.sa.moves import (
+    CreateResourceMove,
     MoveGenerator,
     RemoveResourceMove,
     ReorderMove,
@@ -159,7 +160,7 @@ def _replay_random_instances(engines, **options):
         (26, "tgff", 4, lambda: _dual_resource_arch(), 0.0, "ordered"),
         (14, "layered", 5, lambda: epicure_architecture(600), 0.12, "ordered"),
         (22, "tgff", 6, lambda: _asic_arch(), 0.0, "ordered"),
-        (20, "tgff", 7, lambda: _subclassed_arch(), 0.0, "ordered"),
+        (20, "tgff", 7, lambda: _two_speed_arch(), 0.0, "ordered"),
     ]
     for num_tasks, topology, seed, arch_factory, p_zero, bus in cases:
         app = random_application(
@@ -205,26 +206,6 @@ def test_engine_parity_on_large_corpus_instances(engines, scenario):
         instance.application, lambda: instance.architecture, seed=7,
         steps=300, engines=engines, hw_fraction=0.5,
     ) >= 300
-
-
-def test_engine_parity_with_forced_serialized_fallback(monkeypatch):
-    """The serialized fallback — one Kahn over the base layers plus the
-    bus chain, adopted as the persistent order — runs only when a chain
-    repair fails or too many chain edges contradict the order, which no
-    other replay triggers.  Make every chain repair report failure and
-    replay the random and motion sequences against the reference."""
-    fallbacks = 0
-
-    def fail(self, order, pos, bad):
-        nonlocal fallbacks
-        fallbacks += 1
-        return False
-
-    monkeypatch.setattr(IncrementalEngine, "_repair_chain", fail)
-    engines = ("full", "incremental")
-    assert _replay_random_instances(engines) >= 480
-    assert _replay_motion(engines) >= 100
-    assert fallbacks > 100
 
 
 def test_engine_parity_across_solution_copies():
@@ -457,6 +438,63 @@ def test_replayed_m3_empties_and_detaches_a_resource(kind):
     assert deltas["m3"]["sync_calls"] == 1
 
 
+def test_rollback_reattaches_an_empty_drlc():
+    """An m3 detaches a DRLC that hosts nothing, and its undo attaches
+    it again, still empty: no context was refreshed for it, and it must
+    read as zero contexts, like the reference."""
+    app, arch, solution, _cpu, rc = _replay_instance()
+    extra = ReconfigurableCircuit("fpga1", n_clbs=300)
+    solution.attach_resource(extra)
+    dest = solution.contexts(rc)[0][0]
+
+    def apply(s):
+        move = RemoveResourceMove(dest_task=dest, rng=random.Random(0))
+        move._picked = (extra.name, None)
+        move.apply(s)
+        assert extra.name not in s.architecture.resource_names()
+        return move
+
+    def undo(s, move):
+        move.undo(s)
+        assert extra.name in s.architecture.resource_names()
+        assert s.contexts(extra.name) == []
+
+    deltas = _follow(app, arch, solution, [("m3", apply, undo)])
+    assert deltas["m3"]["contexts_refreshed"] == 0
+
+
+def test_emptied_drlc_drops_its_configuration_time():
+    """A DRLC whose one context takes longer to configure than the
+    rest of the schedule runs: emptying it (it stays attached) and an
+    m3 that detaches it must both drop its configuration time from the
+    makespan, like the reference."""
+    app, arch, solution, cpu, rc = _replay_instance()
+    task = next(
+        t for t in solution.software_order(cpu)
+        if app.task(t).hardware_capable
+    )
+    index = solution.software_order(cpu).index(task)
+    slow = ReconfigurableCircuit("fpga1", n_clbs=300, reconfig_ms_per_clb=50.0)
+    solution.attach_resource(slow)
+    solution.spawn_context(task, slow.name)
+    full = Evaluator(app, arch, engine="full")
+    configured = full.evaluate(solution).makespan_ms
+    assert configured >= slow.reconfiguration_time_ms(solution.task_clbs(task))
+    dest = solution.contexts(rc)[0][0]
+
+    def detach(s):
+        move = RemoveResourceMove(dest_task=dest, rng=random.Random(0))
+        move._picked = (slow.name, task)
+        move.apply(s)
+        assert full.evaluate(s).makespan_ms < configured
+        return move
+
+    _follow(app, arch, solution, [
+        ("empty", *_edit(lambda s: s.assign_to_processor(task, cpu, index))),
+        ("m3", detach, lambda s, m: m.undo(s)),
+    ])
+
+
 def test_replay_across_the_journal_limit():
     """A move walk long enough for the journal to start over at
     ``JOURNAL_LIMIT``: every evaluation agrees with the reference, and
@@ -499,15 +537,17 @@ def _processors(count: int) -> Architecture:
     return arch
 
 
-def _hand_placed(sw_times, deps, cpus, layout):
+def _hand_placed(sw_times, deps, cpus, layout, kbytes=None):
     """A hand-placed software-only solution, where every dependency
-    carries 4 KB (a 2 ms transfer), with a reference and an incremental
-    evaluator: ``(solution, full, incremental)``."""
+    carries 4 KB (a 2 ms transfer) unless ``kbytes`` maps it to another
+    volume, with a reference and an incremental evaluator:
+    ``(solution, full, incremental)``."""
     app = Application("hand-placed")
     for i, ms in enumerate(sw_times):
         app.add_task(Task(i, f"t{i}", "F", sw_time_ms=ms))
     for src, dst in deps:
-        app.add_dependency(src, dst, data_kbytes=4.0)
+        volume = (kbytes or {}).get((src, dst), 4.0)
+        app.add_dependency(src, dst, data_kbytes=volume)
     app.validate()
     arch = _processors(cpus)
     solution = Solution(app, arch)
@@ -523,11 +563,10 @@ def _hand_placed(sw_times, deps, cpus, layout):
 
 def _chain_walk(sw_times, deps, cpus, layout, edits):
     """Evaluate a :func:`_hand_placed` solution, then each edit in turn,
-    with the reference and the incremental engine.  After every step the
-    engines must agree and no base + bus chain Kahn may have run: chain
-    repairs alone keep the persistent order serialized.  Returns the
-    reference graph's comm-node ``(start, finish)`` per step label and
-    the incremental engine's counters."""
+    with the reference and the incremental engine, which must agree
+    after every step.  Returns the reference graph's comm-node
+    ``(start, finish)`` per step label and the incremental engine's
+    counters."""
     solution, full, incremental = _hand_placed(sw_times, deps, cpus, layout)
     spans = {}
     for label, edit in [("initial", None)] + list(edits):
@@ -536,7 +575,6 @@ def _chain_walk(sw_times, deps, cpus, layout, edits):
         _assert_same(
             full.evaluate(solution), incremental.evaluate(solution), label
         )
-        assert incremental.engine.telemetry_counters()["chain_rebuilds"] == 0
         graph = full.engine.realize(solution)
         starts = graph.start_times()
         spans[label] = {
@@ -600,6 +638,36 @@ def test_bus_chain_tight_edge_beside_a_binding_one():
     tight = {(0, 3): (1.0, 3.0), (1, 4): (3.0, 5.0)}
     assert spans["initial"] == spans["unbind"] == tight
     assert spans["bind"] == {**tight, (2, 5): (5.0, 7.0)}
+
+
+def test_bus_chain_cycle_on_real_input():
+    """Dependency 1 -> 0 carries 1e-18 KB, a 5e-19 ms transfer that
+    finishes when task 1 does in floating point, so it ties with 0 -> 2,
+    which leaves the zero-duration task 0 at the same time.  The (src,
+    dst) tie-break chains 0 -> 2 before 1 -> 0, although 1 -> 0 reaches
+    0 -> 2 through task 0: the serialized graph is cyclic.  Both engines
+    report infeasible and raise in strict mode; moving task 2 next to
+    task 0 drops 0 -> 2 from the bus, and moving it back restores the
+    cycle."""
+    solution, full, incremental = _hand_placed(
+        [0.0, 1.0, 1.0], [(1, 0), (0, 2)], 3,
+        {"cpu0": [0], "cpu1": [1], "cpu2": [2]},
+        kbytes={(1, 0): 1e-18},
+    )
+    for label, edit, feasible in [
+        ("cycle", None, False),
+        ("off the bus", lambda s: s.assign_to_processor(2, "cpu0"), True),
+        ("cycle again", lambda s: s.assign_to_processor(2, "cpu2"), False),
+    ]:
+        if edit is not None:
+            edit(solution)
+        full_ev = full.evaluate(solution)
+        _assert_same(full_ev, incremental.evaluate(solution), label)
+        assert full_ev.feasible is feasible, label
+        if not feasible:
+            for evaluator in (full, incremental):
+                with pytest.raises(CycleError):
+                    evaluator.evaluate(solution, strict=True)
 
 
 def _order_walk(deps, layout, edits):
@@ -704,46 +772,60 @@ def _dual_resource_arch() -> Architecture:
     return arch
 
 
-class _SubProcessor(Processor):
-    """Not the exact built-in type: the incremental engine takes its
-    generic path through the resource's own polymorphic methods."""
-
-
-class _SubCircuit(ReconfigurableCircuit):
-    """See :class:`_SubProcessor`."""
-
-
-def _subclassed_arch() -> Architecture:
-    arch = Architecture("subclassed", bus=Bus(rate_kbytes_per_ms=30.0))
-    arch.add_resource(_SubProcessor("cpu0"))
+def _two_speed_arch() -> Architecture:
+    arch = Architecture("two_speed", bus=Bus(rate_kbytes_per_ms=30.0))
+    arch.add_resource(Processor("cpu0"))
     arch.add_resource(Processor("cpu1", speed_factor=1.4))
-    arch.add_resource(_SubCircuit("fpga", n_clbs=800))
+    arch.add_resource(ReconfigurableCircuit("fpga", n_clbs=800))
     arch.validate()
     return arch
 
 
-class _DoublingProcessor(Processor):
-    """Emits every chain edge twice, with two delays: the reference
-    graph keeps the larger one for coinciding edges."""
-
-    def sequentialization_edges(self, solution):
-        edges = super().sequentialization_edges(solution)
-        return [(a, b, w + 0.5) for a, b, w in edges] + edges
+class _SubProcessor(Processor):
+    """Not the exact built-in type, which the incremental engine
+    refuses: a subclass may override what it derives natively."""
 
 
-def test_engine_parity_with_coinciding_polymorphic_edges():
-    """A resource on the polymorphic path that emits coinciding edges:
-    the incremental engine keeps each ``(src, dst)`` once, with the
-    larger delay, through a random walk with undone moves."""
-    arch = Architecture("doubling", bus=Bus(rate_kbytes_per_ms=30.0))
-    arch.add_resource(_DoublingProcessor("cpu0"))
-    arch.add_resource(Processor("cpu1", speed_factor=1.4))
+def test_incremental_engine_refuses_resource_subclasses():
+    """A resource subclass in the architecture: the incremental engine
+    raises, naming the reference engine, which scores the solution."""
+    arch = Architecture("subclassed", bus=Bus(rate_kbytes_per_ms=30.0))
+    arch.add_resource(_SubProcessor("cpu0"))
     arch.add_resource(ReconfigurableCircuit("fpga", n_clbs=800))
     arch.validate()
     app = random_application(
-        GeneratorConfig(num_tasks=20, topology="tgff"), seed=7
+        GeneratorConfig(num_tasks=12, topology="tgff"), seed=7
     )
-    assert _replay(app, lambda: arch, seed=707, steps=120) >= 120
+    solution = random_initial_solution(app, arch, random.Random(7))
+    with pytest.raises(ConfigurationError, match="engine='full'"):
+        Evaluator(app, arch, engine="incremental").evaluate(solution)
+    evaluation = Evaluator(app, arch, engine="full").evaluate(solution)
+    assert evaluation.feasible and math.isfinite(evaluation.makespan_ms)
+
+
+def test_subclass_attached_by_m4_is_refused_until_undone():
+    """An m4 whose factory builds a resource subclass: the next
+    evaluation raises, and after the undo the same engine scores like
+    the reference again."""
+    app, arch, solution, cpu, _rc = _replay_instance()
+    full = Evaluator(app, arch, engine="full")
+    incremental = Evaluator(app, arch, engine="incremental")
+    _assert_same(
+        full.evaluate(solution), incremental.evaluate(solution), "initial"
+    )
+    move = CreateResourceMove(
+        solution.software_order(cpu)[0], _SubProcessor, prefix="sub",
+        rng=random.Random(0),
+    )
+    move.apply(solution)
+    assert isinstance(solution.architecture.resource(move._name), _SubProcessor)
+    with pytest.raises(ConfigurationError, match="engine='full'"):
+        incremental.evaluate(solution)
+    assert full.evaluate(solution).feasible
+    move.undo(solution)
+    _assert_same(
+        full.evaluate(solution), incremental.evaluate(solution), "undone"
+    )
 
 
 def _move_adjacent_pair(solution):
