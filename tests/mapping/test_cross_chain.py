@@ -35,7 +35,11 @@ def _step(engine, solution, move, accept):
     return cost
 
 
-class TestSharedCompilePass:
+class TestCompiledFork:
+    """Each chain's engine is a fork of one compile pass: it reads the
+    shared ``CompiledInstance`` and grows its own copies of the tables
+    that configuration nodes extend."""
+
     @staticmethod
     def _snapshot(compiled):
         return (
@@ -45,14 +49,22 @@ class TestSharedCompilePass:
             list(compiled.indeg_static),
         )
 
-    def test_engines_share_one_read_only_compile_pass(
-        self, small_app, small_arch
-    ):
-        """The K engines hold one ``CompiledInstance``; each interns its
-        configuration node on its own copies, leaving it unchanged."""
+    def test_fork_shares_immutable_tables(self, small_app, small_arch):
+        """The K engines hold one ``CompiledInstance`` and so the same
+        solution-independent tables."""
         evaluator = CrossChainEvaluator(small_app, small_arch, 3)
         compiled = evaluator.engines[0].compiled
-        assert all(e.compiled is compiled for e in evaluator.engines)
+        for engine in evaluator.engines:
+            assert engine.compiled is compiled
+            assert engine.compiled.dep_src is compiled.dep_src
+            assert engine.compiled.sw_ms is compiled.sw_ms
+            assert engine.compiled.pred_ids is compiled.pred_ids
+
+    def test_fork_isolates_virtual_node_growth(self, small_app, small_arch):
+        """Each engine interns its configuration node on its own copies,
+        leaving the shared compile pass and the other engines unchanged."""
+        evaluator = CrossChainEvaluator(small_app, small_arch, 3)
+        compiled = evaluator.engines[0].compiled
         before = self._snapshot(compiled)
         for c, engine in enumerate(evaluator.engines):
             solution = random_initial_solution(
@@ -62,6 +74,8 @@ class TestSharedCompilePass:
             fresh = make_engine("full", small_app, small_arch)
             assert evaluator.evaluate(c, solution) == fresh.evaluate(solution)
             assert len(engine._interner) == len(compiled.interner) + 1
+            for other in evaluator.engines[c + 1:]:
+                assert len(other._interner) == len(compiled.interner)
         assert self._snapshot(compiled) == before
 
 
