@@ -14,15 +14,16 @@ workload axes:
 
 Scenarios hash via the canonical JSON of their bundled instance
 document (:func:`repro.io.content_digest`), so ``scenario_hash`` is
-identical across runs, machines, and Python versions — the regression
-gate ``repro bench compare`` treats a hash drift as a failure, because
-timings of different instances are not comparable.
+identical across runs, machines, and Python versions.  The tests pin
+fifteen scenario hashes, and ``perfbench/`` refuses to time an
+instance whose hash drifted, because timings of different instances
+are not comparable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.architecture import Architecture, epicure_architecture
 from repro.arch.asic import Asic
@@ -144,7 +145,6 @@ class Scenario:
     family: str
     seed: int = 0
     params: Tuple[Tuple[str, Any], ...] = ()
-    tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -186,7 +186,6 @@ def scenario(
     family: str,
     seed: int = 0,
     name: Optional[str] = None,
-    tags: Tuple[str, ...] = (),
     **params: Any,
 ) -> Scenario:
     """Build a scenario; the default name is ``family/<key params>``."""
@@ -200,7 +199,6 @@ def scenario(
         family=family,
         seed=seed,
         params=tuple(sorted(params.items())),
-        tags=tags,
     )
 
 
@@ -220,17 +218,15 @@ def scenario_hash(target: "Scenario | ProblemInstance") -> str:
 # the standard corpus
 # ----------------------------------------------------------------------
 def _standard_corpus() -> Dict[str, Scenario]:
-    quick = ("quick", "full")
-    full = ("full",)
     entries: List[Scenario] = [
         # motion-detection variants (application fixed, platform varies)
-        scenario("motion", name="motion/2000", tags=quick, n_clbs=2000),
-        scenario("motion", name="motion/800", tags=quick, n_clbs=800),
-        scenario("motion", name="motion/bus_starved", tags=quick,
+        scenario("motion", name="motion/2000", n_clbs=2000),
+        scenario("motion", name="motion/800", n_clbs=800),
+        scenario("motion", name="motion/bus_starved",
                  n_clbs=2000, regime="bus_starved"),
-        scenario("motion", name="motion/asic_rich", tags=quick,
+        scenario("motion", name="motion/asic_rich",
                  n_clbs=2000, regime="asic_rich"),
-        scenario("motion", name="motion/rc_heavy", tags=quick,
+        scenario("motion", name="motion/rc_heavy",
                  n_clbs=2000, regime="rc_heavy"),
     ]
     ladders = {
@@ -241,13 +237,11 @@ def _standard_corpus() -> Dict[str, Scenario]:
     }
     for family, sizes in ladders.items():
         for num_tasks in sizes:
-            tags = quick if num_tasks <= 60 else full
             entries.append(
                 scenario(
                     family,
                     name=f"{family}/{num_tasks}",
                     seed=100 + num_tasks,
-                    tags=tags,
                     num_tasks=num_tasks,
                 )
             )
@@ -258,7 +252,6 @@ def _standard_corpus() -> Dict[str, Scenario]:
                 "tgff",
                 name=f"tgff/60/{regime}",
                 seed=160,
-                tags=full,
                 num_tasks=60,
                 regime=regime,
             )
@@ -279,27 +272,11 @@ def get_scenario(name: str) -> Scenario:
         return CORPUS[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown scenario {name!r}; see `repro bench list`"
+            f"unknown scenario {name!r}; known: {sorted(CORPUS)}"
         ) from None
 
 
-def iter_scenarios(
-    tag: Optional[str] = None, family: Optional[str] = None
-) -> Iterator[Scenario]:
+def iter_scenarios(family: Optional[str] = None) -> Iterator[Scenario]:
     for entry in CORPUS.values():
-        if tag is not None and tag not in entry.tags:
-            continue
-        if family is not None and entry.family != family:
-            continue
-        yield entry
-
-
-def corpus_table(scenarios: Optional[Mapping[str, Scenario]] = None) -> str:
-    """Human-readable corpus listing for ``repro bench list``."""
-    rows = ["scenario                     family           seed  tags"]
-    for entry in (scenarios or CORPUS).values():
-        rows.append(
-            f"{entry.name:<28} {entry.family:<16} {entry.seed:>5}  "
-            f"{','.join(entry.tags)}"
-        )
-    return "\n".join(rows)
+        if family is None or entry.family == family:
+            yield entry

@@ -8,10 +8,6 @@ Commands
 ``compare``    adaptive SA vs the GA baseline (``--jobs N`` parallel)
 ``portfolio``  race all search strategies on one instance
 ``info``       describe an application (tasks, structure, solution space)
-``bench``      scenario-corpus benchmark suites: ``bench run`` writes a
-               machine-readable ``BENCH_<suite>.json``, ``bench list``
-               shows cases + scenarios, ``bench compare`` is the
-               regression gate (non-zero exit on slowdown/drift)
 ``telemetry``  inspect telemetry streams: ``telemetry summarize`` loads
                a ``--telemetry`` JSONL file, validates it against the
                event schema and prints the per-job scoreboard
@@ -37,8 +33,7 @@ running it, and every run goes through
 :func:`repro.api.facade.explore`.  ``--json`` prints the serializable
 :class:`~repro.api.facade.ExplorationResponse` envelope (or the
 command's own JSON document) instead of tables.  Validation errors
-print to stderr and exit with status 2; ``bench compare`` keeps exit
-status 1 for a detected regression.
+print to stderr and exit with status 2.
 """
 
 from __future__ import annotations
@@ -333,110 +328,6 @@ def cmd_portfolio(args: argparse.Namespace) -> int:
     _emit(response, args)
     _write_telemetry(telemetry, args)
     return 0
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import suites  # noqa: F401  (registers the cases)
-    from repro.bench.harness import context_for_suite, run_suite
-    from repro.bench.report import (
-        format_results_table,
-        results_document,
-        write_results,
-    )
-
-    context = context_for_suite(
-        args.suite,
-        jobs=args.jobs,
-        repeats=args.repeats,
-        warmup=args.bench_warmup,
-        evals=args.evals,
-        iterations=args.iterations,
-        runs=args.runs,
-        seed=args.seed,
-    )
-    progress = None if args.json else print
-    suite_run = run_suite(
-        args.suite, context, pattern=args.filter, progress=progress,
-        profile=args.profile,
-    )
-    document = results_document(suite_run)
-    out_path = args.out or f"BENCH_{args.suite}.json"
-    write_results(document, out_path)
-    if args.profile:
-        profile_path = out_path.rsplit(".json", 1)[0] + ".profile.txt"
-        with open(profile_path, "w") as handle:
-            for result in suite_run.results:
-                if result.profile:
-                    handle.write(f"=== {result.name}\n")
-                    handle.write(result.profile)
-                    handle.write("\n")
-        if not args.json:
-            print(f"cProfile dumps written to {profile_path}")
-    if args.json:
-        print(json.dumps(document, indent=2))
-        return 0
-    print()
-    print(format_results_table(document))
-    print()
-    print(f"results written to {out_path} "
-          f"({len(document['cases'])} cases, "
-          f"{len(document['scenarios'])} scenarios)")
-    if args.verbose:
-        for result in suite_run.results:
-            if result.report:
-                print()
-                print(f"--- {result.name}")
-                print(result.report)
-    return 0
-
-
-def cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import suites  # noqa: F401  (registers the cases)
-    from repro.bench.corpus import CORPUS, corpus_table
-    from repro.bench.harness import list_cases
-
-    suite = None if args.suite == "all" else args.suite
-    cases = list_cases(suite=suite, pattern=args.filter)
-    if args.json:
-        print(json.dumps({
-            "cases": [
-                {"name": case.name, "suites": list(case.suites)}
-                for case in cases
-            ],
-            "scenarios": {
-                name: {
-                    "family": entry.family,
-                    "seed": entry.seed,
-                    "params": entry.param_dict,
-                    "tags": list(entry.tags),
-                }
-                for name, entry in CORPUS.items()
-            },
-        }, indent=2))
-        return 0
-    print(f"bench cases ({len(cases)}):")
-    for case in cases:
-        print(f"  {case.name:<42} suites={','.join(case.suites)}")
-    print()
-    print(f"scenario corpus ({len(CORPUS)}):")
-    print(corpus_table())
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench.report import compare, format_comparison, load_results
-
-    comparison = compare(
-        load_results(args.old),
-        load_results(args.new),
-        threshold=args.threshold,
-        min_delta_s=args.min_delta,
-    )
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2))
-    else:
-        print(format_comparison(comparison))
-    return 0 if comparison.ok else 1
 
 
 def cmd_telemetry_summarize(args: argparse.Namespace) -> int:
@@ -769,67 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clbs", type=int, default=2000)
     telemetry_flag(p)
     p.set_defaults(func=cmd_portfolio)
-
-    p = sub.add_parser(
-        "bench",
-        help="scenario-corpus benchmark suites (run | list | compare)",
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    p = bench_sub.add_parser(
-        "run", help="run a suite, write BENCH_<suite>.json"
-    )
-    p.add_argument("--suite", default="quick", choices=["quick", "full"])
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for multi-seed cases")
-    p.add_argument("--filter", metavar="SUBSTR",
-                   help="only run cases whose name contains SUBSTR")
-    p.add_argument("--out", metavar="PATH",
-                   help="results path (default: BENCH_<suite>.json)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="timed repetitions per case (suite default)")
-    p.add_argument("--bench-warmup", type=int, default=None,
-                   help="untimed warmup runs per case (suite default)")
-    p.add_argument("--evals", type=int, default=None,
-                   help="evaluations per throughput measurement")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="search iterations for search-shaped cases")
-    p.add_argument("--runs", type=int, default=None,
-                   help="seeds per multi-seed case")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile one extra run per case and write the "
-                        "top-N cumulative dumps next to the report "
-                        "(<out>.profile.txt) — reproducible hotspot "
-                        "attribution")
-    p.add_argument("--verbose", action="store_true",
-                   help="print each case's full report")
-    p.add_argument("--json", action="store_true",
-                   help="print the results document to stdout")
-    p.set_defaults(func=cmd_bench_run)
-
-    p = bench_sub.add_parser(
-        "list", help="list registered cases and the scenario corpus"
-    )
-    p.add_argument("--suite", default="all", choices=["quick", "full", "all"])
-    p.add_argument("--filter", metavar="SUBSTR")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench_list)
-
-    p = bench_sub.add_parser(
-        "compare",
-        help="regression gate: exits non-zero on slowdown or "
-             "scenario drift",
-    )
-    p.add_argument("old", help="baseline BENCH_*.json")
-    p.add_argument("new", help="candidate BENCH_*.json")
-    p.add_argument("--threshold", type=float, default=1.3,
-                   help="tolerated slowdown factor (default 1.3)")
-    p.add_argument("--min-delta", type=float, default=0.05,
-                   help="absolute noise floor in seconds: slowdowns "
-                        "smaller than this never count (default 0.05)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench_compare)
 
     p = sub.add_parser(
         "telemetry",

@@ -32,8 +32,9 @@ sequences across both engines to enforce this.
 
 Select an engine through ``Evaluator(..., engine="incremental")``, the
 ``DesignSpaceExplorer(engine=...)`` knob, or the CLI ``--engine`` flag
-(``"array"`` is accepted as another name for ``"incremental"``);
-``benchmarks/bench_engine.py`` measures the throughput gap.
+(``"array"`` is accepted as another name for ``"incremental"``).
+``perfbench/`` measures end-to-end throughput on the incremental
+engine; its ``correct`` check re-scores every result with the full one.
 """
 
 from __future__ import annotations

@@ -161,6 +161,8 @@ def _replay_random_instances(engines, **options):
         (14, "layered", 5, lambda: epicure_architecture(600), 0.12, "ordered"),
         (22, "tgff", 6, lambda: _asic_arch(), 0.0, "ordered"),
         (20, "tgff", 7, lambda: _two_speed_arch(), 0.0, "ordered"),
+        (24, "fork_join", 8, lambda: epicure_architecture(600), 0.0, "ordered"),
+        (24, "series_parallel", 9, lambda: epicure_architecture(600), 0.0, "edge"),
     ]
     for num_tasks, topology, seed, arch_factory, p_zero, bus in cases:
         app = random_application(
@@ -180,7 +182,7 @@ def _replay_motion(engines, **options):
 
 #: Replays per ``_replay_random_instances`` + ``_replay_motion`` round;
 #: each starts with one full re-check (the initial solution).
-_REPLAYS = 8
+_REPLAYS = 10
 
 
 @pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))

@@ -7,8 +7,9 @@ Two load-bearing guarantees of the observability layer:
   executes inline or fans out across worker processes, and across
   repeated runs;
 * **free when off** — the disabled :data:`NULL` recorder allocates
-  nothing on the hot path, so un-instrumented performance is untouched
-  (the wall-clock half of that claim is the bench-compare CI gate).
+  nothing on the hot path.  That allocation pin is the claim; no
+  wall-clock check backs it (CI's perf gate catches only a 2×
+  slowdown).
 """
 
 import sys

@@ -15,12 +15,14 @@ import threading
 import pytest
 
 import repro.io
+from repro.api.facade import explore
 from repro.api.specs import (
     ApplicationSpec,
     BudgetSpec,
     ExplorationRequest,
     StrategySpec,
 )
+from repro.bench.corpus import get_scenario
 from repro.errors import ServiceError
 from repro.io import ProblemInstance, instance_to_dict
 from repro.obs.telemetry import Telemetry
@@ -301,6 +303,34 @@ class TestWarmStartSubmit:
         assert stats["warm_start_hits"] == 1
         assert stats["warm_start_repairs"] >= 0
         assert telemetry.counters["warm_start_hit"] == 1
+
+    def test_warm_run_pays_off_on_motion(self, service):
+        """README's payoff claim at its smaller budget: on motion/2000
+        with one task 5% slower, the warm run reaches the cold run's
+        final cost in fewer evaluations than the cold run used, and ends
+        no worse.  ``history`` is per iteration, and an iteration
+        evaluates at most once, so its index bounds the evaluations."""
+        document = get_scenario("motion/2000").document()
+        drifted = perturb(document, factor=1.05)
+        budget = BudgetSpec(iterations=400, warmup_iterations=100)
+        cold = explore(
+            bundled_request(drifted, budget=budget, seed=7)
+        ).results[0]
+        completed(service, bundled_request(document, budget=budget, seed=7))
+        warm = service.submit(bundled_request(
+            drifted, budget=budget, seed=7,
+            strategy=StrategySpec("sa", {"keep_trace": True}),
+        ))
+        assert service.status(warm.key).warm_start is not None
+        assert service.run_local() == 1
+        result = service.result(warm.key).results[0]
+        reached = next(
+            (i + 1 for i, cost in enumerate(result["history"])
+             if cost <= cold["best_cost"]),
+            None,
+        )
+        assert reached is not None and reached < cold["evaluations"]
+        assert result["best_cost"] <= cold["best_cost"]
 
     def test_gc_prunes_orphan_near_markers(self, service, instance_doc):
         outcome = service.submit(bundled_request(instance_doc))
