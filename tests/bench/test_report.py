@@ -1,166 +1,80 @@
-"""Results schema, persistence, and the compare() regression gate."""
+"""Reading a benchmark comparison: the speed gate's verdict on pairs.
 
-import copy
+``.github/perf_gate.py`` runs perfbench on a parent and a change in
+pairs, and :func:`judge` turns the per-pair results into its report and
+verdict.  These cases pin the verdicts a reader of that report relies
+on: noise and improvements pass, and a drifted instance fails whatever
+its timings.  The 2x bound itself is tested in ``tests/test_perf_gate.py``.
+"""
 
-import pytest
+import importlib.util
+import json
+import os
 
-from repro.bench.harness import BenchContext, CaseResult, SuiteRun
-from repro.bench.report import (
-    RESULTS_VERSION,
-    compare,
-    format_comparison,
-    format_results_table,
-    load_results,
-    results_document,
-    validate_results,
-    write_results,
-)
-from repro.errors import ConfigurationError
+from repro.bench.corpus import get_scenario, scenario_hash
 
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+_SPEC = importlib.util.spec_from_file_location(
+    "perf_gate", os.path.join(_ROOT, ".github", "perf_gate.py"))
+perf_gate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perf_gate)
 
-def make_document(medians, scenario_hashes=None, suite="quick"):
-    """A minimal results document with the given case medians."""
-    suite_run = SuiteRun(suite=suite, context=BenchContext(suite=suite))
-    for name, median in medians.items():
-        suite_run.results.append(
-            CaseResult(
-                name=name,
-                suites=(suite,),
-                scenarios=(),
-                timings_s=[median] * 3,
-                median_s=median,
-                iqr_s=0.0,
-                metrics={"evaluations": 100},
-                evals_per_sec=100 / median if median else None,
-            )
-        )
-    for name, digest in (scenario_hashes or {}).items():
-        suite_run.scenarios[name] = {
-            "family": "tgff", "seed": 0, "params": {},
-            "hash": digest, "num_tasks": 12, "num_edges": 11,
-            "deadline_ms": 10.0, "resources": ["arm922", "virtex"],
-        }
-    return results_document(
-        suite_run, environment={"python": "test"}, created_unix=0.0
-    )
+REQUEST, RATE = perf_gate.GATED
+BETTER = perf_gate.load_benchmark(_ROOT)[1]
 
 
-class TestDocuments:
-    def test_schema_fields(self):
-        document = make_document({"case/a": 1.0}, {"tgff/12": "ab" * 32})
-        assert document["format"] == "bench-results"
-        assert document["version"] == RESULTS_VERSION
-        validate_results(document)
+def result(slowdown=1.0, correct=True):
+    """A run's last output line, ``slowdown`` times slower than 0.5 s
+    per request and 1000 evaluations per second."""
+    return {"correct": correct,
+            "metrics": {REQUEST: {"value": 0.5 * slowdown, "unit": "s"},
+                        RATE: {"value": 1000.0 / slowdown, "unit": "1/s"}}}
 
-    def test_write_load_roundtrip(self, tmp_path):
-        document = make_document({"case/a": 1.0})
-        path = str(tmp_path / "BENCH_quick.json")
-        write_results(document, path)
-        assert load_results(path) == document
 
-    def test_validation_rejects_wrong_format(self):
-        document = make_document({"case/a": 1.0})
-        document["format"] = "something-else"
-        with pytest.raises(ConfigurationError):
-            validate_results(document)
+def judge(changes, status=0):
+    """The gate's report lines and failures: one explore-motion pair per
+    change-side result, each against an unchanged parent run."""
+    pairs = [("explore-motion", seed,
+              {"parent": (0, result()), "change": (status, change)})
+             for seed, change in enumerate(changes, start=2)]
+    return perf_gate.judge(pairs, BETTER)
 
-    def test_validation_rejects_wrong_version(self):
-        document = make_document({"case/a": 1.0})
-        document["version"] = 99
-        with pytest.raises(ConfigurationError):
-            validate_results(document)
 
-    def test_validation_rejects_missing_case_fields(self):
-        document = make_document({"case/a": 1.0})
-        del document["cases"][0]["median_s"]
-        with pytest.raises(ConfigurationError):
-            validate_results(document)
-
-    def test_results_table_renders(self):
-        table = format_results_table(make_document({"case/a": 0.5}))
-        assert "case/a" in table
-        assert "500.0 ms" in table
+def verdicts(lines):
+    """``metric -> median line`` of the report."""
+    return {metric: line for line in lines for metric in perf_gate.GATED
+            if line.startswith(f"explore-motion {metric}: median")}
 
 
 class TestCompare:
-    def test_injected_2x_slowdown_is_flagged(self):
-        old = make_document({"case/a": 1.0, "case/b": 1.0})
-        new = make_document({"case/a": 2.0, "case/b": 1.0})
-        comparison = compare(old, new)
-        assert not comparison.ok
-        assert [d.name for d in comparison.regressions] == ["case/a"]
-        delta = comparison.regressions[0]
-        assert delta.ratio == pytest.approx(2.0)
-        assert "REGRESSION" in format_comparison(comparison)
-
     def test_noise_within_threshold_is_not_flagged(self):
-        old = make_document({"case/a": 1.0, "case/b": 0.004})
-        new = make_document({
-            "case/a": 1.2,      # +20% < 1.3x threshold
-            "case/b": 0.006,    # +50% but 2 ms — under the noise floor
-        })
-        comparison = compare(old, new)
-        assert comparison.ok
-        assert not comparison.regressions
-        assert all(d.status == "ok" for d in comparison.deltas)
+        # 1.44x is the widest pair ratio an unchanged tree read
+        lines, failures = judge([result(1.44), result(1.2), result(0.9)])
+        assert not failures
+        for line in verdicts(lines).values():
+            assert "slowdown 1.20x" in line and line.endswith(" ok")
 
     def test_improvement_reported_not_failing(self):
-        old = make_document({"case/a": 2.0})
-        new = make_document({"case/a": 1.0})
-        comparison = compare(old, new)
-        assert comparison.ok
-        assert comparison.deltas[0].status == "improved"
+        lines, failures = judge([result(0.5)] * 3)
+        assert not failures
+        medians = verdicts(lines)
+        assert "median change/parent 0.500, slowdown 0.50x" in medians[REQUEST]
+        assert "median change/parent 2.000, slowdown 0.50x" in medians[RATE]
+        assert all(line.endswith(" ok") for line in medians.values())
 
     def test_scenario_drift_fails_even_with_good_timings(self):
-        old = make_document({"case/a": 1.0}, {"tgff/12": "a" * 64})
-        new = make_document({"case/a": 1.0}, {"tgff/12": "b" * 64})
-        comparison = compare(old, new)
-        assert not comparison.ok
-        assert comparison.scenario_drift == ["tgff/12"]
-        assert "drift" in format_comparison(comparison)
-
-    def test_case_set_changes_reported(self):
-        old = make_document({"case/a": 1.0, "case/gone": 1.0})
-        new = make_document({"case/a": 1.0, "case/new": 1.0})
-        comparison = compare(old, new)
-        assert comparison.missing_cases == ["case/gone"]
-        assert comparison.new_cases == ["case/new"]
-        assert comparison.ok  # informational, not failing
-
-    def test_different_suites_rejected(self):
-        quick = make_document({"case/a": 1.0}, suite="quick")
-        full = make_document({"case/a": 1.0}, suite="full")
-        with pytest.raises(ConfigurationError):
-            compare(quick, full)
-
-    def test_different_measurement_context_rejected(self):
-        old = make_document({"case/a": 1.0})
-        new = copy.deepcopy(old)
-        new["context"]["evals"] = old["context"]["evals"] * 25
-        with pytest.raises(ConfigurationError):
-            compare(old, new)
-
-    def test_threshold_validation(self):
-        document = make_document({"case/a": 1.0})
-        with pytest.raises(ConfigurationError):
-            compare(document, document, threshold=1.0)
-        with pytest.raises(ConfigurationError):
-            compare(document, document, min_delta_s=-1.0)
-
-    def test_custom_threshold(self):
-        old = make_document({"case/a": 1.0})
-        new = make_document({"case/a": 1.4})
-        assert not compare(old, new, threshold=1.3).ok
-        assert compare(old, new, threshold=1.5).ok
-
-    def test_round_trip_then_compare(self, tmp_path):
-        """The CLI path: write both documents, reload, diff."""
-        old = make_document({"case/a": 1.0}, {"tgff/12": "c" * 64})
-        new = copy.deepcopy(old)
-        new["cases"][0]["median_s"] = 2.5
-        old_path = str(tmp_path / "old.json")
-        new_path = str(tmp_path / "new.json")
-        write_results(old, old_path)
-        write_results(new, new_path)
-        comparison = compare(load_results(old_path), load_results(new_path))
-        assert not comparison.ok
+        # perfbench fails its run when an instance's hash leaves the pin,
+        # and the pins are the corpus's hashes as built today
+        path = os.path.join(_ROOT, "perfbench", "references.json")
+        with open(path, encoding="utf-8") as handle:
+            pinned = json.load(handle)["scenario_hashes"]
+        assert pinned
+        for name, digest in pinned.items():
+            assert scenario_hash(get_scenario(name)) == digest, name
+        # a run failed that way fails the gate, twice as fast or not
+        drifted = result(0.5, correct=False)
+        lines, failures = judge([drifted] * 3, status=1)
+        assert failures == [
+            f"change run of explore-motion seed {seed} failed "
+            "(exit 1, correct: False)" for seed in (2, 3, 4)]
+        assert not verdicts(lines)

@@ -1,69 +1,86 @@
-"""Registered suites: coverage of the acceptance axes + spot execution."""
+"""Spot execution on corpus scenarios, one tiny run per path.
 
-import pytest
+Each case runs one path end to end at a tiny budget and checks what it
+must report: the annealer-shaped move/evaluate/undo loop on both
+engines, the paper's solution-space numbers and the service's cache.
+"""
 
-from repro.bench import suites  # noqa: F401  (registers the cases)
-from repro.bench.corpus import get_scenario
-from repro.bench.harness import (
-    context_for_suite,
-    get_case,
-    list_cases,
-    run_case,
+import random
+
+from repro.analysis.combinatorics import solution_space_report
+from repro.api.specs import (
+    ApplicationSpec,
+    BudgetSpec,
+    ExplorationRequest,
+    StrategySpec,
 )
+from repro.bench.corpus import get_scenario
+from repro.errors import InfeasibleMoveError
+from repro.mapping.evaluator import Evaluator
+from repro.mapping.solution import random_initial_solution
+from repro.model.motion import motion_detection_application
+from repro.sa.moves import MoveGenerator
+from repro.service import ExplorationService
+
+EVALS = 10
 
 
-class TestCoverage:
-    def test_quick_suite_spans_the_acceptance_axes(self):
-        """>= 12 scenarios, >= 4 topology families, both engines —
-        the acceptance criteria of the benchmark subsystem."""
-        quick = list_cases(suite="quick")
-        scenarios = {name for case in quick for name in case.scenarios}
-        assert len(scenarios) >= 12
-        families = {get_scenario(name).family for name in scenarios}
-        assert len(families) >= 4
-        throughput = [
-            case for case in quick if case.name.startswith("throughput/")
-        ]
-        assert {case.name.rsplit("@", 1)[1] for case in throughput} == {
-            "full", "incremental",
-        }
+def move_eval_loop(scenario_name, engine, evals=EVALS, seed=7):
+    """The annealer's hot loop: propose, apply, evaluate, undo half.
+
+    Returns ``(evaluations, final makespan in ms)``."""
+    instance = get_scenario(scenario_name).build()
+    application, architecture = instance.application, instance.architecture
+    evaluator = Evaluator(application, architecture, engine=engine)
+    rng = random.Random(seed)
+    solution = random_initial_solution(
+        application, architecture, rng, hw_fraction=0.5)
+    generator = MoveGenerator(application)
+    done = 0
+    makespan = evaluator.evaluate(solution).makespan_ms
+    while done < evals:
+        try:
+            move = generator.propose(solution, rng)
+            move.apply(solution)
+        except InfeasibleMoveError:
+            continue
+        makespan = evaluator.evaluate(solution).makespan_ms
+        done += 1
+        if rng.random() < 0.5:
+            move.undo(solution)
+    return done, makespan
 
 
 class TestExecution:
-    @pytest.fixture(scope="class")
-    def tiny(self):
-        return context_for_suite(
-            "quick", evals=10, iterations=60, runs=2, repeats=1, warmup=0
+    def test_throughput_case(self):
+        evaluations, makespan = move_eval_loop(
+            "series_parallel/24", "incremental")
+        assert evaluations == EVALS
+        assert makespan > 0
+
+    def test_engines_agree_on_final_makespan(self):
+        full = move_eval_loop("fork_join/24", "full")
+        incremental = move_eval_loop("fork_join/24", "incremental")
+        assert full == incremental, "engine parity must hold inside the loop"
+
+    def test_combinatorics_case_exact_numbers(self):
+        report = solution_space_report(motion_detection_application())
+        assert report.total_orders == 348_840
+        assert "348,840" in report.format_table()
+
+    def test_service_cache_hit_case_counts_one_hit(self, tmp_path):
+        request = ExplorationRequest(
+            kind="single",
+            application=ApplicationSpec(kind="builtin", name="motion"),
+            strategy=StrategySpec("sa", {"keep_trace": False}),
+            budget=BudgetSpec(iterations=60, warmup_iterations=15),
+            seed=7,
         )
-
-    def test_throughput_case(self, tiny):
-        result = run_case(get_case("throughput/series_parallel/24@incremental"), tiny)
-        assert result.metrics["evaluations"] == 10
-        assert result.metrics["final_makespan_ms"] > 0
-        assert result.evals_per_sec > 0
-
-    def test_engines_agree_on_final_makespan(self, tiny):
-        full = run_case(get_case("throughput/fork_join/24@full"), tiny)
-        inc = run_case(get_case("throughput/fork_join/24@incremental"), tiny)
-        assert (
-            full.metrics["final_makespan_ms"]
-            == inc.metrics["final_makespan_ms"]
-        ), "engine parity must hold inside the bench loop"
-
-    def test_rc_layout_micro_case(self, tiny):
-        result = run_case(get_case("micro/rc_layout_realization"), tiny)
-        assert result.metrics["evaluations"] == tiny.evals
-        assert result.metrics["flippable_tasks"] > 0
-        assert result.evals_per_sec > 0
-
-    def test_combinatorics_case_exact_numbers(self, tiny):
-        result = run_case(get_case("analysis/combinatorics"), tiny)
-        assert result.metrics["total_orders"] == 348_840
-        assert result.report is not None
-
-    def test_service_cache_hit_case_counts_one_hit(self, tiny):
-        result = run_case(get_case("service/cache_hit@motion"), tiny)
-        assert result.metrics["cold_status"] == "queued"
-        assert result.metrics["warm_status"] == "hit"
-        assert result.metrics["executions"] == 1
-        assert result.metrics["cache_hits"] == 1
+        service = ExplorationService(str(tmp_path / "store"))
+        cold = service.submit(request)
+        assert service.run_local() == 1
+        warm = service.submit(request)
+        assert (cold.status, warm.status) == ("queued", "hit")
+        record = service.status(cold.key)
+        assert record.attempts == 1
+        assert record.hits == 1
