@@ -14,9 +14,9 @@ Commands
 ``serve``      exploration service over a content-addressed result
                store: ``serve submit`` is cache-first (identical
                requests dedupe to one computation), ``serve
-               run-workers`` drains the queue with N crash-safe worker
-               processes, ``serve status|result|stats|gc`` inspect and
-               prune the store
+               run-workers`` drains the queue with N crash-safe
+               workers (this process and N-1 spawned ones), ``serve
+               status|result|stats|gc`` inspect and prune the store
 
 ``explore``, ``sweep`` and ``portfolio`` accept ``--telemetry PATH``:
 the run records structured events (per-phase timings, engine internals,
@@ -729,12 +729,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = serve_sub.add_parser(
         "run-workers",
-        help="drain the queue with N worker processes (requeues stale "
+        help="drain the queue with N workers (requeues stale "
              "claims first — crash recovery)",
     )
     store_flag(p)
     p.add_argument("--workers", type=int, default=2,
-                   help="worker processes (1 = inline, no pool)")
+                   help="drain loops: this process is worker 0 and "
+                        "N-1 more are spawned (1 = no pool)")
     p.add_argument("--stale-after", type=float, default=600.0,
                    metavar="SECONDS",
                    help="age after which a running claim counts as "

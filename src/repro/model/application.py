@@ -9,7 +9,7 @@ an edge is architecture-dependent (bus rate ``D``), so it lives in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CycleError, ModelError
 from repro.graph.dag import Dag
@@ -24,6 +24,7 @@ class Application:
         self.name = name
         self._dag = Dag()
         self._tasks: Dict[int, Task] = {}
+        self._names: Set[str] = set()
         self._reachability: Optional[ReachabilityIndex] = None
 
     # ------------------------------------------------------------------
@@ -32,9 +33,10 @@ class Application:
     def add_task(self, task: Task) -> Task:
         if task.index in self._tasks:
             raise ModelError(f"duplicate task index {task.index}")
-        if any(existing.name == task.name for existing in self._tasks.values()):
+        if task.name in self._names:
             raise ModelError(f"duplicate task name {task.name!r}")
         self._tasks[task.index] = task
+        self._names.add(task.name)
         self._dag.add_node(task.index)
         self._reachability = None
         return task

@@ -17,21 +17,24 @@ files; no broker, no database):
   mid-job leaves a ``running`` record and a stranded claim ticket;
   once ``stale_after_s`` has elapsed the ticket is renamed back into
   the queue and the record returns to ``pending`` for the next worker.
-  It also heals the two half-states a crash between renames can leave
-  (a pending record with no ticket at all, or with only a claim
-  ticket).
+  It also heals the three half-states a crash between renames can
+  leave (a pending record with no ticket at all, or with only a claim
+  ticket; a finished record whose claim ticket was never unlinked).
 
 Workers execute claimed requests through the one public façade
 (:func:`repro.api.facade.explore`), which runs them on the PR 2 search
 runner — the service adds persistence and record-keeping, never a
-second execution path.  :func:`run_workers` fans N drain-loop workers
-across spawn-safe processes, mirroring the runner's pool idiom, and
-absorbs each worker's telemetry into the caller's recorder in worker
-order.
+second execution path.  :func:`run_workers` runs N drain-loop workers:
+worker 0 in the calling process, which claims its first job at once,
+and workers 1 … N−1 in spawned processes (the runner's pool idiom).
+It absorbs each worker's telemetry into the caller's recorder in
+worker order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import time
 import traceback
@@ -188,11 +191,18 @@ class JobQueue:
         it) and the record transitions back to ``pending``, keeping its
         attempt count and probe history.  Pending records that lost
         their ticket to a crash between renames are re-ticketed too.
+        A ``done`` or ``failed`` record's claim ticket (a crash between
+        the final row and the ticket's unlink) is dropped, whatever its
+        age.
         """
         now = time.time() if now is None else now
         requeued: List[str] = []
+        claimed = set(self.claimed_keys())
         for record in self.store.iter_records():
-            if record.status == "running":
+            if record.status in ("done", "failed"):
+                if record.key in claimed:
+                    self._drop_claim(record.key)
+            elif record.status == "running":
                 anchor = record.claimed_ts or record.created_ts
                 if now - anchor < stale_after_s:
                     continue
@@ -319,13 +329,15 @@ def run_workers(
     max_jobs: Optional[int] = None,
     telemetry=NULL,
 ) -> int:
-    """Drain the store's queue with ``workers`` processes; jobs executed.
+    """Drain the store's queue with ``workers`` drain loops; jobs executed.
 
     Stale ``running`` records are requeued once, here, before any
     worker starts (crash recovery) — doing it per worker would let a
     late-starting worker rob a live sibling's fresh claim under small
-    ``stale_after_s`` values.  Then the workers drain until the queue
-    is empty.  ``workers=1`` runs inline — no pool, easiest to debug.
+    ``stale_after_s`` values.  Then ``workers - 1`` spawned processes
+    (``worker-1`` …) and the calling process itself (``worker-0``,
+    which starts claiming at once instead of waiting for a spawn)
+    drain until the queue is empty; ``workers=1`` spawns nothing.
     Worker telemetry (service counters, ``job_execute`` timers, job
     events) is absorbed into ``telemetry`` in worker-index order, the
     runner's deterministic merge idiom.
@@ -335,30 +347,24 @@ def run_workers(
     JobQueue(
         ResultStore(root, create=False), telemetry=telemetry
     ).requeue_stale(stale_after_s)
-    if workers == 1:
-        executed, payload = _worker_main(
-            root, "worker-0", jobs, max_jobs
-        )
-        if telemetry.enabled:
-            telemetry.absorb(0, "worker-0", payload)
-        return executed
-    import multiprocessing
-
-    context = multiprocessing.get_context("spawn")
+    with contextlib.ExitStack() as stack:
+        futures = []
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers - 1,
+                mp_context=multiprocessing.get_context("spawn"),
+            ))
+            futures = [
+                pool.submit(
+                    _worker_main, root, f"worker-{index}", jobs, max_jobs
+                )
+                for index in range(1, workers)
+            ]
+        results = [_worker_main(root, "worker-0", jobs, max_jobs)]
+        results += [future.result() for future in futures]
     executed = 0
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    ) as pool:
-        futures = [
-            pool.submit(
-                _worker_main,
-                root, f"worker-{index}", jobs, max_jobs,
-            )
-            for index in range(workers)
-        ]
-        for index, future in enumerate(futures):
-            count, payload = future.result()
-            executed += count
-            if telemetry.enabled:
-                telemetry.absorb(index, f"worker-{index}", payload)
+    for index, (count, payload) in enumerate(results):
+        executed += count
+        if telemetry.enabled:
+            telemetry.absorb(index, f"worker-{index}", payload)
     return executed

@@ -342,10 +342,11 @@ class ResultStore:
     def __init__(self, root: str, create: bool = True) -> None:
         self.root = os.path.abspath(root)
         if create:
+            # records/ last: its presence means the layout is complete,
+            # so a crash part-way leaves a root create=False refuses.
             for name in (
-                self.RECORDS_DIR, self.RESULTS_DIR,
-                self.QUEUE_DIR, self.CLAIMS_DIR,
-                self.INSTANCES_DIR, self.NEAR_DIR,
+                self.RESULTS_DIR, self.QUEUE_DIR, self.CLAIMS_DIR,
+                self.INSTANCES_DIR, self.NEAR_DIR, self.RECORDS_DIR,
             ):
                 os.makedirs(os.path.join(self.root, name), exist_ok=True)
         elif not os.path.isdir(os.path.join(self.root, self.RECORDS_DIR)):

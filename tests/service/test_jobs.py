@@ -6,10 +6,12 @@ store surgery: the recovery path must work on exactly the files a dead
 worker leaves behind.
 """
 
+import concurrent.futures
 import os
 
 import pytest
 
+import repro.service.jobs as jobs_module
 from repro.api.specs import BudgetSpec, ExplorationRequest
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
@@ -38,6 +40,34 @@ def service(tmp_path):
 
 def submit_one(service, **overrides):
     return service.submit(small_request(**overrides)).key
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool with one that runs each submission in
+    this process as it is submitted (so the spawned workers finish
+    before the caller's drain starts); lists the pools built."""
+    built = []
+
+    class InlinePool(concurrent.futures.Executor):
+        def __init__(self, max_workers, mp_context):
+            self.max_workers = max_workers
+            self.start_method = mp_context.get_start_method()
+            self.workers = []
+            self.shut_down = False
+            built.append(self)
+
+        def submit(self, fn, *args):
+            self.workers.append(args[1])
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, **kwargs):
+            self.shut_down = wait
+
+    monkeypatch.setattr(jobs_module, "ProcessPoolExecutor", InlinePool)
+    return built
 
 
 class TestLifecycle:
@@ -153,6 +183,31 @@ class TestCrashSafety:
         service.queue.requeue_stale(stale_after_s=0.0)
         assert service.queue.pending_keys() == [key]
 
+    def test_phantom_claim_of_a_finished_job_is_dropped(self, service):
+        # Crash window: the done row was written, the claim ticket's
+        # unlink never happened.  The next drain's recovery drops it.
+        key = submit_one(service)
+        assert service.run_local() == 1
+        executions = service.stats()["executions"]
+        with open(service.store.claim_ticket(key), "w") as handle:
+            handle.write(key)
+        assert service.stats()["queue"]["claimed"] == 1
+        assert run_workers(service.store.root, workers=1) == 0
+        stats = service.stats()
+        assert stats["queue"]["claimed"] == 0
+        assert stats["executions"] == executions
+
+    def test_failed_job_claim_dropped_live_claim_kept(self, service):
+        failed = submit_one(service, seed=1)
+        assert service.queue.claim("w0") == failed
+        service.queue.fail(failed, "boom")
+        with open(service.store.claim_ticket(failed), "w") as handle:
+            handle.write(failed)
+        live = submit_one(service, seed=2)
+        assert service.queue.claim("live-worker") == live
+        assert service.queue.requeue_stale() == []
+        assert service.queue.claimed_keys() == [live]
+
     def test_requeue_counter(self, service):
         telemetry = Telemetry(label="t")
         key = submit_one(service)
@@ -194,3 +249,59 @@ class TestRunWorkers:
     def test_missing_store_is_a_service_error(self, tmp_path):
         with pytest.raises(ServiceError, match="no exploration store"):
             run_workers(str(tmp_path / "absent"), workers=1)
+
+    def test_single_worker_builds_no_pool(self, service, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("workers=1 built a process pool")
+
+        monkeypatch.setattr(jobs_module, "ProcessPoolExecutor", refuse)
+        key = submit_one(service)
+        assert run_workers(service.store.root, workers=1) == 1
+        assert service.status(key).worker == "worker-0"
+
+    def test_caller_is_worker_0_and_spawns_the_rest(self, service, pools):
+        keys = [submit_one(service, seed=s) for s in (1, 2)]
+        assert run_workers(service.store.root, workers=3) == 2
+        [pool] = pools
+        assert pool.max_workers == 2
+        assert pool.start_method == "spawn"
+        assert pool.workers == ["worker-1", "worker-2"]
+        assert pool.shut_down
+        assert all(service.status(k).status == "done" for k in keys)
+
+    def test_telemetry_absorbed_worker_0_first(
+        self, service, pools, monkeypatch
+    ):
+        def drain(root, worker, jobs, max_jobs):
+            recorder = Telemetry(label=worker)
+            recorder.count("job_completed")
+            recorder.event("drained", worker=worker)
+            return 1, recorder.export()
+
+        monkeypatch.setattr(jobs_module, "_worker_main", drain)
+        telemetry = Telemetry(label="pool")
+        executed = run_workers(
+            service.store.root, workers=3, telemetry=telemetry
+        )
+        assert executed == 3
+        assert telemetry.counters["job_completed"] == 3
+        # The spawned workers finished first; worker 0 still leads.
+        assert [
+            (e["job"], e["tag"], e["worker"])
+            for e in telemetry.events if e["kind"] == "drained"
+        ] == [(i, f"worker-{i}", f"worker-{i}") for i in range(3)]
+
+    def test_caller_failure_shuts_the_pool_down(
+        self, service, pools, monkeypatch
+    ):
+        def drain(root, worker, jobs, max_jobs):
+            if worker == "worker-0":
+                raise RuntimeError("caller drain died")
+            return 0, None
+
+        monkeypatch.setattr(jobs_module, "_worker_main", drain)
+        with pytest.raises(RuntimeError, match="caller drain died"):
+            run_workers(service.store.root, workers=2)
+        [pool] = pools
+        assert pool.workers == ["worker-1"]
+        assert pool.shut_down

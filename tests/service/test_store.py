@@ -208,6 +208,34 @@ class TestResultStore:
         with pytest.raises(ServiceError, match="no exploration store"):
             ResultStore(str(tmp_path / "absent"), create=False)
 
+    def test_crash_part_way_through_creation_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # A crash at any directory creation, the last one being every
+        # directory but records/, leaves a root that create=False
+        # refuses and that create=True completes.
+        layout = sorted(os.listdir(ResultStore(str(tmp_path / "full")).root))
+        makedirs = os.makedirs
+        for crash_at in range(len(layout)):
+            root = str(tmp_path / f"crash{crash_at}")
+            made = []
+
+            def crashing_makedirs(path, *args, **kwargs):
+                if len(made) == crash_at:
+                    raise OSError("crashed")
+                made.append(path)
+                makedirs(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "makedirs", crashing_makedirs)
+            with pytest.raises(OSError, match="crashed"):
+                ResultStore(root)
+            monkeypatch.setattr(os, "makedirs", makedirs)
+            with pytest.raises(ServiceError, match="no exploration store"):
+                ResultStore(root, create=False)
+            ResultStore(root)
+            assert sorted(os.listdir(root)) == layout
+            ResultStore(root, create=False)
+
     def test_response_bytes_round_trip(self, store):
         from repro.api.facade import explore
 
