@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 
 
 def mean(samples: Sequence[float]) -> float:
     if not samples:
         raise ConfigurationError("mean of empty sample set")
-    return sum(samples) / len(samples)
+    return left_sum(samples) / len(samples)
 
 
 def std(samples: Sequence[float]) -> float:
@@ -27,7 +28,9 @@ def std(samples: Sequence[float]) -> float:
     if len(samples) == 1:
         return 0.0
     m = mean(samples)
-    return math.sqrt(sum((x - m) ** 2 for x in samples) / (len(samples) - 1))
+    return math.sqrt(
+        left_sum((x - m) ** 2 for x in samples) / (len(samples) - 1)
+    )
 
 
 def median(samples: Sequence[float]) -> float:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.stats import summarize
 from repro.errors import ConfigurationError
 from repro.model.application import Application
+from repro.numeric import left_sum
 
 
 @dataclass(frozen=True)
@@ -142,10 +143,10 @@ def _aggregate_rows(
                 runs=runs,
                 execution_ms=summary.mean,
                 execution_std_ms=summary.std,
-                initial_reconfig_ms=sum(initials) / runs,
-                dynamic_reconfig_ms=sum(dynamics) / runs,
-                num_contexts=sum(contexts) / runs,
-                hw_tasks=sum(hw_counts) / runs,
+                initial_reconfig_ms=left_sum(initials) / runs,
+                dynamic_reconfig_ms=left_sum(dynamics) / runs,
+                num_contexts=left_sum(contexts) / runs,
+                hw_tasks=left_sum(hw_counts) / runs,
                 feasible_fraction=met / runs,
             )
         )

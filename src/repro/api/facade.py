@@ -129,7 +129,10 @@ class ExplorationResponse:
             data["partials"] = self.partials
         return data
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """The envelope as JSON: one line by default, which CPython
+        encodes in C (any ``indent`` falls back to the pure-Python
+        encoder).  Stored envelopes and cache hits use this form."""
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
@@ -194,10 +197,12 @@ class ExplorationResponse:
 
 def load_response(path: str) -> ExplorationResponse:
     """Read an envelope written by :meth:`ExplorationResponse.save` (or
-    by the service's result store).  ``load_response(p).to_json()`` is
-    byte-identical to the file's content: the outer key order is fixed
-    by ``to_dict`` and every nested document passes through with its
-    written order preserved."""
+    by the service's result store).  For an envelope this version wrote,
+    ``load_response(p).to_json()`` is byte-identical to the file's
+    content: the outer key order is fixed by ``to_dict`` and every
+    nested document passes through with its written order preserved.
+    Earlier versions wrote indented envelopes; they load the same, and
+    the store serves their bytes unchanged."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -375,7 +380,6 @@ def _explore_portfolio(
     checkpoint_path: Optional[str],
     telemetry=None,
 ) -> ExplorationResponse:
-    from repro.io import solution_to_dict
     from repro.search.portfolio import PORTFOLIO_KINDS, run_portfolio
 
     entries = run_portfolio(
@@ -392,31 +396,10 @@ def _explore_portfolio(
         warmup_iterations=resolved.warmup_iterations,
         telemetry=telemetry,
     )
-    results = []
-    for entry in entries:
-        record = {
-            "tag": entry.kind,
-            "seed": entry.seed,
-            "strategy": entry.result.strategy,
-            "best_cost": entry.result.best_cost,
-            "final_cost": entry.result.final_cost,
-            "iterations_run": entry.result.iterations_run,
-            "runtime_s": entry.result.runtime_s,
-            "evaluations": entry.result.evaluations,
-            "from_checkpoint": False,
-            "evaluation": evaluation_to_dict(entry.evaluation),
-            "history": list(entry.result.history),
-        }
-        results.append(record)
+    # Entries are sorted best-first, so the best record is index 0.
+    outcomes = [entry.outcome for entry in entries]
+    evaluations = [entry.evaluation for entry in entries]
     winner = entries[0]
-    best = {
-        "index": 0,
-        "tag": winner.kind,
-        "seed": winner.seed,
-        "cost": winner.best_cost,
-        "evaluation": evaluation_to_dict(winner.evaluation),
-        "solution": solution_to_dict(winner.result.best_solution),
-    }
     summary: Dict[str, Any] = {
         "winner": winner.kind,
         "ranking": [entry.kind for entry in entries],
@@ -427,8 +410,10 @@ def _explore_portfolio(
     return ExplorationResponse(
         kind=request.kind,
         request=request.to_dict(),
-        results=results,
-        best=best,
+        results=[
+            _result_record(o, ev) for o, ev in zip(outcomes, evaluations)
+        ],
+        best=_best_record(outcomes, evaluations),
         summary=summary,
         jobs=jobs,
         telemetry=(

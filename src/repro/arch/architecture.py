@@ -18,6 +18,7 @@ from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.arch.resource import Resource
 from repro.errors import ArchitectureError
+from repro.numeric import left_sum
 
 ResourceFactory = Callable[[str], Resource]
 
@@ -121,7 +122,7 @@ class Architecture:
 
     def total_monetary_cost(self) -> float:
         """Sum of resource costs (architecture-exploration objective)."""
-        return sum(r.monetary_cost for r in self._resources.values())
+        return left_sum(r.monetary_cost for r in self._resources.values())
 
     def validate(self) -> None:
         if not self.processors():

@@ -23,6 +23,7 @@ from typing import List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.arch.resource import OrderKind, Resource
 from repro.errors import ArchitectureError, ModelError
+from repro.numeric import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapping.solution import Solution
@@ -163,7 +164,7 @@ class ReconfigurableCircuit(Resource):
 
     def dynamic_reconfiguration_ms(self, solution: "Solution") -> float:
         contexts = solution.contexts(self.name)
-        return sum(
+        return left_sum(
             self.reconfiguration_time_ms(solution.context_clbs(self.name, k))
             for k in range(1, len(contexts))
         )

@@ -245,7 +245,7 @@ def _render_response(response: ExplorationResponse,
 
 def _emit(response: ExplorationResponse, args: argparse.Namespace) -> None:
     if args.json:
-        print(response.to_json())
+        print(response.to_json(indent=2))
     else:
         _render_response(response, args)
 

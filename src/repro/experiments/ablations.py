@@ -33,6 +33,7 @@ from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError
 from repro.model.motion import motion_detection_application
 from repro.mapping.solution import random_initial_solution
+from repro.numeric import left_sum
 from repro.search.runner import (
     InstanceSpec,
     SearchJob,
@@ -94,7 +95,7 @@ def _collect_rows(
             ScheduleAblationRow(
                 method=method,
                 makespan=summarize([r.best_cost for r in results]),
-                mean_runtime_s=sum(r.runtime_s for r in results) / runs,
+                mean_runtime_s=left_sum(r.runtime_s for r in results) / runs,
             )
         )
     return rows
@@ -302,7 +303,7 @@ def run_reconfig_ablation(
         bucket["contexts"].append(float(ev.num_contexts))
     return {
         mode: {
-            f"{name}_mean": sum(values) / len(values)
+            f"{name}_mean": left_sum(values) / len(values)
             for name, values in bucket.items()
         }
         for mode, bucket in samples.items()

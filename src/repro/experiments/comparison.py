@@ -29,6 +29,7 @@ from repro.api.specs import (
     StrategySpec,
 )
 from repro.model.motion import MOTION_DEADLINE_MS
+from repro.numeric import left_sum
 
 
 @dataclass
@@ -154,7 +155,7 @@ def run_comparison(
     ga_record = ga_response.results[0]
     return ComparisonResult(
         sa_makespan_ms=sa_best["evaluation"]["makespan_ms"],
-        sa_runtime_s=sum(r["runtime_s"] for r in sa_response.results),
+        sa_runtime_s=left_sum(r["runtime_s"] for r in sa_response.results),
         sa_contexts=sa_best["evaluation"]["num_contexts"],
         sa_evaluations=sum(r["evaluations"] for r in sa_response.results),
         ga_makespan_ms=ga_best["evaluation"]["makespan_ms"],

@@ -25,6 +25,7 @@ from repro.api.specs import (
     StrategySpec,
 )
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,13 @@ def run_quality_knob(
                     [r["evaluation"]["makespan_ms"] for r in response.results]
                 ),
                 mean_iterations=(
-                    sum(float(r["iterations_run"]) for r in response.results)
+                    left_sum(
+                        float(r["iterations_run"]) for r in response.results
+                    )
                     / runs
                 ),
                 mean_runtime_s=(
-                    sum(r["runtime_s"] for r in response.results) / runs
+                    left_sum(r["runtime_s"] for r in response.results) / runs
                 ),
             )
         )

@@ -12,6 +12,9 @@ architecture models) and provides:
   section 4.3).
 * :mod:`~repro.graph.longest_path` — topological longest-path dynamic
   programming (the paper's makespan evaluation, section 4.4).
+* :mod:`~repro.graph.persistent_dp` — the same longest path kept across
+  small edits over one persistent topological order (the incremental
+  evaluation engine's core).
 * :mod:`~repro.graph.generators` — random DAG generators used by tests
   and benchmarks.
 """

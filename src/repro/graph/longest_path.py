@@ -18,9 +18,10 @@ Two families live here:
   split edge layers, the equivalent of ``Dag.topological_order``
   without tuple-key hashing (``tests/graph/test_array_kernels.py``
   proves the equivalence).
-  :class:`repro.mapping.engine.IncrementalEngine` computes every
-  topological order it needs through it and inlines its DP variants,
-  which exploit the engine's fixed node-id layout.
+  :class:`repro.graph.persistent_dp.PersistentLongestPath` (the
+  incremental engine's persistent order and DPs) computes every
+  topological order it sorts from scratch through it and inlines its DP
+  variants, which exploit the engine's fixed node-id layout.
 """
 
 from __future__ import annotations

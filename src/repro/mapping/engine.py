@@ -19,10 +19,10 @@ operation behind one interface with two implementations:
   solution-dependent parts are delta-patched — task durations, the
   crossing state of each dependency, and the sequentialization edges of
   the (typically one or two) resources a move actually touched.  On top
-  of that delta-sync the longest-path DP is *persistent*: one
-  topological order — of the bus-serialized graph too — is repaired in
-  place instead of re-sorted, and only the order suffix a move could
-  have affected is re-relaxed.
+  of that delta-sync the longest-path DP is *persistent*
+  (:mod:`repro.graph.persistent_dp`): one topological order — of the
+  bus-serialized graph too — is repaired in place instead of re-sorted,
+  and only the order suffix a move could have affected is re-relaxed.
 
 Both engines produce **bit-identical** makespans: they evaluate the same
 graph with the same float operations over the same candidate sets, and
@@ -54,11 +54,12 @@ from repro.errors import (
     CycleError,
     MappingError,
 )
-from repro.graph.longest_path import kahn_order_indices
+from repro.graph.persistent_dp import PersistentLongestPath
 from repro.mapping.compiled import compile_instance
 from repro.mapping.search_graph import SearchGraph, SearchGraphBuilder
 from repro.mapping.solution import Solution
 from repro.model.application import Application
+from repro.numeric import left_sum
 
 #: Cost of infeasible (cyclic) realizations.
 INFEASIBLE_MS = math.inf
@@ -279,26 +280,14 @@ class IncrementalEngine(EvaluationEngine):
       and a context edit re-derives only that context and diffs only
       the boundary edge sets next to it.
 
-    On top of the layers sit three persistent structures:
-
-    * **One topological order** of the base layers.  One live added
-      edge that contradicts it is *repaired* by one Pearce/Kelly region
-      reordering (every other live edge agrees with the stored
-      positions, so an insert that finds a cycle is an exact verdict);
-      two or more go to one Kahn sort.  The bus chain — the serialized
-      transaction order, one more pointer layer — is written next, and
-      its contradicting edges are unlinked and re-inserted one at a
-      time, so a failed insert is an exact cycle verdict too.  Every
-      order evaluated with is topological, so cycles are detected like
-      the reference does.
-    * **The base DP values.**  Every node whose inputs change is seeded
-      where the change is written (structural deltas by
-      :meth:`_replace_edges`, durations and weights by compare-and-seed
-      writes), and the DP re-runs from the earliest seeded position
-      over the candidate sets the full DP uses: bit-identical.
-    * **The serialized DP values** (base layers plus bus chain), re-run
-      the same way from the base seeds and the comm nodes whose chain
-      predecessor changed, or copied when no chain edge binds.
+    On top of the layers, one
+    :class:`~repro.graph.persistent_dp.PersistentLongestPath` keeps the
+    topological order, the bus chain and the base and serialized DP
+    values across evaluations.  The engine reports every edge it links
+    and every node whose inputs it changes, where the change is written
+    (structural deltas by :meth:`_replace_edges`, durations and weights
+    by compare-and-seed writes); the unit repairs the order and re-runs
+    only the order suffix those nodes reach, bit-identical to a full DP.
 
     Per-RC reconfiguration statistics for the Fig. 3 decomposition are
     cached alongside.  Edges and durations are derived natively for the
@@ -309,10 +298,6 @@ class IncrementalEngine(EvaluationEngine):
     """
 
     name = "incremental"
-
-    #: Count of base-layer edges contradicting the stored order past
-    #: which the order is dropped outright (a Kahn rebuild is due).
-    MAX_REPAIR_EDGES = 24
 
     def __init__(
         self,
@@ -375,12 +360,7 @@ class IncrementalEngine(EvaluationEngine):
         # with comm id ``ntasks + j``.  Only the ``src -> comm`` weight
         # changes; ``comm -> dst`` is always 0, so a task's candidates
         # are its predecessor comm nodes' *finish* times.
-        n = len(self._interner)
         self._comm_w: List[float] = [0.0] * ndeps
-        # Processor chains as prev/next pointer arrays: a task sits on at
-        # most one processor, so one array pair covers them all.
-        self._proc_prev: List[int] = [-1] * n
-        self._proc_next: List[int] = [-1] * n
 
         # Immediate-predecessor and -successor bitmasks over the dense
         # task ids: a context member is initial (terminal) when no bit
@@ -399,7 +379,6 @@ class IncrementalEngine(EvaluationEngine):
         self.stat_edges_relinked = 0
 
         # Dynamic (solution-dependent) state, reset to "never seen".
-        self._dur: List[float] = [0.0] * n
         self._res_kind: Dict[str, Tuple] = {}
         self._invalidate()
 
@@ -407,8 +386,7 @@ class IncrementalEngine(EvaluationEngine):
         """Forget all mirrored solution state (forces a full re-sync)."""
         n = len(self._interner)
         # Durations mirror solution state too, config nodes included.
-        for node_id in range(len(self._dur)):
-            self._dur[node_id] = 0.0
+        self._dur: List[float] = [0.0] * n
         self._m_resource: List[Optional[str]] = [None] * self._ntasks
         self._m_impl: List[int] = [-1] * self._ntasks
         self._m_res_names: List[str] = []
@@ -433,39 +411,21 @@ class IncrementalEngine(EvaluationEngine):
         self._pred_seq: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         self._succ_seq: List[List[int]] = [[] for _ in range(n)]
         self._indeg_total: List[int] = list(self._indeg_static)
-        self._proc_prev[:] = self._proc_next[:] = [-1] * n
-        # The persistent base order: at most one ``[order, position,
-        # valid]`` entry, invalid once an *added* edge contradicts it.
-        self._orders0: List[List] = []
-        #: The bus chain: comm ids in transaction order, and the same
-        #: chain as pointer arrays (``-1`` off the chain).  The base
-        #: layers never read them; ``_no_chain`` stands in for them
-        #: wherever the base graph alone is walked.
-        self._chain_perm: List[int] = []
-        self._chain_pred: List[int] = [-1] * n
-        self._chain_next: List[int] = [-1] * n
-        self._no_chain: List[int] = [-1] * n
-        #: Base (unserialized) DP values, persistent across evaluations.
-        self._starts0: List[float] = [0.0] * n
-        self._finish0: List[float] = [0.0] * n
-        #: Serialized DP values (base graph + bus chain), persistent too.
-        self._starts1: List[float] = [0.0] * n
-        self._finish1: List[float] = [0.0] * n
-        #: Whether the persistent base DP values are trustworthy.
-        self._values_valid = False
-        #: Whether the serialized values are current up to the seeds
-        #: and the next chain relink; if not, the next serialized pass
-        #: checks every chain edge and runs in full.
-        self._ser_valid = False
-        #: Node ids whose inputs changed since the last DP run.
-        self._dirty_seeds: set = set()
-        #: Added edges that contradict the persistent order (repaired
-        #: or folded into the next rebuild).
-        self._pending_edges: List[Tuple[int, int]] = []
-        # Order telemetry, reset with the order state it describes.
-        self.stat_order_repairs = 0
-        self.stat_order_rebuilds = 0
-        self.stat_chain_repairs = 0
+        # Processor chains as prev/next pointer arrays: a task sits on at
+        # most one processor, so one array pair covers them all.
+        self._proc_prev: List[int] = [-1] * n
+        self._proc_next: List[int] = [-1] * n
+        #: The persistent order, bus chain and DPs over these arrays (the
+        #: order counters restart with it).  The chain breaks ASAP ties
+        #: by (source task, destination task), as the reference does.
+        self._dp = PersistentLongestPath(
+            lo=self._ntasks, comm_src=self._dep_src, comm_w=self._comm_w,
+            tie_src=self._dep_srct, tie_dst=self._dep_dstt,
+            succ_static=self._succ_static, pred_comms=self._pred_comms,
+            succ_seq=self._succ_seq, pred_seq=self._pred_seq,
+            proc_next=self._proc_next, proc_prev=self._proc_prev,
+            indeg=self._indeg_total, dur=self._dur,
+        )
 
     def _classify(self, res: Resource) -> None:
         """Classify a resource and give it its copy.  Only the exact
@@ -505,9 +465,9 @@ class IncrementalEngine(EvaluationEngine):
             rc_rebuilds=self.stat_rc_rebuilds,
             contexts_refreshed=self.stat_contexts_refreshed,
             edges_relinked=self.stat_edges_relinked,
-            order_repairs=self.stat_order_repairs,
-            order_rebuilds=self.stat_order_rebuilds,
-            chain_repairs=self.stat_chain_repairs,
+            order_repairs=self._dp.repairs,
+            order_rebuilds=self._dp.rebuilds,
+            chain_repairs=self._dp.chain_repairs,
         )
         return out
 
@@ -770,7 +730,7 @@ class IncrementalEngine(EvaluationEngine):
         self._rc_stats[name] = (
             len(ctxs),
             ctxs[0].reconfig,
-            sum([ctx.reconfig for ctx in ctxs[1:]]),
+            left_sum([ctx.reconfig for ctx in ctxs[1:]]),
             sum([ctx.clbs for ctx in ctxs]),
         )
         self._set_dur(config_id, ctxs[0].reconfig)
@@ -779,7 +739,7 @@ class IncrementalEngine(EvaluationEngine):
         """Write a node duration, seeding the suffix DP when it changes."""
         if self._dur[node] != value:
             self._dur[node] = value
-            self._dirty_seeds.add(node)
+            self._dp.seed(node)
 
     def _refresh_dep(self, j: int) -> None:
         """Re-derive a dependency's realization from the mirrored
@@ -798,7 +758,7 @@ class IncrementalEngine(EvaluationEngine):
             # Both values feed only the comm node's start/finish.
             self._comm_w[j] = weight
             self._dur[comm_id] = duration
-            self._dirty_seeds.add(comm_id)
+            self._dp.seed(comm_id)
         if mode != self._dep_mode[j]:
             self._dep_mode[j] = mode
             self._active_dirty = True
@@ -813,11 +773,11 @@ class IncrementalEngine(EvaluationEngine):
         ``(src, dst)``, each pair at most once per list (a resource
         links only its own tasks and config node), and retunes in place
         an edge whose weight alone changed.  Removals go first: an edge
-        can migrate between two resources in one sync.  Every edge head
-        seeds the DP; an added edge contradicting the persistent order
-        is queued for repair."""
+        can migrate between two resources in one sync.  Every edge is
+        reported to the persistent DP: a linked one by ``link``, the
+        head of any other by ``seed``."""
         pred_seq = self._pred_seq
-        seeds = self._dirty_seeds
+        dp = self._dp
         gone = {}
         seq_added = []
         if seq_old or seq_new:
@@ -832,7 +792,7 @@ class IncrementalEngine(EvaluationEngine):
                         if plist[idx][0] == a:
                             plist[idx] = (a, w)
                             break
-                    seeds.add(b)
+                    dp.seed(b)
         chain_removed = []
         chain_added = []
         for edge, count in chain_delta.items():
@@ -853,7 +813,7 @@ class IncrementalEngine(EvaluationEngine):
             proc_next[a] = -1
             proc_prev[b] = -1
             indeg[b] -= 1
-            seeds.add(b)
+            dp.seed(b)
         for a, b in gone:
             succ_seq[a].remove(b)
             plist = pred_seq[b]
@@ -862,52 +822,31 @@ class IncrementalEngine(EvaluationEngine):
                     del plist[idx]
                     break
             indeg[b] -= 1
-            seeds.add(b)
-        entries = self._orders0
-        pos = entries[0][1] if entries else None
-        pending = self._pending_edges
+            dp.seed(b)
         for a, b in chain_added:
             proc_next[a] = b
             proc_prev[b] = a
             indeg[b] += 1
-            seeds.add(b)
-            if pos is not None and pos[a] >= pos[b]:
-                entries[0][2] = False
-                pending.append((a, b))
+            dp.link(a, b)
         for a, b, w in seq_added:
             succ_seq[a].append(b)
             pred_seq[b].append((a, w))
             indeg[b] += 1
-            seeds.add(b)
-            if pos is not None and pos[a] >= pos[b]:
-                entries[0][2] = False
-                pending.append((a, b))
-        if len(pending) > self.MAX_REPAIR_EDGES:
-            # Too many contradictions: the stored order is beyond
-            # repair.  Drop it (a Kahn rebuild starts a fresh one) so
-            # the pending list cannot balloon while the walk churns.
-            entries.clear()
-            pending.clear()
+            dp.link(a, b)
 
     def _grow_nodes(self) -> None:
-        grow = len(self._interner) - len(self._dur)
-        if grow <= 0:
-            return
-        for values in (self._dur, self._starts0, self._finish0,
-                       self._starts1, self._finish1):
-            values.extend([0.0] * grow)
-        for ints in (self._proc_prev, self._proc_next, self._chain_pred,
-                     self._chain_next, self._no_chain):
+        """Cover the ids interned since the arrays were sized."""
+        n = len(self._interner)
+        grow = n - len(self._dur)
+        self._dur.extend([0.0] * grow)
+        for ints in (self._proc_prev, self._proc_next):
             ints.extend([-1] * grow)
         for counts in (self._indeg_static, self._indeg_total):
             counts.extend([0] * grow)
         for lists in (self._pred_comms, self._succ_static,
                       self._pred_seq, self._succ_seq):
             lists.extend([] for _ in range(grow))
-        # The persistent order and values do not cover the new nodes yet.
-        self._orders0.clear()
-        self._pending_edges.clear()
-        self._values_valid = False
+        self._dp.grow(n)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -923,353 +862,12 @@ class IncrementalEngine(EvaluationEngine):
                 j for j in range(self._ndeps) if dep_mode[j] == 1
             ]
             self._active_dirty = False
-        n = len(self._interner)
-        seeds = self._dirty_seeds
-
-        # --- persistent order: revalidate, repair, else rebuild, over
-        # the base layers only (a stale bus chain can close a false cycle).
-        entries = self._orders0
-        entry = entries[0] if entries else None
-        full_dp = not self._values_valid
-        moved = False
-        if entry is not None and not entry[2]:
-            # Contradicting edges since removed stop mattering.
-            pending = self._pending_edges
-            pending[:] = [e for e in pending if self._edge_live(e)]
-            if not pending:
-                entry[2] = True
-            elif len(pending) == 1:
-                # Every other live edge agrees with the stored positions,
-                # so one Pearce/Kelly insert repairs the order, or proves
-                # the realization cyclic before it writes anything.
-                a, b = pending[0]
-                no_chain = self._no_chain
-                if not self._pk_insert(
-                    entry[0], entry[1], a, b, no_chain, no_chain
-                ):
-                    return self._infeasible(self._cycle(a, b))
-                self.stat_order_repairs += 1
-                entry[2] = True
-                pending.clear()
-                moved = True
-        if entry is None or not entry[2]:
-            # No stored order, or two or more contradicting edges: one
-            # Kahn over the base layers (a failed sort changes nothing).
-            self.stat_order_rebuilds += 1
-            try:
-                order = kahn_order_indices(
-                    n, self._indeg_total, self._succ_static,
-                    self._interner.keys(), self._succ_seq, self._proc_next,
-                )
-            except CycleError as exc:
-                return self._infeasible(exc)
-            # The persistent *values* depend on the graph, not on the
-            # order, so the suffix DPs below still apply.
-            entry = self._adopt_order(order)
-            moved = True
-        order, pos = entry[0], entry[1]
-
-        # --- persistent base DP: full or suffix ------------------------
-        starts0 = self._starts0
-        finish0 = self._finish0
-        if full_dp:
-            self._dp_range(order, 0, self._no_chain, starts0, finish0)
-            self._values_valid = True
-        elif seeds:
-            self._dp_range(
-                order, min(pos[v] for v in seeds), self._no_chain,
-                starts0, finish0,
-            )
-
-        active = self._active_deps
-        if not active:
-            seeds.clear()
-            self._ser_valid = False
-            return max(finish0), True, 0.0, None
-
-        # --- bus chain: ASAP order in the unserialized graph, ties
-        # broken by (source task, destination task) — the exact
-        # deterministic policy of SearchGraphBuilder._serialize_bus.
-        # Comm ids are ``ntasks + j``, so the chain holds them directly.
-        lo = self._ntasks
-        srct = self._dep_srct
-        dstt = self._dep_dstt
-        chain = [
-            lo + key[3]
-            for key in sorted(
-                (starts0[lo + j], srct[j], dstt[j], j) for j in active
-            )
-        ]
-        heads = self._relink_chain(chain) if chain != self._chain_perm else ()
-        dur = self._dur
-        comm_ms = sum(dur[c] for c in chain)
-
-        # --- keep the persistent order a topological order of the
-        # serialized graph too (base layers + bus chain) --------------
-        ser_full = full_dp or not self._ser_valid
-        if moved or heads or ser_full:
-            bad = [(a, b) for a, b in zip(chain, chain[1:]) if pos[a] > pos[b]]
-            if bad:
-                failed = self._repair_chain(order, pos, bad)
-                if failed is not None:
-                    # The serialized graph is cyclic; the base values
-                    # are current, the serialized ones re-run in full.
-                    seeds.clear()
-                    self._ser_valid = False
-                    return INFEASIBLE_MS, False, comm_ms, self._cycle(*failed)
-                self.stat_chain_repairs += 1
-
-        # --- persistent serialized DP ---------------------------------
-        starts1 = self._starts1
-        finish1 = self._finish1
-        if all(finish0[a] <= starts0[b] for a, b in zip(chain, chain[1:])):
-            # No chain edge binds: the serialized values are the base
-            # values bit for bit (no chain candidate wins a max).
-            starts1[:] = starts0
-            finish1[:] = finish0
-        elif ser_full:
-            self._dp_range(order, 0, self._chain_pred, starts1, finish1)
-        elif seeds or heads:
-            start = min(pos[v] for v in (*seeds, *heads))
-            self._dp_range(order, start, self._chain_pred, starts1, finish1)
-        seeds.clear()
-        self._ser_valid = True
-        return max(finish1), True, comm_ms, None
-
-    def _infeasible(
-        self, exc: CycleError
-    ) -> Tuple[float, bool, float, Optional[CycleError]]:
-        """``_compute``'s result for a cyclic unserialized realization."""
-        dur = self._dur
-        dep_comm = self._dep_comm
-        comm_ms = sum(dur[dep_comm[j]] for j in self._active_deps)
-        return INFEASIBLE_MS, False, comm_ms, exc
-
-    def _cycle(self, a: int, b: int) -> CycleError:
-        """The cycle verdict of an edge ``a -> b`` whose insert failed."""
-        keys = self._interner.keys()
-        return CycleError(
-            "realization contains a cycle", cycle=[keys[b], keys[a]]
-        )
-
-    # ------------------------------------------------------------------
-    # persistent order maintenance
-    # ------------------------------------------------------------------
-    def _adopt_order(self, order: List[int]) -> List:
-        """Install a freshly sorted order as the persistent order and
-        return its ``[order, position, valid]`` entry."""
-        pos = [0] * len(order)
-        for idx, v in enumerate(order):
-            pos[v] = idx
-        entry = [order, pos, True]
-        self._orders0[:] = [entry]
-        self._pending_edges.clear()
-        return entry
-
-    def _relink_chain(self, chain: List[int]) -> List[int]:
-        """Write a new bus chain into the chain pointer arrays and
-        return the comm ids whose chain predecessor changed (they seed
-        the serialized DP).  Transfers that went inactive are unlinked."""
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        dep_mode = self._dep_mode
-        lo = self._ntasks
-        heads: List[int] = []
-        for c in self._chain_perm:
-            if dep_mode[c - lo] != 1:
-                chain_next[c] = -1
-                if chain_pred[c] >= 0:
-                    chain_pred[c] = -1
-                    heads.append(c)
-        first = chain[0]
-        if chain_pred[first] >= 0:
-            chain_pred[first] = -1
-            heads.append(first)
-        for a, b in zip(chain, chain[1:]):
-            chain_next[a] = b
-            if chain_pred[b] != a:
-                chain_pred[b] = a
-                heads.append(b)
-        chain_next[chain[-1]] = -1
-        self._chain_perm = chain
-        return heads
-
-    def _edge_live(self, edge: Tuple[int, int]) -> bool:
-        """Is the once-added edge still present in the live layers?"""
-        a, b = edge
-        if self._proc_next[a] == b:
-            return True
-        return b in self._succ_seq[a]
-
-    def _repair_chain(
-        self, order: List[int], pos: List[int], bad: List[Tuple[int, int]]
-    ) -> Optional[Tuple[int, int]]:
-        """Repair the persistent order for the bus-chain edges that
-        contradict it.  They are unlinked first and re-inserted one at a
-        time, so every Pearce/Kelly insertion runs with every other
-        linked edge (base layers and chain) position-consistent: each
-        step is sound by the PK invariant and needs no O(E) check, and
-        an insertion that finds a path back proves the serialized graph
-        cyclic.  Returns that edge (``None`` when all went in); the
-        edges are relinked either way."""
-        chain_pred = self._chain_pred
-        chain_next = self._chain_next
-        for a, b in bad:
-            chain_next[a] = -1
-            chain_pred[b] = -1
-        failed = None
-        for a, b in bad:
-            if failed is None and pos[a] > pos[b] and not self._pk_insert(
-                order, pos, a, b, chain_next, chain_pred
-            ):
-                failed = (a, b)
-            chain_next[a] = b
-            chain_pred[b] = a
-        return failed
-
-    def _pk_insert(
-        self,
-        order: List[int],
-        pos: List[int],
-        a: int,
-        b: int,
-        chain_next: List[int],
-        chain_pred: List[int],
-    ) -> bool:
-        """Reorder the affected region for one edge ``a -> b`` with
-        ``pos[a] >= pos[b]``: forward-reachable nodes of ``b`` and
-        backward-reachable nodes of ``a`` (both within the region) are
-        remapped onto their own position pool, backward block first.
-        The bus chain is walked through ``chain_next``/``chain_pred``
-        (``_no_chain`` for the base graph alone).  Returns False, with
-        ``order`` and ``pos`` untouched, when the region search sees a
-        cycle."""
-        lower = pos[b]
-        upper = pos[a]
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        succ_static = self._succ_static
-        succ_seq = self._succ_seq
-        proc_next = self._proc_next
-        forward = {b}
-        stack = [b]
-        while stack:
-            x = stack.pop()
-            for y in succ_static[x]:
-                if pos[y] <= upper and y not in forward:
-                    if y == a:
-                        return False
-                    forward.add(y)
-                    stack.append(y)
-            for y in succ_seq[x]:
-                if pos[y] <= upper and y not in forward:
-                    if y == a:
-                        return False
-                    forward.add(y)
-                    stack.append(y)
-            # Processor chains link task ids, the bus chain comm ids.
-            y = proc_next[x] if x < lo else chain_next[x]
-            if y >= 0 and pos[y] <= upper and y not in forward:
-                if y == a:
-                    return False
-                forward.add(y)
-                stack.append(y)
-        comm_src = self._dep_src
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        backward = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if lo <= x < hi:
-                preds = (comm_src[x - lo],)
-                y = chain_pred[x]
-            else:
-                preds = pred_comms[x]
-                y = proc_prev[x]
-            if y >= 0 and pos[y] >= lower and y not in backward:
-                if y == b:
-                    return False
-                backward.add(y)
-                stack.append(y)
-            for y in preds:
-                if pos[y] >= lower and y not in backward:
-                    if y == b:
-                        return False
-                    backward.add(y)
-                    stack.append(y)
-            for y, _w in pred_seq[x]:
-                if pos[y] >= lower and y not in backward:
-                    if y == b:
-                        return False
-                    backward.add(y)
-                    stack.append(y)
-        # Merge: the affected nodes keep their position pool; the
-        # backward block (everything that must precede ``a``, including
-        # ``a``) goes first, the forward block second, each in its
-        # existing relative order.
-        affected = sorted(backward, key=pos.__getitem__)
-        affected += sorted(forward, key=pos.__getitem__)
-        pool = sorted(pos[v] for v in affected)
-        for p, v in zip(pool, affected):
-            pos[v] = p
-            order[p] = v
-        return True
-
-    # ------------------------------------------------------------------
-    # persistent DP
-    # ------------------------------------------------------------------
-    def _dp_range(
-        self,
-        order: List[int],
-        start: int,
-        chain: List[int],
-        starts: List[float],
-        finish: List[float],
-    ) -> None:
-        """The reference DP loop over ``order[start:]``, for the base
-        values (``chain=_no_chain``) or the serialized ones
-        (``chain=_chain_pred``).  A node depends only on predecessors at
-        earlier positions, so re-running from the earliest changed
-        position reproduces the full DP bit for bit."""
-        lo = self._ntasks
-        hi = lo + self._ndeps
-        comm_src = self._dep_src
-        comm_w = self._comm_w
-        pred_comms = self._pred_comms
-        pred_seq = self._pred_seq
-        proc_prev = self._proc_prev
-        dur = self._dur
-        for idx in range(start, len(order)):
-            v = order[idx]
-            if lo <= v < hi:
-                j = v - lo
-                best = finish[comm_src[j]] + comm_w[j]
-                if best < 0.0:
-                    best = 0.0  # mirror the reference DP's 0.0 floor
-                u = chain[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-            else:
-                best = 0.0
-                for c in pred_comms[v]:
-                    candidate = finish[c]
-                    if candidate > best:
-                        best = candidate
-                u = proc_prev[v]
-                if u >= 0:
-                    candidate = finish[u]
-                    if candidate > best:
-                        best = candidate
-                for u, w in pred_seq[v]:
-                    candidate = finish[u] + w
-                    if candidate > best:
-                        best = candidate
-            starts[v] = best
-            finish[v] = best + dur[v]
+        makespan, comm_ms, cycle = self._dp.evaluate(self._active_deps)
+        if cycle is not None:
+            # The unit reports node ids; the reference names the nodes.
+            keys = self._interner.keys()
+            cycle = CycleError(str(cycle), cycle=[keys[v] for v in cycle.cycle])
+        return makespan, cycle is None, comm_ms, cycle
 
     def _guarded_compute(
         self, solution: Solution

@@ -30,6 +30,7 @@ from repro.graph.dag import Dag
 from repro.graph.longest_path import earliest_start_times, longest_path_length
 from repro.mapping.solution import Solution
 from repro.model.application import Application
+from repro.numeric import left_sum
 
 #: Tag of virtual communication nodes: ``(COMM_NODE, src_task, dst_task)``.
 COMM_NODE = "__comm__"
@@ -74,7 +75,7 @@ class SearchGraph:
         return earliest_start_times(self.dag, self.duration, self.topological_order())
 
     def total_comm_ms(self) -> float:
-        return sum(self.durations[c] for c in self.comm_nodes)
+        return left_sum(self.durations[c] for c in self.comm_nodes)
 
 
 class SearchGraphBuilder:

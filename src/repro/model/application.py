@@ -15,6 +15,7 @@ from repro.errors import CycleError, ModelError
 from repro.graph.dag import Dag
 from repro.graph.reachability import ReachabilityIndex
 from repro.model.task import Implementation, Task
+from repro.numeric import left_sum
 
 
 class Application:
@@ -128,7 +129,7 @@ class Application:
 
     def total_sw_time_ms(self) -> float:
         """Execution time of the all-software, fully serialized mapping."""
-        return sum(task.sw_time_ms for task in self._tasks.values())
+        return left_sum(task.sw_time_ms for task in self._tasks.values())
 
     def hardware_capable_tasks(self) -> List[Task]:
         return [task for task in self._tasks.values() if task.hardware_capable]

@@ -35,6 +35,7 @@ from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.numeric import left_sum
 
 
 def lam_quality_factor(acceptance: float) -> float:
@@ -75,8 +76,8 @@ def _spread(samples: Sequence[float]) -> float:
     finite = [c for c in samples if math.isfinite(c)]
     if len(finite) < 2:
         return 1.0
-    mean = sum(finite) / len(finite)
-    var = sum((c - mean) ** 2 for c in finite) / (len(finite) - 1)
+    mean = left_sum(finite) / len(finite)
+    var = left_sum((c - mean) ** 2 for c in finite) / (len(finite) - 1)
     return max(math.sqrt(var), 1e-12)
 
 
@@ -123,7 +124,7 @@ class LamDelosmeSchedule(CoolingSchedule):
         # and an unfloored rate would quench the system instantly.
         self._sigma_floor = max(1e-9, 1e-3 * self._sigma)
         finite = [c for c in warmup_costs if math.isfinite(c)]
-        self._mean = sum(finite) / len(finite) if finite else 0.0
+        self._mean = left_sum(finite) / len(finite) if finite else 0.0
         # Start near-infinite: acceptance starts at ~1 and the adaptive
         # rate takes over immediately.
         self._inverse_temperature = 1.0 / (50.0 * self._sigma)

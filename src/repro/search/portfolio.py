@@ -23,6 +23,7 @@ from repro.mapping.evaluator import Evaluation
 from repro.model.application import Application
 from repro.search.runner import (
     InstanceSpec,
+    JobOutcome,
     SearchJob,
     StrategySpec,
     best_evaluation_of,
@@ -44,12 +45,23 @@ _TEMPERING_CHAINS = 4
 
 @dataclass
 class PortfolioEntry:
-    """One strategy's run in the race."""
+    """One strategy's run in the race: the runner's outcome (tagged with
+    the strategy kind) and the evaluation of its best solution."""
 
-    kind: str
-    seed: int
-    result: SearchResult
+    outcome: JobOutcome
     evaluation: Evaluation
+
+    @property
+    def kind(self) -> str:
+        return self.outcome.tag
+
+    @property
+    def seed(self) -> int:
+        return self.outcome.seed
+
+    @property
+    def result(self) -> SearchResult:
+        return self.outcome.result
 
     @property
     def best_cost(self) -> float:
@@ -150,12 +162,7 @@ def run_portfolio(
         telemetry=telemetry,
     )
     entries = [
-        PortfolioEntry(
-            kind=outcome.tag,
-            seed=outcome.seed,
-            result=outcome.result,
-            evaluation=best_evaluation_of(outcome.result),
-        )
+        PortfolioEntry(outcome, best_evaluation_of(outcome.result))
         for outcome in outcomes
     ]
     order = {kind: rank for rank, kind in enumerate(kinds)}

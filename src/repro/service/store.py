@@ -31,9 +31,10 @@ On-disk layout (JSON files + atomic rename, no external database)::
                             job is unfinished, the record's instance
                             hash once a donor-kind job completes
 
-Rows and instance documents are compact JSON (no ``indent``, so
-CPython's C encoder writes them); readers parse any layout, so the
-indented files of earlier versions still load.  Every write is
+Rows, instance documents and envelopes are written without ``indent``
+(so CPython's C encoder writes them); readers parse any layout, so the
+indented files of earlier versions still load, and a cache hit serves
+an earlier version's indented envelope byte for byte.  Every write is
 append-safe: new content goes to a uniquely named temp file in the same
 directory and is atomically renamed over the target, so readers never
 observe a torn record and two racing writers resolve to one winner.

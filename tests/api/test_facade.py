@@ -172,6 +172,41 @@ class TestPortfolioEquivalence:
         ]
         assert response.summary["winner"] == direct[0].kind
 
+    def test_records_come_from_the_shared_helpers(self, tmp_path):
+        """A fresh race's envelope is the one earlier versions wrote (its
+        digest was taken before the records went through
+        ``_result_record`` and ``_best_record``), and a re-run on the
+        race's checkpoint says its racers were restored."""
+        import hashlib
+
+        request = ExplorationRequest(
+            kind="portfolio", portfolio_kinds=("sa", "hill_climber", "random"),
+            budget=BudgetSpec(iterations=120, warmup_iterations=30), seed=4,
+        )
+        checkpoint = str(tmp_path / "race.jsonl")
+        fresh = json.loads(explore(request, checkpoint_path=checkpoint).to_json())
+        for record in fresh["results"]:
+            assert list(record) == [
+                "tag", "seed", "strategy", "best_cost", "final_cost",
+                "iterations_run", "runtime_s", "evaluations",
+                "from_checkpoint", "evaluation", "history",
+            ]
+            assert record["from_checkpoint"] is False
+            del record["runtime_s"]
+        assert list(fresh["best"]) == [
+            "index", "tag", "seed", "cost", "evaluation", "solution",
+        ]
+        assert fresh["best"]["index"] == 0
+        body = {key: fresh[key]
+                for key in ("kind", "request", "results", "best", "summary")}
+        digest = hashlib.sha256(
+            json.dumps(body, sort_keys=True).encode()).hexdigest()
+        assert digest[:16] == "a067c29fb815a05f"
+
+        restored = explore(request, checkpoint_path=checkpoint)
+        assert [r["from_checkpoint"] for r in restored.results] == [True] * 3
+        assert restored.best == fresh["best"]
+
     def test_subset_of_kinds(self):
         request = small_request(
             kind="portfolio", portfolio_kinds=("sa", "random"), seed=2

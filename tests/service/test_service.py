@@ -357,6 +357,23 @@ class TestEarlierStoreLayout:
         assert service.status(key).hits == 3
         assert _row_bytes(service, key) == row
 
+    def test_indented_envelope_is_served_byte_for_byte(self, service):
+        """Envelopes are written on one line now; a hit on an indented
+        envelope (how earlier versions wrote them) serves its bytes."""
+        request = small_request()
+        key = service.submit(request).key
+        service.run_local()
+        compact = service.store.response_text(key)
+        assert "\n" not in compact
+        indented = service.result(key).to_json(indent=2)
+        assert json.loads(indented) == json.loads(compact)
+        with open(service.store.result_path(key), "w") as handle:
+            handle.write(indented)
+        hit = service.submit(request)
+        assert hit.status == "hit"
+        assert hit.response_text == indented
+        assert hit.response.to_dict() == json.loads(compact)
+
     def test_gc_removes_hit_logs_with_their_rows_and_orphans(self, service):
         request = small_request()
         key = service.submit(request).key

@@ -305,32 +305,22 @@ class TestWarmStartSubmit:
         assert telemetry.counters["warm_start_hit"] == 1
 
     def test_warm_run_pays_off_on_motion(self, service):
-        """README's payoff claim at its smaller budget: on motion/2000
-        with one task 5% slower, the warm run reaches the cold run's
-        final cost in fewer evaluations than the cold run used, and ends
-        no worse.  ``history`` is per iteration, and an iteration
-        evaluates at most once, so its index bounds the evaluations."""
+        """README's payoff claim: on motion/2000 with one task 5% slower
+        and a quarter of a 2,000-iteration budget as warm-up, the run
+        re-seeded from the donor (seed 7) ends below cold runs on other
+        seeds.  The donor's own seed shows nothing: a cold run on it
+        ends on the donor's solution."""
         document = get_scenario("motion/2000").document()
         drifted = perturb(document, factor=1.05)
-        budget = BudgetSpec(iterations=400, warmup_iterations=100)
-        cold = explore(
-            bundled_request(drifted, budget=budget, seed=7)
-        ).results[0]
+        budget = BudgetSpec(iterations=2000, warmup_iterations=500)
         completed(service, bundled_request(document, budget=budget, seed=7))
-        warm = service.submit(bundled_request(
-            drifted, budget=budget, seed=7,
-            strategy=StrategySpec("sa", {"keep_trace": True}),
-        ))
+        warm = service.submit(bundled_request(drifted, budget=budget, seed=7))
         assert service.status(warm.key).warm_start is not None
         assert service.run_local() == 1
-        result = service.result(warm.key).results[0]
-        reached = next(
-            (i + 1 for i, cost in enumerate(result["history"])
-             if cost <= cold["best_cost"]),
-            None,
-        )
-        assert reached is not None and reached < cold["evaluations"]
-        assert result["best_cost"] <= cold["best_cost"]
+        best = service.result(warm.key).results[0]["best_cost"]
+        for seed in (1, 2, 3):
+            cold = explore(bundled_request(drifted, budget=budget, seed=seed))
+            assert best < cold.results[0]["best_cost"]
 
     def test_gc_prunes_orphan_near_markers(self, service, instance_doc):
         outcome = service.submit(bundled_request(instance_doc))
