@@ -8,14 +8,14 @@ cheap:
 * one topological order of the base graph, repaired in place: one live
   linked edge that contradicts it gets one Pearce/Kelly insert, two or
   more one Kahn sort;
-* the bus chain, the active transfers in ASAP order of the base graph:
-  one more pointer layer, whose contradicting edges are unlinked and
-  re-inserted one at a time.  During an insert every other linked edge
-  agrees with the positions, so a failed insert is an exact cycle
-  verdict;
-* the base and the serialized (base + chain) DP values, re-run from the
-  earliest position whose inputs changed: a node reads only earlier
-  positions, so the suffix reproduces the full DP bit for bit.
+* the bus chain, the active transfers in ASAP order of the base graph
+  (a stable sort of the caller's tie order by base start): one more
+  pointer layer, whose contradicting edges are unlinked and re-inserted
+  one at a time.  During an insert every other linked edge agrees with
+  the positions, so a failed insert is an exact cycle verdict;
+* the base DP values and the serialized (base + chain) finish times,
+  re-run from the earliest position whose inputs changed: a node reads
+  only earlier positions, so the suffix reproduces the full DP bit for bit.
 
 The graph belongs to the caller: plain lists over dense node ids, edited
 in place and reported through :meth:`~PersistentLongestPath.link`,
@@ -31,6 +31,7 @@ ids below ``lo``.  ``indeg`` counts every base edge into a node.
 from __future__ import annotations
 
 import math
+from operator import gt, le
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CycleError
@@ -42,7 +43,6 @@ class PersistentLongestPath:
 
     def __init__(
         self, *, lo: int, comm_src: Sequence[int], comm_w: Sequence[float],
-        tie_src: Sequence[int], tie_dst: Sequence[int],
         succ_static: Sequence[Sequence[int]],
         pred_comms: Sequence[Sequence[int]],
         succ_seq: Sequence[List[int]],
@@ -54,8 +54,6 @@ class PersistentLongestPath:
         self._hi = lo + len(comm_src)
         self._comm_src = comm_src
         self._comm_w = comm_w
-        self._tie_src = tie_src
-        self._tie_dst = tie_dst
         self._succ_static = succ_static
         self._pred_comms = pred_comms
         self._succ_seq = succ_seq
@@ -76,10 +74,9 @@ class PersistentLongestPath:
         self._chain_pred: List[int] = [-1] * n
         self._chain_next: List[int] = [-1] * n
         self._no_chain: List[int] = [-1] * n
-        #: Base DP values (no bus chain) and serialized ones.
+        #: Base DP values (no bus chain) and serialized finish times.
         self.starts0: List[float] = [0.0] * n
         self.finish0: List[float] = [0.0] * n
-        self.starts1: List[float] = [0.0] * n
         self.finish1: List[float] = [0.0] * n
         #: Whether the serialized values are current up to the seeds and
         #: the chain relink; if not, the next pass checks the whole chain.
@@ -109,7 +106,7 @@ class PersistentLongestPath:
         """The caller's arrays now cover ``n`` ids: the next
         :meth:`evaluate` sorts and runs both DPs in full."""
         grow = n - len(self.starts0)
-        for values in (self.starts0, self.finish0, self.starts1, self.finish1):
+        for values in (self.starts0, self.finish0, self.finish1):
             values.extend([0.0] * grow)
         for ints in (self._chain_pred, self._chain_next, self._no_chain):
             ints.extend([-1] * grow)
@@ -119,11 +116,12 @@ class PersistentLongestPath:
     def evaluate(
         self, active: Sequence[int]
     ) -> Tuple[float, float, Optional[CycleError]]:
-        """Longest path with the transfers ``lo + j``, ``j`` in ``active``
-        (ascending), serialized on the bus, as ``(makespan, comm_ms,
-        cycle)``: ``comm_ms`` sums their durations (in chain order once
-        there is a chain), and a cyclic graph gives ``(inf, comm_ms,
-        CycleError)`` whose ``cycle`` lists node ids."""
+        """Longest path with the transfer ids ``active`` (in the caller's
+        tie order) serialized on the bus, as ``(makespan, comm_ms,
+        cycle)``: the chain is their stable sort by base start, ``comm_ms``
+        sums their durations (in chain order once there is a chain), and
+        a cyclic graph gives ``(inf, comm_ms, CycleError)`` whose
+        ``cycle`` lists node ids."""
         seeds = self._seeds
         full = self.order is None
         moved = False
@@ -163,40 +161,38 @@ class PersistentLongestPath:
                 self.order, self.pos = order, pos
                 pending.clear()
                 moved = True
-        lo = self._lo
         dur = self._dur
         if cycle is not None:
             # No chain yet: the transfers are summed in index order.
-            return math.inf, left_sum([dur[lo + j] for j in active]), cycle
-        order, pos = self.order, self.pos
+            return math.inf, left_sum(map(dur.__getitem__, sorted(active))), cycle
+        pos = self.pos
 
         starts0 = self.starts0
         finish0 = self.finish0
         if full:
-            self._dp_range(0, self._no_chain, starts0, finish0)
+            self._dp_range(0, self._no_chain, finish0, starts0)
         elif seeds:
-            start = min(pos[v] for v in seeds)
-            self._dp_range(start, self._no_chain, starts0, finish0)
+            start = min(map(pos.__getitem__, seeds))
+            self._dp_range(start, self._no_chain, finish0, starts0)
         if not active:
             seeds.clear()
             self._ser_valid = False
             return max(finish0), 0.0, None
 
-        # The bus chain: ASAP order in the base graph, ties broken by the
-        # caller's keys, then the transfer index.
-        tie_src = self._tie_src
-        tie_dst = self._tie_dst
-        chain = [lo + key[3] for key in sorted(
-            (starts0[lo + j], tie_src[j], tie_dst[j], j) for j in active)]
+        # The bus chain: ASAP order in the base graph, ties in the
+        # caller's order (the sort is stable).
+        chain = sorted(active, key=starts0.__getitem__)
         heads = self._relink(chain) if chain != self.chain else ()
-        comm_ms = left_sum([dur[c] for c in chain])
+        comm_ms = left_sum(map(dur.__getitem__, chain))
+        later = chain[1:]
 
         # Keep the order topological over the serialized graph too.
         ser_full = full or not self._ser_valid
         if moved or heads or ser_full:
-            bad = [(a, b) for a, b in zip(chain, chain[1:]) if pos[a] > pos[b]]
-            if bad:
-                cycle = self._repair_chain(bad)
+            positions = list(map(pos.__getitem__, chain))
+            if any(map(gt, positions, positions[1:])):
+                cycle = self._repair_chain([
+                    (a, b) for a, b in zip(chain, later) if pos[a] > pos[b]])
                 if cycle is not None:
                     # The base values are current, the serialized ones
                     # re-run in full.
@@ -205,18 +201,17 @@ class PersistentLongestPath:
                     return math.inf, comm_ms, cycle
                 self.chain_repairs += 1
 
-        starts1 = self.starts1
         finish1 = self.finish1
-        if all(finish0[a] <= starts0[b] for a, b in zip(chain, chain[1:])):
+        if all(map(le, map(finish0.__getitem__, chain),
+                   map(starts0.__getitem__, later))):
             # No chain edge binds: the serialized values are the base
             # values bit for bit (no chain candidate wins a max).
-            starts1[:] = starts0
             finish1[:] = finish0
         elif ser_full:
-            self._dp_range(0, self._chain_pred, starts1, finish1)
+            self._dp_range(0, self._chain_pred, finish1)
         elif seeds or heads:
-            start = min(pos[v] for v in (*seeds, *heads))
-            self._dp_range(start, self._chain_pred, starts1, finish1)
+            start = min(map(pos.__getitem__, [*seeds, *heads]))
+            self._dp_range(start, self._chain_pred, finish1)
         seeds.clear()
         self._ser_valid = True
         return max(finish1), comm_ms, None
@@ -354,13 +349,12 @@ class PersistentLongestPath:
         self,
         start: int,
         chain: List[int],
-        starts: List[float],
         finish: List[float],
+        starts: Optional[List[float]] = None,
     ) -> None:
         """The DP loop over ``order[start:]``, for the base values
-        (``chain=_no_chain``) or the serialized ones
-        (``chain=_chain_pred``)."""
-        order = self.order
+        (``chain=_no_chain``, ``starts`` given) or the serialized finish
+        times (``chain=_chain_pred``)."""
         lo = self._lo
         hi = self._hi
         comm_src = self._comm_src
@@ -369,8 +363,7 @@ class PersistentLongestPath:
         pred_seq = self._pred_seq
         proc_prev = self._proc_prev
         dur = self._dur
-        for idx in range(start, len(order)):
-            v = order[idx]
+        for v in self.order[start:]:
             if lo <= v < hi:
                 j = v - lo
                 best = finish[comm_src[j]] + comm_w[j]
@@ -396,5 +389,6 @@ class PersistentLongestPath:
                     candidate = finish[u] + w
                     if candidate > best:
                         best = candidate
-            starts[v] = best
+            if starts is not None:
+                starts[v] = best
             finish[v] = best + dur[v]

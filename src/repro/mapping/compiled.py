@@ -27,7 +27,7 @@ dense-id layout is load-bearing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graph.dag import NodeInterner
 from repro.mapping.search_graph import COMM_NODE
@@ -52,15 +52,18 @@ class CompiledInstance:
     #: Precedence adjacency over dense task ids.
     pred_ids: List[List[int]]
     succ_ids: List[List[int]]
-    #: Dependency arrays: original task indices, dense ids, bus transfer
-    #: times, interned comm-node ids, and the deps touching each task.
-    dep_srct: List[int]
-    dep_dstt: List[int]
+    #: Dependency arrays: dense ids, bus transfer times, interned
+    #: comm-node ids, and the deps touching each task.
     dep_src: List[int]
     dep_dst: List[int]
     dep_transfer: List[float]
     dep_comm: List[int]
     deps_of_task: List[List[int]]
+    #: The comm-node ids in the bus chain's tie order (source task index,
+    #: destination task index, dependency index), and each dependency's
+    #: position in it.
+    tie_order: List[int]
+    tie_rank: List[int]
     #: The interner holding tasks + comm nodes (engines intern the
     #: configuration nodes on top of their own copies).
     interner: NodeInterner
@@ -77,7 +80,7 @@ class CompiledInstance:
 
     @property
     def ndeps(self) -> int:
-        return len(self.dep_srct)
+        return len(self.dep_src)
 
 
 def compile_instance(application: Application, bus) -> CompiledInstance:
@@ -101,18 +104,16 @@ def compile_instance(application: Application, bus) -> CompiledInstance:
             impl_clbs[i] = [impl.clbs for impl in task.implementations]
             impl_ms[i] = [impl.time_ms for impl in task.implementations]
 
-    dep_srct: List[int] = []
-    dep_dstt: List[int] = []
+    ties: List[Tuple[int, int]] = []
     dep_src: List[int] = []
     dep_dst: List[int] = []
     dep_transfer: List[float] = []
     dep_comm: List[int] = []
     deps_of_task: List[List[int]] = [[] for _ in range(ntasks)]
     for src, dst, kbytes in application.dependencies():
-        j = len(dep_srct)
+        j = len(dep_src)
         s, d = tid[src], tid[dst]
-        dep_srct.append(src)
-        dep_dstt.append(dst)
+        ties.append((src, dst))
         dep_src.append(s)
         dep_dst.append(d)
         dep_transfer.append(bus.transfer_time_ms(kbytes))
@@ -121,8 +122,12 @@ def compile_instance(application: Application, bus) -> CompiledInstance:
         deps_of_task[d].append(j)
         pred_ids[d].append(s)
         succ_ids[s].append(d)
-    ndeps = len(dep_srct)
+    ndeps = len(dep_src)
     assert all(dep_comm[j] == ntasks + j for j in range(ndeps))
+    # A stable sort by (source, destination) leaves ties in index order.
+    tie_deps = sorted(range(ndeps), key=ties.__getitem__)
+    tie_order = [ntasks + j for j in tie_deps]
+    tie_rank = sorted(range(ndeps), key=tie_deps.__getitem__)
 
     n = len(interner)
     pred_comms: List[List[int]] = [[] for _ in range(n)]
@@ -146,13 +151,13 @@ def compile_instance(application: Application, bus) -> CompiledInstance:
         impl_ms=impl_ms,
         pred_ids=pred_ids,
         succ_ids=succ_ids,
-        dep_srct=dep_srct,
-        dep_dstt=dep_dstt,
         dep_src=dep_src,
         dep_dst=dep_dst,
         dep_transfer=dep_transfer,
         dep_comm=dep_comm,
         deps_of_task=deps_of_task,
+        tie_order=tie_order,
+        tie_rank=tie_rank,
         interner=interner,
         pred_comms=pred_comms,
         succ_static=succ_static,

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.architecture import Architecture
@@ -346,13 +347,13 @@ class IncrementalEngine(EvaluationEngine):
         self._impl_ms = compiled.impl_ms
         self._pred_ids = compiled.pred_ids
         self._succ_ids = compiled.succ_ids
-        self._dep_srct = compiled.dep_srct
-        self._dep_dstt = compiled.dep_dstt
         self._dep_src = compiled.dep_src
         self._dep_dst = compiled.dep_dst
         self._dep_transfer = compiled.dep_transfer
         self._dep_comm = compiled.dep_comm
         self._deps_of_task = compiled.deps_of_task
+        self._tie_order = compiled.tie_order
+        self._tie_rank = compiled.tie_rank
         ndeps = compiled.ndeps
         self._ndeps = ndeps
 
@@ -403,8 +404,9 @@ class IncrementalEngine(EvaluationEngine):
         self._ctx_of: List[Optional[_Context]] = [None] * self._ntasks
         self._rc_stats: Dict[str, Tuple[int, float, float, int]] = {}
         self._hw_count = 0
-        self._dep_mode: List[int] = [-1] * self._ndeps
-        self._active_deps: List[int] = []
+        # Per dependency, in tie order: 1 while it is an active transfer.
+        self._on_bus: List[int] = [0] * self._ndeps
+        self._active: List[int] = []
         self._active_dirty = True
         # Sequentialization layer: ``pred_seq[v]`` holds ``(src,
         # weight)`` pairs; combined indegrees are kept in step for Kahn.
@@ -416,11 +418,9 @@ class IncrementalEngine(EvaluationEngine):
         self._proc_prev: List[int] = [-1] * n
         self._proc_next: List[int] = [-1] * n
         #: The persistent order, bus chain and DPs over these arrays (the
-        #: order counters restart with it).  The chain breaks ASAP ties
-        #: by (source task, destination task), as the reference does.
+        #: order counters restart with it).
         self._dp = PersistentLongestPath(
             lo=self._ntasks, comm_src=self._dep_src, comm_w=self._comm_w,
-            tie_src=self._dep_srct, tie_dst=self._dep_dstt,
             succ_static=self._succ_static, pred_comms=self._pred_comms,
             succ_seq=self._succ_seq, pred_seq=self._pred_seq,
             proc_next=self._proc_next, proc_prev=self._proc_prev,
@@ -759,8 +759,9 @@ class IncrementalEngine(EvaluationEngine):
             self._comm_w[j] = weight
             self._dur[comm_id] = duration
             self._dp.seed(comm_id)
-        if mode != self._dep_mode[j]:
-            self._dep_mode[j] = mode
+        rank = self._tie_rank[j]
+        if mode != self._on_bus[rank]:
+            self._on_bus[rank] = mode
             self._active_dirty = True
 
     def _replace_edges(
@@ -857,12 +858,11 @@ class IncrementalEngine(EvaluationEngine):
         """Returns ``(makespan, feasible, comm_ms, cycle_error)``."""
         self._sync(solution)
         if self._active_dirty:
-            dep_mode = self._dep_mode
-            self._active_deps = [
-                j for j in range(self._ndeps) if dep_mode[j] == 1
-            ]
+            # In tie order: the chain breaks ASAP ties by (source task,
+            # destination task), as the reference does.
+            self._active = list(compress(self._tie_order, self._on_bus))
             self._active_dirty = False
-        makespan, comm_ms, cycle = self._dp.evaluate(self._active_deps)
+        makespan, comm_ms, cycle = self._dp.evaluate(self._active)
         if cycle is not None:
             # The unit reports node ids; the reference names the nodes.
             keys = self._interner.keys()
@@ -985,7 +985,7 @@ class CrossChainEvaluator:
     # remain only because the benchmark harness's tracer
     # (``perfbench/spans.py``) wraps them by name, and its traced-run
     # test fails on a missing target.  They go when the harness stops
-    # naming them (ROADMAP item 5).
+    # naming them (ROADMAP item 3).
     def propose_moves(self, *args, **kwargs):
         raise TypeError(
             "CrossChainEvaluator.propose_moves was removed: step each "

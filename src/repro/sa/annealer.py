@@ -82,7 +82,7 @@ class SimulatedAnnealing:
     harness's tracer (``perfbench/spans.py``) wraps
     ``SimulatedAnnealing.search`` by name, and its traced-run test fails
     on a missing target.  Both go when the harness stops naming it
-    (ROADMAP item 5).
+    (ROADMAP item 3).
     """
 
     def __init__(self, *args, **kwargs) -> None:

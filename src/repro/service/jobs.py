@@ -16,10 +16,13 @@ files; no broker, no database):
 * **requeue_stale** is the crash-safety pass: a worker that died
   mid-job leaves a ``running`` record and a stranded claim ticket;
   once ``stale_after_s`` has elapsed the ticket is renamed back into
-  the queue and the record returns to ``pending`` for the next worker.
-  It also heals the three half-states a crash between renames can
-  leave (a pending record with no ticket at all, or with only a claim
-  ticket; a finished record whose claim ticket was never unlinked).
+  the queue and the record returns to ``pending`` for the next worker,
+  unless the job's envelope is already in place (the worker died
+  before its ``done`` row): then the record is stamped ``done`` as
+  ``complete`` would have, and the job does not run again.  It also
+  heals the three half-states a crash between renames can leave (a
+  pending record with no ticket at all, or with only a claim ticket; a
+  finished record whose claim ticket was never unlinked).
 
 Workers execute claimed requests through the one public façade
 (:func:`repro.api.facade.explore`), which runs them on the PR 2 search
@@ -45,7 +48,7 @@ from repro.api.facade import ExplorationResponse, explore
 from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.obs.telemetry import NULL, Telemetry
-from repro.service.store import ResultStore
+from repro.service.store import JobRecord, ResultStore
 
 __all__ = [
     "DEFAULT_STALE_AFTER_S",
@@ -150,17 +153,24 @@ class JobQueue:
         text = self.store.put_response(key, response)
         record = self.store.load_record(key)
         record.telemetry = job_telemetry
-        record.transition("done", worker=record.worker)
-        self.store.write_record(record)
-        self._drop_claim(key)
-        try:
-            self.store.fill_near(record)
-        except OSError:
-            pass  # the donor scan falls back to reading the row
+        self._stamp_done(record)
         self.telemetry.count("job_completed")
         if self.telemetry.enabled:
             self.telemetry.event("job_completed", key=key)
         return text
+
+    def _stamp_done(
+        self, record: JobRecord, now: Optional[float] = None
+    ) -> None:
+        """The ``done`` row (same worker), then the claim ticket's unlink
+        and the near marker's fill: the steps after the envelope."""
+        record.transition("done", worker=record.worker, now=now)
+        self.store.write_record(record)
+        self._drop_claim(record.key)
+        try:
+            self.store.fill_near(record)
+        except OSError:
+            pass  # the donor scan falls back to reading the row
 
     def fail(self, key: str, error: str) -> None:
         record = self.store.load_record(key)
@@ -189,8 +199,13 @@ class JobQueue:
         is assumed dead (its worker crashed mid-job): the claim ticket
         is renamed back into the queue (or recreated if the crash ate
         it) and the record transitions back to ``pending``, keeping its
-        attempt count and probe history.  Pending records that lost
-        their ticket to a crash between renames are re-ticketed too.
+        attempt count and probe history.  A stale ``running`` record
+        whose envelope is already persisted (a crash between the
+        envelope and the ``done`` row) is not requeued but finished:
+        stamped ``done``, its claim ticket dropped and its near marker
+        filled, so the job counts one execution.  Pending records that
+        lost their ticket to a crash between renames are re-ticketed
+        too.
         A ``done`` or ``failed`` record's claim ticket (a crash between
         the final row and the ticket's unlink) is dropped, whatever its
         age.
@@ -205,6 +220,9 @@ class JobQueue:
             elif record.status == "running":
                 anchor = record.claimed_ts or record.created_ts
                 if now - anchor < stale_after_s:
+                    continue
+                if self.store.has_response(record.key):
+                    self._stamp_done(record, now=now)
                     continue
                 self._restore_ticket(record.key)
                 record.transition(

@@ -7,14 +7,17 @@ The edits are the ones the incremental engine makes: sequentialization
 edges in and out (cycle-closing ones included) and reweighted,
 processor relinks, bus-chain permutations (transfers switched on and
 off, tie keys reshuffled), duration and transfer-weight changes, and
-new nodes.  After every step:
+new nodes.  Like the engine, each step passes the active transfer ids
+in tie order (the graph's current tie keys, then the transfer index).
+After every step:
 
 * a feasible graph's order is a topological order of base plus chain;
 * the unit reports a cycle exactly when a Kahn sort finds one;
 * every insert fails exactly when the graph it runs on, plus its edge,
   is cyclic, and a failed insert leaves the order and the positions
   untouched;
-* the suffix DP values equal a from-scratch DP bit for bit.
+* the suffix DP values equal a from-scratch DP bit for bit, and the bus
+  chain is the active transfers sorted by (base start, tie keys, index).
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class Graph:
             self.indeg[d] += 1
         self.comm_src = [s for s, _d in deps]
         self.comm_w = [rng.choice(WEIGHTS) for _ in deps]
+        # The chain's tie keys: the caller passes the active transfers
+        # in this order.
         self.tie_src = [rng.randrange(3) for _ in deps]
         self.tie_dst = [rng.randrange(3) for _ in deps]
         self.succ_seq = [[] for _ in range(n)]
@@ -75,7 +80,6 @@ class Graph:
         self.active = set()
         self.unit = PersistentLongestPath(
             lo=lo, comm_src=self.comm_src, comm_w=self.comm_w,
-            tie_src=self.tie_src, tie_dst=self.tie_dst,
             succ_static=self.succ_static, pred_comms=self.pred_comms,
             succ_seq=self.succ_seq, pred_seq=self.pred_seq,
             proc_next=self.proc_next, proc_prev=self.proc_prev,
@@ -205,6 +209,11 @@ class Graph:
     def base_edges(self):
         return [(u, v) for v in range(self.n) for u, _w in self.base_preds(v)]
 
+    def tie_ordered(self):
+        """The active transfer ids in tie order, as the engine passes them."""
+        return [self.lo + j for j in sorted(
+            self.active, key=lambda j: (self.tie_src[j], self.tie_dst[j], j))]
+
 
 def kahn(n, edges):
     """Topological order of ``edges`` over ``n`` ids, ``None`` if cyclic."""
@@ -275,7 +284,7 @@ def check_step(graph: Graph) -> str:
     of outcome (``feasible``, ``base cycle`` or ``chain cycle``)."""
     unit = graph.unit
     active = sorted(graph.active)
-    makespan, comm_ms, cycle = unit.evaluate(active)
+    makespan, comm_ms, cycle = unit.evaluate(graph.tie_ordered())
     n = graph.n
     base_edges = graph.base_edges()
     base_order = kahn(n, base_edges)
@@ -300,8 +309,8 @@ def check_step(graph: Graph) -> str:
     assert cycle is None
     assert_topological(unit.order, unit.pos, n, base_edges + chain_edges)
     if active:
-        starts1, finish1 = full_dp(graph, ser_order, {b: a for a, b in chain_edges})
-        assert unit.starts1 == starts1 and unit.finish1 == finish1
+        finish1 = full_dp(graph, ser_order, {b: a for a, b in chain_edges})[1]
+        assert unit.finish1 == finish1
         assert makespan == max(finish1)
     else:
         assert makespan == max(finish0)
@@ -365,6 +374,26 @@ def test_failed_base_insert_reports_the_edge_and_keeps_the_order():
     unit.seed(src)
     assert check_step(graph) == "feasible"
     assert (unit.repairs, unit.rebuilds) == (0, 1)
+
+
+def test_equal_starts_keep_the_callers_tie_order():
+    """Transfers 3 (task 0 -> 2) and 4 (0 -> 1) both leave task 0 at
+    2.0, and the caller's tie order puts 4 first, against the index
+    order.  The chain follows the caller: task 1 (3 ms) waits for 4
+    alone and ends at 7.0; chained 3 first it would end at 9.0."""
+    n = 5
+    unit = PersistentLongestPath(
+        lo=3, comm_src=[0, 0], comm_w=[0.0, 0.0],
+        succ_static=[[3, 4], [], [], [2], [1]],
+        pred_comms=[[], [4], [3], [], []],
+        succ_seq=[[] for _ in range(n)], pred_seq=[[] for _ in range(n)],
+        proc_next=[-1] * n, proc_prev=[-1] * n,
+        indeg=[0, 1, 1, 1, 1], dur=[2.0, 3.0, 1.0, 2.0, 2.0],
+    )
+    assert unit.evaluate([4, 3]) == (7.0, 4.0, None)
+    assert unit.starts0[3] == unit.starts0[4] == 2.0
+    assert unit.chain == [4, 3]
+    assert unit.finish1 == [2.0, 7.0, 7.0, 6.0, 4.0]
 
 
 @pytest.mark.parametrize("seed", [11, 12])

@@ -7,7 +7,9 @@ import pytest
 from repro.arch.architecture import epicure_architecture
 from repro.mapping.compiled import CompiledInstance, compile_instance
 from repro.mapping.engine import IncrementalEngine
+from repro.model.application import Application
 from repro.model.motion import motion_detection_application
+from repro.model.task import Task
 
 
 @pytest.fixture
@@ -51,6 +53,19 @@ class TestTables:
             assert compiled.indeg_static[compiled.ntasks + j] == 1
         for i in range(compiled.ntasks):
             assert compiled.indeg_static[i] == len(compiled.pred_comms[i])
+
+    def test_tie_order_follows_source_then_destination(self):
+        """Dependency 0 -> 2 is added before 0 -> 1: the bus chain's tie
+        order puts the comm node of 0 -> 1 first all the same."""
+        app = Application("ties")
+        for i in range(3):
+            app.add_task(Task(i, f"t{i}", "F", sw_time_ms=1.0))
+        app.add_dependency(0, 2, data_kbytes=4.0)
+        app.add_dependency(0, 1, data_kbytes=4.0)
+        compiled = compile_instance(app, epicure_architecture(2000).bus)
+        assert compiled.dep_dst == [2, 1]
+        assert compiled.tie_order == [4, 3]
+        assert compiled.tie_rank == [1, 0]
 
 
 class TestEngineSharing:

@@ -12,6 +12,7 @@ import os
 import pytest
 
 import repro.service.jobs as jobs_module
+from repro.api.facade import explore
 from repro.api.specs import BudgetSpec, ExplorationRequest
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
@@ -196,6 +197,27 @@ class TestCrashSafety:
         stats = service.stats()
         assert stats["queue"]["claimed"] == 0
         assert stats["executions"] == executions
+
+    def test_durable_envelope_is_adopted_not_rerun(self, service):
+        # Crash window: the envelope is in place, the done row never got
+        # written.  Recovery finishes the row instead of running again.
+        key = submit_one(service)
+        assert service.queue.claim("dead-worker") == key
+        text = service.store.put_response(key, explore(small_request()))
+        executions = service.stats()["executions"]
+        assert run_workers(service.store.root, workers=1,
+                           stale_after_s=0) == 0
+        record = service.status(key)
+        assert (record.status, record.attempts) == ("done", 1)
+        assert record.worker == "dead-worker"
+        assert service.stats()["executions"] == executions
+        hit = service.submit(small_request())
+        assert hit.status == "hit" and hit.response_text == text
+        assert os.listdir(os.path.join(
+            service.store.root, service.store.CLAIMS_DIR)) == []
+        marker = service.store.near_marker(record.structure_hash, key)
+        with open(marker, encoding="ascii") as handle:
+            assert handle.read() == record.instance_hash
 
     def test_failed_job_claim_dropped_live_claim_kept(self, service):
         failed = submit_one(service, seed=1)
