@@ -25,14 +25,13 @@ import platform
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.api.resolve import ResolvedRequest, resolve_request
+from repro.api.resolve import resolve_request
 from repro.api.specs import SCHEMA_VERSION, ExplorationRequest
 from repro.errors import ConfigurationError
 from repro.mapping.evaluator import Evaluation
+from repro.search.portfolio import PortfolioEntry, rank_outcomes
 from repro.search.runner import (
-    InstanceSpec,
     JobOutcome,
-    SearchJob,
     best_evaluation_of,
     run_search_jobs,
 )
@@ -276,30 +275,6 @@ def _telemetry_block(telemetry) -> Dict[str, Any]:
     return block
 
 
-def _run_jobs_response(
-    request: ExplorationRequest,
-    job_list: List[SearchJob],
-    jobs: int,
-    checkpoint_path: Optional[str],
-    telemetry=None,
-):
-    outcomes = run_search_jobs(
-        job_list, jobs=jobs, checkpoint_path=checkpoint_path,
-        telemetry=telemetry,
-    )
-    evaluations = [best_evaluation_of(o.result) for o in outcomes]
-    return ExplorationResponse(
-        kind=request.kind,
-        request=request.to_dict(),
-        results=[
-            _result_record(o, ev) for o, ev in zip(outcomes, evaluations)
-        ],
-        best=_best_record(outcomes, evaluations),
-        jobs=jobs,
-        outcomes=list(outcomes),
-    ), evaluations
-
-
 def explore(
     request: ExplorationRequest,
     jobs: int = 1,
@@ -308,175 +283,103 @@ def explore(
 ) -> ExplorationResponse:
     """Execute ``request`` and return the result envelope.
 
+    Every kind takes one path: :func:`~repro.api.resolve.resolve_request`
+    builds the runner jobs, the runner executes them once, and the
+    envelope's records, best run, telemetry and partials are built the
+    same way for every kind; only the summary is kind-specific (batch
+    statistics, sweep rows, or the portfolio's winner and ranking).
+    The deadline verdict judges the best run (a sweep judges each size
+    in its rows instead).
+
     ``jobs=N`` runs independent searches across N worker processes
     (bit-identical to ``jobs=1``); ``checkpoint_path`` (JSONL) makes
-    batch-shaped requests resumable through the runner's checkpoint
-    machinery.  ``telemetry`` (a
-    :class:`~repro.obs.telemetry.Telemetry`) records every run's event
-    stream — merged deterministically across workers — and attaches a
-    counters/timers summary block to the response.
+    the request resumable through the runner's checkpoint machinery.
+    ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`) records
+    every run's event stream — merged deterministically across workers
+    — and attaches a counters/timers summary block to the response.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     resolved = resolve_request(request)
-    if resolved.kind == "portfolio":
-        return _explore_portfolio(
-            request, resolved, jobs, checkpoint_path, telemetry
-        )
-    if resolved.kind == "sweep":
-        return _explore_sweep(
-            request, resolved, jobs, checkpoint_path, telemetry
-        )
-
-    instance = InstanceSpec(
-        resolved.application, architecture=resolved.architecture
-    )
-    job_list = [
-        SearchJob(
-            resolved.strategy,
-            instance,
-            seed=seed,
-            tag=position,
-            budget=resolved.budget,
-            initial=resolved.initial,
-            anytime=resolved.anytime,
-        )
-        for position, seed in enumerate(resolved.seeds)
-    ]
-    response, _ = _run_jobs_response(
-        request, job_list, jobs, checkpoint_path, telemetry
-    )
-    if telemetry is not None:
-        response.telemetry = _telemetry_block(telemetry)
-    response.partials = _partials_of(response.outcomes)
-    if resolved.kind == "batch":
-        from repro.analysis.stats import summarize
-
-        costs = [o.result.best_cost for o in response.outcomes]
-        summary = summarize(costs)
-        response.summary = {
-            "runs": len(costs),
-            "best_cost_mean": summary.mean,
-            "best_cost_std": summary.std,
-            "best_cost_min": summary.minimum,
-            "best_cost_max": summary.maximum,
-        }
-    if resolved.deadline_ms is not None:
-        # Compare the makespan, not best_cost: under a SystemCost the
-        # cost is money + penalty and would invert this verdict.
-        response.summary["deadline_ms"] = resolved.deadline_ms
-        response.summary["deadline_met"] = (
-            response.best["evaluation"]["feasible"]
-            and response.best["evaluation"]["makespan_ms"]
-            <= resolved.deadline_ms
-        )
-    return response
-
-
-def _explore_portfolio(
-    request: ExplorationRequest,
-    resolved: ResolvedRequest,
-    jobs: int,
-    checkpoint_path: Optional[str],
-    telemetry=None,
-) -> ExplorationResponse:
-    from repro.search.portfolio import PORTFOLIO_KINDS, run_portfolio
-
-    entries = run_portfolio(
-        resolved.application,
-        architecture=resolved.architecture,
-        iterations=(
-            resolved.iterations if resolved.iterations is not None else 8000
-        ),
-        seed=request.seed,
-        engine=resolved.engine,
-        jobs=jobs,
-        kinds=resolved.portfolio_kinds or PORTFOLIO_KINDS,
-        checkpoint_path=checkpoint_path,
-        warmup_iterations=resolved.warmup_iterations,
+    outcomes = run_search_jobs(
+        resolved.jobs, jobs=jobs, checkpoint_path=checkpoint_path,
         telemetry=telemetry,
     )
-    # Entries are sorted best-first, so the best record is index 0.
-    outcomes = [entry.outcome for entry in entries]
-    evaluations = [entry.evaluation for entry in entries]
-    winner = entries[0]
-    summary: Dict[str, Any] = {
-        "winner": winner.kind,
-        "ranking": [entry.kind for entry in entries],
-    }
-    if resolved.deadline_ms is not None:
-        summary["deadline_ms"] = resolved.deadline_ms
-        summary["deadline_met"] = winner.evaluation.meets(resolved.deadline_ms)
-    return ExplorationResponse(
+    if request.kind == "portfolio":
+        outcomes = rank_outcomes(outcomes)
+    evaluations = [best_evaluation_of(o.result) for o in outcomes]
+    response = ExplorationResponse(
         kind=request.kind,
         request=request.to_dict(),
         results=[
             _result_record(o, ev) for o, ev in zip(outcomes, evaluations)
         ],
         best=_best_record(outcomes, evaluations),
-        summary=summary,
         jobs=jobs,
         telemetry=(
             _telemetry_block(telemetry) if telemetry is not None else None
         ),
-        entries=list(entries),
+        partials=_partials_of(outcomes),
+        outcomes=outcomes,
     )
+    deadline = resolved.deadline_ms
+    if request.kind == "batch":
+        from repro.analysis.stats import summarize
 
-
-def _explore_sweep(
-    request: ExplorationRequest,
-    resolved: ResolvedRequest,
-    jobs: int,
-    checkpoint_path: Optional[str],
-    telemetry=None,
-) -> ExplorationResponse:
-    # Late imports: analysis.sweep routes back through this façade.
-    from repro.analysis.sweep import _aggregate_rows, smallest_feasible_device
-    from repro.api.resolve import sweep_seed
-
-    job_list = [
-        SearchJob(
-            resolved.strategy,
-            InstanceSpec(resolved.application, n_clbs=n_clbs),
-            seed=sweep_seed(request.seed, n_clbs, r),
-            tag=[n_clbs, r],
-            budget=resolved.budget,
-            anytime=resolved.anytime,
+        summary = summarize([o.result.best_cost for o in outcomes])
+        response.summary = {
+            "runs": len(outcomes),
+            "best_cost_mean": summary.mean,
+            "best_cost_std": summary.std,
+            "best_cost_min": summary.minimum,
+            "best_cost_max": summary.maximum,
+        }
+    elif request.kind == "portfolio":
+        response.entries = [
+            PortfolioEntry(o, ev) for o, ev in zip(outcomes, evaluations)
+        ]
+        response.summary = {
+            "winner": outcomes[0].tag,
+            "ranking": [o.tag for o in outcomes],
+        }
+    elif request.kind == "sweep":
+        # Late import: analysis.sweep routes back through this façade.
+        from repro.analysis.sweep import (
+            _aggregate_rows,
+            smallest_feasible_device,
         )
-        for n_clbs in resolved.sizes
-        for r in range(request.runs)
-    ]
-    response, evaluations = _run_jobs_response(
-        request, job_list, jobs, checkpoint_path, telemetry
-    )
-    if telemetry is not None:
-        response.telemetry = _telemetry_block(telemetry)
-    response.partials = _partials_of(response.outcomes)
-    by_cell = {
-        (outcome.tag[0], outcome.tag[1]): evaluation
-        for outcome, evaluation in zip(response.outcomes, evaluations)
-    }
-    deadline = resolved.deadline_ms if resolved.deadline_ms is not None else 40.0
-    rows = _aggregate_rows(resolved.sizes, request.runs, by_cell, deadline)
-    response.rows = rows
-    response.summary = {
-        "sizes": list(resolved.sizes),
-        "runs": request.runs,
-        "deadline_ms": deadline,
-        "smallest_feasible_n_clbs": smallest_feasible_device(rows, deadline),
-        "rows": [
-            {
-                "n_clbs": row.n_clbs,
-                "runs": row.runs,
-                "execution_ms": row.execution_ms,
-                "execution_std_ms": row.execution_std_ms,
-                "initial_reconfig_ms": row.initial_reconfig_ms,
-                "dynamic_reconfig_ms": row.dynamic_reconfig_ms,
-                "num_contexts": row.num_contexts,
-                "hw_tasks": row.hw_tasks,
-                "feasible_fraction": row.feasible_fraction,
-            }
-            for row in rows
-        ],
-    }
+
+        by_cell = {tuple(o.tag): ev for o, ev in zip(outcomes, evaluations)}
+        rows = _aggregate_rows(request.sizes, request.runs, by_cell, deadline)
+        response.rows = rows
+        response.summary = {
+            "sizes": list(request.sizes),
+            "runs": request.runs,
+            "deadline_ms": deadline,
+            "smallest_feasible_n_clbs": smallest_feasible_device(
+                rows, deadline
+            ),
+            "rows": [
+                {
+                    "n_clbs": row.n_clbs,
+                    "runs": row.runs,
+                    "execution_ms": row.execution_ms,
+                    "execution_std_ms": row.execution_std_ms,
+                    "initial_reconfig_ms": row.initial_reconfig_ms,
+                    "dynamic_reconfig_ms": row.dynamic_reconfig_ms,
+                    "num_contexts": row.num_contexts,
+                    "hw_tasks": row.hw_tasks,
+                    "feasible_fraction": row.feasible_fraction,
+                }
+                for row in rows
+            ],
+        }
+        return response
+    if deadline is not None:
+        # Compare the makespan, not best_cost: under a SystemCost the
+        # cost is money + penalty and would invert this verdict.
+        response.summary["deadline_ms"] = deadline
+        response.summary["deadline_met"] = evaluations[
+            response.best["index"]
+        ].meets(deadline)
     return response

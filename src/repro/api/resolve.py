@@ -1,11 +1,13 @@
-"""The one resolution pipeline: specs → concrete objects.
+"""The one resolution pipeline: specs → concrete objects → runner jobs.
 
-Every client (CLI, experiments, bench, examples, a future service)
-materializes :mod:`repro.api.specs` documents through this module, so
-there is exactly one place where "builtin motion", "generated tgff/60"
-or "the bundled instance at this path" turns into live
-:class:`~repro.model.application.Application` /
-:class:`~repro.arch.architecture.Architecture` / strategy objects.
+Every client (the CLI, the experiments, the examples and the
+exploration service) materializes :mod:`repro.api.specs` documents
+through this module, so there is exactly one place where "builtin
+motion", "generated tgff/60" or "the bundled instance at this path"
+turns into live :class:`~repro.model.application.Application` /
+:class:`~repro.arch.architecture.Architecture` / strategy objects, and
+one seed plan that turns a request of any kind into the
+:class:`~repro.search.runner.SearchJob` list the façade runs.
 Deserialization reuses the :mod:`repro.io` loaders verbatim — the spec
 layer adds no second copy of the format glue.
 """
@@ -13,8 +15,8 @@ layer adds no second copy of the format glue.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.api.specs import (
     ApplicationSpec,
@@ -33,6 +35,8 @@ from repro.mapping.cost import CostFunction, MakespanCost, SystemCost
 from repro.model.application import Application
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import MOTION_DEADLINE_MS, motion_detection_application
+from repro.search.portfolio import PORTFOLIO_KINDS, portfolio_jobs
+from repro.search.runner import InstanceSpec, SearchJob
 from repro.search.runner import StrategySpec as RunnerStrategySpec
 from repro.search.strategy import SearchBudget
 
@@ -286,30 +290,11 @@ def resolve_budget(budget: BudgetSpec) -> Optional[SearchBudget]:
 # ----------------------------------------------------------------------
 @dataclass
 class ResolvedRequest:
-    """Everything the façade needs to execute one request."""
+    """The runner jobs a request resolves to, and the deadline their
+    best run is judged against."""
 
-    kind: str
-    application: Application
-    architecture: Architecture
-    strategy: RunnerStrategySpec
-    seeds: List[int] = field(default_factory=list)
-    sizes: Tuple[int, ...] = ()
-    portfolio_kinds: Tuple[str, ...] = ()
+    jobs: List[SearchJob]
     deadline_ms: Optional[float] = None
-    engine: str = "incremental"
-    iterations: Optional[int] = None
-    warmup_iterations: Optional[int] = None
-    budget: Optional[SearchBudget] = None
-    #: Warm-start seed decoded (and repaired if needed) against the
-    #: resolved application/architecture — the same live objects the
-    #: façade builds its :class:`InstanceSpec` from, so the pickled job
-    #: stays one consistent object graph.
-    initial: Any = None
-    #: Plain-dict anytime snapshot config, threaded to ``SearchJob``.
-    anytime: Optional[Dict[str, Any]] = None
-    #: Number of donor assignments :func:`repro.mapping.seed.
-    #: seed_solution` had to repair while decoding ``initial``.
-    initial_repairs: int = 0
 
 
 def sweep_seed(seed0: int, n_clbs: int, run: int) -> int:
@@ -319,64 +304,78 @@ def sweep_seed(seed0: int, n_clbs: int, run: int) -> int:
 
 
 def resolve_request(request: ExplorationRequest) -> ResolvedRequest:
-    """Materialize a request into concrete objects plus the seed plan."""
+    """Materialize a request into its runner jobs — the one seed plan.
+
+    Single and batch requests run one job per seed (``[seed]``, the
+    explicit ``seeds`` or ``seed + r``), tagged by position; a sweep
+    runs one job per ``(n_clbs, r)`` cell, seeded by :func:`sweep_seed`
+    and tagged ``[n_clbs, r]``; a portfolio runs
+    :func:`~repro.search.portfolio.portfolio_jobs`, tagged by kind.
+    Every job carries the request's wall-clock and stall limits.
+    """
     request.validate()
     problem = resolve_application(request.application)
+    application = problem.application
     architecture = resolve_architecture(
         request.architecture, bundled=problem.architecture
     )
+    # Folded for every kind, a portfolio's unused one too, so a bad
+    # strategy spec fails the same way whatever the request's kind.
     strategy = resolve_strategy(
         request.strategy, request.budget, request.engine
     )
-    if request.kind == "single":
-        seeds = [request.seed]
-    elif request.kind == "batch":
-        seeds = (
-            list(request.seeds)
-            if request.seeds is not None
-            else [request.seed + r for r in range(request.runs)]
-        )
-    elif request.kind == "sweep":
-        seeds = [
-            sweep_seed(request.seed, n_clbs, r)
-            for n_clbs in request.sizes
-            for r in range(request.runs)
-        ]
-    else:  # portfolio derives its own seeds from the base seed
-        seeds = [request.seed]
+    budget = resolve_budget(request.budget)
     deadline = request.deadline_ms
     if deadline is None:
         deadline = problem.deadline_ms
     if deadline is None and request.kind == "sweep":
         deadline = 40.0  # the paper's constraint, the historical default
+    instance = InstanceSpec(application, architecture=architecture)
+    if request.kind == "portfolio":
+        iterations = request.budget.iterations
+        jobs = portfolio_jobs(
+            instance,
+            iterations=iterations if iterations is not None else 8000,
+            seed=request.seed,
+            engine=request.engine.kind,
+            kinds=request.portfolio_kinds or PORTFOLIO_KINDS,
+            warmup_iterations=request.budget.warmup_iterations,
+            budget=budget,
+        )
+        return ResolvedRequest(jobs, deadline)
+    if request.kind == "sweep":
+        cells = [
+            (InstanceSpec(application, n_clbs=n_clbs),
+             sweep_seed(request.seed, n_clbs, r), [n_clbs, r])
+            for n_clbs in request.sizes
+            for r in range(request.runs)
+        ]
+    else:
+        if request.seeds is not None:
+            seeds = list(request.seeds)
+        else:  # a single request has runs == 1
+            seeds = [request.seed + r for r in range(request.runs)]
+        cells = [
+            (instance, seed, position) for position, seed in enumerate(seeds)
+        ]
+    # A warm start (single and batch requests only) is decoded against
+    # the live objects the jobs' instance holds, so each pickled job
+    # stays one consistent object graph.
     initial = None
-    initial_repairs = 0
     if request.strategy.initial_solution is not None:
         from repro.mapping.seed import seed_solution
 
-        initial, initial_repairs = seed_solution(
-            request.strategy.initial_solution,
-            problem.application,
-            architecture,
+        initial, _repairs = seed_solution(
+            request.strategy.initial_solution, application, architecture
         )
-    return ResolvedRequest(
-        kind=request.kind,
-        application=problem.application,
-        architecture=architecture,
-        strategy=strategy,
-        seeds=seeds,
-        sizes=request.sizes,
-        portfolio_kinds=request.portfolio_kinds,
-        deadline_ms=deadline,
-        engine=request.engine.kind,
-        iterations=request.budget.iterations,
-        warmup_iterations=request.budget.warmup_iterations,
-        budget=resolve_budget(request.budget),
-        initial=initial,
-        anytime=(
-            dict(request.budget.anytime)
-            if request.budget.anytime is not None
-            else None
-        ),
-        initial_repairs=initial_repairs,
-    )
+    anytime = request.budget.anytime
+    if anytime is not None:
+        anytime = dict(anytime)
+    jobs = [
+        SearchJob(
+            strategy, cell_instance, seed=seed, tag=tag, initial=initial,
+            budget=budget, anytime=anytime,
+        )
+        for cell_instance, seed, tag in cells
+    ]
+    return ResolvedRequest(jobs, deadline)

@@ -576,7 +576,7 @@ class ExplorationRequest(_SpecBase):
         if self.budget.anytime is not None and self.kind == "portfolio":
             raise ConfigurationError(
                 "anytime snapshots are not supported for portfolio "
-                "requests (the racers run through their own driver)"
+                "requests (their results are listed by rank, not by run)"
             )
 
     # ------------------------------------------------------------------

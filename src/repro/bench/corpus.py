@@ -172,15 +172,6 @@ class Scenario:
         """The bundled, versioned instance document (see ``repro.io``)."""
         return instance_to_dict(self.build())
 
-    def application_spec(self):
-        """The scenario as a bundled
-        :class:`~repro.api.specs.ApplicationSpec` — drop it into an
-        :class:`~repro.api.specs.ExplorationRequest` to search this
-        scenario through :func:`repro.api.facade.explore`."""
-        from repro.api.specs import ApplicationSpec
-
-        return ApplicationSpec(kind="bundled", document=self.document())
-
 
 def scenario(
     family: str,

@@ -19,7 +19,7 @@ pinned by ``tests/graph/test_reachability.py``.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Sequence
+from typing import Dict, Hashable, List, Mapping
 
 from repro.errors import GraphError
 
@@ -70,42 +70,6 @@ class ReachabilityIndex:
                 mask |= descendants[j] | (1 << j)
             descendants[i] = mask
         return cls(pos, order, ancestors, descendants)
-
-    @classmethod
-    def from_successors(
-        cls, successors: Sequence[Sequence[int]]
-    ) -> "ReachabilityIndex":
-        """Build from dense successor lists (node ids ``0..n-1``), e.g.
-        the compile pass's ``succ_ids`` adjacency.  Runs its own Kahn
-        pass, so the lists may be in any order."""
-        n = len(successors)
-        indeg = [0] * n
-        for succs in successors:
-            for s in succs:
-                indeg[s] += 1
-        ready = [i for i in range(n) if indeg[i] == 0]
-        order: List[int] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for s in successors[node]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if len(order) != n:
-            raise GraphError("successor lists describe a cyclic graph")
-        ancestors = [0] * n
-        descendants = [0] * n
-        for node in order:
-            for s in successors[node]:
-                ancestors[s] |= ancestors[node] | (1 << node)
-        for node in reversed(order):
-            mask = 0
-            for s in successors[node]:
-                mask |= descendants[s] | (1 << s)
-            descendants[node] = mask
-        pos = {i: i for i in range(n)}
-        return cls(pos, list(range(n)), ancestors, descendants)
 
     # ------------------------------------------------------------------
     # queries

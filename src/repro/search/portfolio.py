@@ -30,7 +30,7 @@ from repro.search.runner import (
     derive_seeds,
     run_search_jobs,
 )
-from repro.search.strategy import SearchResult
+from repro.search.strategy import SearchBudget, SearchResult
 
 #: Default racers, in scoreboard tie-break order.  New kinds append at
 #: the end: seeds are dealt by position, so insertion in the middle
@@ -126,6 +126,35 @@ def _portfolio_specs(
     return specs
 
 
+def portfolio_jobs(
+    instance: InstanceSpec,
+    iterations: int = 8000,
+    seed: int = 7,
+    engine: str = "incremental",
+    kinds: Sequence[str] = PORTFOLIO_KINDS,
+    warmup_iterations: Optional[int] = None,
+    budget: Optional[SearchBudget] = None,
+) -> List[SearchJob]:
+    """The race as runner jobs: one evaluation-normalized strategy per
+    kind, seeded by position from ``seed`` and tagged with its kind.
+    ``budget`` (wall-clock and stall limits) applies to each racer."""
+    if not kinds:
+        raise ConfigurationError("portfolio needs at least one strategy kind")
+    specs = _portfolio_specs(kinds, iterations, engine, warmup_iterations)
+    seeds = derive_seeds(seed, len(specs))
+    return [
+        SearchJob(spec, instance, seed=s, tag=spec.kind, budget=budget)
+        for spec, s in zip(specs, seeds)
+    ]
+
+
+def rank_outcomes(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:
+    """The scoreboard: best cost first, ties broken by race order (the
+    last position of each kind)."""
+    order = {outcome.tag: rank for rank, outcome in enumerate(outcomes)}
+    return sorted(outcomes, key=lambda o: (o.result.best_cost, order[o.tag]))
+
+
 def run_portfolio(
     application: Application,
     architecture: Optional[Architecture] = None,
@@ -141,33 +170,28 @@ def run_portfolio(
 ) -> List[PortfolioEntry]:
     """Race ``kinds`` on one instance; entries sorted best-first.
 
-    ``telemetry`` (a :class:`repro.obs.telemetry.Telemetry`) collects
-    every racer's event stream, merged deterministically by the runner.
+    The jobs are :func:`portfolio_jobs`, run by the runner and ranked
+    by :func:`rank_outcomes` — the same steps a ``"portfolio"``
+    :class:`~repro.api.specs.ExplorationRequest` takes through
+    :func:`repro.api.facade.explore`.  ``telemetry`` (a
+    :class:`repro.obs.telemetry.Telemetry`) collects every racer's event
+    stream, merged deterministically by the runner.
     """
-    if not kinds:
-        raise ConfigurationError("portfolio needs at least one strategy kind")
     instance = InstanceSpec(
         application,
         architecture=architecture,
         n_clbs=None if architecture is not None else n_clbs,
     )
-    specs = _portfolio_specs(kinds, iterations, engine, warmup_iterations)
-    seeds = derive_seeds(seed, len(specs))
-    job_list = [
-        SearchJob(spec, instance, seed=s, tag=spec.kind)
-        for spec, s in zip(specs, seeds)
-    ]
     outcomes = run_search_jobs(
-        job_list, jobs=jobs, checkpoint_path=checkpoint_path,
-        telemetry=telemetry,
+        portfolio_jobs(
+            instance, iterations, seed, engine, kinds, warmup_iterations
+        ),
+        jobs=jobs, checkpoint_path=checkpoint_path, telemetry=telemetry,
     )
-    entries = [
+    return [
         PortfolioEntry(outcome, best_evaluation_of(outcome.result))
-        for outcome in outcomes
+        for outcome in rank_outcomes(outcomes)
     ]
-    order = {kind: rank for rank, kind in enumerate(kinds)}
-    entries.sort(key=lambda e: (e.best_cost, order[e.kind]))
-    return entries
 
 
 def format_portfolio_table(

@@ -117,16 +117,6 @@ class SearchResult:
         solution, when the strategy computed one (``extras``)."""
         return self.extras.get("best_evaluation")
 
-    @property
-    def accept_ratio(self) -> float:
-        """Accepted / proposed moves (0.0 without move statistics)."""
-        stats = self.move_stats
-        if stats is None:
-            return 0.0
-        accepted = sum(stats.accepted.values())
-        proposed = sum(stats.proposed.values())
-        return accepted / proposed if proposed else 0.0
-
 
 class SearchTracker:
     """Shared loop bookkeeping: best/so-far, history, stall, wall clock.

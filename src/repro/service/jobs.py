@@ -82,9 +82,16 @@ class JobQueue:
         """Drop the work ticket for ``key``; False if already queued."""
         if not self.store.has_record(key):
             raise ServiceError(f"cannot enqueue {key!r}: no record row")
-        path = self.store.queue_ticket(key)
+        return self._write_ticket(key)
+
+    def _write_ticket(self, key: str) -> bool:
+        """Create ``queue/<key>.ticket`` holding the key; False if a
+        ticket is already there (the exclusive create is the dedupe)."""
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(
+                self.store.queue_ticket(key),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
         except FileExistsError:
             return False
         try:
@@ -249,27 +256,18 @@ class JobQueue:
                 self.store.claim_ticket(key), self.store.queue_ticket(key)
             )
         except FileNotFoundError:
-            try:
-                fd = os.open(
-                    self.store.queue_ticket(key),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                return
-            try:
-                os.write(fd, key.encode("ascii"))
-            finally:
-                os.close(fd)
+            self._write_ticket(key)
 
     # -- execution -----------------------------------------------------
     def execute(self, key: str, jobs: int = 1) -> ExplorationResponse:
         """Run the claimed request through the façade and complete it.
 
-        The job gets its own :class:`Telemetry` recorder; its
-        counters/gauges/timers snapshot is absorbed into the record row
-        so ``repro serve status`` shows the run's internals without a
-        separate stream file.  A :class:`~repro.errors.ReproError`
-        marks the record ``failed`` and re-raises.
+        The job gets its own :class:`Telemetry` recorder; the
+        response's telemetry block (its counters/gauges/timers snapshot)
+        is absorbed into the record row so ``repro serve status`` shows
+        the run's internals without a separate stream file.  A
+        :class:`~repro.errors.ReproError` marks the record ``failed``
+        and re-raises.
         """
         record = self.store.load_record(key)
         if record.status != "running":
@@ -292,10 +290,7 @@ class JobQueue:
             raise ServiceError(
                 f"job {key!r} crashed: {type(exc).__name__}: {exc}"
             ) from exc
-        block = job_telemetry.snapshot()
-        block["label"] = job_telemetry.label
-        block["events"] = len(job_telemetry.events)
-        self.complete(key, response, job_telemetry=block)
+        self.complete(key, response, job_telemetry=response.telemetry)
         return response
 
     def drain(

@@ -22,6 +22,7 @@ from repro.api.specs import (
 from repro.errors import ConfigurationError
 from repro.io import application_to_dict, solution_to_dict
 from repro.model.generator import GeneratorConfig, random_application
+from tests.conftest import assert_racers_stopped_early
 
 
 ITER, WARMUP = 250, 50
@@ -403,3 +404,19 @@ class TestBudgetLimits:
             budget=BudgetSpec(iterations=100000, time_limit_s=0.2),
         ))
         assert response.results[0]["iterations_run"] < 100000
+
+    def test_time_limit_stops_every_portfolio_racer(self):
+        response = explore(small_request(
+            kind="portfolio",
+            budget=BudgetSpec(iterations=20000, time_limit_s=0.05),
+        ))
+        assert_racers_stopped_early(response.results, 20000)
+
+    def test_stall_limit_stops_every_portfolio_racer(self):
+        response = explore(small_request(
+            kind="portfolio",
+            budget=BudgetSpec(
+                iterations=10000, warmup_iterations=50, stall_limit=10,
+            ),
+        ))
+        assert_racers_stopped_early(response.results, 10000)

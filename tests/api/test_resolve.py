@@ -208,20 +208,20 @@ class TestResolveStrategy:
 class TestResolveRequest:
     def test_single_seed_plan(self):
         resolved = resolve_request(ExplorationRequest(seed=3))
-        assert resolved.seeds == [3]
+        assert [job.seed for job in resolved.jobs] == [3]
         assert resolved.deadline_ms == MOTION_DEADLINE_MS
 
     def test_batch_consecutive_seeds(self):
         resolved = resolve_request(
             ExplorationRequest(kind="batch", seed=10, runs=3)
         )
-        assert resolved.seeds == [10, 11, 12]
+        assert [job.seed for job in resolved.jobs] == [10, 11, 12]
 
     def test_batch_explicit_seeds_win(self):
         resolved = resolve_request(
             ExplorationRequest(kind="batch", seed=10, seeds=(4, 8))
         )
-        assert resolved.seeds == [4, 8]
+        assert [job.seed for job in resolved.jobs] == [4, 8]
 
     def test_sweep_uses_historical_formula(self):
         resolved = resolve_request(ExplorationRequest(
@@ -230,7 +230,7 @@ class TestResolveRequest:
                 kind="inline", document=application_to_dict(tiny_app()),
             ),
         ))
-        assert resolved.seeds == [
+        assert [job.seed for job in resolved.jobs] == [
             1 + 1000 * 0 + 300, 1 + 1000 * 1 + 300,
             1 + 1000 * 0 + 600, 1 + 1000 * 1 + 600,
         ]

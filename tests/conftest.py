@@ -36,6 +36,25 @@ def mapping_state(solution):
     )
 
 
+#: Loop-count divisor of each portfolio racer's evaluation-normalized
+#: budget: tabu probes 6 moves per iteration, the GA scores a population
+#: of 50 per generation, a random sample counts as 10 annealer
+#: iterations and tempering runs 4 chains per round.
+RACE_DIVISORS = {
+    "sa": 1, "hill_climber": 1, "tabu": 6, "ga": 50, "random": 10,
+    "tempering": 4,
+}
+
+
+def assert_racers_stopped_early(results, iterations):
+    """Every racer of a six-kind portfolio at ``iterations`` ran fewer
+    loop iterations than its budget (a limit stopped it)."""
+    runs = {record["tag"]: record["iterations_run"] for record in results}
+    assert sorted(runs) == sorted(RACE_DIVISORS)
+    for kind, divisor in RACE_DIVISORS.items():
+        assert runs[kind] < iterations // divisor, (kind, runs)
+
+
 @pytest.fixture
 def small_app() -> Application:
     """A 6-task diamond-ish app: 0 -> (1, 2) -> 3 -> 4 -> 5.

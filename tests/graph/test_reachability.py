@@ -75,19 +75,6 @@ class TestReachabilityIndex:
         with pytest.raises(GraphError):
             index.descendants_mask(99)
 
-    def test_from_successors_matches_from_dag(self):
-        # Same diamond over dense ids 0..3.
-        succs = [[1, 2], [3], [3], []]
-        index = ReachabilityIndex.from_successors(succs)
-        assert index.has_path(0, 3)
-        assert not index.has_path(1, 2)
-        assert index.descendants(0) == {1, 2, 3}
-        assert index.ancestors(3) == {0, 1, 2}
-
-    def test_from_successors_rejects_cycle(self):
-        with pytest.raises(GraphError):
-            ReachabilityIndex.from_successors([[1], [0]])
-
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_parity_with_closure(name):

@@ -33,6 +33,8 @@ from repro.api.specs import (
 )
 from repro.bench.corpus import get_scenario
 from repro.errors import ConfigurationError, CycleError, InfeasibleMoveError
+from repro.io import application_from_dict, application_to_dict
+from repro.mapping.compiled import compile_instance
 from repro.mapping.engine import (
     ENGINES,
     FullRebuildEngine,
@@ -196,6 +198,26 @@ def test_engine_parity_on_random_move_sequences(engines):
 @pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
 def test_engine_parity_on_motion_benchmark(engines):
     assert _replay_motion(engines) >= 100
+
+
+@pytest.mark.parametrize("engines", ENGINE_PAIRS, ids=lambda p: "-vs-".join(p))
+def test_engine_parity_when_the_tie_order_is_not_the_index_order(engines):
+    """The 18-task tgff seed-2 graph with its dependency list reversed:
+    each task's transfers are listed destination-descending, so the bus
+    chain's tie order (source, destination) differs from the transfer
+    index order, which the other replay inputs all keep."""
+    document = application_to_dict(random_application(
+        GeneratorConfig(num_tasks=18, topology="tgff"), seed=2
+    ))
+    document["dependencies"].reverse()
+    app = application_from_dict(document)
+    compiled = compile_instance(app, epicure_architecture(1200).bus)
+    ntasks, ndeps = compiled.ntasks, compiled.ndeps
+    assert compiled.tie_order != list(range(ntasks, ntasks + ndeps))
+    assert _replay(
+        app, lambda: epicure_architecture(1200), seed=202, steps=80,
+        engines=engines,
+    ) >= 80
 
 
 @pytest.mark.parametrize("scenario", ["tgff/36", "tgff/120"])

@@ -28,6 +28,7 @@ from repro.io import ProblemInstance, instance_to_dict
 from repro.obs.telemetry import Telemetry
 from repro.service import ExplorationService
 from repro.service.store import JobRecord, ResultStore, instance_info_for
+from tests.conftest import assert_racers_stopped_early
 
 
 @pytest.fixture
@@ -740,6 +741,16 @@ class TestSubmitAnytime:
             service.result(outcome.key)
         # the envelope is well-formed JSON end to end
         json.loads(outcome.response.to_json())
+
+    def test_portfolio_partial_caps_every_racer(self, service, instance_doc):
+        request = bundled_request(
+            instance_doc, kind="portfolio",
+            budget=BudgetSpec(iterations=100_000, warmup_iterations=0),
+        )
+        outcome = service.submit_anytime(request, deadline_s=0.1)
+        assert outcome.status == "partial"
+        assert outcome.response.summary["partial"] is True
+        assert_racers_stopped_early(outcome.response.results, 100_000)
 
     def test_full_job_still_completes_after_partial(
         self, service, instance_doc
