@@ -36,7 +36,7 @@ from repro.model.application import Application
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import MOTION_DEADLINE_MS, motion_detection_application
 from repro.search.portfolio import PORTFOLIO_KINDS, portfolio_jobs
-from repro.search.runner import InstanceSpec, SearchJob
+from repro.search.runner import STRATEGY_KINDS, InstanceSpec, SearchJob
 from repro.search.runner import StrategySpec as RunnerStrategySpec
 from repro.search.strategy import SearchBudget
 
@@ -216,18 +216,6 @@ def build_catalog(entries) -> Optional[List[Any]]:
 # ----------------------------------------------------------------------
 # strategy folding
 # ----------------------------------------------------------------------
-#: Per-strategy name of the natural iteration unit ``BudgetSpec.
-#: iterations`` maps onto.
-_ITERATION_OPTION = {
-    "sa": "iterations",
-    "hill_climber": "iterations",
-    "tabu": "iterations",
-    "ga": "generations",
-    "random": "samples",
-    "tempering": "iterations",
-}
-
-
 def resolve_strategy(
     strategy: StrategySpec,
     budget: BudgetSpec,
@@ -235,18 +223,23 @@ def resolve_strategy(
 ) -> RunnerStrategySpec:
     """Fold strategy + budget + engine into one runner spec.
 
-    The folding is key-minimal: only knobs that are actually set appear
-    in the options dict, so spec-driven runs produce the same strategy
+    The kind's :data:`~repro.search.runner.STRATEGY_KINDS` entry says
+    where the budget goes: its iterations set the kind's ``unit``
+    option (``iterations``, ``generations`` or ``samples``), and an
+    annealer also takes the warm-up and the stall limit.  The folding
+    is key-minimal: only knobs that are actually set appear in the
+    options dict, so spec-driven runs produce the same strategy
     fingerprints (hence reuse the same JSONL checkpoints) as the
     historical hand-assembled jobs.
     """
     strategy.validate()
     budget.validate()
     engine.validate()
+    kind = STRATEGY_KINDS[strategy.kind]
     options: Dict[str, Any] = dict(strategy.options)
     if budget.iterations is not None:
-        options[_ITERATION_OPTION[strategy.kind]] = budget.iterations
-    if strategy.kind in ("sa", "tempering"):
+        options[kind.unit] = budget.iterations
+    if kind.anneals:
         from repro.sa.annealer import default_warmup
 
         if budget.warmup_iterations is not None:

@@ -262,13 +262,9 @@ class StrategySpec(_SpecBase):
         object.__setattr__(self, "catalog", tuple(self.catalog))
 
     def validate(self) -> None:
-        from repro.search.runner import KNOWN_OPTIONS, STRATEGY_KINDS
+        from repro.search.runner import strategy_kind
 
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigurationError(
-                f"unknown strategy kind {self.kind!r}; "
-                f"known: {sorted(STRATEGY_KINDS)}"
-            )
+        kind = strategy_kind(self.kind)
         options = _require_mapping(self.options, "StrategySpec.options")
         for reserved, pointer in (
             ("catalog", "StrategySpec.catalog"),
@@ -280,7 +276,7 @@ class StrategySpec(_SpecBase):
                     f"strategy option {reserved!r} is not accepted in a "
                     f"spec; use the declarative {pointer} field instead"
                 )
-        known = KNOWN_OPTIONS[self.kind] - {"catalog", "cost_function", "engine"}
+        known = kind.options - {"catalog", "cost_function", "engine"}
         _reject_unknown(options, known, f"strategy {self.kind!r} options")
         _json_clean(dict(options), f"strategy {self.kind!r} options")
         if self.cost is not None:
@@ -302,7 +298,7 @@ class StrategySpec(_SpecBase):
                     f"unknown catalog resource kind {entry.get('kind')!r}; "
                     f"known: {list(CATALOG_KINDS)}"
                 )
-        if self.cost is not None and self.kind not in ("sa", "tempering"):
+        if self.cost is not None and "cost_function" not in kind.options:
             raise ConfigurationError(
                 "cost specs apply to the 'sa' and 'tempering' strategies "
                 "only (the other searchers optimize raw makespan)"
@@ -492,6 +488,8 @@ class ExplorationRequest(_SpecBase):
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        from repro.search.runner import STRATEGY_KINDS
+
         if self.kind not in REQUEST_KINDS:
             raise ConfigurationError(
                 f"unknown request kind {self.kind!r}; "
@@ -522,7 +520,7 @@ class ExplorationRequest(_SpecBase):
             )
         if (
             self.budget.warmup_iterations is not None
-            and self.strategy.kind not in ("sa", "tempering")
+            and not STRATEGY_KINDS[self.strategy.kind].anneals
         ):
             raise ConfigurationError(
                 f"budget warmup_iterations is an annealer knob; strategy "
@@ -550,8 +548,6 @@ class ExplorationRequest(_SpecBase):
                 f"'sizes' only applies to sweep requests, not {self.kind!r}"
             )
         if self.kind == "portfolio":
-            from repro.search.runner import STRATEGY_KINDS
-
             unknown = set(self.portfolio_kinds) - set(STRATEGY_KINDS)
             if unknown:
                 raise ConfigurationError(

@@ -9,12 +9,15 @@ through the parallel runner, and reports the winner.
 Budgets are normalized by evaluation count, not loop iterations: tabu
 probes ``candidates_per_iteration`` moves per iteration and the GA
 scores whole populations, so their loop counts are scaled down to match
-the annealer's single-evaluation iterations.
+the annealer's single-evaluation iterations.  The scale and each
+racer's fixed options come from the kind's entry in
+:data:`repro.search.runner.STRATEGY_KINDS` (``per_unit`` evaluations per
+unit, ``race`` options); a stall limit is scaled like the budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.arch.architecture import Architecture
@@ -29,6 +32,7 @@ from repro.search.runner import (
     best_evaluation_of,
     derive_seeds,
     run_search_jobs,
+    strategy_kind,
 )
 from repro.search.strategy import SearchBudget, SearchResult
 
@@ -36,11 +40,6 @@ from repro.search.strategy import SearchBudget, SearchResult
 #: the end: seeds are dealt by position, so insertion in the middle
 #: would re-deal every later strategy's seed.
 PORTFOLIO_KINDS = ("sa", "tabu", "hill_climber", "ga", "random", "tempering")
-
-_TABU_CANDIDATES = 6
-_GA_POPULATION = 50
-_RANDOM_FRACTION = 10  # evaluations per random sample vs per SA iteration
-_TEMPERING_CHAINS = 4
 
 
 @dataclass
@@ -68,64 +67,6 @@ class PortfolioEntry:
         return self.result.best_cost
 
 
-def _portfolio_specs(
-    kinds: Sequence[str],
-    iterations: int,
-    engine: str,
-    warmup_iterations: Optional[int] = None,
-) -> List[StrategySpec]:
-    from repro.sa.annealer import default_warmup
-
-    if warmup_iterations is None:
-        warmup_iterations = default_warmup(iterations)
-    specs = []
-    for kind in kinds:
-        if kind == "sa":
-            options = {
-                "iterations": iterations,
-                "warmup_iterations": min(
-                    warmup_iterations, max(0, iterations - 1)
-                ),
-                "engine": engine,
-            }
-        elif kind == "tabu":
-            options = {
-                "iterations": max(1, iterations // _TABU_CANDIDATES),
-                "candidates_per_iteration": _TABU_CANDIDATES,
-                "engine": engine,
-            }
-        elif kind == "hill_climber":
-            options = {"iterations": iterations, "engine": engine}
-        elif kind == "ga":
-            options = {
-                "population_size": _GA_POPULATION,
-                "generations": max(1, iterations // _GA_POPULATION),
-                "engine": engine,
-            }
-        elif kind == "random":
-            options = {
-                "samples": max(1, iterations // _RANDOM_FRACTION),
-                "engine": engine,
-            }
-        elif kind == "tempering":
-            # K chains score K moves per round, so the round budget is
-            # iterations / K to stay evaluation-normalized with SA.
-            rounds = max(1, iterations // _TEMPERING_CHAINS)
-            options = {
-                "chains": _TEMPERING_CHAINS,
-                "iterations": rounds,
-                "warmup_iterations": min(
-                    max(1, warmup_iterations // _TEMPERING_CHAINS),
-                    max(0, rounds - 1),
-                ),
-                "engine": engine,
-            }
-        else:
-            options = {"engine": engine}
-        specs.append(StrategySpec(kind, options))
-    return specs
-
-
 def portfolio_jobs(
     instance: InstanceSpec,
     iterations: int = 8000,
@@ -137,15 +78,34 @@ def portfolio_jobs(
 ) -> List[SearchJob]:
     """The race as runner jobs: one evaluation-normalized strategy per
     kind, seeded by position from ``seed`` and tagged with its kind.
-    ``budget`` (wall-clock and stall limits) applies to each racer."""
+    ``budget`` (wall-clock and stall limits) applies to each racer; its
+    stall limit, like the iterations and the warm-up, is counted in the
+    racer's own units."""
+    from repro.sa.annealer import default_warmup
+
     if not kinds:
         raise ConfigurationError("portfolio needs at least one strategy kind")
-    specs = _portfolio_specs(kinds, iterations, engine, warmup_iterations)
-    seeds = derive_seeds(seed, len(specs))
-    return [
-        SearchJob(spec, instance, seed=s, tag=spec.kind, budget=budget)
-        for spec, s in zip(specs, seeds)
-    ]
+    if warmup_iterations is None:
+        warmup_iterations = default_warmup(iterations)
+    jobs = []
+    for kind, racer_seed in zip(kinds, derive_seeds(seed, len(kinds))):
+        entry = strategy_kind(kind)
+        units = entry.share(iterations)
+        options = {entry.unit: units, **entry.race, "engine": engine}
+        if entry.anneals:
+            options["warmup_iterations"] = min(
+                entry.share(warmup_iterations), units - 1
+            )
+        racer_budget = budget
+        if budget is not None and budget.stall_limit is not None:
+            racer_budget = replace(
+                budget, stall_limit=entry.share(budget.stall_limit)
+            )
+        jobs.append(SearchJob(
+            StrategySpec(kind, options), instance, seed=racer_seed,
+            tag=kind, budget=racer_budget,
+        ))
+    return jobs
 
 
 def rank_outcomes(outcomes: Sequence[JobOutcome]) -> List[JobOutcome]:

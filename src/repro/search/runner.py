@@ -31,12 +31,15 @@ so a multi-hour sweep survives interruption.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.architecture import Architecture, epicure_architecture
 from repro.errors import ConfigurationError
@@ -119,27 +122,23 @@ def derive_seeds(base_seed: int, n: int) -> List[int]:
 class StrategySpec:
     """Which searcher to run and how to configure it.
 
-    ``kind`` keys into :data:`STRATEGY_KINDS`; ``options`` are the
-    keyword knobs of that strategy's builder (all plain data, so the
-    spec pickles across a ``spawn`` boundary).  Unknown option keys are
-    rejected up front — a misspelled knob must fail loudly, not run a
-    silently different experiment.
+    ``kind`` keys into :data:`STRATEGY_KINDS`; ``options`` are keyword
+    parameters of the constructors its builder calls (all plain data,
+    so the spec pickles across a ``spawn`` boundary).  Unknown option
+    keys are rejected up front — a misspelled knob must fail loudly,
+    not run a silently different experiment.
     """
 
     kind: str
     options: Dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigurationError(
-                f"unknown strategy kind {self.kind!r}; "
-                f"known: {sorted(STRATEGY_KINDS)}"
-            )
-        unknown = set(self.options) - KNOWN_OPTIONS[self.kind]
+        known = strategy_kind(self.kind).options
+        unknown = set(self.options) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown option(s) for strategy {self.kind!r}: "
-                f"{sorted(unknown)}; known: {sorted(KNOWN_OPTIONS[self.kind])}"
+                f"{sorted(unknown)}; known: {sorted(known)}"
             )
 
     def fingerprint(self) -> str:
@@ -229,73 +228,48 @@ class JobOutcome:
 
 
 # ----------------------------------------------------------------------
-# strategy builders (top-level functions: spawn-safe)
+# the strategy table (builders are top-level functions: spawn-safe)
 # ----------------------------------------------------------------------
-#: Accepted ``StrategySpec.options`` keys per kind (typos are rejected
-#: by :meth:`StrategySpec.validate`).
-KNOWN_OPTIONS: Dict[str, frozenset] = {
-    "sa": frozenset({
-        "iterations", "warmup_iterations", "schedule_name",
-        "schedule_kwargs", "p_zero", "p_impl", "catalog", "bus_policy",
-        "keep_trace", "stall_limit", "initial_hw_fraction", "engine",
-        "cost_function",
-    }),
-    "hill_climber": frozenset({
-        "iterations", "p_zero", "p_impl", "p_offload", "catalog",
-        "bus_policy", "engine",
-    }),
-    "tabu": frozenset({
-        "iterations", "candidates_per_iteration", "tabu_tenure",
-        "p_zero", "p_impl", "p_offload", "catalog", "bus_policy", "engine",
-    }),
-    "ga": frozenset({
-        "population_size", "generations", "crossover_rate",
-        "mutation_rate", "tournament_size", "elitism", "bus_policy",
-        "engine",
-    }),
-    "random": frozenset({"samples", "bus_policy", "engine"}),
-    "tempering": frozenset({
-        "chains", "iterations", "warmup_iterations", "swap_interval",
-        "ladder_ratio", "schedule_name", "schedule_kwargs", "p_impl",
-        "bus_policy", "keep_trace", "stall_limit", "initial_hw_fraction",
-        "engine", "cost_function",
-    }),
-}
+#: Constructor parameters the builders fill themselves; every other
+#: parameter of a constructor a builder calls is an option.
+_WIRED = frozenset({"application", "architecture", "seed", "evaluator",
+                    "move_generator", "config"})
+
+
+@functools.lru_cache(maxsize=None)
+def _keywords(cls) -> frozenset:
+    """The option keys ``cls``'s constructor takes."""
+    return frozenset(inspect.signature(cls).parameters) - _WIRED
+
+
+def _own(cls, options: Dict[str, Any]) -> Dict[str, Any]:
+    """The subset of ``options`` that ``cls``'s constructor takes."""
+    keys = _keywords(cls)
+    return {key: value for key, value in options.items() if key in keys}
 
 
 def _build_sa(application, architecture, seed, options) -> SearchStrategy:
     from repro.sa.explorer import DesignSpaceExplorer
 
-    kwargs = dict(options)
-    kwargs.setdefault("keep_trace", False)
-    return DesignSpaceExplorer(application, architecture, seed=seed, **kwargs)
+    options = {"keep_trace": False, **options}
+    return DesignSpaceExplorer(application, architecture, seed=seed, **options)
 
 
 def _build_tempering(application, architecture, seed, options) -> SearchStrategy:
     from repro.sa.population import PopulationAnnealer
 
-    kwargs = dict(options)
-    kwargs.setdefault("keep_trace", False)
-    return PopulationAnnealer(application, architecture, seed=seed, **kwargs)
+    options = {"keep_trace": False, **options}
+    return PopulationAnnealer(application, architecture, seed=seed, **options)
+
+
+def _evaluator(application, architecture, options) -> Evaluator:
+    return Evaluator(application, architecture, **_own(Evaluator, options))
 
 
 def _move_generator(application, options):
     from repro.sa.moves import MoveGenerator
 
-    kwargs = {
-        k: options[k] for k in ("p_zero", "p_impl", "p_offload", "catalog")
-        if k in options
-    }
-    return MoveGenerator(application, **kwargs)
-
-
-def _evaluator(application, architecture, options) -> Evaluator:
-    return Evaluator(
-        application,
-        architecture,
-        options.get("bus_policy", "ordered"),
-        engine=options.get("engine", "full"),
-    )
+    return MoveGenerator(application, **_own(MoveGenerator, options))
 
 
 def _build_hill(application, architecture, seed, options) -> SearchStrategy:
@@ -304,71 +278,118 @@ def _build_hill(application, architecture, seed, options) -> SearchStrategy:
     return HillClimber(
         _evaluator(application, architecture, options),
         _move_generator(application, options),
-        iterations=options.get("iterations", 5000),
         seed=seed,
+        **_own(HillClimber, options),
     )
 
 
 def _build_tabu(application, architecture, seed, options) -> SearchStrategy:
     from repro.baselines.tabu import TabuConfig, TabuSearch
 
-    config = TabuConfig(
-        iterations=options.get("iterations", 2000),
-        candidates_per_iteration=options.get("candidates_per_iteration", 8),
-        tabu_tenure=options.get("tabu_tenure", 25),
-        seed=seed,
-    )
     return TabuSearch(
         _evaluator(application, architecture, options),
         _move_generator(application, options),
-        config,
+        TabuConfig(seed=seed, **_own(TabuConfig, options)),
     )
 
 
 def _build_ga(application, architecture, seed, options) -> SearchStrategy:
     from repro.baselines.ga import GeneticConfig, GeneticPartitioner
 
-    config = GeneticConfig(
-        population_size=options.get("population_size", 300),
-        generations=options.get("generations", 40),
-        crossover_rate=options.get("crossover_rate", 0.9),
-        mutation_rate=options.get("mutation_rate", 0.03),
-        tournament_size=options.get("tournament_size", 3),
-        elitism=options.get("elitism", 2),
-        seed=seed,
-    )
     return GeneticPartitioner(
         application,
         architecture,
-        config,
-        bus_policy=options.get("bus_policy", "ordered"),
-        engine=options.get("engine", "full"),
+        GeneticConfig(seed=seed, **_own(GeneticConfig, options)),
+        **_own(GeneticPartitioner, options),
     )
 
 
 def _build_random(application, architecture, seed, options) -> SearchStrategy:
     from repro.baselines.random_search import RandomSearch
 
-    return RandomSearch(
-        application,
-        architecture,
-        samples=options.get("samples", 200),
-        seed=seed,
-        bus_policy=options.get("bus_policy", "ordered"),
-        engine=options.get("engine", "full"),
-    )
+    return RandomSearch(application, architecture, seed=seed, **options)
 
 
-#: Registry of strategy builders; each maps
-#: ``(application, architecture, seed, options) -> SearchStrategy``.
-STRATEGY_KINDS = {
-    "sa": _build_sa,
-    "hill_climber": _build_hill,
-    "tabu": _build_tabu,
-    "ga": _build_ga,
-    "random": _build_random,
-    "tempering": _build_tempering,
+@dataclass(frozen=True)
+class StrategyKind:
+    """Everything the package knows about one searcher kind.
+
+    ``build(application, architecture, seed, options)`` makes the
+    searcher and hands each constructor named in ``parts`` the options
+    it takes, so every default is stated once, in its class.  A
+    budget's iterations set the ``unit`` option.  In a portfolio race
+    one unit costs ``per_unit`` evaluations and ``race`` holds the
+    racer's fixed options.  ``warm`` says whether a warm start (an
+    initial solution) can seed the kind.
+    """
+
+    build: Callable[..., SearchStrategy]
+    parts: Tuple[str, ...]
+    unit: str = "iterations"
+    per_unit: int = 1
+    race: Dict[str, Any] = field(default_factory=dict)
+    warm: bool = True
+
+    @functools.cached_property
+    def options(self) -> frozenset:
+        """The accepted ``StrategySpec.options`` keys: the keyword
+        parameters of the ``parts`` constructors.  Derived on first use,
+        because importing the strategy classes with this module would
+        close the ``repro.sa`` → ``repro.search`` → runner cycle."""
+        return frozenset().union(
+            *(_keywords(pkgutil.resolve_name(path)) for path in self.parts)
+        )
+
+    @property
+    def anneals(self) -> bool:
+        """An annealer takes a warm-up (and folds a stall limit)."""
+        return "warmup_iterations" in self.options
+
+    def share(self, evaluations: int) -> int:
+        """``evaluations`` counted in this kind's units, at least one."""
+        if self.per_unit == 1:
+            return evaluations
+        return max(1, evaluations // self.per_unit)
+
+
+_EVALUATOR = "repro.mapping.evaluator.Evaluator"
+_MOVES = "repro.sa.moves.MoveGenerator"
+
+#: One entry per searcher kind (see :class:`StrategyKind`).
+STRATEGY_KINDS: Dict[str, StrategyKind] = {
+    "sa": StrategyKind(_build_sa, ("repro.sa.explorer.DesignSpaceExplorer",)),
+    "hill_climber": StrategyKind(
+        _build_hill,
+        (_EVALUATOR, _MOVES, "repro.baselines.hill_climber.HillClimber"),
+    ),
+    "tabu": StrategyKind(
+        _build_tabu, (_EVALUATOR, _MOVES, "repro.baselines.tabu.TabuConfig"),
+        per_unit=6, race={"candidates_per_iteration": 6},
+    ),
+    "ga": StrategyKind(
+        _build_ga, ("repro.baselines.ga.GeneticConfig",
+                    "repro.baselines.ga.GeneticPartitioner"),
+        unit="generations", per_unit=50, race={"population_size": 50},
+        warm=False,
+    ),
+    "random": StrategyKind(
+        _build_random, ("repro.baselines.random_search.RandomSearch",),
+        unit="samples", per_unit=10, warm=False,
+    ),
+    "tempering": StrategyKind(
+        _build_tempering, ("repro.sa.population.PopulationAnnealer",),
+        per_unit=4, race={"chains": 4},
+    ),
 }
+
+
+def strategy_kind(kind: str) -> StrategyKind:
+    """The table entry of ``kind``; an unknown kind fails loudly."""
+    if kind not in STRATEGY_KINDS:
+        raise ConfigurationError(
+            f"unknown strategy kind {kind!r}; known: {sorted(STRATEGY_KINDS)}"
+        )
+    return STRATEGY_KINDS[kind]
 
 
 def build_strategy(
@@ -379,7 +400,9 @@ def build_strategy(
 ) -> SearchStrategy:
     """Instantiate the searcher a spec describes for one instance."""
     spec.validate()
-    return STRATEGY_KINDS[spec.kind](application, architecture, seed, spec.options)
+    return STRATEGY_KINDS[spec.kind].build(
+        application, architecture, seed, spec.options
+    )
 
 
 # ----------------------------------------------------------------------

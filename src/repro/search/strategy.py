@@ -280,8 +280,9 @@ class SearchTracker:
     # ------------------------------------------------------------------
     def record_trace(self, record: Any) -> None:
         """Append one Fig. 2-style :class:`~repro.sa.trace.TraceRecord`
-        to ``result.trace`` — the shared trace path used by both
-        annealing strategies (``--trace-csv`` reads ``result.trace``)."""
+        to ``result.trace`` — the trace path of the one annealing loop,
+        which ``"sa"`` and ``"tempering"`` share (``--trace-csv`` reads
+        ``result.trace``)."""
         self.result.trace.append(record)
 
     def record_engine(self, source: Any) -> None:

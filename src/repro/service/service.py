@@ -34,16 +34,19 @@ queue adds ``job_requeued`` and the ``job_execute`` phase (see
 
 from __future__ import annotations
 
+import glob
 import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.facade import ExplorationResponse, environment_stamp
+from repro.api.facade import ExplorationResponse, environment_stamp, explore
+from repro.api.resolve import resolve_request
 from repro.api.specs import ExplorationRequest
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
-from repro.service.jobs import JobQueue
+from repro.search.runner import STRATEGY_KINDS
+from repro.service.jobs import DEFAULT_STALE_AFTER_S, JobQueue
 from repro.service.store import (
     WARM_KINDS,
     InstanceInfo,
@@ -65,10 +68,6 @@ STATS_SCHEMA_VERSION = 2
 #: a deadline-capped in-process run served a best-so-far envelope while
 #: the full job stays queued.
 SUBMIT_STATUSES = ("hit", "queued", "inflight", "resubmitted", "partial")
-
-#: Strategies that use an initial solution (population/sampling
-#: strategies generate their own starting points and ignore it).
-_WARM_STRATEGIES = ("sa", "tempering", "hill_climber", "tabu")
 
 
 @dataclass
@@ -162,7 +161,7 @@ class ExplorationService:
         when no donor qualifies (never fails the submit)."""
         if request.kind not in WARM_KINDS:
             return None, None
-        if request.strategy.kind not in _WARM_STRATEGIES:
+        if not STRATEGY_KINDS[request.strategy.kind].warm:
             return None, None
         if request.strategy.initial_solution is not None:
             return None, None  # the client seeded the run explicitly
@@ -263,7 +262,7 @@ class ExplorationService:
         )
         rewritten = request.to_dict()
         rewritten["strategy"]["initial_solution"] = solution_to_dict(seed)
-        if request.strategy.kind in ("sa", "tempering"):
+        if STRATEGY_KINDS[request.strategy.kind].anneals:
             rewritten["budget"]["warmup_iterations"] = 0
         # The rewrite must execute: validate it the way the worker will.
         ExplorationRequest.from_dict(rewritten).validate()
@@ -307,8 +306,10 @@ class ExplorationService:
     ) -> SubmitOutcome:
         """Deadline-aware submit: a cache hit is served instantly; any
         other outcome additionally runs the (possibly warm-started) job
-        in-process with its wall-clock budget capped at ``deadline_s``
-        and returns the best-so-far envelope as a ``partial`` outcome.
+        in-process and returns the best-so-far envelope as a
+        ``partial`` outcome.  The request's runs (seeds, sweep cells or
+        racers) run one after another, so each gets an equal share of
+        ``deadline_s`` as its wall-clock budget.
 
         The partial envelope is marked ``summary["partial"] = True`` and
         is **not** cached — the record stays queued, so a later worker
@@ -323,9 +324,10 @@ class ExplorationService:
         record = outcome.record
         executed = ExplorationRequest.from_dict(record.request)
         capped = executed.to_dict()
-        capped["budget"]["time_limit_s"] = deadline_s
+        capped["budget"]["time_limit_s"] = deadline_s / len(
+            resolve_request(executed).jobs
+        )
         partial_request = ExplorationRequest.from_dict(capped)
-        from repro.api.facade import explore
 
         with self.telemetry.phase("anytime_partial"):
             response = explore(partial_request)
@@ -347,7 +349,7 @@ class ExplorationService:
 
     def run_local(self, jobs: int = 1, max_jobs: Optional[int] = None) -> int:
         """Drain the queue in-process (no pool); jobs executed.  The
-        single-machine convenience the bench case and tests use."""
+        single-machine convenience the tests use."""
         return self.queue.drain(worker="local", jobs=jobs, max_jobs=max_jobs)
 
     # -- lookups -------------------------------------------------------
@@ -447,7 +449,11 @@ class ExplorationService:
           ``orphan_tickets``), envelopes and hit logs (both counted as
           ``orphan_results``) whose record row is gone (half-states from
           crashes, manual deletion or a hit racing a deletion); those of
-          a submit in flight are kept;
+          a submit in flight are kept.  Also the ``*.tmp`` files that
+          writers killed before their rename or link left in
+          ``records/``, ``results/`` and ``instances/`` (counted as
+          ``orphan_results``), once older than
+          :data:`~repro.service.jobs.DEFAULT_STALE_AFTER_S`;
         * ``done_older_than_s`` — age out completed records + their
           envelopes (the cache eviction knob).
         """
@@ -514,4 +520,20 @@ class ExplorationService:
                             self.store.index_near(structure_hash, name)
                             continue
                         removed["orphan_tickets"] += 1
+            # A temp file is renamed or linked the moment it is written,
+            # so only a killed writer leaves an old one; a fresh one may
+            # belong to a writer in flight.
+            for subdir in (
+                self.store.RECORDS_DIR, self.store.RESULTS_DIR,
+                self.store.INSTANCES_DIR,
+            ):
+                directory = glob.escape(os.path.join(self.store.root, subdir))
+                for path in glob.glob(os.path.join(directory, "*.tmp")):
+                    try:
+                        if now - os.stat(path).st_mtime <= DEFAULT_STALE_AFTER_S:
+                            continue
+                        os.unlink(path)
+                    except FileNotFoundError:
+                        continue
+                    removed["orphan_results"] += 1
         return removed

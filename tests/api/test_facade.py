@@ -22,7 +22,7 @@ from repro.api.specs import (
 from repro.errors import ConfigurationError
 from repro.io import application_to_dict, solution_to_dict
 from repro.model.generator import GeneratorConfig, random_application
-from tests.conftest import assert_racers_stopped_early
+from tests.conftest import RACE_DIVISORS, assert_racers_stopped_early
 
 
 ITER, WARMUP = 250, 50
@@ -420,3 +420,18 @@ class TestBudgetLimits:
             ),
         ))
         assert_racers_stopped_early(response.results, 10000)
+
+    def test_racer_stall_limit_counts_evaluations(self):
+        """A racer whose unit costs several evaluations stalls after
+        the same number of evaluations as the annealer, so it stops
+        before ``stall_limit`` of its own units."""
+        response = explore(small_request(
+            kind="portfolio",
+            budget=BudgetSpec(
+                iterations=20000, warmup_iterations=100, stall_limit=40,
+            ),
+        ))
+        runs = {r["tag"]: r["iterations_run"] for r in response.results}
+        for kind in ("ga", "tabu", "random"):
+            assert 20000 // RACE_DIVISORS[kind] > 40
+            assert runs[kind] < 40, (kind, runs)

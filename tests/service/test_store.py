@@ -261,6 +261,29 @@ class TestResultStore:
         assert not os.path.exists(store.queue_ticket(key))
         assert not os.path.exists(store.result_path(key))
 
+    def test_gc_removes_only_stale_temp_files(self, store):
+        """A writer killed between its temp write and its rename or link
+        leaves ``<name>.<hex>.tmp`` behind; gc removes those once stale
+        and keeps fresh ones, whose writer may still be in flight."""
+        from repro.service import DEFAULT_STALE_AFTER_S, ExplorationService
+
+        key = "5" * 64
+        stale = [
+            store._write_temp(path, "{}") for path in (
+                store.record_path(key), store.result_path(key),
+                store.instance_path("6" * 64),
+            )
+        ]
+        fresh = store._write_temp(store.record_path(key), "{}")
+        now = os.stat(fresh).st_mtime + 1.0
+        old = now - DEFAULT_STALE_AFTER_S - 1.0
+        for path in stale:
+            os.utime(path, (old, old))
+        removed = ExplorationService(store.root).gc(now=now)
+        assert removed["orphan_results"] == len(stale)
+        assert not any(os.path.exists(path) for path in stale)
+        assert os.path.exists(fresh)
+
 
 class TestHitLog:
     def test_log_counts_appends_and_starts_its_directory(self, store):

@@ -11,6 +11,7 @@ import copy
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -751,6 +752,24 @@ class TestSubmitAnytime:
         assert outcome.status == "partial"
         assert outcome.response.summary["partial"] is True
         assert_racers_stopped_early(outcome.response.results, 100_000)
+
+    @pytest.mark.parametrize("overrides", [
+        {"kind": "portfolio"}, {"kind": "batch", "runs": 4},
+    ])
+    def test_deadline_caps_the_answer_not_each_run(
+        self, service, instance_doc, overrides
+    ):
+        request = bundled_request(
+            instance_doc,
+            budget=BudgetSpec(iterations=200_000, warmup_iterations=0),
+            **overrides,
+        )
+        started = time.perf_counter()
+        outcome = service.submit_anytime(request, deadline_s=0.5)
+        elapsed = time.perf_counter() - started
+        assert outcome.status == "partial"
+        assert len(outcome.response.results) > 1
+        assert elapsed < 2 * 0.5
 
     def test_full_job_still_completes_after_partial(
         self, service, instance_doc
