@@ -279,6 +279,17 @@ class StrategySpec(_SpecBase):
         known = kind.options - {"catalog", "cost_function", "engine"}
         _reject_unknown(options, known, f"strategy {self.kind!r} options")
         _json_clean(dict(options), f"strategy {self.kind!r} options")
+        p_zero = options.get("p_zero", 0.0)
+        if isinstance(p_zero, bool) or not isinstance(p_zero, (int, float)) \
+                or not 0.0 <= p_zero < 1.0:
+            raise ConfigurationError(
+                f"strategy option 'p_zero' must lie in [0, 1), got {p_zero!r}"
+            )
+        if p_zero > 0.0 and not self.catalog:
+            raise ConfigurationError(
+                "architecture moves (p_zero > 0) need a resource catalog: "
+                "set StrategySpec.catalog (the 'sa' strategy only)"
+            )
         if self.cost is not None:
             cost = _require_mapping(self.cost, "StrategySpec.cost")
             cost_kind = cost.get("kind")

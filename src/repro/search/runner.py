@@ -625,6 +625,11 @@ def run_search_jobs(
     into the given recorder in submission-index order once all jobs have
     finished, so the merged stream (minus timestamps) is byte-identical
     across ``jobs=N``.
+
+    Unlike the service's drain workers
+    (:func:`repro.service.jobs.run_workers`), the pool here is built per
+    call and shut down before returning: a drained request's own
+    fan-out must not queue behind the drain loops that are running it.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")

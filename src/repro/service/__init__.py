@@ -7,7 +7,7 @@ Three layers (see the README architecture section):
   result envelopes;
 * :mod:`repro.service.jobs` — lifecycle: queue tickets, claim/complete,
   crash-safe requeue, :func:`run_workers` drain loops (the caller plus
-  spawned processes) executing through :func:`repro.api.explore`;
+  a warm spawn pool) executing through :func:`repro.api.explore`;
 * :mod:`repro.service.service` — the front door clients use:
   :class:`ExplorationService` with cache-first ``submit`` and the
   ``repro serve`` CLI behind it.

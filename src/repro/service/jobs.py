@@ -29,19 +29,22 @@ Workers execute claimed requests through the one public façade
 runner — the service adds persistence and record-keeping, never a
 second execution path.  :func:`run_workers` runs N drain-loop workers:
 worker 0 in the calling process, which claims its first job at once,
-and workers 1 … N−1 in spawned processes (the runner's pool idiom).
-It absorbs each worker's telemetry into the caller's recorder in
-worker order.
+and workers 1 … N−1 in a warm spawn pool that the process builds at
+its first multi-worker drain and reuses for every later one.  It
+absorbs each worker's telemetry into the caller's recorder in worker
+order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.facade import ExplorationResponse, explore
@@ -321,6 +324,11 @@ class JobQueue:
 # ----------------------------------------------------------------------
 # the worker pool
 # ----------------------------------------------------------------------
+_pool_lock = threading.Lock()
+#: The warm drain pool, ``(size, executor)``: see :func:`run_workers`.
+_pool: Optional[Tuple[int, ProcessPoolExecutor]] = None
+
+
 def _worker_main(
     root: str,
     worker: str,
@@ -332,6 +340,81 @@ def _worker_main(
     queue = JobQueue(ResultStore(root, create=False), telemetry=telemetry)
     executed = queue.drain(worker=worker, jobs=jobs, max_jobs=max_jobs)
     return executed, telemetry.export()
+
+
+def _pool_drain(
+    root: str, worker: str, jobs: int, max_jobs: Optional[int], cwd: str
+) -> Tuple[int, Dict[str, Any]]:
+    """A pool worker's drain, run in the caller's working directory as a
+    freshly spawned worker's would be: a warm worker still sits in the
+    one it was spawned in, and a request may name a relative path."""
+    os.chdir(cwd)
+    return _worker_main(root, worker, jobs, max_jobs)
+
+
+def _exit_with_owner() -> None:
+    """Pool initializer: a daemon thread ends this worker as soon as the
+    process that spawned it dies.  A warm worker idles between drains,
+    so without it a SIGKILLed owner would leave the worker running."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="owner-watch", daemon=True).start()
+
+
+def _submit_drains(
+    root: str, workers: int, jobs: int, max_jobs: Optional[int]
+) -> Tuple[ProcessPoolExecutor, List[Future]]:
+    """Submit drains ``worker-1`` … ``worker-(workers-1)`` to the warm
+    pool, built (or rebuilt at another size) on demand; a pool that a
+    dead worker broke in an earlier call is replaced once."""
+    global _pool
+    size = workers - 1
+    cwd = os.getcwd()
+
+    def submit(pool: ProcessPoolExecutor) -> List[Future]:
+        return [
+            pool.submit(
+                _pool_drain, root, f"worker-{index}", jobs, max_jobs, cwd
+            )
+            for index in range(1, workers)
+        ]
+
+    with _pool_lock:
+        if _pool is not None and _pool[0] != size:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (size, _spawn_pool(size))
+        try:
+            return _pool[1], submit(_pool[1])
+        except BrokenProcessPool:
+            _pool[1].shutdown()
+            _pool = (size, _spawn_pool(size))
+            return _pool[1], submit(_pool[1])
+
+
+def _spawn_pool(size: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(
+        max_workers=size,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_exit_with_owner,
+    )
+
+
+def _drop_pool(pool: Optional[Executor] = None) -> None:
+    """Shut ``pool`` down (default: the warm pool), letting its submitted
+    drains finish, and forget it if it is the warm pool."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (pool is None or pool is _pool[1]):
+            pool = _pool[1]
+            _pool = None
+    if pool is not None:
+        pool.shutdown()
 
 
 def run_workers(
@@ -347,34 +430,54 @@ def run_workers(
     Stale ``running`` records are requeued once, here, before any
     worker starts (crash recovery) — doing it per worker would let a
     late-starting worker rob a live sibling's fresh claim under small
-    ``stale_after_s`` values.  Then ``workers - 1`` spawned processes
+    ``stale_after_s`` values.  Then ``workers - 1`` pool processes
     (``worker-1`` …) and the calling process itself (``worker-0``,
-    which starts claiming at once instead of waiting for a spawn)
-    drain until the queue is empty; ``workers=1`` spawns nothing.
-    Worker telemetry (service counters, ``job_execute`` timers, job
-    events) is absorbed into ``telemetry`` in worker-index order, the
-    runner's deterministic merge idiom.
+    which starts claiming at once) drain until the queue is empty;
+    ``workers=1`` uses no pool.  Worker telemetry (service counters,
+    ``job_execute`` timers, job events) is absorbed into ``telemetry``
+    in worker-index order, the runner's deterministic merge idiom.
+
+    The pool is warm: one spawn pool per process, built by the first
+    multi-worker drain and reused by every later drain of the same
+    size (another size replaces it), so only the first drain waits
+    for workers to start.  Concurrent callers in one process share it.
+    A warm worker keeps the working directory it was spawned in, so
+    its drains get the absolute ``root`` and run in the caller's
+    current directory (a request may name a relative path).  The
+    workers are joined at interpreter exit and end themselves if this
+    process dies.  If worker 0's drain
+    raises, the pool's drains finish, the pool is shut down and the
+    next drain builds a new one.  A pool worker that dies raises
+    :class:`ServiceError`; the job it had claimed is requeued by a
+    later call once its claim is older than ``stale_after_s``.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
+    root = os.path.abspath(root)
     JobQueue(
         ResultStore(root, create=False), telemetry=telemetry
     ).requeue_stale(stale_after_s)
-    with contextlib.ExitStack() as stack:
-        futures = []
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers - 1,
-                mp_context=multiprocessing.get_context("spawn"),
-            ))
-            futures = [
-                pool.submit(
-                    _worker_main, root, f"worker-{index}", jobs, max_jobs
-                )
-                for index in range(1, workers)
-            ]
+    pool, futures = (
+        _submit_drains(root, workers, jobs, max_jobs)
+        if workers > 1 else (None, [])
+    )
+    try:
         results = [_worker_main(root, "worker-0", jobs, max_jobs)]
-        results += [future.result() for future in futures]
+    except BaseException:
+        if pool is not None:
+            _drop_pool(pool)
+        raise
+    wait(futures)
+    for index, future in enumerate(futures, start=1):
+        try:
+            results.append(future.result())
+        except BrokenProcessPool as exc:
+            _drop_pool(pool)
+            raise ServiceError(
+                f"drain worker-{index} died ({exc}); the job it had "
+                f"claimed is requeued by the next run-workers once its "
+                f"claim is stale (--stale-after)"
+            ) from exc
     executed = 0
     for index, (count, payload) in enumerate(results):
         executed += count

@@ -174,6 +174,25 @@ class TestStrategySpec:
         with pytest.raises(ConfigurationError, match="catalog resource"):
             StrategySpec("sa", catalog=({"kind": "gpu"},)).validate()
 
+    @pytest.mark.parametrize("kind", ["sa", "hill_climber", "tabu"])
+    def test_p_zero_without_catalog_rejected(self, kind):
+        with pytest.raises(ConfigurationError, match="StrategySpec.catalog"):
+            StrategySpec(kind, {"p_zero": 0.2}).validate()
+
+    @pytest.mark.parametrize(
+        "p_zero", [-0.1, 1.0, 2, float("nan"), True, "0.1"]
+    )
+    def test_p_zero_outside_unit_interval_rejected(self, p_zero):
+        catalog = ({"kind": "processor", "name": "cpu"},)
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\)"):
+            StrategySpec("sa", {"p_zero": p_zero}, catalog=catalog).validate()
+
+    def test_p_zero_with_catalog_or_zero_accepted(self):
+        catalog = ({"kind": "processor", "name": "cpu"},)
+        StrategySpec("sa", {"p_zero": 0.05}, catalog=catalog).validate()
+        StrategySpec("hill_climber", {"p_zero": 0}).validate()
+        StrategySpec("tabu", {"p_zero": 0.0}).validate()
+
     def test_sa_batch_size_rejected_with_accepted_keys(self):
         with pytest.raises(ConfigurationError, match="batch_size") as info:
             StrategySpec("sa", {"batch_size": 4}).validate()

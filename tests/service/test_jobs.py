@@ -7,13 +7,25 @@ worker leaves behind.
 """
 
 import concurrent.futures
+import json
+import multiprocessing
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 import repro.service.jobs as jobs_module
 from repro.api.facade import explore
-from repro.api.specs import BudgetSpec, ExplorationRequest
+from repro.api.specs import ApplicationSpec, BudgetSpec, ExplorationRequest
+from repro.bench.corpus import get_scenario
+from repro.cli import main
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
 from repro.service import (
@@ -44,16 +56,26 @@ def submit_one(service, **overrides):
 
 
 @pytest.fixture
-def pools(monkeypatch):
+def fresh_pool():
+    """No warm drain pool before or after the test, so no test sees
+    another's."""
+    jobs_module._drop_pool()
+    yield
+    jobs_module._drop_pool()
+
+
+@pytest.fixture
+def pools(monkeypatch, fresh_pool):
     """Replace the process pool with one that runs each submission in
     this process as it is submitted (so the spawned workers finish
     before the caller's drain starts); lists the pools built."""
     built = []
 
     class InlinePool(concurrent.futures.Executor):
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer):
             self.max_workers = max_workers
             self.start_method = mp_context.get_start_method()
+            self.initializer = initializer
             self.workers = []
             self.shut_down = False
             built.append(self)
@@ -61,7 +83,10 @@ def pools(monkeypatch):
         def submit(self, fn, *args):
             self.workers.append(args[1])
             future = concurrent.futures.Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
             return future
 
         def shutdown(self, wait=True, **kwargs):
@@ -288,8 +313,13 @@ class TestRunWorkers:
         assert pool.max_workers == 2
         assert pool.start_method == "spawn"
         assert pool.workers == ["worker-1", "worker-2"]
-        assert pool.shut_down
+        assert pool.initializer is jobs_module._exit_with_owner
         assert all(service.status(k).status == "done" for k in keys)
+        # The pool stays up, and the next drain of that size reuses it.
+        assert not pool.shut_down
+        assert run_workers(service.store.root, workers=3) == 0
+        assert pools == [pool]
+        assert pool.workers == ["worker-1", "worker-2"] * 2
 
     def test_telemetry_absorbed_worker_0_first(
         self, service, pools, monkeypatch
@@ -327,3 +357,276 @@ class TestRunWorkers:
         [pool] = pools
         assert pool.workers == ["worker-1"]
         assert pool.shut_down
+
+    def test_dead_worker_is_a_service_error(
+        self, service, pools, monkeypatch, capsys
+    ):
+        def drain(root, worker, jobs, max_jobs):
+            if worker == "worker-1":
+                raise BrokenProcessPool("terminated abruptly")
+            return 0, None
+
+        monkeypatch.setattr(jobs_module, "_worker_main", drain)
+        argv = ["serve", "run-workers", "--store", service.store.root]
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: drain worker-1 died")
+        assert "--stale-after" in error
+        [pool] = pools
+        assert pool.shut_down
+
+
+def pool_pids():
+    """Pids of this process's live multiprocessing children: the warm
+    drain pool's workers (the resource tracker is not among them)."""
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def reaped(pid):
+    """True once ``pid`` has left the process table."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def gone(pid):
+    """True once ``pid`` is reaped or a zombie (an orphan whose new
+    parent does not reap it)."""
+    if reaped(pid):
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def wait_until(condition, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class TestWarmPool:
+    """The spawn pool outlives a drain: real processes, no stand-ins."""
+
+    def test_two_calls_reuse_one_worker(self, service, fresh_pool):
+        root = service.store.root
+        submit_one(service, seed=1)
+        assert run_workers(root, workers=2) == 1
+        first = pool_pids()
+        assert len(first) == 1
+        submit_one(service, seed=2)
+        assert run_workers(root, workers=2) == 1
+        assert pool_pids() == first
+
+    def test_another_size_replaces_the_pool(self, service, fresh_pool):
+        root = service.store.root
+        assert run_workers(root, workers=2) == 0
+        [old] = pool_pids()
+        submit_one(service, seed=1)
+        assert run_workers(root, workers=3) == 1
+        assert reaped(old)
+        assert len(pool_pids()) == 2
+        assert old not in pool_pids()
+
+    def test_killed_idle_worker_is_replaced(self, service, fresh_pool):
+        root = service.store.root
+        assert run_workers(root, workers=2) == 0
+        [victim] = pool_pids()
+        os.kill(victim, signal.SIGKILL)
+        # The pool reaps its dead worker after marking itself broken.
+        wait_until(lambda: reaped(victim))
+        keys = [submit_one(service, seed=s) for s in (1, 2)]
+        assert run_workers(root, workers=2) == 2
+        assert all(service.status(k).status == "done" for k in keys)
+        [fresh] = pool_pids()
+        assert fresh != victim
+
+    def test_relative_paths_after_chdir(
+        self, tmp_path, fresh_pool, monkeypatch
+    ):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        ExplorationService("store")
+        assert run_workers("store", workers=2) == 0
+        [spawned] = pool_pids()
+        shutil.rmtree(tmp_path / "a" / "store")
+        # The warm worker was spawned in a/: the root and the requests'
+        # relative paths must still resolve in b/.
+        monkeypatch.chdir(tmp_path / "b")
+        service = ExplorationService("store")
+        with open("app.json", "w") as handle:
+            json.dump(get_scenario("motion/2000").document(), handle)
+        application = ApplicationSpec(kind="bundled", path="app.json")
+        keys = [
+            submit_one(service, seed=s, application=application)
+            for s in (1, 2)
+        ]
+        # One job each, so worker-1 runs one.
+        assert run_workers("store", workers=2, max_jobs=1) == 2
+        records = [service.status(k) for k in keys]
+        assert [r.status for r in records] == ["done", "done"]
+        assert sorted(r.worker for r in records) == ["worker-0", "worker-1"]
+        assert pool_pids() == [spawned]
+
+    def test_caller_failure_drops_the_pool(self, service, fresh_pool,
+                                           monkeypatch):
+        root = service.store.root
+        assert run_workers(root, workers=2) == 0
+        [spawned] = pool_pids()
+
+        def die(self, **kwargs):
+            raise RuntimeError("caller drain died")
+
+        # Patched here only: the spawned worker drains with the real loop.
+        with monkeypatch.context() as patch:
+            patch.setattr(JobQueue, "drain", die)
+            with pytest.raises(RuntimeError, match="caller drain died"):
+                run_workers(root, workers=2)
+        assert reaped(spawned)
+        assert pool_pids() == []
+        key = submit_one(service)
+        assert run_workers(root, workers=2) == 1
+        assert service.status(key).status == "done"
+        assert len(pool_pids()) == 1
+
+    def test_concurrent_callers_share_the_pool(self, service, fresh_pool):
+        """More callers than CPUs, two pool sizes, a short switch
+        interval: every job still runs exactly once."""
+        root = service.store.root
+        keys = [submit_one(service, seed=s) for s in range(12)]
+        executed, errors = [], []
+
+        def drain(workers):
+            try:
+                executed.append(run_workers(root, workers=workers))
+            except Exception as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=drain, args=(2 + index % 2,))
+            for index in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(executed) == len(keys)
+        records = [service.status(k) for k in keys]
+        assert all(r.status == "done" and r.attempts == 1 for r in records)
+        # Replaced pools were joined: only the warm pool's workers live.
+        assert len(pool_pids()) == jobs_module._pool[0]
+
+
+_CHILD = """
+import multiprocessing, sys, time
+from multiprocessing import resource_tracker
+from repro.api.specs import BudgetSpec, ExplorationRequest
+from repro.service import ExplorationService, run_workers
+
+root = sys.argv[1]
+service = ExplorationService(root)
+for drain in range(int(sys.argv[2])):
+    for seed in (1, 2):
+        service.submit(ExplorationRequest(
+            kind="single",
+            budget=BudgetSpec(iterations=60, warmup_iterations=10),
+            seed=10 * drain + seed,
+        ))
+    assert run_workers(root, workers=2) == 2
+    [worker] = multiprocessing.active_children()
+    print(worker.pid, resource_tracker._resource_tracker._pid, flush=True)
+if sys.argv[3] == "sleep":
+    time.sleep(60)
+"""
+
+
+def start_child(tmp_path, drains, then):
+    """A Python process that runs ``drains`` 2-worker drains on a store
+    of its own, printing its pool worker's and the resource tracker's
+    pids after each, then sleeps (``then="sleep"``) or exits."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.Popen(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "store"),
+         str(drains), then],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+
+
+class TestRealCrashes:
+    """SIGKILLs against real spawned processes."""
+
+    def test_worker_killed_mid_job(self, service, fresh_pool):
+        root = service.store.root
+        budget = BudgetSpec(iterations=5000, warmup_iterations=10)
+        keys = [submit_one(service, seed=s, budget=budget) for s in (1, 2)]
+        errors = []
+
+        def drain():
+            try:
+                run_workers(root, workers=2, max_jobs=1)
+            except ServiceError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+
+        def victim():
+            return [
+                key for key in keys
+                if service.status(key).status == "running"
+                and service.status(key).worker == "worker-1"
+            ]
+
+        wait_until(victim)
+        [key] = victim()
+        [pid] = pool_pids()
+        os.kill(pid, signal.SIGKILL)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        [error] = errors
+        assert "worker-1" in str(error) and "--stale-after" in str(error)
+        assert service.status(key).status == "running"
+
+        assert run_workers(root, workers=2, stale_after_s=0) == 1
+        assert all(service.status(k).status == "done" for k in keys)
+        assert service.status(key).attempts == 2
+        assert service.queue.claimed_keys() == []
+        [fresh] = pool_pids()
+        assert fresh != pid
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc for zombies")
+    def test_owner_killed_leaves_nothing(self, tmp_path):
+        child = start_child(tmp_path, drains=1, then="sleep")
+        try:
+            worker, tracker = map(int, child.stdout.readline().split())
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        wait_until(lambda: gone(worker) and gone(tracker), timeout_s=2.0)
+
+    def test_normal_exit_joins_the_warm_worker(self, tmp_path):
+        child = start_child(tmp_path, drains=2, then="exit")
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0
+        first, second = (int(line.split()[0]) for line in out.splitlines())
+        assert first == second
+        assert reaped(first)

@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
-from repro.api.specs import BudgetSpec, ExplorationRequest
-from repro.errors import ServiceError
+from repro.api.specs import BudgetSpec, ExplorationRequest, StrategySpec
+from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
 from repro.service import ExplorationService
 from repro.service.service import STATS_FORMAT, STATS_SCHEMA_VERSION
@@ -150,6 +150,17 @@ class TestFailedResubmit:
         assert service.run_local() == 1
         assert service.status(key).status == "done"
         assert service.status(key).attempts == 2
+
+
+class TestRefusedSubmit:
+    def test_p_zero_without_catalog_writes_nothing(self, service):
+        request = small_request(
+            strategy=StrategySpec("hill_climber", {"p_zero": 0.2})
+        )
+        with pytest.raises(ConfigurationError, match="StrategySpec.catalog"):
+            service.submit(request)
+        assert service.store.list_keys() == []
+        assert service.queue.pending_keys() == []
 
 
 class TestTelemetry:
