@@ -71,6 +71,7 @@ from repro.mapping.schedule import extract_schedule
 from repro.mapping.gantt import render_gantt
 from repro.sa.trace import write_csv
 from repro.search.portfolio import format_portfolio_table
+from repro.service import DEFAULT_STALE_AFTER_S
 
 
 # ----------------------------------------------------------------------
@@ -93,9 +94,14 @@ def _application_spec(path: Optional[str]) -> ApplicationSpec:
 def _architecture_spec(
     path: Optional[str], n_clbs: int
 ) -> Optional[ArchitectureSpec]:
+    """A spec for ``--architecture``: EPICURE at ``n_clbs`` by default;
+    a file is read once and embedded, as ``--application`` does."""
     if path is None:
         return ArchitectureSpec(kind="builtin", n_clbs=n_clbs)
-    return ArchitectureSpec(kind="inline", path=path)
+    from repro.api.resolve import load_json_document
+
+    document = load_json_document(path, "architecture")
+    return ArchitectureSpec(kind="inline", document=document)
 
 
 def _budget_spec(args: argparse.Namespace) -> BudgetSpec:
@@ -730,16 +736,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = serve_sub.add_parser(
         "run-workers",
         help="drain the queue with N workers (requeues stale "
-             "claims first — crash recovery)",
+             "running jobs first — crash recovery)",
     )
     store_flag(p)
     p.add_argument("--workers", type=int, default=2,
                    help="drain loops: this process is worker 0 and "
                         "N-1 more are spawned (1 = no pool)")
-    p.add_argument("--stale-after", type=float, default=600.0,
-                   metavar="SECONDS",
-                   help="age after which a running claim counts as "
-                        "abandoned and is requeued (default 600)")
+    p.add_argument("--stale-after", type=float,
+                   default=DEFAULT_STALE_AFTER_S, metavar="SECONDS",
+                   help="age after which a running job counts as "
+                        "abandoned and is requeued (default %(default)g)")
     p.add_argument("--jobs", type=int, default=1,
                    help="runner processes per job (passed to explore)")
     p.add_argument("--max-jobs", type=int, default=None,

@@ -4,35 +4,35 @@ Lifecycle (all state lives in :class:`~repro.service.store.ResultStore`
 files; no broker, no database):
 
 * **submit** (done by the service front door) creates the ``pending``
-  record row and drops ``queue/<key>.ticket``;
-* **claim** renames the ticket into ``claims/`` — a single ``rename``
-  with exactly one winner among racing workers — then stamps the record
-  ``running`` (attempt count + worker + claimed timestamp);
+  record row and drops the empty ``queue/<key>.ticket``;
+* **claim** unlinks the ticket — among racing workers exactly one
+  unlink succeeds — then stamps the record ``running`` (attempt count
+  + worker + claimed timestamp).  The ``running`` row is the claim:
+  the only record of who owns the job;
 * **complete** persists the envelope, stamps the record ``done`` with
-  the job's telemetry snapshot absorbed, removes the claim ticket and
-  fills the record's ``near/`` marker with its instance hash (the donor
-  index the warm-start scan reads instead of the row);
+  the job's telemetry snapshot absorbed and fills the record's
+  ``near/`` marker with its instance hash (the donor index the
+  warm-start scan reads instead of the row);
   **fail** stamps ``failed`` with the error message;
 * **requeue_stale** is the crash-safety pass: a worker that died
-  mid-job leaves a ``running`` record and a stranded claim ticket;
-  once ``stale_after_s`` has elapsed the ticket is renamed back into
-  the queue and the record returns to ``pending`` for the next worker,
-  unless the job's envelope is already in place (the worker died
-  before its ``done`` row): then the record is stamped ``done`` as
-  ``complete`` would have, and the job does not run again.  It also
-  heals the three half-states a crash between renames can leave (a
-  pending record with no ticket at all, or with only a claim ticket; a
-  finished record whose claim ticket was never unlinked).
+  mid-job leaves a ``running`` record; once ``stale_after_s`` has
+  elapsed the record returns to ``pending`` with a fresh ticket for
+  the next worker, unless the job's envelope is already in place (the
+  worker died before its ``done`` row): then the record is stamped
+  ``done`` as ``complete`` would have, and the job does not run again.
+  A crash between a claim's unlink and its ``running`` row leaves a
+  pending record without a ticket, which the same pass re-tickets.
 
 Workers execute claimed requests through the one public façade
-(:func:`repro.api.facade.explore`), which runs them on the PR 2 search
+(:func:`repro.api.facade.explore`), which runs them on the search
 runner — the service adds persistence and record-keeping, never a
 second execution path.  :func:`run_workers` runs N drain-loop workers:
 worker 0 in the calling process, which claims its first job at once,
 and workers 1 … N−1 in a warm spawn pool that the process builds at
 its first multi-worker drain and reuses for every later one.  It
 absorbs each worker's telemetry into the caller's recorder in worker
-order.
+order.  This module keeps the lifecycle policy; every file operation
+goes through the store.
 """
 
 from __future__ import annotations
@@ -85,62 +85,23 @@ class JobQueue:
         """Drop the work ticket for ``key``; False if already queued."""
         if not self.store.has_record(key):
             raise ServiceError(f"cannot enqueue {key!r}: no record row")
-        return self._write_ticket(key)
-
-    def _write_ticket(self, key: str) -> bool:
-        """Create ``queue/<key>.ticket`` holding the key; False if a
-        ticket is already there (the exclusive create is the dedupe)."""
-        try:
-            fd = os.open(
-                self.store.queue_ticket(key),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, key.encode("ascii"))
-        finally:
-            os.close(fd)
-        return True
+        return self.store.put_ticket(key)
 
     def pending_keys(self) -> List[str]:
         """Queued keys, oldest ticket first (FIFO-ish claim order)."""
-        directory = os.path.join(self.store.root, self.store.QUEUE_DIR)
-        entries = []
-        for name in os.listdir(directory):
-            if not name.endswith(".ticket"):
-                continue
-            path = os.path.join(directory, name)
-            try:
-                mtime = os.path.getmtime(path)
-            except OSError:
-                continue  # claimed between listdir and stat
-            entries.append((mtime, name[: -len(".ticket")]))
-        return [key for _, key in sorted(entries)]
-
-    def claimed_keys(self) -> List[str]:
-        directory = os.path.join(self.store.root, self.store.CLAIMS_DIR)
-        return sorted(
-            name[: -len(".ticket")]
-            for name in os.listdir(directory)
-            if name.endswith(".ticket")
-        )
+        return self.store.ticket_keys()
 
     # -- worker side ---------------------------------------------------
     def claim(self, worker: str) -> Optional[str]:
         """Claim one pending job; ``None`` when the queue is empty.
 
-        The rename is the atomic hand-off: among N racing workers
-        exactly one succeeds per ticket, everyone else gets
-        ``FileNotFoundError`` and moves to the next ticket.
+        Taking the ticket is the atomic hand-off: among N racing workers
+        exactly one unlink succeeds per ticket, and everyone else moves
+        to the next ticket.  The ``running`` row written next is the
+        claim.
         """
         for key in self.pending_keys():
-            try:
-                os.rename(
-                    self.store.queue_ticket(key),
-                    self.store.claim_ticket(key),
-                )
-            except FileNotFoundError:
+            if not self.store.take_ticket(key):
                 continue  # lost the race for this ticket
             record = self.store.load_record(key)
             record.transition("running", worker=worker)
@@ -172,11 +133,10 @@ class JobQueue:
     def _stamp_done(
         self, record: JobRecord, now: Optional[float] = None
     ) -> None:
-        """The ``done`` row (same worker), then the claim ticket's unlink
-        and the near marker's fill: the steps after the envelope."""
+        """The ``done`` row (same worker), then the near marker's fill:
+        the steps after the envelope."""
         record.transition("done", worker=record.worker, now=now)
         self.store.write_record(record)
-        self._drop_claim(record.key)
         try:
             self.store.fill_near(record)
         except OSError:
@@ -186,16 +146,9 @@ class JobQueue:
         record = self.store.load_record(key)
         record.transition("failed", worker=record.worker, error=error)
         self.store.write_record(record)
-        self._drop_claim(key)
         self.telemetry.count("job_failed")
         if self.telemetry.enabled:
             self.telemetry.event("job_failed", key=key, error=error)
-
-    def _drop_claim(self, key: str) -> None:
-        try:
-            os.unlink(self.store.claim_ticket(key))
-        except FileNotFoundError:
-            pass
 
     # -- crash safety --------------------------------------------------
     def requeue_stale(
@@ -206,60 +159,41 @@ class JobQueue:
         """Return abandoned jobs to the queue; lists the keys requeued.
 
         A ``running`` record whose claim is older than ``stale_after_s``
-        is assumed dead (its worker crashed mid-job): the claim ticket
-        is renamed back into the queue (or recreated if the crash ate
-        it) and the record transitions back to ``pending``, keeping its
-        attempt count and probe history.  A stale ``running`` record
-        whose envelope is already persisted (a crash between the
-        envelope and the ``done`` row) is not requeued but finished:
-        stamped ``done``, its claim ticket dropped and its near marker
-        filled, so the job counts one execution.  Pending records that
-        lost their ticket to a crash between renames are re-ticketed
-        too.
-        A ``done`` or ``failed`` record's claim ticket (a crash between
-        the final row and the ticket's unlink) is dropped, whatever its
-        age.
+        is assumed dead (its worker crashed mid-job): it returns to
+        ``pending``, keeping its attempt count and probe history, with a
+        fresh ticket.  If its envelope is already persisted (a crash
+        between the envelope and the ``done`` row) it is finished
+        instead: stamped ``done`` and its near marker filled, so the job
+        counts one execution.  A ``pending`` record older than
+        ``stale_after_s`` without a ticket (a crash between a claim's
+        unlink and its ``running`` row, or a row and its ticket) is
+        re-ticketed.
         """
         now = time.time() if now is None else now
         requeued: List[str] = []
-        claimed = set(self.claimed_keys())
         for record in self.store.iter_records():
-            if record.status in ("done", "failed"):
-                if record.key in claimed:
-                    self._drop_claim(record.key)
-            elif record.status == "running":
+            if record.status == "running":
                 anchor = record.claimed_ts or record.created_ts
                 if now - anchor < stale_after_s:
                     continue
                 if self.store.has_response(record.key):
                     self._stamp_done(record, now=now)
                     continue
-                self._restore_ticket(record.key)
                 record.transition(
                     "pending",
                     error=f"requeued: stale claim by {record.worker!r}",
                     now=now,
                 )
                 self.store.write_record(record)
+                self.store.put_ticket(record.key)
                 requeued.append(record.key)
                 self.telemetry.count("job_requeued")
                 if self.telemetry.enabled:
                     self.telemetry.event("job_requeued", key=record.key)
             elif record.status == "pending":
-                if now - record.created_ts < stale_after_s:
-                    continue
-                if not os.path.exists(self.store.queue_ticket(record.key)):
-                    self._restore_ticket(record.key)
+                if now - record.created_ts >= stale_after_s:
+                    self.store.put_ticket(record.key)
         return requeued
-
-    def _restore_ticket(self, key: str) -> None:
-        """Claim ticket back to the queue, or a fresh ticket if lost."""
-        try:
-            os.rename(
-                self.store.claim_ticket(key), self.store.queue_ticket(key)
-            )
-        except FileNotFoundError:
-            self._write_ticket(key)
 
     # -- execution -----------------------------------------------------
     def execute(self, key: str, jobs: int = 1) -> ExplorationResponse:
@@ -342,16 +276,6 @@ def _worker_main(
     return executed, telemetry.export()
 
 
-def _pool_drain(
-    root: str, worker: str, jobs: int, max_jobs: Optional[int], cwd: str
-) -> Tuple[int, Dict[str, Any]]:
-    """A pool worker's drain, run in the caller's working directory as a
-    freshly spawned worker's would be: a warm worker still sits in the
-    one it was spawned in, and a request may name a relative path."""
-    os.chdir(cwd)
-    return _worker_main(root, worker, jobs, max_jobs)
-
-
 def _exit_with_owner() -> None:
     """Pool initializer: a daemon thread ends this worker as soon as the
     process that spawned it dies.  A warm worker idles between drains,
@@ -373,13 +297,10 @@ def _submit_drains(
     dead worker broke in an earlier call is replaced once."""
     global _pool
     size = workers - 1
-    cwd = os.getcwd()
 
     def submit(pool: ProcessPoolExecutor) -> List[Future]:
         return [
-            pool.submit(
-                _pool_drain, root, f"worker-{index}", jobs, max_jobs, cwd
-            )
+            pool.submit(_worker_main, root, f"worker-{index}", jobs, max_jobs)
             for index in range(1, workers)
         ]
 
@@ -441,15 +362,14 @@ def run_workers(
     multi-worker drain and reused by every later drain of the same
     size (another size replaces it), so only the first drain waits
     for workers to start.  Concurrent callers in one process share it.
-    A warm worker keeps the working directory it was spawned in, so
-    its drains get the absolute ``root`` and run in the caller's
-    current directory (a request may name a relative path).  The
-    workers are joined at interpreter exit and end themselves if this
-    process dies.  If worker 0's drain
-    raises, the pool's drains finish, the pool is shut down and the
-    next drain builds a new one.  A pool worker that dies raises
-    :class:`ServiceError`; the job it had claimed is requeued by a
-    later call once its claim is older than ``stale_after_s``.
+    Its drains get the absolute ``root`` (a warm worker keeps the
+    directory it was spawned in).  The workers are joined at
+    interpreter exit and end themselves if this process dies.  If
+    worker 0's drain raises, the pool's drains finish, the pool is
+    shut down and the next drain builds a new one.  A pool worker that
+    dies raises :class:`ServiceError`; the job it had claimed is
+    requeued by a later call once its claim is older than
+    ``stale_after_s``.
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")

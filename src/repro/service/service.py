@@ -30,12 +30,16 @@ computation + record lookup under the ``store_lookup`` phase; the
 queue adds ``job_requeued`` and the ``job_execute`` phase (see
 :mod:`repro.service.jobs`).  All of it surfaces through
 ``repro telemetry summarize`` when the CLI is given ``--telemetry``.
+
+Each file a request names is read once, at submit, and the row stores
+the request with those documents embedded, so a job runs the bytes its
+key hashed wherever it is drained.  This module keeps the cache-first
+and gc policies; :class:`~repro.service.store.ResultStore` does every
+file operation.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -48,6 +52,7 @@ from repro.obs.telemetry import NULL
 from repro.search.runner import STRATEGY_KINDS
 from repro.service.jobs import DEFAULT_STALE_AFTER_S, JobQueue
 from repro.service.store import (
+    RECORD_STATES,
     WARM_KINDS,
     InstanceInfo,
     JobRecord,
@@ -115,12 +120,15 @@ class ExplorationService:
         carrying ``structure_hash`` and ``warm_start``, followed by the
         queue ticket and the marker again.  A submit that loses the
         creation race attaches to the winner's row.  The cache key is
-        always the *original* request's, so warm-started results are
-        served back under the identity the client submitted.
+        always the *original* request's, so warm-started results, and
+        those of a request whose files the row embeds, are served back
+        under the identity the client submitted.
         """
         request.validate()
         with self.telemetry.phase("store_lookup"):
-            key, request_hash, info = self.store.cache_key_info(request)
+            key, request_hash, info, runnable = self.store.cache_key_info(
+                request
+            )
             found = (
                 self.store.load_record(key)
                 if self.store.has_record(key) else None
@@ -129,9 +137,9 @@ class ExplorationService:
             return self._attach(key, found)
         self.store.put_instance(info.instance_hash, info.document)
         self.store.index_near(info.structure_hash, key)
-        rewritten, warm_start = self._warm_start(key, request, info)
+        rewritten, warm_start = self._warm_start(key, runnable, info)
         record, created = self.store.create_record(
-            key, request_hash, info.instance_hash, request,
+            key, request_hash, info.instance_hash, runnable,
             structure_hash=info.structure_hash,
             warm_start=warm_start,
             request_document=rewritten,
@@ -394,8 +402,7 @@ class ExplorationService:
     def stats(self) -> Dict[str, Any]:
         """One JSON document summarizing the store (the ``repro serve
         stats --json`` schema; pinned by the service tests)."""
-        by_status = {status: 0 for status in
-                     ("pending", "running", "done", "failed")}
+        by_status = dict.fromkeys(RECORD_STATES, 0)
         executions = 0
         hits = 0
         failed_attempts = 0
@@ -410,7 +417,6 @@ class ExplorationService:
             if record.warm_start is not None:
                 warm_start_hits += 1
                 warm_start_repairs += record.warm_start.get("repairs", 0)
-        results_dir = os.path.join(self.store.root, self.store.RESULTS_DIR)
         return {
             "format": STATS_FORMAT,
             "schema_version": STATS_SCHEMA_VERSION,
@@ -420,24 +426,20 @@ class ExplorationService:
             ),
             "queue": {
                 "queued": len(self.queue.pending_keys()),
-                "claimed": len(self.queue.claimed_keys()),
+                "claimed": by_status["running"],
             },
             "executions": executions,
             "hits": hits,
             "failed_attempts": failed_attempts,
             "warm_start_hits": warm_start_hits,
             "warm_start_repairs": warm_start_repairs,
-            "results": sum(
-                1 for name in os.listdir(results_dir)
-                if name.endswith(".json")
-            ),
+            "results": self.store.result_count(),
             "environment": environment_stamp(),
         }
 
     def gc(
         self,
         failed: bool = True,
-        orphans: bool = True,
         done_older_than_s: Optional[float] = None,
         now: Optional[float] = None,
     ) -> Dict[str, int]:
@@ -445,21 +447,13 @@ class ExplorationService:
 
         * ``failed`` — drop failed records (their error is in the
           history; resubmitting later simply recreates the row);
-        * ``orphans`` — tickets, near markers (both counted as
-          ``orphan_tickets``), envelopes and hit logs (both counted as
-          ``orphan_results``) whose record row is gone (half-states from
-          crashes, manual deletion or a hit racing a deletion); those of
-          a submit in flight are kept.  Also the ``*.tmp`` files that
-          writers killed before their rename or link left in
-          ``records/``, ``results/`` and ``instances/`` (counted as
-          ``orphan_results``), once older than
-          :data:`~repro.service.jobs.DEFAULT_STALE_AFTER_S`;
         * ``done_older_than_s`` — age out completed records + their
-          envelopes (the cache eviction knob).
+          envelopes (the cache eviction knob);
+        * always, the orphans (:meth:`ResultStore.prune_orphans`), temp
+          files once older than :data:`DEFAULT_STALE_AFTER_S`.
         """
         now = time.time() if now is None else now
-        removed = {"failed": 0, "done": 0, "orphan_tickets": 0,
-                   "orphan_results": 0}
+        removed = {"failed": 0, "done": 0}
         for record in self.store.iter_records():
             if failed and record.status == "failed":
                 self.store.delete_record(record.key)
@@ -472,68 +466,5 @@ class ExplorationService:
             ):
                 self.store.delete_record(record.key)
                 removed["done"] += 1
-        if orphans:
-            # A submit can run while this pass does, so a key missing
-            # from the snapshot is checked against its row again just
-            # before the unlink.  Tickets, claims, envelopes and hit
-            # logs are written after their row, so that check is exact
-            # for them.
-            keys = set(self.store.list_keys())
-            for subdir, suffix, bucket in (
-                (self.store.QUEUE_DIR, ".ticket", "orphan_tickets"),
-                (self.store.CLAIMS_DIR, ".ticket", "orphan_tickets"),
-                (self.store.RESULTS_DIR, ".json", "orphan_results"),
-                (self.store.HITS_DIR, "", "orphan_results"),
-            ):
-                directory = os.path.join(self.store.root, subdir)
-                if not os.path.isdir(directory):
-                    continue  # hits/ appears with a store's first hit
-                for name in os.listdir(directory):
-                    if not name.endswith(suffix):
-                        continue
-                    key = name[: len(name) - len(suffix)]
-                    if key in keys or self.store.has_record(key):
-                        continue
-                    try:
-                        os.unlink(os.path.join(directory, name))
-                    except FileNotFoundError:
-                        continue
-                    removed[bucket] += 1
-            # Near-index markers whose record row is gone (nested one
-            # level: near/<structure_hash>/<key>).  A miss files its
-            # marker before its row, so a row published between the
-            # check and the unlink gets its marker filed again.
-            near_root = os.path.join(self.store.root, self.store.NEAR_DIR)
-            if os.path.isdir(near_root):
-                for structure_hash in os.listdir(near_root):
-                    bucket_dir = os.path.join(near_root, structure_hash)
-                    if not os.path.isdir(bucket_dir):
-                        continue
-                    for name in os.listdir(bucket_dir):
-                        if name in keys or self.store.has_record(name):
-                            continue
-                        try:
-                            os.unlink(os.path.join(bucket_dir, name))
-                        except FileNotFoundError:
-                            continue
-                        if self.store.has_record(name):
-                            self.store.index_near(structure_hash, name)
-                            continue
-                        removed["orphan_tickets"] += 1
-            # A temp file is renamed or linked the moment it is written,
-            # so only a killed writer leaves an old one; a fresh one may
-            # belong to a writer in flight.
-            for subdir in (
-                self.store.RECORDS_DIR, self.store.RESULTS_DIR,
-                self.store.INSTANCES_DIR,
-            ):
-                directory = glob.escape(os.path.join(self.store.root, subdir))
-                for path in glob.glob(os.path.join(directory, "*.tmp")):
-                    try:
-                        if now - os.stat(path).st_mtime <= DEFAULT_STALE_AFTER_S:
-                            continue
-                        os.unlink(path)
-                    except FileNotFoundError:
-                        continue
-                    removed["orphan_results"] += 1
+        removed.update(self.store.prune_orphans(now, DEFAULT_STALE_AFTER_S))
         return removed

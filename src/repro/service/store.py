@@ -18,12 +18,12 @@ On-disk layout (JSON files + atomic rename, no external database)::
 
     <root>/
       records/<key>.json    one JobRecord row per key (status, probe
-                            history, timestamps, attempts, environment)
+                            history, timestamps, attempts, environment);
+                            a ``running`` row is the job's claim
       results/<key>.json    the ExplorationResponse envelope, written
                             once when a job completes
-      queue/<key>.ticket    pending work (claiming renames it away)
-      claims/<key>.ticket   work owned by a worker (crash-safe: a stale
-                            claim is renamed back into queue/)
+      queue/<key>.ticket    pending work, an empty file (claiming
+                            unlinks it)
       hits/<key>            the cache-hit log: one byte appended per hit
                             (created on first use)
       instances/<hash>.json the resolved instance document
@@ -52,7 +52,9 @@ reading its row.  A cache hit never rewrites its row: it appends to
 ``hits/<key>`` with ``O_APPEND``, so racing hits lose no count and a
 hit racing ``gc`` cannot republish a deleted row.  A row's hit count
 is its ``hits`` field (what earlier versions counted in place) plus
-the log's length.
+the log's length.  A ``claims/`` directory left by an earlier version
+is never read and may be deleted.  Only this module touches files
+under the root; the queue and the front door keep their policies.
 The record/probe-history idiom follows the persistent mirror records of
 Launchpad's ``distributionmirror.py`` (see SNIPPETS.md #3): each row
 keeps its full state-transition history next to the current freshness
@@ -66,7 +68,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.facade import ExplorationResponse, environment_stamp
@@ -81,6 +83,7 @@ __all__ = [
     "JobRecord",
     "ResultStore",
     "compose_cache_key",
+    "embed_files",
     "instance_hash_for",
     "instance_info_for",
 ]
@@ -157,6 +160,24 @@ def instance_hash_for(request: ExplorationRequest) -> str:
     """SHA-256 of the request's *resolved* problem instance (the
     cache-key component; see :func:`instance_info_for`)."""
     return instance_info_for(request).instance_hash
+
+
+def embed_files(request: ExplorationRequest) -> ExplorationRequest:
+    """``request`` with each file it names read once and embedded: an
+    ``ApplicationSpec.path`` or ``ArchitectureSpec.path`` becomes that
+    spec's ``document``.  The service stores and runs this form, so a
+    job runs the bytes its key hashed wherever it is drained.  A request
+    that names no file is returned as it is."""
+    from repro.api.resolve import load_json_document
+
+    specs = {}
+    for name in ("application", "architecture"):
+        spec = getattr(request, name)
+        if spec is not None and spec.path is not None:
+            specs[name] = replace(
+                spec, path=None, document=load_json_document(spec.path, name)
+            )
+    return replace(request, **specs) if specs else request
 
 
 def compose_cache_key(request_hash: str, instance_hash: str) -> str:
@@ -302,11 +323,22 @@ class JobRecord:
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
-def _unlink_quietly(path: str) -> None:
+def _unlink_quietly(path: str) -> bool:
+    """Unlink ``path``; False if it was already gone."""
     try:
         os.unlink(path)
     except FileNotFoundError:
-        pass
+        return False
+    return True
+
+
+def _create_empty(path: str) -> bool:
+    """Create an empty file at ``path``; False if one exists."""
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
 
 
 def _compact_json(document: Any, sort_keys: bool = False) -> str:
@@ -321,14 +353,13 @@ class ResultStore:
 
     All methods are safe to call from any number of processes sharing
     ``root``: reads parse whole files (atomic-rename writes mean no torn
-    state), record creation is ``os.link``-exclusive, and queue/claim
-    ticket moves are single ``rename`` calls with exactly one winner.
+    state), record creation is ``os.link``-exclusive, and taking a queue
+    ticket is a single ``unlink`` with exactly one winner.
     """
 
     RECORDS_DIR = "records"
     RESULTS_DIR = "results"
     QUEUE_DIR = "queue"
-    CLAIMS_DIR = "claims"
     #: Warm-start support: ``instances/<instance_hash>.json`` holds the
     #: resolved instance document; ``near/<structure_hash>/<key>``
     #: marker files index records by structure-only digest, so a submit
@@ -346,8 +377,8 @@ class ResultStore:
             # records/ last: its presence means the layout is complete,
             # so a crash part-way leaves a root create=False refuses.
             for name in (
-                self.RESULTS_DIR, self.QUEUE_DIR, self.CLAIMS_DIR,
-                self.INSTANCES_DIR, self.NEAR_DIR, self.RECORDS_DIR,
+                self.RESULTS_DIR, self.QUEUE_DIR, self.INSTANCES_DIR,
+                self.NEAR_DIR, self.RECORDS_DIR,
             ):
                 os.makedirs(os.path.join(self.root, name), exist_ok=True)
         elif not os.path.isdir(os.path.join(self.root, self.RECORDS_DIR)):
@@ -366,9 +397,6 @@ class ResultStore:
     def queue_ticket(self, key: str) -> str:
         return os.path.join(self.root, self.QUEUE_DIR, f"{key}.ticket")
 
-    def claim_ticket(self, key: str) -> str:
-        return os.path.join(self.root, self.CLAIMS_DIR, f"{key}.ticket")
-
     def instance_path(self, instance_hash: str) -> str:
         return os.path.join(
             self.root, self.INSTANCES_DIR, f"{instance_hash}.json"
@@ -383,20 +411,21 @@ class ResultStore:
     # -- keys ----------------------------------------------------------
     def cache_key_info(
         self, request: ExplorationRequest
-    ) -> Tuple[str, str, InstanceInfo]:
-        """``(key, request_hash, instance info)`` — one resolution pass
-        yields the cache key *and* the warm-start index inputs."""
+    ) -> Tuple[str, str, InstanceInfo, ExplorationRequest]:
+        """``(key, request_hash, instance info, runnable request)`` — one
+        pass reads the request's files (:func:`embed_files`) and
+        resolves its instance, yielding the cache key, the warm-start
+        index inputs and the request to store.  The key keeps the
+        client's request hash, not the embedded request's."""
         request_hash = request.content_hash()
-        info = instance_info_for(request)
-        return (
-            compose_cache_key(request_hash, info.instance_hash),
-            request_hash,
-            info,
-        )
+        runnable = embed_files(request)
+        info = instance_info_for(runnable)
+        key = compose_cache_key(request_hash, info.instance_hash)
+        return key, request_hash, info, runnable
 
     def cache_key(self, request: ExplorationRequest) -> Tuple[str, str, str]:
         """``(key, request_hash, instance_hash)`` for a request."""
-        key, request_hash, info = self.cache_key_info(request)
+        key, request_hash, info, _ = self.cache_key_info(request)
         return key, request_hash, info.instance_hash
 
     # -- atomic write --------------------------------------------------
@@ -497,11 +526,17 @@ class ResultStore:
             self.record_path(record.key), _compact_json(record.to_dict())
         )
 
+    def _names(self, *parts: str) -> List[str]:
+        """The entries of a directory under the root ([] if absent)."""
+        try:
+            return os.listdir(os.path.join(self.root, *parts))
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+
     def list_keys(self) -> List[str]:
-        directory = os.path.join(self.root, self.RECORDS_DIR)
         return sorted(
             name[: -len(".json")]
-            for name in os.listdir(directory)
+            for name in self._names(self.RECORDS_DIR)
             if name.endswith(".json")
         )
 
@@ -517,13 +552,100 @@ class ResultStore:
             pass
         paths = [
             self.record_path(key), self.result_path(key),
-            self.queue_ticket(key), self.claim_ticket(key),
-            self.hit_log(key),
+            self.queue_ticket(key), self.hit_log(key),
         ]
         if structure_hash is not None:
             paths.append(self.near_marker(structure_hash, key))
         for path in paths:
             _unlink_quietly(path)
+
+    # -- queue tickets -------------------------------------------------
+    def put_ticket(self, key: str) -> bool:
+        """Create the empty ``queue/<key>.ticket``; False if it is
+        already there (the exclusive create is the dedupe)."""
+        return _create_empty(self.queue_ticket(key))
+
+    def take_ticket(self, key: str) -> bool:
+        """Unlink ``key``'s ticket; True only for the one caller that
+        removed it (a claim's single winner among racing workers)."""
+        return _unlink_quietly(self.queue_ticket(key))
+
+    def ticket_keys(self) -> List[str]:
+        """Queued keys, oldest ticket first (FIFO-ish claim order)."""
+        entries = []
+        for name in self._names(self.QUEUE_DIR):
+            if not name.endswith(".ticket"):
+                continue
+            key = name[: -len(".ticket")]
+            try:
+                entries.append((os.path.getmtime(self.queue_ticket(key)), key))
+            except OSError:
+                continue  # taken between the listing and the stat
+        return [key for _, key in sorted(entries)]
+
+    def result_count(self) -> int:
+        """Envelopes in ``results/``."""
+        return sum(
+            1 for name in self._names(self.RESULTS_DIR)
+            if name.endswith(".json")
+        )
+
+    def prune_orphans(
+        self, now: float, temp_older_than_s: float
+    ) -> Dict[str, int]:
+        """Remove the files whose record row is gone (half-states from
+        crashes, manual deletion or a hit racing a deletion; a submit in
+        flight keeps its own): queue tickets and near markers count as
+        ``orphan_tickets``, envelopes and hit logs as ``orphan_results``,
+        as do the ``*.tmp`` files of killed writers older than
+        ``temp_older_than_s``."""
+        removed = {"orphan_tickets": 0, "orphan_results": 0}
+        # A submit can run while this pass does, so a key missing from
+        # the snapshot is checked against its row again just before the
+        # unlink.  Tickets, envelopes and hit logs are written after
+        # their row, so that check is exact for them.
+        keys = set(self.list_keys())
+        for subdir, suffix, bucket in (
+            (self.QUEUE_DIR, ".ticket", "orphan_tickets"),
+            (self.RESULTS_DIR, ".json", "orphan_results"),
+            (self.HITS_DIR, "", "orphan_results"),
+        ):
+            for name in self._names(subdir):
+                key = name[: len(name) - len(suffix)]
+                if not name.endswith(suffix) or key in keys:
+                    continue
+                if not self.has_record(key) and _unlink_quietly(
+                    os.path.join(self.root, subdir, name)
+                ):
+                    removed[bucket] += 1
+        # Near markers (near/<structure_hash>/<key>).  A miss files its
+        # marker before its row, so a row published between the check
+        # and the unlink gets its marker filed again.
+        for structure_hash in self._names(self.NEAR_DIR):
+            for key in self._names(self.NEAR_DIR, structure_hash):
+                if key in keys or self.has_record(key):
+                    continue
+                if not _unlink_quietly(self.near_marker(structure_hash, key)):
+                    continue
+                if self.has_record(key):
+                    self.index_near(structure_hash, key)
+                else:
+                    removed["orphan_tickets"] += 1
+        # A temp file is renamed or linked the moment it is written, so
+        # only a killed writer leaves an old one; a fresh one may belong
+        # to a writer in flight.
+        for subdir in (self.RECORDS_DIR, self.RESULTS_DIR, self.INSTANCES_DIR):
+            for name in self._names(subdir):
+                if not name.endswith(".tmp"):
+                    continue
+                path = os.path.join(self.root, subdir, name)
+                try:
+                    age_s = now - os.stat(path).st_mtime
+                except FileNotFoundError:
+                    continue
+                if age_s > temp_older_than_s and _unlink_quietly(path):
+                    removed["orphan_results"] += 1
+        return removed
 
     # -- cache-hit log -------------------------------------------------
     def log_hit(self, key: str) -> int:
@@ -576,11 +698,7 @@ class ResultStore:
         """File ``key`` under the structure-only digest (idempotent)."""
         marker = self.near_marker(structure_hash, key)
         os.makedirs(os.path.dirname(marker), exist_ok=True)
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return
-        os.close(fd)
+        _create_empty(marker)
 
     def fill_near(self, record: JobRecord) -> None:
         """Write a completed donor-kind record's instance hash into its
@@ -608,11 +726,7 @@ class ResultStore:
 
     def near_keys(self, structure_hash: str) -> List[str]:
         """Record keys filed under ``structure_hash``, sorted."""
-        directory = os.path.join(self.root, self.NEAR_DIR, structure_hash)
-        try:
-            return sorted(os.listdir(directory))
-        except FileNotFoundError:
-            return []
+        return sorted(self._names(self.NEAR_DIR, structure_hash))
 
     def near_donors(self, structure_hash: str) -> Iterator[Tuple[str, str]]:
         """``(key, instance_hash)`` of every completed ``single``/``batch``

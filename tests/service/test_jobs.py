@@ -32,6 +32,8 @@ from repro.service import (
     ExplorationService,
     JobQueue,
     ResultStore,
+    compose_cache_key,
+    instance_hash_for,
     run_workers,
 )
 
@@ -103,15 +105,17 @@ class TestLifecycle:
         assert queue.pending_keys() == [key]
         claimed = queue.claim("w0")
         assert claimed == key
-        assert queue.pending_keys() == []
-        assert queue.claimed_keys() == [key]
-        assert service.status(key).status == "running"
+        # The claim took the ticket; the running row names the owner.
+        assert not os.path.exists(service.store.queue_ticket(key))
+        record = service.status(key)
+        assert (record.status, record.worker) == ("running", "w0")
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 1}
         response = queue.execute(key)
         record = service.status(key)
         assert record.status == "done"
         assert record.attempts == 1
         assert record.telemetry is not None  # job internals absorbed
-        assert queue.claimed_keys() == []
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 0}
         assert service.store.response_text(key) == response.to_json()
 
     def test_enqueue_requires_a_record(self, service):
@@ -153,7 +157,9 @@ class TestLifecycle:
         failed = service.status(bad)
         assert failed.status == "failed"
         assert "no-such-strategy" in failed.error
-        assert service.queue.claimed_keys() == []  # claim released
+        # No ticket is left, and a failed row holds no claim.
+        assert not os.path.exists(service.store.queue_ticket(bad))
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 0}
 
     def test_drain_max_jobs(self, service):
         submit_one(service, seed=1)
@@ -193,14 +199,14 @@ class TestCrashSafety:
         assert service.status(key).status == "running"
 
     def test_lost_ticket_is_recreated(self, service):
-        # Crash window: the claim rename happened but the worker died
-        # before stamping the record; later the claim ticket was lost
-        # too.  requeue_stale must mint a fresh ticket.
+        # A claim consumes the ticket, so a dead worker's job has none:
+        # requeue_stale must mint a fresh one beside the pending row.
         key = submit_one(service)
         service.queue.claim("dead-worker")
-        os.unlink(service.store.claim_ticket(key))
+        assert not os.path.exists(service.store.queue_ticket(key))
         assert service.queue.requeue_stale(stale_after_s=0.0) == [key]
         assert service.queue.pending_keys() == [key]
+        assert service.store.load_record(key).status == "pending"
 
     def test_pending_record_without_ticket_is_healed(self, service):
         key = submit_one(service)
@@ -208,20 +214,6 @@ class TestCrashSafety:
         assert service.queue.pending_keys() == []
         service.queue.requeue_stale(stale_after_s=0.0)
         assert service.queue.pending_keys() == [key]
-
-    def test_phantom_claim_of_a_finished_job_is_dropped(self, service):
-        # Crash window: the done row was written, the claim ticket's
-        # unlink never happened.  The next drain's recovery drops it.
-        key = submit_one(service)
-        assert service.run_local() == 1
-        executions = service.stats()["executions"]
-        with open(service.store.claim_ticket(key), "w") as handle:
-            handle.write(key)
-        assert service.stats()["queue"]["claimed"] == 1
-        assert run_workers(service.store.root, workers=1) == 0
-        stats = service.stats()
-        assert stats["queue"]["claimed"] == 0
-        assert stats["executions"] == executions
 
     def test_durable_envelope_is_adopted_not_rerun(self, service):
         # Crash window: the envelope is in place, the done row never got
@@ -238,22 +230,36 @@ class TestCrashSafety:
         assert service.stats()["executions"] == executions
         hit = service.submit(small_request())
         assert hit.status == "hit" and hit.response_text == text
-        assert os.listdir(os.path.join(
-            service.store.root, service.store.CLAIMS_DIR)) == []
+        assert not os.path.exists(service.store.queue_ticket(key))
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 0}
         marker = service.store.near_marker(record.structure_hash, key)
         with open(marker, encoding="ascii") as handle:
             assert handle.read() == record.instance_hash
 
-    def test_failed_job_claim_dropped_live_claim_kept(self, service):
-        failed = submit_one(service, seed=1)
-        assert service.queue.claim("w0") == failed
-        service.queue.fail(failed, "boom")
-        with open(service.store.claim_ticket(failed), "w") as handle:
-            handle.write(failed)
-        live = submit_one(service, seed=2)
-        assert service.queue.claim("live-worker") == live
-        assert service.queue.requeue_stale() == []
-        assert service.queue.claimed_keys() == [live]
+    def test_store_of_an_earlier_version_drains(self, service):
+        """An earlier version wrote the key into each ticket and renamed
+        a claimed ticket into claims/.  Its pending, stale running and
+        done rows all finish, and claims/ is never read."""
+        root = service.store.root
+        done = submit_one(service, seed=1)
+        assert service.run_local() == 1
+        running = submit_one(service, seed=2)
+        assert service.queue.claim("dead-worker") == running
+        pending = submit_one(service, seed=3)
+        claims = os.path.join(root, "claims")
+        os.mkdir(claims)
+        for path, key in (
+            (os.path.join(claims, f"{running}.ticket"), running),
+            (service.store.queue_ticket(pending), pending),
+        ):
+            with open(path, "w") as handle:
+                handle.write(key)
+        assert run_workers(root, workers=1, stale_after_s=0) == 2
+        records = [service.status(k) for k in (done, running, pending)]
+        assert [r.status for r in records] == ["done"] * 3
+        assert [r.attempts for r in records] == [1, 2, 1]
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 0}
+        assert os.listdir(claims) == [f"{running}.ticket"]
 
     def test_requeue_counter(self, service):
         telemetry = Telemetry(label="t")
@@ -279,7 +285,7 @@ class TestRunWorkers:
         assert all(service.status(k).status == "done" for k in keys)
         assert telemetry.counters["job_completed"] == 2
 
-    def test_process_pool_drains_and_recovers(self, service):
+    def test_worker_processes_drain_and_recover(self, service):
         keys = [submit_one(service, seed=s) for s in (1, 2, 3)]
         abandoned = service.queue.claim("dead-worker")
         executed = run_workers(
@@ -288,6 +294,40 @@ class TestRunWorkers:
         assert executed == 3
         assert all(service.status(k).status == "done" for k in keys)
         assert service.status(abandoned).attempts == 2
+
+    def test_relative_path_runs_the_submitted_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A relative path is read once, where the request is submitted:
+        a drain from a directory whose file of that name holds another
+        instance still runs the instance the key hashed."""
+        documents = {}
+        for name, scenario in (("a", "motion/2000"), ("b", "tgff/36")):
+            (tmp_path / name).mkdir()
+            documents[name] = get_scenario(scenario).document()
+            with open(tmp_path / name / "app.json", "w") as handle:
+                json.dump(documents[name], handle)
+        root = str(tmp_path / "store")
+        request = small_request(
+            application=ApplicationSpec(kind="bundled", path="app.json")
+        )
+        monkeypatch.chdir(tmp_path / "a")
+        service = ExplorationService(root)
+        key = service.submit(request).key
+        embedded = small_request(application=ApplicationSpec(
+            kind="bundled", document=documents["a"]
+        ))
+        assert key == compose_cache_key(
+            request.content_hash(), instance_hash_for(embedded)
+        )
+        assert service.store.load_record(key).request == embedded.to_dict()
+        monkeypatch.chdir(tmp_path / "b")
+        assert run_workers(root, workers=1) == 1
+        monkeypatch.chdir(tmp_path / "a")
+        hit = service.submit(request)
+        assert (hit.status, hit.key) == ("hit", key)
+        evaluation = hit.response.best["evaluation"]
+        assert evaluation["hw_tasks"] + evaluation["sw_tasks"] == 28
 
     def test_workers_must_be_positive(self, service):
         with pytest.raises(ConfigurationError, match="workers"):
@@ -607,7 +647,8 @@ class TestRealCrashes:
         assert run_workers(root, workers=2, stale_after_s=0) == 1
         assert all(service.status(k).status == "done" for k in keys)
         assert service.status(key).attempts == 2
-        assert service.queue.claimed_keys() == []
+        assert service.queue.pending_keys() == []
+        assert service.stats()["queue"] == {"queued": 0, "claimed": 0}
         [fresh] = pool_pids()
         assert fresh != pid
 

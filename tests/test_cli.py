@@ -258,6 +258,24 @@ class TestSpecWorkflow:
         assert main(["explore", "--spec", str(spec_path)]) == 0
         assert "winner:" in capsys.readouterr().out
 
+    def test_architecture_file_is_embedded(self, tmp_path, capsys):
+        from repro.arch.architecture import epicure_architecture
+        from repro.io import architecture_to_dict, dump_architecture
+
+        architecture = epicure_architecture(n_clbs=800)
+        path = tmp_path / "architecture.json"
+        path.write_text(dump_architecture(architecture))
+        for command in (
+            ["explore"], ["portfolio"],
+            ["serve", "submit", "--store", str(tmp_path / "store")],
+        ):
+            assert main(command + [
+                "--architecture", str(path), "--dump-spec", "-",
+            ]) == 0
+            spec = json.loads(capsys.readouterr().out)["architecture"]
+            assert spec["path"] is None
+            assert spec["document"] == architecture_to_dict(architecture)
+
     def test_bundled_examples_specs_load(self, capsys):
         import os
 
