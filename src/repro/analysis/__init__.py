@@ -1,31 +1,1 @@
 """Analysis utilities: solution-space counting, sweeps, statistics."""
-
-from repro.analysis.combinatorics import (
-    count_linear_extensions,
-    chain_interleavings,
-    context_placements,
-    solution_space_report,
-    SolutionSpaceReport,
-)
-from repro.analysis.stats import mean, std, median, confidence_interval95, Summary, summarize
-from repro.analysis.sweep import DeviceSweepRow, run_device_sweep
-from repro.analysis.plot import ascii_plot, plot_sweep, plot_trace
-
-__all__ = [
-    "count_linear_extensions",
-    "chain_interleavings",
-    "context_placements",
-    "solution_space_report",
-    "SolutionSpaceReport",
-    "mean",
-    "std",
-    "median",
-    "confidence_interval95",
-    "Summary",
-    "summarize",
-    "DeviceSweepRow",
-    "run_device_sweep",
-    "ascii_plot",
-    "plot_sweep",
-    "plot_trace",
-]

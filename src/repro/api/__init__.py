@@ -18,63 +18,31 @@ examples, or a network service speaking JSON) executes it the same way:
     print(response.to_json())            # the serializable envelope
 
 Specs round-trip through JSON byte-stably, reject unknown keys, and are
-stamped with ``schema_version`` — see :mod:`repro.api.specs`.
+stamped with ``schema_version`` — see :mod:`repro.api.specs`, which also
+holds the response envelope.
+
+The names below load from one table, each from its defining module on
+first use (PEP 562): ``from repro.api import ExplorationRequest`` loads
+the specs, not the façade's search stack.
 """
 
-from repro.api.specs import (
-    APPLICATION_KINDS,
-    ARCHITECTURE_KINDS,
-    REQUEST_KINDS,
-    SCHEMA_VERSION,
-    ApplicationSpec,
-    ArchitectureSpec,
-    BudgetSpec,
-    EngineSpec,
-    ExplorationRequest,
-    StrategySpec,
-    load_request,
-)
-from repro.api.resolve import (
-    BUILTIN_APPLICATIONS,
-    BUILTIN_ARCHITECTURES,
-    ResolvedProblem,
-    ResolvedRequest,
-    resolve_application,
-    resolve_architecture,
-    resolve_request,
-    resolve_strategy,
-)
-from repro.api.facade import (
-    ExplorationResponse,
-    environment_stamp,
-    evaluation_to_dict,
-    explore,
-    load_response,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "APPLICATION_KINDS",
-    "ARCHITECTURE_KINDS",
-    "REQUEST_KINDS",
-    "ApplicationSpec",
-    "ArchitectureSpec",
-    "StrategySpec",
-    "BudgetSpec",
-    "EngineSpec",
-    "ExplorationRequest",
-    "ExplorationResponse",
-    "load_request",
-    "BUILTIN_APPLICATIONS",
-    "BUILTIN_ARCHITECTURES",
-    "ResolvedProblem",
-    "ResolvedRequest",
-    "resolve_application",
-    "resolve_architecture",
-    "resolve_request",
-    "resolve_strategy",
-    "environment_stamp",
-    "evaluation_to_dict",
-    "explore",
-    "load_response",
-]
+#: Each public name, listed once under the module that defines it.
+_EXPORTS = {
+    "repro.api.specs": (
+        "SCHEMA_VERSION", "APPLICATION_KINDS", "ARCHITECTURE_KINDS",
+        "REQUEST_KINDS", "ApplicationSpec", "ArchitectureSpec",
+        "StrategySpec", "BudgetSpec", "EngineSpec", "ExplorationRequest",
+        "load_request", "ExplorationResponse", "environment_stamp",
+        "load_response",
+    ),
+    "repro.api.resolve": (
+        "BUILTIN_APPLICATIONS", "BUILTIN_ARCHITECTURES", "ResolvedProblem",
+        "ResolvedRequest", "resolve_application", "resolve_architecture",
+        "resolve_request", "resolve_strategy",
+    ),
+    "repro.api.facade": ("evaluation_to_dict", "explore"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

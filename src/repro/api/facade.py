@@ -7,6 +7,9 @@ solution mapping, evaluation breakdown, best-so-far history, per-seed
 stats, and an environment stamp.  ``jobs=N`` fans independent runs
 across worker processes; results are bit-identical to ``jobs=1`` for
 the same request (every run is seeded and isolated by the runner).
+The envelope class itself, :class:`~repro.api.specs.ExplorationResponse`,
+lives beside the request in :mod:`repro.api.specs`, so reading a stored
+envelope needs none of this module's imports.
 
 The in-memory response additionally carries the live objects clients
 built on before this API existed — the raw
@@ -19,14 +22,10 @@ their own return types.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.api.resolve import resolve_request
-from repro.api.specs import SCHEMA_VERSION, ExplorationRequest
+from repro.api.specs import ExplorationRequest, ExplorationResponse
 from repro.errors import ConfigurationError
 from repro.mapping.evaluator import Evaluation
 from repro.search.portfolio import PortfolioEntry, rank_outcomes
@@ -35,22 +34,6 @@ from repro.search.runner import (
     best_evaluation_of,
     run_search_jobs,
 )
-
-RESPONSE_FORMAT = "exploration-response"
-
-
-def environment_stamp() -> Dict[str, Any]:
-    """Where a response was computed (stamped into every envelope)."""
-    from repro import __version__
-
-    return {
-        "repro_version": __version__,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-    }
 
 
 def evaluation_to_dict(evaluation: Evaluation) -> Dict[str, Any]:
@@ -66,150 +49,6 @@ def evaluation_to_dict(evaluation: Evaluation) -> Dict[str, Any]:
         "comm_ms": evaluation.comm_ms,
         "clbs_used": evaluation.clbs_used,
     }
-
-
-# ----------------------------------------------------------------------
-# the response envelope
-# ----------------------------------------------------------------------
-@dataclass
-class ExplorationResponse:
-    """Serializable result envelope for any request kind.
-
-    ``results`` holds one record per run (seed, best cost, iteration and
-    evaluation counts, runtime, evaluation breakdown, best-so-far
-    ``history`` when the strategy kept one); ``best`` points at the
-    winning run and carries its solution document; ``summary`` is the
-    kind-specific aggregate (batch statistics, sweep rows, portfolio
-    scoreboard).  ``outcomes`` / ``rows`` / ``entries`` are the live
-    in-process objects (never serialized).
-    """
-
-    kind: str
-    request: Dict[str, Any]
-    results: List[Dict[str, Any]] = field(default_factory=list)
-    best: Optional[Dict[str, Any]] = None
-    summary: Dict[str, Any] = field(default_factory=dict)
-    environment: Dict[str, Any] = field(default_factory=environment_stamp)
-    jobs: int = 1
-    schema_version: int = SCHEMA_VERSION
-    #: Telemetry summary block (counters/gauges/timers snapshot), present
-    #: only when the caller supplied a recorder; omitted from the JSON
-    #: envelope otherwise so pre-telemetry documents stay byte-identical.
-    telemetry: Optional[Dict[str, Any]] = None
-    #: Anytime incumbent snapshots, one entry per run that recorded any
-    #: (``{"index": run index, "snapshots": [...]}``); present only when
-    #: the request's budget carried an ``anytime`` block, omitted from
-    #: the JSON envelope otherwise so pre-anytime documents stay
-    #: byte-identical.
-    partials: Optional[List[Dict[str, Any]]] = None
-    #: Live objects, in-process only (excluded from the JSON envelope).
-    outcomes: List[JobOutcome] = field(
-        default_factory=list, repr=False, compare=False
-    )
-    rows: List[Any] = field(default_factory=list, repr=False, compare=False)
-    entries: List[Any] = field(default_factory=list, repr=False, compare=False)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "format": RESPONSE_FORMAT,
-            "schema_version": self.schema_version,
-            "kind": self.kind,
-            "environment": dict(self.environment),
-            "jobs": self.jobs,
-            "request": self.request,
-            "results": self.results,
-            "best": self.best,
-            "summary": self.summary,
-        }
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry
-        if self.partials is not None:
-            data["partials"] = self.partials
-        return data
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The envelope as JSON: one line by default, which CPython
-        encodes in C (any ``indent`` falls back to the pure-Python
-        encoder).  Stored envelopes and cache hits use this form."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExplorationResponse":
-        if data.get("format") != RESPONSE_FORMAT:
-            raise ConfigurationError(
-                f"expected a {RESPONSE_FORMAT!r} document, "
-                f"got {data.get('format')!r}"
-            )
-        version = data.get("schema_version")
-        if not isinstance(version, int) or version > SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"unsupported response schema_version {version!r} "
-                f"(this library understands <= {SCHEMA_VERSION})"
-            )
-        return cls(
-            kind=data["kind"],
-            request=data.get("request", {}),
-            results=list(data.get("results", [])),
-            best=data.get("best"),
-            summary=dict(data.get("summary", {})),
-            environment=dict(data.get("environment", {})),
-            jobs=data.get("jobs", 1),
-            schema_version=version,
-            telemetry=data.get("telemetry"),
-            partials=data.get("partials"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExplorationResponse":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"response is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
-
-    # -- disk round-trip -----------------------------------------------
-    def save(self, path: str) -> str:
-        """Write the envelope to ``path``; returns the exact text
-        written (what :func:`load_response` reads back byte-identically
-        — the contract the service's result store relies on)."""
-        text = self.to_json()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return text
-
-    # -- convenience views ---------------------------------------------
-    @property
-    def best_outcome(self) -> Optional[JobOutcome]:
-        """The winning run's live outcome (in-process responses only)."""
-        if self.best is None or not self.outcomes:
-            return None
-        return self.outcomes[self.best["index"]]
-
-    @property
-    def best_result(self):
-        outcome = self.best_outcome
-        return None if outcome is None else outcome.result
-
-
-def load_response(path: str) -> ExplorationResponse:
-    """Read an envelope written by :meth:`ExplorationResponse.save` (or
-    by the service's result store).  For an envelope this version wrote,
-    ``load_response(p).to_json()`` is byte-identical to the file's
-    content: the outer key order is fixed by ``to_dict`` and every
-    nested document passes through with its written order preserved.
-    Earlier versions wrote indented envelopes; they load the same, and
-    the store serves their bytes unchanged."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read response file: {exc}"
-        ) from None
-    return ExplorationResponse.from_json(text)
 
 
 # ----------------------------------------------------------------------

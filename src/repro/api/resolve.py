@@ -10,13 +10,18 @@ one seed plan that turns a request of any kind into the
 :class:`~repro.search.runner.SearchJob` list the façade runs.
 Deserialization reuses the :mod:`repro.io` loaders verbatim — the spec
 layer adds no second copy of the format glue.
+
+Resolving an application or an architecture is on the service's
+cache-key path, so this module imports the search stack (runner,
+portfolio, strategies, cost functions) only inside the functions that
+build runner jobs.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.api.specs import (
     ApplicationSpec,
@@ -31,14 +36,15 @@ from repro.arch.asic import Asic
 from repro.arch.processor import Processor
 from repro.arch.reconfigurable import ReconfigurableCircuit
 from repro.errors import ConfigurationError
-from repro.mapping.cost import CostFunction, MakespanCost, SystemCost
 from repro.model.application import Application
 from repro.model.generator import GeneratorConfig, random_application
 from repro.model.motion import MOTION_DEADLINE_MS, motion_detection_application
-from repro.search.portfolio import PORTFOLIO_KINDS, portfolio_jobs
-from repro.search.runner import STRATEGY_KINDS, InstanceSpec, SearchJob
-from repro.search.runner import StrategySpec as RunnerStrategySpec
-from repro.search.strategy import SearchBudget
+
+if TYPE_CHECKING:
+    from repro.mapping.cost import CostFunction
+    from repro.search.runner import SearchJob
+    from repro.search.runner import StrategySpec as RunnerStrategySpec
+    from repro.search.strategy import SearchBudget
 
 #: Named builtin applications an ``ApplicationSpec(kind="builtin")``
 #: may reference.
@@ -160,6 +166,8 @@ def resolve_architecture(
 def build_cost_function(cost: Optional[Dict[str, Any]]) -> Optional[CostFunction]:
     """Declarative cost spec → live :class:`CostFunction` (or ``None``
     for the strategy default)."""
+    from repro.mapping.cost import MakespanCost, SystemCost
+
     if cost is None:
         return None
     if cost["kind"] == "makespan":
@@ -232,6 +240,9 @@ def resolve_strategy(
     fingerprints (hence reuse the same JSONL checkpoints) as the
     historical hand-assembled jobs.
     """
+    from repro.search.runner import STRATEGY_KINDS
+    from repro.search.runner import StrategySpec as RunnerStrategySpec
+
     strategy.validate()
     budget.validate()
     engine.validate()
@@ -270,6 +281,8 @@ def resolve_budget(budget: BudgetSpec) -> Optional[SearchBudget]:
     :class:`SearchBudget` (``None`` when neither limit is set; the
     iteration budget is folded into the strategy options instead so
     historical fingerprints stay stable)."""
+    from repro.search.strategy import SearchBudget
+
     if budget.time_limit_s is None and budget.stall_limit is None:
         return None
     return SearchBudget(
@@ -306,6 +319,9 @@ def resolve_request(request: ExplorationRequest) -> ResolvedRequest:
     :func:`~repro.search.portfolio.portfolio_jobs`, tagged by kind.
     Every job carries the request's wall-clock and stall limits.
     """
+    from repro.search.portfolio import PORTFOLIO_KINDS, portfolio_jobs
+    from repro.search.runner import InstanceSpec, SearchJob
+
     request.validate()
     problem = resolve_application(request.application)
     application = problem.application

@@ -15,21 +15,3 @@ graph through :meth:`Resource.sequentialization_edges` — the library's
 rendition of the paper's abstract ``PE.schedule(Vs, Vd)`` method.  The
 fast engine (``engine="incremental"``) takes exactly these three types.
 """
-
-from repro.arch.resource import Resource, OrderKind
-from repro.arch.processor import Processor
-from repro.arch.asic import Asic
-from repro.arch.reconfigurable import ReconfigurableCircuit
-from repro.arch.bus import Bus
-from repro.arch.architecture import Architecture, epicure_architecture
-
-__all__ = [
-    "Resource",
-    "OrderKind",
-    "Processor",
-    "Asic",
-    "ReconfigurableCircuit",
-    "Bus",
-    "Architecture",
-    "epicure_architecture",
-]

@@ -9,22 +9,3 @@
 * :mod:`~repro.baselines.hill_climber`, :mod:`~repro.baselines.random_search`
   — sanity baselines for the ablation benches.
 """
-
-from repro.baselines.clustering import cluster_into_contexts
-from repro.baselines.list_scheduler import list_schedule_software, decode_partition
-from repro.baselines.ga import GeneticConfig, GeneticPartitioner
-from repro.baselines.tabu import TabuConfig, TabuSearch
-from repro.baselines.hill_climber import HillClimber
-from repro.baselines.random_search import RandomSearch
-
-__all__ = [
-    "cluster_into_contexts",
-    "list_schedule_software",
-    "decode_partition",
-    "GeneticConfig",
-    "GeneticPartitioner",
-    "TabuConfig",
-    "TabuSearch",
-    "HillClimber",
-    "RandomSearch",
-]

@@ -31,9 +31,13 @@ public API (:mod:`repro.api`): flags assemble an
 instead, ``--dump-spec [PATH]`` writes the assembled request without
 running it, and every run goes through
 :func:`repro.api.facade.explore`.  ``--json`` prints the serializable
-:class:`~repro.api.facade.ExplorationResponse` envelope (or the
+:class:`~repro.api.specs.ExplorationResponse` envelope (or the
 command's own JSON document) instead of tables.  Validation errors
 print to stderr and exit with status 2.
+
+Each command imports what it runs or renders, so the ``serve``
+lookups (a cache hit, ``status``, ``result``, ``stats``) load no
+search stack.
 """
 
 from __future__ import annotations
@@ -43,20 +47,17 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.combinatorics import solution_space_report
-from repro.analysis.plot import plot_sweep, plot_trace
-from repro.api.facade import ExplorationResponse, explore
 from repro.api.specs import (
     ApplicationSpec,
     ArchitectureSpec,
     BudgetSpec,
     EngineSpec,
     ExplorationRequest,
+    ExplorationResponse,
     StrategySpec,
     load_request,
 )
 from repro.errors import ReproError
-from repro.experiments.comparison import run_comparison
 from repro.obs.telemetry import (
     Telemetry,
     format_summary_table,
@@ -64,14 +65,7 @@ from repro.obs.telemetry import (
     summarize_events,
     validate_events,
 )
-from repro.experiments.fig3 import format_fig3_table
-from repro.io import dump_solution
-from repro.mapping.evaluator import Evaluator
-from repro.mapping.schedule import extract_schedule
-from repro.mapping.gantt import render_gantt
-from repro.sa.trace import write_csv
-from repro.search.portfolio import format_portfolio_table
-from repro.service import DEFAULT_STALE_AFTER_S
+from repro.service.jobs import DEFAULT_STALE_AFTER_S, run_workers
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +220,9 @@ def _render_batch(response: ExplorationResponse) -> None:
 
 
 def _render_sweep(response: ExplorationResponse, plot: bool = False) -> None:
+    from repro.analysis.plot import plot_sweep
+    from repro.experiments.fig3 import format_fig3_table
+
     print(format_fig3_table(response.rows))
     if plot:
         print()
@@ -233,6 +230,8 @@ def _render_sweep(response: ExplorationResponse, plot: bool = False) -> None:
 
 
 def _render_portfolio(response: ExplorationResponse) -> None:
+    from repro.search.portfolio import format_portfolio_table
+
     deadline = response.summary.get("deadline_ms")
     print(format_portfolio_table(response.entries, deadline_ms=deadline))
 
@@ -260,6 +259,14 @@ def _emit(response: ExplorationResponse, args: argparse.Namespace) -> None:
 # commands
 # ----------------------------------------------------------------------
 def cmd_explore(args: argparse.Namespace) -> int:
+    from repro.analysis.plot import plot_trace
+    from repro.api.facade import explore
+    from repro.io import dump_solution
+    from repro.mapping.evaluator import Evaluator
+    from repro.mapping.gantt import render_gantt
+    from repro.mapping.schedule import extract_schedule
+    from repro.sa.trace import write_csv
+
     request = _request_for(args, _explore_request)
     if _dump_spec(args, request):
         return 0
@@ -294,6 +301,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.api.facade import explore
+
     request = _request_for(args, _sweep_request)
     if _dump_spec(args, request):
         return 0
@@ -308,6 +317,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.comparison import run_comparison
+
     result = run_comparison(
         n_clbs=args.clbs,
         sa_iterations=args.iterations,
@@ -326,6 +337,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_portfolio(args: argparse.Namespace) -> int:
+    from repro.api.facade import explore
+
     request = _request_for(args, _portfolio_request)
     if _dump_spec(args, request):
         return 0
@@ -365,7 +378,7 @@ def _serve_service(args: argparse.Namespace, telemetry=None, create=True):
     # Only ``serve submit`` creates the store; the inspection commands
     # open it read-style so a mistyped --store path is an error, not a
     # silently minted empty store.
-    from repro.service import ExplorationService
+    from repro.service.service import ExplorationService
 
     if telemetry is None:
         return ExplorationService(args.store, create=create)
@@ -460,8 +473,6 @@ def cmd_serve_result(args: argparse.Namespace) -> int:
 
 
 def cmd_serve_run_workers(args: argparse.Namespace) -> int:
-    from repro.service import run_workers
-
     telemetry = _telemetry_for(args)
     kwargs: Dict[str, Any] = {}
     if telemetry is not None:
@@ -518,6 +529,7 @@ def cmd_serve_gc(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from repro.analysis.combinatorics import solution_space_report
     from repro.api.resolve import resolve_application
 
     problem = resolve_application(_application_spec(args.application))

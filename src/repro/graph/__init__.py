@@ -18,22 +18,3 @@ architecture models) and provides:
 * :mod:`~repro.graph.generators` — random DAG generators used by tests
   and benchmarks.
 """
-
-from repro.graph.dag import Dag, NodeInterner
-from repro.graph.longest_path import (
-    topological_order,
-    longest_path_length,
-    earliest_start_times,
-    kahn_order_indices,
-    critical_path,
-)
-
-__all__ = [
-    "Dag",
-    "NodeInterner",
-    "topological_order",
-    "longest_path_length",
-    "earliest_start_times",
-    "kahn_order_indices",
-    "critical_path",
-]

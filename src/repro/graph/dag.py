@@ -2,8 +2,7 @@
 
 The class is deliberately minimal: adjacency is kept in plain dicts so the
 simulated-annealing hot loop (add/remove sequentialization edges, longest
-path) does not pay abstraction costs.  Conversion to :mod:`networkx` is
-provided for analysis and debugging.
+path) does not pay abstraction costs.
 
 Nodes may be any hashable object.  Node and edge attributes are free-form
 dictionaries; the mapping layer stores execution times and data volumes
@@ -260,17 +259,6 @@ class Dag:
         for src, dst, weight in self.edges():
             clone.add_edge(src, dst, weight, **self._edge_attrs.get((src, dst), {}))
         return clone
-
-    def to_networkx(self):
-        """Return a :class:`networkx.DiGraph` copy (for analysis only)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for node, attrs in self._node_attrs.items():
-            graph.add_node(node, **attrs)
-        for src, dst, weight in self.edges():
-            graph.add_edge(src, dst, weight=weight, **self._edge_attrs.get((src, dst), {}))
-        return graph
 
     @classmethod
     def from_edges(

@@ -9,35 +9,3 @@ amount of data exchanged.
 The motion-detection benchmark of section 5 is provided by
 :func:`repro.model.motion.motion_detection_application`.
 """
-
-from repro.model.task import Implementation, Task, pareto_filter, is_dominant_set
-from repro.model.application import Application
-from repro.model.functions import (
-    FunctionalitySpec,
-    synthesize_implementations,
-    FUNCTION_LIBRARY,
-)
-from repro.model.motion import (
-    motion_detection_application,
-    MOTION_TOTAL_SW_TIME_MS,
-)
-from repro.model.sdf import SdfActor, SdfChannel, SdfGraph
-from repro.model.generator import GeneratorConfig, random_application
-
-__all__ = [
-    "Implementation",
-    "Task",
-    "pareto_filter",
-    "is_dominant_set",
-    "Application",
-    "FunctionalitySpec",
-    "synthesize_implementations",
-    "FUNCTION_LIBRARY",
-    "motion_detection_application",
-    "MOTION_TOTAL_SW_TIME_MS",
-    "SdfActor",
-    "SdfChannel",
-    "SdfGraph",
-    "GeneratorConfig",
-    "random_application",
-]

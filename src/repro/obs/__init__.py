@@ -3,29 +3,3 @@
 See :mod:`repro.obs.telemetry` for the recorder, the ``NULL`` disabled
 singleton, and the JSONL load/validate/summarize helpers.
 """
-
-from repro.obs.telemetry import (
-    EVENT_SCHEMA_VERSION,
-    NULL,
-    NullTelemetry,
-    Telemetry,
-    canonical_stream,
-    format_summary_table,
-    load_events,
-    strip_times,
-    summarize_events,
-    validate_events,
-)
-
-__all__ = [
-    "EVENT_SCHEMA_VERSION",
-    "NULL",
-    "NullTelemetry",
-    "Telemetry",
-    "canonical_stream",
-    "format_summary_table",
-    "load_events",
-    "strip_times",
-    "summarize_events",
-    "validate_events",
-]

@@ -9,29 +9,3 @@ infinite temperature (Fig. 2 runs 1200 such iterations), then cools
 adaptively; it is anytime — interrupt it and the best solution so far is
 returned.
 """
-
-from repro.sa.schedules import (
-    CoolingSchedule,
-    GeometricSchedule,
-    LamDelosmeSchedule,
-    ModifiedLamSchedule,
-    make_schedule,
-)
-from repro.sa.moves import MoveGenerator, MoveStats
-from repro.sa.annealer import AnnealerConfig
-from repro.sa.explorer import DesignSpaceExplorer, ExplorationResult
-from repro.sa.trace import TraceRecord
-
-__all__ = [
-    "CoolingSchedule",
-    "GeometricSchedule",
-    "LamDelosmeSchedule",
-    "ModifiedLamSchedule",
-    "make_schedule",
-    "MoveGenerator",
-    "MoveStats",
-    "AnnealerConfig",
-    "DesignSpaceExplorer",
-    "ExplorationResult",
-    "TraceRecord",
-]

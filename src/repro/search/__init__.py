@@ -19,43 +19,3 @@ Parallel results are bit-identical to sequential ones for fixed seeds.
 :mod:`repro.search.portfolio` races several strategies on one instance
 and reports the winner.
 """
-
-from repro.search.strategy import (
-    SearchBudget,
-    SearchResult,
-    SearchStep,
-    SearchStrategy,
-    SearchTracker,
-)
-from repro.search.runner import (
-    InstanceSpec,
-    JobOutcome,
-    SearchJob,
-    StrategySpec,
-    STRATEGY_KINDS,
-    best_evaluation_of,
-    build_strategy,
-    derive_seeds,
-    run_search_jobs,
-)
-from repro.search.portfolio import PortfolioEntry, format_portfolio_table, run_portfolio
-
-__all__ = [
-    "SearchBudget",
-    "SearchResult",
-    "SearchStep",
-    "SearchStrategy",
-    "SearchTracker",
-    "InstanceSpec",
-    "JobOutcome",
-    "SearchJob",
-    "StrategySpec",
-    "STRATEGY_KINDS",
-    "best_evaluation_of",
-    "build_strategy",
-    "derive_seeds",
-    "run_search_jobs",
-    "PortfolioEntry",
-    "format_portfolio_table",
-    "run_portfolio",
-]

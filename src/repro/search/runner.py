@@ -334,8 +334,8 @@ class StrategyKind:
     def options(self) -> frozenset:
         """The accepted ``StrategySpec.options`` keys: the keyword
         parameters of the ``parts`` constructors.  Derived on first use,
-        because importing the strategy classes with this module would
-        close the ``repro.sa`` → ``repro.search`` → runner cycle."""
+        so loading the table, which validating any request does, imports
+        no strategy class."""
         return frozenset().union(
             *(_keywords(pkgutil.resolve_name(path)) for path in self.parts)
         )

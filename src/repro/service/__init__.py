@@ -12,39 +12,3 @@ Three layers (see the README architecture section):
   :class:`ExplorationService` with cache-first ``submit`` and the
   ``repro serve`` CLI behind it.
 """
-
-from repro.service.jobs import DEFAULT_STALE_AFTER_S, JobQueue, run_workers
-from repro.service.service import (
-    STATS_FORMAT,
-    STATS_SCHEMA_VERSION,
-    SUBMIT_STATUSES,
-    ExplorationService,
-    SubmitOutcome,
-)
-from repro.service.store import (
-    RECORD_FORMAT,
-    RECORD_SCHEMA_VERSION,
-    RECORD_STATES,
-    JobRecord,
-    ResultStore,
-    compose_cache_key,
-    instance_hash_for,
-)
-
-__all__ = [
-    "DEFAULT_STALE_AFTER_S",
-    "ExplorationService",
-    "JobQueue",
-    "JobRecord",
-    "RECORD_FORMAT",
-    "RECORD_SCHEMA_VERSION",
-    "RECORD_STATES",
-    "ResultStore",
-    "STATS_FORMAT",
-    "STATS_SCHEMA_VERSION",
-    "SUBMIT_STATUSES",
-    "SubmitOutcome",
-    "compose_cache_key",
-    "instance_hash_for",
-    "run_workers",
-]

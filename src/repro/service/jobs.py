@@ -26,7 +26,9 @@ files; no broker, no database):
 Workers execute claimed requests through the one public façade
 (:func:`repro.api.facade.explore`), which runs them on the search
 runner — the service adds persistence and record-keeping, never a
-second execution path.  :func:`run_workers` runs N drain-loop workers:
+second execution path.  The façade is imported by the first job a
+process executes, so a spawned worker claims before it loads the
+search stack.  :func:`run_workers` runs N drain-loop workers:
 worker 0 in the calling process, which claims its first job at once,
 and workers 1 … N−1 in a warm spawn pool that the process builds at
 its first multi-worker drain and reuses for every later one.  It
@@ -47,8 +49,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api.facade import ExplorationResponse, explore
-from repro.api.specs import ExplorationRequest
+from repro.api.specs import ExplorationRequest, ExplorationResponse
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.obs.telemetry import NULL, Telemetry
 from repro.service.store import JobRecord, ResultStore
@@ -164,14 +165,19 @@ class JobQueue:
         fresh ticket.  If its envelope is already persisted (a crash
         between the envelope and the ``done`` row) it is finished
         instead: stamped ``done`` and its near marker filled, so the job
-        counts one execution.  A ``pending`` record older than
-        ``stale_after_s`` without a ticket (a crash between a claim's
-        unlink and its ``running`` row, or a row and its ticket) is
-        re-ticketed.
+        counts one execution.  A ``done`` record whose envelope is gone
+        is requeued too, whatever its age.  A ``pending`` record older
+        than ``stale_after_s`` without a ticket (a crash between a
+        claim's unlink and its ``running`` row, or a row and its ticket)
+        is re-ticketed.
         """
         now = time.time() if now is None else now
         requeued: List[str] = []
         for record in self.store.iter_records():
+            if record.status == "pending":
+                if now - record.created_ts >= stale_after_s:
+                    self.store.put_ticket(record.key)
+                continue
             if record.status == "running":
                 anchor = record.claimed_ts or record.created_ts
                 if now - anchor < stale_after_s:
@@ -179,20 +185,20 @@ class JobQueue:
                 if self.store.has_response(record.key):
                     self._stamp_done(record, now=now)
                     continue
-                record.transition(
-                    "pending",
-                    error=f"requeued: stale claim by {record.worker!r}",
-                    now=now,
-                )
-                self.store.write_record(record)
-                self.store.put_ticket(record.key)
-                requeued.append(record.key)
-                self.telemetry.count("job_requeued")
-                if self.telemetry.enabled:
-                    self.telemetry.event("job_requeued", key=record.key)
-            elif record.status == "pending":
-                if now - record.created_ts >= stale_after_s:
-                    self.store.put_ticket(record.key)
+                error = f"requeued: stale claim by {record.worker!r}"
+            elif record.status == "done":
+                if self.store.has_response(record.key):
+                    continue
+                error = "requeued: result envelope missing"
+            else:  # failed: a resubmit runs it again
+                continue
+            record.transition("pending", error=error, now=now)
+            self.store.write_record(record)
+            self.store.put_ticket(record.key)
+            requeued.append(record.key)
+            self.telemetry.count("job_requeued")
+            if self.telemetry.enabled:
+                self.telemetry.event("job_requeued", key=record.key)
         return requeued
 
     # -- execution -----------------------------------------------------
@@ -206,6 +212,8 @@ class JobQueue:
         :class:`~repro.errors.ReproError` marks the record ``failed``
         and re-raises.
         """
+        from repro.api.facade import explore
+
         record = self.store.load_record(key)
         if record.status != "running":
             raise ServiceError(

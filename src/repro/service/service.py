@@ -12,8 +12,9 @@ addressed (request hash × resolved instance hash), and
   submit attaches to the existing computation instead of starting a
   second one (the exclusive ``os.link`` record creation in the store
   makes this hold even when two submits race);
-* a ``failed`` record is **resubmitted** — back to ``pending`` and
-  re-ticketed, keeping its attempt history;
+* a ``failed`` record, or a ``done`` one whose envelope is missing or
+  unreadable, is **resubmitted** — back to ``pending`` and re-ticketed,
+  keeping its attempt history;
 * no record means a **cache miss** — the instance document, the
   ``near/`` marker, the row (born complete, warm-start seed included)
   and the queue ticket are written, in that order, for the worker pool.
@@ -44,12 +45,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.facade import ExplorationResponse, environment_stamp, explore
-from repro.api.resolve import resolve_request
-from repro.api.specs import ExplorationRequest
+from repro.api.specs import (
+    ExplorationRequest,
+    ExplorationResponse,
+    environment_stamp,
+)
 from repro.errors import ConfigurationError, MappingError, ServiceError
 from repro.obs.telemetry import NULL
-from repro.search.runner import STRATEGY_KINDS
 from repro.service.jobs import DEFAULT_STALE_AFTER_S, JobQueue
 from repro.service.store import (
     RECORD_STATES,
@@ -123,8 +125,13 @@ class ExplorationService:
         always the *original* request's, so warm-started results, and
         those of a request whose files the row embeds, are served back
         under the identity the client submitted.
+
+        The key is looked up before the request is validated: a row
+        exists only for a request that validated when the row was
+        created (the key is its content hash), so a hit, an in-flight
+        attach or a resubmit loads no strategy table.  A miss validates
+        before it writes anything.
         """
-        request.validate()
         with self.telemetry.phase("store_lookup"):
             key, request_hash, info, runnable = self.store.cache_key_info(
                 request
@@ -135,6 +142,7 @@ class ExplorationService:
             )
         if found is not None:
             return self._attach(key, found)
+        request.validate()
         self.store.put_instance(info.instance_hash, info.document)
         self.store.index_near(info.structure_hash, key)
         rewritten, warm_start = self._warm_start(key, runnable, info)
@@ -167,6 +175,8 @@ class ExplorationService:
         """``(rewritten request document, warm_start block)`` seeding
         the new job from the best near-instance donor; ``(None, None)``
         when no donor qualifies (never fails the submit)."""
+        from repro.search.runner import STRATEGY_KINDS
+
         if request.kind not in WARM_KINDS:
             return None, None
         if not STRATEGY_KINDS[request.strategy.kind].warm:
@@ -258,6 +268,7 @@ class ExplorationService:
         """
         from repro.io import instance_from_dict, solution_to_dict
         from repro.mapping.seed import seed_solution
+        from repro.search.runner import STRATEGY_KINDS
 
         envelope = self.store.get_response(donor)
         if envelope.best is None or "solution" not in envelope.best:
@@ -279,8 +290,16 @@ class ExplorationService:
     def _attach(self, key: str, record: JobRecord) -> SubmitOutcome:
         """Submit outcome for a key whose record already existed."""
         if record.status == "done":
-            with self.telemetry.phase("store_lookup"):
-                text = self.store.response_text(key)
+            try:
+                with self.telemetry.phase("store_lookup"):
+                    text = self.store.response_text(key)
+                response = ExplorationResponse.from_json(text)
+            except (ServiceError, ConfigurationError):
+                # The envelope is gone or unreadable: run the job again.
+                return self._resubmit(
+                    key, record,
+                    "requeued: result envelope missing or unreadable",
+                )
             # A hit only reads: it counts itself in the append-only hit
             # log and never rewrites the row, so racing hits lose no
             # count and a hit racing gc cannot republish a deleted row.
@@ -292,22 +311,29 @@ class ExplorationService:
                 key=key,
                 status="hit",
                 record=record,
-                response=ExplorationResponse.from_json(text),
+                response=response,
                 response_text=text,
             )
         if record.status == "failed":
-            record.transition("pending")
-            self.store.write_record(record)
-            self.queue.enqueue(key)
-            self.telemetry.count("job_resubmitted")
-            if self.telemetry.enabled:
-                self.telemetry.event("submit", key=key, status="resubmitted")
-            return SubmitOutcome(key=key, status="resubmitted", record=record)
+            return self._resubmit(key, record)
         # pending or running: one computation is already on its way
         self.telemetry.count("dedupe_inflight")
         if self.telemetry.enabled:
             self.telemetry.event("submit", key=key, status="inflight")
         return SubmitOutcome(key=key, status="inflight", record=record)
+
+    def _resubmit(
+        self, key: str, record: JobRecord, error: Optional[str] = None
+    ) -> SubmitOutcome:
+        """Send a finished row back to ``pending`` (its history and
+        attempt count kept) and re-ticket it."""
+        record.transition("pending", error=error)
+        self.store.write_record(record)
+        self.queue.enqueue(key)
+        self.telemetry.count("job_resubmitted")
+        if self.telemetry.enabled:
+            self.telemetry.event("submit", key=key, status="resubmitted")
+        return SubmitOutcome(key=key, status="resubmitted", record=record)
 
     def submit_anytime(
         self, request: ExplorationRequest, deadline_s: float
@@ -324,6 +350,9 @@ class ExplorationService:
         (or :meth:`run_local`) still computes and persists the full
         result under the same key.
         """
+        from repro.api.facade import explore
+        from repro.api.resolve import resolve_request
+
         if deadline_s <= 0:
             raise ServiceError("deadline_s must be > 0")
         outcome = self.submit(request)

@@ -71,8 +71,11 @@ import uuid
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.api.facade import ExplorationResponse, environment_stamp
-from repro.api.specs import ExplorationRequest
+from repro.api.specs import (
+    ExplorationRequest,
+    ExplorationResponse,
+    environment_stamp,
+)
 from repro.errors import ConfigurationError, ServiceError
 
 __all__ = [

@@ -309,7 +309,7 @@ class TestResponseEnvelope:
         # The service's cache serves persisted envelopes verbatim, so a
         # save/load/save cycle must reproduce the file byte for byte —
         # per-seed stats, best-so-far history and all.
-        from repro.api.facade import load_response
+        from repro.api.specs import load_response
 
         response = explore(small_request(
             kind="batch", seeds=(1, 2),
@@ -328,7 +328,7 @@ class TestResponseEnvelope:
         assert clone.save(path2) == written
 
     def test_disk_round_trip_with_telemetry_block(self, tmp_path):
-        from repro.api.facade import load_response
+        from repro.api.specs import load_response
         from repro.obs.telemetry import Telemetry
 
         response = explore(small_request(), telemetry=Telemetry(label="t"))
@@ -340,7 +340,7 @@ class TestResponseEnvelope:
         assert clone.to_json() == written
 
     def test_load_response_missing_file(self, tmp_path):
-        from repro.api.facade import load_response
+        from repro.api.specs import load_response
 
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_response(str(tmp_path / "absent.json"))

@@ -20,7 +20,7 @@ from repro.mapping.evaluator import Evaluator
 from repro.mapping.solution import random_initial_solution
 from repro.model.motion import motion_detection_application
 from repro.sa.moves import MoveGenerator
-from repro.service import ExplorationService
+from repro.service.service import ExplorationService
 
 EVALS = 10
 

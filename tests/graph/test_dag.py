@@ -147,12 +147,6 @@ class TestConversion:
         assert diamond.has_edge(0, 1)
         assert not clone.has_edge(0, 1)
 
-    def test_to_networkx(self, diamond):
-        graph = diamond.to_networkx()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
-        assert graph[0][1]["weight"] == 1.0
-
     def test_from_edges(self):
         dag = Dag.from_edges([(0, 1), (1, 2)], nodes=[5])
         assert 5 in dag

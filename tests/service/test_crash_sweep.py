@@ -19,10 +19,12 @@ import sys
 
 import pytest
 
-from repro.api.facade import ExplorationResponse
-from repro.api.specs import ApplicationSpec, BudgetSpec, ExplorationRequest
+from repro.api.specs import (
+    ApplicationSpec, BudgetSpec, ExplorationRequest, ExplorationResponse,
+)
 from repro.bench.corpus import get_scenario
-from repro.service import ExplorationService, run_workers
+from repro.service.jobs import run_workers
+from repro.service.service import ExplorationService
 
 
 class Crash(BaseException):

@@ -28,13 +28,10 @@ from repro.bench.corpus import get_scenario
 from repro.cli import main
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
-from repro.service import (
-    ExplorationService,
-    JobQueue,
-    ResultStore,
-    compose_cache_key,
-    instance_hash_for,
-    run_workers,
+from repro.service.jobs import JobQueue, run_workers
+from repro.service.service import ExplorationService
+from repro.service.store import (
+    ResultStore, compose_cache_key, instance_hash_for,
 )
 
 
@@ -235,6 +232,25 @@ class TestCrashSafety:
         marker = service.store.near_marker(record.structure_hash, key)
         with open(marker, encoding="ascii") as handle:
             assert handle.read() == record.instance_hash
+
+    def test_done_row_without_envelope_is_requeued(self, service):
+        # An envelope deleted under its done row: the next drain runs
+        # the job again, whatever the row's age, and the key serves.
+        request = small_request(seed=4)
+        key = service.submit(request).key
+        assert service.run_local() == 1
+        os.unlink(service.store.result_path(key))
+        assert service.queue.requeue_stale(stale_after_s=3600.0) == [key]
+        record = service.status(key)
+        assert record.status == "pending"
+        assert record.error == "requeued: result envelope missing"
+        assert run_workers(service.store.root, workers=1) == 1
+        record = service.status(key)
+        assert (record.status, record.attempts) == ("done", 2)
+        assert service.stats()["executions"] == 2
+        hit = service.submit(request)
+        assert hit.status == "hit"
+        assert hit.response_text == service.store.response_text(key)
 
     def test_store_of_an_earlier_version_drains(self, service):
         """An earlier version wrote the key into each ticket and renamed
@@ -574,7 +590,8 @@ _CHILD = """
 import multiprocessing, sys, time
 from multiprocessing import resource_tracker
 from repro.api.specs import BudgetSpec, ExplorationRequest
-from repro.service import ExplorationService, run_workers
+from repro.service.jobs import run_workers
+from repro.service.service import ExplorationService
 
 root = sys.argv[1]
 service = ExplorationService(root)

@@ -16,8 +16,9 @@ import pytest
 from repro.api.specs import BudgetSpec, ExplorationRequest, StrategySpec
 from repro.errors import ConfigurationError, ServiceError
 from repro.obs.telemetry import Telemetry
-from repro.service import ExplorationService
-from repro.service.service import STATS_FORMAT, STATS_SCHEMA_VERSION
+from repro.service.service import (
+    STATS_FORMAT, STATS_SCHEMA_VERSION, ExplorationService,
+)
 
 
 def small_request(**overrides):
@@ -150,6 +151,45 @@ class TestFailedResubmit:
         assert service.run_local() == 1
         assert service.status(key).status == "done"
         assert service.status(key).attempts == 2
+
+
+class TestLostEnvelopeResubmit:
+    """A ``done`` row whose envelope is missing or unreadable is sent
+    back to ``pending`` by the next submit, and its job runs again."""
+
+    def _done(self, service):
+        request = small_request(seed=9)
+        key = service.submit(request).key
+        assert service.run_local() == 1
+        return request, key
+
+    def _rerun(self, service, request, key):
+        outcome = service.submit(request)
+        assert (outcome.key, outcome.status) == (key, "resubmitted")
+        assert service.queue.pending_keys() == [key]
+        assert service.run_local() == 1
+        record = service.status(key)
+        assert (record.status, record.attempts) == ("done", 2)
+        assert [entry["status"] for entry in record.history] == [
+            "pending", "running", "done", "pending", "running", "done",
+        ]
+        assert service.stats()["executions"] == 2
+        hit = service.submit(request)
+        assert hit.status == "hit"
+        with open(service.store.result_path(key), encoding="utf-8") as handle:
+            assert hit.response_text == handle.read()
+
+    def test_missing_envelope(self, service):
+        request, key = self._done(service)
+        os.unlink(service.store.result_path(key))
+        self._rerun(service, request, key)
+
+    @pytest.mark.parametrize("text", ['{"format": "exploration-resp', "[]"])
+    def test_unreadable_envelope(self, service, text):
+        request, key = self._done(service)
+        with open(service.store.result_path(key), "w") as handle:
+            handle.write(text)
+        self._rerun(service, request, key)
 
 
 class TestRefusedSubmit:

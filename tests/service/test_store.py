@@ -265,7 +265,8 @@ class TestResultStore:
         """A writer killed between its temp write and its rename or link
         leaves ``<name>.<hex>.tmp`` behind; gc removes those once stale
         and keeps fresh ones, whose writer may still be in flight."""
-        from repro.service import DEFAULT_STALE_AFTER_S, ExplorationService
+        from repro.service.jobs import DEFAULT_STALE_AFTER_S
+        from repro.service.service import ExplorationService
 
         key = "5" * 64
         stale = [

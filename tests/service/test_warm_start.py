@@ -27,7 +27,7 @@ from repro.bench.corpus import get_scenario
 from repro.errors import ServiceError
 from repro.io import ProblemInstance, instance_to_dict
 from repro.obs.telemetry import Telemetry
-from repro.service import ExplorationService
+from repro.service.service import ExplorationService
 from repro.service.store import JobRecord, ResultStore, instance_info_for
 from tests.conftest import assert_racers_stopped_early
 

@@ -344,7 +344,7 @@ class TestServe:
         assert hit["response"]["format"] == "exploration-response"
 
         # `serve result --json` prints the exact persisted bytes
-        from repro.service import ResultStore
+        from repro.service.store import ResultStore
 
         assert main([
             "serve", "result", "--store", store, key, "--json",
